@@ -34,7 +34,7 @@ int main() {
     rados::RecoveryManager rec(cluster);
     auto plan = rec.plan(pool);
     const Nanos t0 = sim.now();
-    rec.execute(plan, parallel, [] {});
+    rec.execute(plan, {.max_parallel = parallel}, [] {});
     sim.run();
     const Nanos elapsed = sim.now() - t0;
     auto report = rec.scrub(pool);

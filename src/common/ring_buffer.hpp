@@ -87,10 +87,20 @@ class SpscRing {
   }
 
   bool try_push(const T& value) {
+    return try_push(value, [] {});
+  }
+
+  /// try_push() that runs `before_publish` once the entry is written but
+  /// before the tail is release-published: bookkeeping about the entry
+  /// (e.g. validator accounting) is then ordered before any consumer can
+  /// observe it. Not run when the ring is full.
+  template <typename BeforePublish>
+  bool try_push(const T& value, BeforePublish&& before_publish) {
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     const std::uint64_t head = head_.load(std::memory_order_acquire);
     if (tail - head > mask_) return false;  // full
     slots_[tail & mask_] = value;
+    before_publish();
     tail_.store(tail + 1, std::memory_order_release);
     return true;
   }

@@ -55,23 +55,17 @@ Framework::Framework(sim::Simulator& sim, FrameworkConfig config)
   if (!config_.blockstore.compaction_bps)
     config_.blockstore.compaction_bps = config_.calib.compaction_bps;
   config_.cluster.blockstore = config_.blockstore;
+  // The placement algorithm selects the host buckets (the OSD level is what
+  // the bucket kernels accelerate and what ablations vary).
+  config_.cluster.crush.host_alg = config_.placement_alg;
   cluster_ = std::make_unique<rados::Cluster>(sim_, config_.cluster);
   client_ = std::make_unique<rados::RadosClient>(*cluster_);
-
-  // Select the placement algorithm for the host buckets (the OSD level is
-  // what the bucket kernels accelerate and what ablations vary).
-  // The cluster is built by config; rebuild host buckets only if requested.
-  if (config_.placement_alg != config_.cluster.crush.host_alg) {
-    config_.cluster.crush.host_alg = config_.placement_alg;
-    cluster_ = std::make_unique<rados::Cluster>(sim_, config_.cluster);
-    client_ = std::make_unique<rados::RadosClient>(*cluster_);
-  }
   if (config_.integrity) {
     client_->set_integrity(true);
     client_->set_validator(&validator_);
   }
-  // Blockstore journal-intent accounting feeds the journal_leak rule.
-  if (config_.blockstore.enabled) cluster_->set_validator(&validator_);
+  // WAL journal-intent accounting feeds the journal_leak rule.
+  cluster_->set_validator(&validator_);
 
   pool_ = config_.pool_mode == PoolMode::replicated
               ? cluster_->create_replicated_pool("rbd", config_.replica_size)
@@ -137,9 +131,8 @@ Framework::Framework(sim::Simulator& sim, FrameworkConfig config)
     mq_ = std::make_unique<blk::MqBlockLayer>(mqc, *driver_);
   }
 
-  // Background scrub/recovery must also attach after the conditional
-  // cluster rebuild, and before fault injection so a fault-plan mark-out
-  // finds the scheduler already registered with the cluster.
+  // Background scrub/recovery attaches before fault injection so a
+  // fault-plan mark-out finds the scheduler already registered.
   if (config_.background.enabled) {
     background_ = std::make_unique<rados::BackgroundScheduler>(
         *cluster_, config_.background);
@@ -148,8 +141,6 @@ Framework::Framework(sim::Simulator& sim, FrameworkConfig config)
     background_->start();
   }
 
-  // Fault injection must be armed after the conditional cluster rebuild
-  // above, or the crash/restart timers would reference the discarded one.
   if (config_.fault_plan.enabled()) {
     faults_ = std::make_unique<sim::FaultInjector>(sim_, config_.fault_plan);
     faults_->set_validator(&validator_);

@@ -75,10 +75,12 @@ struct FrameworkConfig {
   /// End-to-end data integrity: per-4kB CRC32C checksums at client write
   /// submission, stored per-object on the OSDs, verified at OSD read and
   /// again on client receive; payload checksum cover across the QDMA hop;
-  /// checksum mismatches trigger read-repair, torn writes replay from the
-  /// per-OSD write-intent journal. Default off: no checksums are computed,
-  /// no integrity.* metrics registered, and every faults-off bench output
-  /// stays byte-identical to builds without this subsystem.
+  /// checksum mismatches trigger read-repair. Integrity also arms the
+  /// blockstore WAL under every OSD, uncharged unless blockstore.enabled:
+  /// a torn write is discarded on restart replay (it was never
+  /// acknowledged). Default off: no checksums are computed, no integrity.*
+  /// metrics registered, and every faults-off bench output stays
+  /// byte-identical to builds without this subsystem.
   bool integrity = false;
 
   /// Journaled blockstore under every OSD (vitastor-style WAL + modeled

@@ -120,40 +120,31 @@ void BackgroundScheduler::next_chunk(int osd_id) {
 void BackgroundScheduler::finish_chunk(int osd_id, const Chunk& chunk) {
   scrub_bytes_ += chunk.bytes;
   if (m_scrub_bytes_ != nullptr) m_scrub_bytes_->inc(chunk.bytes);
-  Osd& osd = cluster_.osd(osd_id);
-  if (!osd.store().verify(chunk.key, chunk.offset, chunk.bytes)) {
+  if (!cluster_.osd(osd_id).store().verify(chunk.key, chunk.offset,
+                                           chunk.bytes)) {
     ++scrub_errors_;
-    repair_chunk(osd_id, chunk);
+    repair(osd_id, chunk.key);
   }
   if (validator_ != nullptr) validator_->on_background_resolved();
   next_chunk(osd_id);
 }
 
-void BackgroundScheduler::repair_chunk(int osd_id, const Chunk& chunk) {
-  // Deep scrub convicted this chunk (integrity mode: its bytes no longer
-  // match the stored block CRCs). Rewrite it from a verified sibling copy,
-  // charging the write through the station in the background class.
-  for (std::size_t i = 0; i < cluster_.osd_count(); ++i) {
-    const int holder = static_cast<int>(i);
-    if (holder == osd_id || cluster_.osd_down(holder)) continue;
-    const ObjectStore& src = cluster_.osd(holder).store();
-    if (!src.exists(chunk.key) ||
-        !src.verify(chunk.key, chunk.offset, chunk.bytes))
-      continue;
-    auto data = src.read(chunk.key, chunk.offset, chunk.bytes);
-    Osd& osd = cluster_.osd(osd_id);
-    const Nanos svc = osd.service_time(data.size(), /*is_write=*/true,
-                                       chunk.key, chunk.offset);
-    if (validator_ != nullptr) validator_->on_background_scheduled();
-    osd.submit_background(
-        svc, [this, osd_id, chunk, data = std::move(data)] {
-          cluster_.osd(osd_id).apply_durable(chunk.key, chunk.offset, data, {});
-          ++scrub_repairs_;
-          if (validator_ != nullptr) validator_->on_background_resolved();
-        });
-    return;
-  }
-  // No verified source: the error stays counted, nothing is rewritten.
+void BackgroundScheduler::repair(int osd_id, const ObjectKey& key) {
+  // Deep scrub convicted this copy (integrity mode: its bytes no longer
+  // match the stored block CRCs). Rewrite the whole object as an ordinary
+  // recovery move onto this holder; with no verified source the plan is
+  // empty and the error stays counted.
+  if (!repairing_.insert({osd_id, key}).second) return;
+  recovery_.execute(
+      recovery_.plan_repairs(static_cast<int>(key.pool), {{osd_id, key}}),
+      recovery_options(),
+      [this, osd_id, key] { repairing_.erase({osd_id, key}); });
+}
+
+RecoveryManager::ExecuteOptions BackgroundScheduler::recovery_options()
+    const {
+  return {config_.recovery_max_bps, config_.recovery_parallel,
+          config_.pace_cap};
 }
 
 // --- paced recovery ----------------------------------------------------------
@@ -187,16 +178,8 @@ void BackgroundScheduler::execute_plans(
     finish_recovery();
     return;
   }
-  const RecoveryPlan& plan = (*plans)[index];
-  RecoveryManager::PacedOptions options;
-  options.max_bps = config_.recovery_max_bps;
-  options.max_parallel = config_.recovery_parallel;
-  options.pace_cap = config_.pace_cap;
-  // `plans` stays captured in the completion, keeping the plan alive for
-  // the whole execution.
-  recovery_.execute_paced(plan, options, [this, plans, index] {
-    execute_plans(plans, index + 1);
-  });
+  recovery_.execute(std::move((*plans)[index]), recovery_options(),
+                    [this, plans, index] { execute_plans(plans, index + 1); });
 }
 
 void BackgroundScheduler::finish_recovery() {

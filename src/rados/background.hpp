@@ -13,15 +13,18 @@
 //     vitastor-style inter-chunk pacing: a token bucket refilled at
 //     scrub_bps delays the next chunk until the budget allows it, bounding
 //     scrub's impact on client I/O. Chunks verify block checksums when
-//     integrity is armed; a failed chunk is rewritten from a verified
-//     replica — also through the station, also background class.
+//     integrity is armed; a convicted copy is repaired by an ordinary
+//     recovery move onto its holder (RecoveryManager::plan_repairs): the
+//     whole object from a verified replica, or an EC shard rebuilt from k
+//     verified siblings.
 //   * Paced recovery: when the cluster marks an OSD out (CRUSH reweight),
-//     the scheduler plans backfill across every pool and executes it via
-//     RecoveryManager::execute_paced — bounded parallelism, a
-//     recovery_max_bps token bucket, and the two-class station scheme so
-//     every copy queues with (and yields to) client ops. The time from the
-//     placement change to the last landed copy is the cluster's
-//     time-to-full-redundancy.
+//     the scheduler plans backfill across every pool and executes it.
+//
+// Repairs and backfill share the one executor, RecoveryManager::execute —
+// bounded parallelism, a recovery_max_bps token bucket, the object write
+// lock, and the two-class station scheme so every copy queues with (and
+// yields to) client ops. The time from the placement change to the last
+// landed backfill copy is the cluster's time-to-full-redundancy.
 //
 // Default off (BackgroundConfig::enabled = false): no scheduler is
 // constructed, no timers armed, no background.* metrics registered, and
@@ -33,7 +36,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rados/recovery.hpp"
@@ -114,7 +119,8 @@ class BackgroundScheduler {
   std::uint64_t scrub_bytes() const { return scrub_bytes_; }
   std::uint64_t scrub_passes() const { return scrub_passes_; }
   std::uint64_t scrub_errors() const { return scrub_errors_; }
-  std::uint64_t scrub_repairs() const { return scrub_repairs_; }
+  /// Repair moves landed (a convicted copy rewritten).
+  std::uint64_t scrub_repairs() const { return recovery_.scrub_repairs(); }
   std::uint64_t chunks_cancelled() const { return chunks_cancelled_; }
   std::uint64_t throttle_waits() const {
     return scrub_throttle_waits_ + recovery_.throttle_waits();
@@ -144,7 +150,8 @@ class BackgroundScheduler {
   void scrub_tick(int osd_id);
   void next_chunk(int osd_id);
   void finish_chunk(int osd_id, const Chunk& chunk);
-  void repair_chunk(int osd_id, const Chunk& chunk);
+  void repair(int osd_id, const ObjectKey& key);
+  RecoveryManager::ExecuteOptions recovery_options() const;
   void start_recovery_round();
   void execute_plans(std::shared_ptr<std::vector<RecoveryPlan>> plans,
                      std::size_t index);
@@ -161,7 +168,9 @@ class BackgroundScheduler {
   std::uint64_t scrub_bytes_ = 0;
   std::uint64_t scrub_passes_ = 0;
   std::uint64_t scrub_errors_ = 0;
-  std::uint64_t scrub_repairs_ = 0;
+  // Convicted (osd, key) copies whose repair move has not settled: later
+  // chunks of the same copy fail verify too, and one move covers them.
+  std::set<std::pair<int, ObjectKey>> repairing_;
   std::uint64_t chunks_cancelled_ = 0;
   std::uint64_t scrub_throttle_waits_ = 0;
 

@@ -29,9 +29,12 @@
 // survive via their intact record or the data area; torn bytes never
 // surface.
 //
-// Default off: a disarmed OSD never constructs a Blockstore — no rng draws,
-// no service-time change, no metric registration — so faults-off bench
-// output stays byte-identical (GoldenRegression pins this).
+// Default off: with neither the blockstore nor integrity armed an OSD never
+// constructs a Blockstore — no rng draws, no service-time change, no metric
+// registration — so faults-off bench output stays byte-identical
+// (GoldenRegression pins this). Integrity alone arms it uncharged
+// (charged() is false): the same WAL crash semantics at zero simulated
+// cost, so arming integrity never moves a timing.
 #pragma once
 
 #include <cstdint>
@@ -88,6 +91,11 @@ class Blockstore {
   Blockstore& operator=(const Blockstore&) = delete;
 
   const BlockstoreConfig& config() const { return config_; }
+
+  /// Whether the OSD charges this WAL's append/fsync/compaction time:
+  /// `config.enabled`. Integrity alone arms an uncharged WAL — same crash
+  /// semantics, zero simulated cost.
+  bool charged() const { return config_.enabled; }
 
   /// Journal-intent accounting: every appended record must resolve to
   /// applied-or-trimmed by quiescence (the validator's journal_leak rule).

@@ -31,7 +31,7 @@ Cluster::Cluster(sim::Simulator& sim, ClusterConfig config)
             // Crashed process: the TCP connection is dead, the message is
             // never consumed. The sender's deadline/retry machinery owns
             // recovery.
-            if (faults_ != nullptr) faults_->count_crash_dropped_message();
+            drop_message(*body);
             return;
           }
           target.handle(body);
@@ -46,7 +46,10 @@ Cluster::Cluster(sim::Simulator& sim, ClusterConfig config)
                                      config_.seed * 7919 + i);
     const int id = static_cast<int>(i);
     osd->set_integrity(config_.integrity);
-    if (config_.blockstore.enabled) osd->arm_blockstore(config_.blockstore);
+    // One crash-consistency path: integrity alone arms the WAL too, and
+    // the blockstore config decides whether it charges simulated time.
+    if (config_.integrity || config_.blockstore.enabled)
+      osd->arm_blockstore(config_.blockstore);
     osd->set_sender([this, id](int dst, std::shared_ptr<OpBody> body) {
       send_from_osd(id, dst, std::move(body));
     });
@@ -122,10 +125,8 @@ void Cluster::set_validator(PipelineValidator* validator) {
 }
 
 void Cluster::restart_osd(int id) {
-  // Crash recovery runs before the OSD takes traffic again: surviving
-  // write intents (torn or unretired applies) are re-applied in full,
-  // refreshing checksum metadata. With a blockstore armed the journal is
-  // replayed instead: intact records apply, the torn tail is discarded.
+  // Crash recovery runs before the OSD takes traffic again: the WAL
+  // replays, intact records apply and the torn tail is discarded.
   const std::size_t replayed = osd(id).replay_journal();
   if (replayed > 0) {
     torn_writes_replayed_ += replayed;
@@ -205,12 +206,18 @@ void Cluster::send_from_client(int dst_osd, std::shared_ptr<OpBody> body) {
                          std::move(body)});
 }
 
+void Cluster::drop_message(const OpBody& body) {
+  if (faults_ != nullptr) faults_->count_crash_dropped_message();
+  // A lost recovery push settles its move as not landed.
+  if (body.on_done) body.on_done(false);
+}
+
 void Cluster::send_from_osd(int src_osd, int dst,
                             std::shared_ptr<OpBody> body) {
   if (osd(src_osd).crashed()) {
     // An op that was mid-service when the process died cannot send its
     // reply/ack from beyond the grave.
-    if (faults_ != nullptr) faults_->count_crash_dropped_message();
+    drop_message(*body);
     return;
   }
   const std::uint64_t bytes = op_wire_bytes(*body);
@@ -225,93 +232,76 @@ void Cluster::send_from_osd(int src_osd, int dst,
 }
 
 void Cluster::backfill(int from_osd, int to_osd, const ObjectKey& key,
-                       std::function<void()> done, bool background) {
+                       std::function<void(bool)> done) {
   Osd& src = osd(from_osd);
   const std::uint64_t size = src.store().object_size(key);
   auto data = src.store().read(key, 0, size);
   const Nanos read_svc =
       src.service_time(size, /*is_write=*/false, key, /*offset=*/0);
-  auto push = [this, from_osd, to_osd, key, background,
-               data = std::move(data), done = std::move(done)]() mutable {
+  auto push = [this, from_osd, to_osd, key, data = std::move(data),
+               done = std::move(done)]() mutable {
     auto body = std::make_shared<OpBody>();
     body->type = OpType::backfill_push;
     body->key = key;
     body->offset = 0;
     body->data = std::move(data);
     body->reply_osd = from_osd;
-    body->background = background;
-    if (background) {
-      // The source stays in the acting set and keeps absorbing client
-      // writes while this paced push queues; re-sampling at apply time
-      // makes the copy land with the latest content instead of the
-      // grant-time snapshot (which would roll back concurrent writes).
-      body->refresh_payload = [this, from_osd, key] {
-        const ObjectStore& store = osd(from_osd).store();
-        return store.read(key, 0, store.object_size(key));
-      };
-    }
+    // The source stays in the acting set and keeps absorbing client
+    // writes while this push queues; re-sampling at apply time makes the
+    // copy land with the latest content instead of the grant-time snapshot
+    // (which would roll back concurrent writes).
+    body->refresh_payload = [this, from_osd, key] {
+      const ObjectStore& store = osd(from_osd).store();
+      return store.read(key, 0, store.object_size(key));
+    };
     body->on_done = std::move(done);
     send_from_osd(from_osd, to_osd, std::move(body));
   };
-  if (background)
-    src.submit_background(read_svc, std::move(push));
-  else
-    sim_.schedule_after(read_svc, std::move(push));
+  src.submit_background(read_svc, std::move(push));
 }
 
 void Cluster::reconstruct_shard(
     const std::vector<std::pair<int, ObjectKey>>& sources, int to_osd,
-    const ObjectKey& target_key, std::vector<std::uint8_t> rebuilt,
-    std::function<void()> done, bool background,
-    std::function<std::vector<std::uint8_t>()> refresh) {
+    const ObjectKey& target_key,
+    std::function<std::vector<std::uint8_t>()> rebuild,
+    std::function<void(bool)> done) {
+  DK_CHECK(!sources.empty()) << "reconstruction needs sibling shards";
   struct Gather {
     std::size_t awaiting;
-    std::function<void()> done;
+    bool lost = false;
+    std::function<void(bool)> done;
   };
   auto gather = std::make_shared<Gather>();
   gather->awaiting = sources.size();
   gather->done = std::move(done);
 
-  auto finish = [this, to_osd, target_key, background,
-                 rebuilt = std::move(rebuilt), refresh = std::move(refresh),
-                 gather]() mutable {
-    // All sibling shards arrived: charge the decode + local write, persist.
+  const std::uint64_t rebuilt_bytes = rebuild().size();
+  auto finish = [this, to_osd, target_key, rebuilt_bytes,
+                 rebuild = std::move(rebuild), gather]() mutable {
+    // All sibling shards arrived: the decode + local write occupy the
+    // target's op threads (contending with client ops), then the shard is
+    // re-derived from the siblings' current content and persisted through
+    // the WAL like any client write.
     Osd& dst = osd(to_osd);
     const Nanos decode = transfer_time(
-        rebuilt.size() * 4 /* ~k GF ops per byte */, config_.osd.ec_encode_bps);
-    const Nanos write_svc = dst.service_time(rebuilt.size(), /*is_write=*/true,
+        rebuilt_bytes * 4 /* ~k GF ops per byte */, config_.osd.ec_encode_bps);
+    const Nanos write_svc = dst.service_time(rebuilt_bytes, /*is_write=*/true,
                                              target_key, /*offset=*/0);
-    auto persist = [this, to_osd, target_key, rebuilt = std::move(rebuilt),
-                    refresh = std::move(refresh), gather]() mutable {
-      // Re-decode from the siblings' current content when asked (paced
-      // background reconstruction racing client writes); see backfill().
-      if (refresh) rebuilt = refresh();
-      // Durable-apply path: the rebuilt shard is
-      // journaled like any client write, so a crash
-      // mid-reconstruction stays recoverable.
-      osd(to_osd).apply_durable(target_key, 0, rebuilt,
-                                {});
-      gather->done();
-    };
-    // Background reconstruction occupies the target's op threads for the
-    // decode + write (contending with client ops); the legacy path charges
-    // the time off-station, byte-identical to before.
-    if (background)
-      dst.submit_background(decode + write_svc, std::move(persist));
-    else
-      sim_.schedule_after(decode + write_svc, std::move(persist));
+    dst.submit_background(decode + write_svc, [this, to_osd, target_key,
+                                               rebuild = std::move(rebuild),
+                                               gather] {
+      Osd& target = osd(to_osd);
+      target.apply_durable(target_key, 0, rebuild(), {});
+      gather->done(!target.crashed());
+    });
   };
 
-  if (sources.empty()) {
-    finish();
-    return;
-  }
   for (const auto& [holder, sibling_key] : sources) {
     Osd& src = osd(holder);
     const std::uint64_t size = src.store().object_size(sibling_key);
     const Nanos read_svc =
         src.service_time(size, /*is_write=*/false, sibling_key, 0);
-    auto push = [this, holder, to_osd, sibling_key, size, background, gather,
+    auto push = [this, holder, to_osd, sibling_key, size, gather,
                  finish]() mutable {
       auto body = std::make_shared<OpBody>();
       body->type = OpType::backfill_push;
@@ -319,16 +309,17 @@ void Cluster::reconstruct_shard(
       body->data = osd(holder).store().read(sibling_key, 0, size);
       body->transient = true;
       body->reply_osd = holder;
-      body->background = background;
-      body->on_done = [gather, finish]() mutable {
-        if (--gather->awaiting == 0) finish();
+      body->on_done = [gather, finish](bool arrived) mutable {
+        gather->lost |= !arrived;
+        if (--gather->awaiting != 0) return;
+        if (gather->lost)
+          gather->done(false);
+        else
+          finish();
       };
       send_from_osd(holder, to_osd, std::move(body));
     };
-    if (background)
-      src.submit_background(read_svc, std::move(push));
-    else
-      sim_.schedule_after(read_svc, std::move(push));
+    src.submit_background(read_svc, std::move(push));
   }
 }
 

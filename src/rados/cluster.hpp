@@ -1,5 +1,8 @@
 // Simulated Ceph-like cluster: a client node plus server nodes hosting OSDs,
-// wired over the simulated 10 GbE fabric, with CRUSH-driven placement.
+// wired over the simulated 10 GbE fabric, with CRUSH-driven placement. It
+// also owns OSD crash/restart (restart replays the OSD's WAL) and the data
+// path of recovery — backfill copies and EC shard reconstruction, both in
+// the OSDs' background service class — that RecoveryManager drives.
 //
 // Mirrors the paper's industrial testbed: 1 client, 2 servers x 16 OSDs
 // (32 OSDs total), replicated and erasure-coded pools.
@@ -47,12 +50,14 @@ struct ClusterConfig {
   OsdConfig osd;
   net::FabricConfig fabric;
   std::uint64_t seed = 1;
-  // Arm OSD-side integrity: per-block checksums + write-intent journaling
-  // in every object store, checksum verification before read replies.
+  // Arm OSD-side integrity: per-block checksums in every object store,
+  // checksum verification before read replies, and an uncharged WAL under
+  // every OSD so torn writes stay recoverable.
   bool integrity = false;
   // Arm the journaled blockstore under every OSD: WAL records + modeled
-  // data area with append/fsync/compaction costs (enabled = false keeps
-  // the in-memory store and its zero-cost write model).
+  // data area with append/fsync/compaction costs charged (enabled = false
+  // keeps the zero-cost write model; with integrity set the WAL still runs,
+  // uncharged).
   BlockstoreConfig blockstore;
 };
 
@@ -110,16 +115,17 @@ class Cluster {
   /// and from the OSD are dropped until restart_osd(). Also usable directly
   /// by tests without a FaultPlan.
   void crash_osd(int id);
-  /// Bring a crashed OSD back: down/out cleared, placement restored. In
-  /// integrity mode the OSD first replays its write-intent journal,
-  /// finishing any write a crash tore mid-apply.
+  /// Bring a crashed OSD back: down/out cleared, placement restored. With a
+  /// WAL armed the OSD first replays it: intact records apply, and a record
+  /// a crash tore mid-append is discarded (that write was never
+  /// acknowledged).
   void restart_osd(int id);
 
   bool integrity() const { return config_.integrity; }
-  bool blockstore_armed() const { return config_.blockstore.enabled; }
+  /// WAL records resolved (applied or discarded) by restart replays.
   std::uint64_t torn_writes_replayed() const { return torn_writes_replayed_; }
 
-  /// Forward the pipeline validator to every OSD (blockstore journal-intent
+  /// Forward the pipeline validator to every OSD (WAL journal-intent
   /// accounting feeds the journal_leak quiescence rule).
   void set_validator(PipelineValidator* validator);
 
@@ -139,26 +145,25 @@ class Cluster {
   std::uint64_t total_ops_served() const;
 
   /// Recovery copy: read `key` on `from_osd`, push it over the network to
-  /// `to_osd`, persist there, then fire `done`. Charges source read
-  /// service, wire transfer, and destination write service. With
-  /// `background` set both ends ride the OSDs' background service class
-  /// (the source read occupies the source station instead of running off
-  /// to the side), so the copy queues with — and yields to — client I/O.
+  /// `to_osd`, persist there, then fire `done(true)` — or `done(false)`
+  /// when a crashed endpoint lost the push. Both ends ride the OSDs'
+  /// background service class, so the copy queues with — and yields to —
+  /// client I/O; the persisted bytes are re-read from the source at apply
+  /// time, so a copy that waited behind client writes lands current.
   void backfill(int from_osd, int to_osd, const ObjectKey& key,
-                std::function<void()> done, bool background = false);
+                std::function<void(bool landed)> done);
 
-  /// EC shard reconstruction: stream k surviving sibling shards from their
-  /// holders to `to_osd` (transient pushes), charge the decode there, then
-  /// persist the caller-provided rebuilt shard bytes under `target_key`.
-  /// `background` routes every leg through the background service class,
-  /// like backfill(). `refresh`, when set, re-derives the rebuilt bytes at
-  /// persist time so a paced reconstruction that queued behind client
-  /// traffic lands with the siblings' latest content.
+  /// EC shard reconstruction: stream k sibling shards from their holders to
+  /// `to_osd` (transient pushes), charge the decode there, then persist
+  /// `rebuild()` under `target_key`. Every leg rides the background service
+  /// class, like backfill(), and `done` reports whether the shard landed.
+  /// `rebuild` runs once at launch (to size the decode and write) and again
+  /// at persist time, so the shard lands with the siblings' latest content.
   void reconstruct_shard(
       const std::vector<std::pair<int, ObjectKey>>& sources, int to_osd,
-      const ObjectKey& target_key, std::vector<std::uint8_t> rebuilt,
-      std::function<void()> done, bool background = false,
-      std::function<std::vector<std::uint8_t>()> refresh = {});
+      const ObjectKey& target_key,
+      std::function<std::vector<std::uint8_t>()> rebuild,
+      std::function<void(bool landed)> done);
 
   /// Attach the background scheduler (scrub + paced recovery). The cluster
   /// notifies it when an OSD is marked out, so a CRUSH reweight triggers
@@ -170,7 +175,7 @@ class Cluster {
   /// Recovery bookkeeping: while a planned backfill/reconstruction for
   /// (osd, key) has not landed, that OSD's copy is missing or stale and
   /// reads must route around it — the model's stand-in for a Ceph primary
-  /// recovering a degraded object before serving it. Marked when a paced
+  /// recovering a degraded object before serving it. Marked when a recovery
   /// plan starts executing, cleared as each copy persists; a cancelled move
   /// (endpoint crashed) stays marked until a later round lands it.
   void mark_object_degraded(int osd_id, const ObjectKey& key) {
@@ -185,7 +190,7 @@ class Cluster {
   std::size_t degraded_objects() const { return degraded_.size(); }
 
   /// Client-write vs recovery serialization (Ceph's recovery_blocked): a
-  /// paced move launches only when no client write to its object is in
+  /// recovery move launches only when no client write to its object is in
   /// flight, and client writes to an object whose move is mid-flight defer
   /// until it settles. Without this barrier a backfill copy races the
   /// replica fan-out and can persist a snapshot missing a write that one
@@ -216,6 +221,8 @@ class Cluster {
 
  private:
   void send_from_osd(int src_osd, int dst, std::shared_ptr<OpBody> body);
+  /// A message a crashed process never consumes (or never sends).
+  void drop_message(const OpBody& body);
 
   sim::Simulator& sim_;
   ClusterConfig config_;

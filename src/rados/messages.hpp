@@ -29,7 +29,7 @@ enum class OpType : std::uint8_t {
   shard_data,       // shard OSD -> requester
   ec_primary_write, // client -> primary: encode at primary, fan out shards
   ec_primary_read,  // client -> primary: gather shards, decode, reply
-  backfill_push,    // osd -> osd: recovery copy of a whole object/shard
+  backfill_push,    // osd -> osd: recovery copy (background service class)
   reply_write,      // primary -> client
   reply_read,       // primary -> client (with data)
 };
@@ -49,18 +49,18 @@ struct OpBody {
   // EC geometry for primary-encode/-read ops (0 when not EC).
   unsigned ec_k = 0;
   unsigned ec_m = 0;
-  // Orchestrator completion hook for backfill pushes (recovery manager).
-  std::function<void()> on_done;
+  // Orchestrator completion hook for backfill pushes (recovery manager):
+  // true once the push persisted (or, transient, arrived); false when a
+  // crashed endpoint lost it.
+  std::function<void(bool landed)> on_done;
   // Transient pushes (EC reconstruction gathers) are not persisted at the
   // destination; they only charge transfer + service time.
   bool transient = false;
-  // Background service class (paced scrub/backfill): the receiving OSD
-  // queues this op behind client work, admitted by its starvation guard.
-  bool background = false;
-  // Background pushes re-sample the source object at destination-apply time:
-  // a paced copy can spend a long while queued behind client traffic, and
-  // persisting the grant-time snapshot would clobber any client write that
-  // landed in between. The wire/service costs still use the grant-time size.
+  // Backfill pushes re-sample the source object at destination-apply time:
+  // a recovery copy can spend a long while queued behind client traffic,
+  // and persisting the grant-time snapshot would clobber any client write
+  // that landed in between. The wire/service costs still use the
+  // grant-time size.
   std::function<std::vector<std::uint8_t>()> refresh_payload;
   // Integrity mode: per-4kB-block CRC-32C of `data`. On writes the client
   // attaches them so the OSD can store what the client computed; on read

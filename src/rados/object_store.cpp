@@ -19,21 +19,14 @@ void ObjectStore::store_bytes(const ObjectKey& key, std::uint64_t offset,
             obj.begin() + static_cast<std::ptrdiff_t>(offset));
 }
 
-void ObjectStore::refresh_checksums(const ObjectKey& key, std::uint64_t offset,
-                                    std::uint64_t length,
+void ObjectStore::refresh_checksums(const ObjectKey& key, std::uint64_t first,
+                                    std::uint64_t offset, std::uint64_t length,
                                     std::span<const std::uint32_t> provided) {
   auto it = objects_.find(key);
   if (it == objects_.end() || it->second.empty()) return;
   const auto& obj = it->second;
   auto& cs = checksums_[key];
-  const std::uint64_t old_blocks = cs.size();
   cs.resize((obj.size() + kBlock - 1) / kBlock, 0);
-  // Zero-extension may have created whole blocks below `offset` that never
-  // had a checksum, and can grow a formerly partial tail block; refresh
-  // from the old tail block or the write start, whichever comes first.
-  const std::uint64_t old_tail = old_blocks > 0 ? old_blocks - 1 : 0;
-  const std::uint64_t first =
-      std::min<std::uint64_t>(offset / kBlock, old_tail);
   const std::uint64_t last = (offset + length - 1) / kBlock;
   for (std::uint64_t b = first; b <= last && b < cs.size(); ++b) {
     const std::uint64_t block_start = b * kBlock;
@@ -60,8 +53,32 @@ void ObjectStore::write(const ObjectKey& key, std::uint64_t offset,
                         std::span<const std::uint8_t> data,
                         std::span<const std::uint32_t> checksums) {
   if (data.empty()) return;
+  if (!integrity_) {
+    store_bytes(key, offset, data);
+    return;
+  }
+  // Re-checksum from the write start or, when the write grows the object
+  // past its end, from the first block zero-extension touches: a formerly
+  // partial tail block, else the first new block.
+  const std::uint64_t old_size = object_size(key);
+  const std::uint64_t old_blocks = (old_size + kBlock - 1) / kBlock;
+  const std::uint64_t first = std::min(offset, old_size) / kBlock;
+  // Pre-existing blocks re-checksummed without being fully rewritten keep
+  // old bytes. One that fails verification now must keep failing, or the
+  // fresh CRC would launder latent corruption.
+  const std::uint64_t end = offset + data.size();
+  std::vector<std::uint64_t> stale;
+  for (std::uint64_t b = first; b < old_blocks && b * kBlock < end; ++b) {
+    const std::uint64_t start = b * kBlock;
+    const bool rewritten =
+        start >= offset &&
+        std::min(start + kBlock, std::max(old_size, end)) <= end;
+    if (!rewritten && !verify(key, start, 1)) stale.push_back(b);
+  }
   store_bytes(key, offset, data);
-  if (integrity_) refresh_checksums(key, offset, data.size(), checksums);
+  refresh_checksums(key, first, offset, data.size(), checksums);
+  std::vector<std::uint32_t>& cs = checksums_[key];
+  for (const std::uint64_t b : stale) cs[b] = ~cs[b];
 }
 
 std::vector<std::uint8_t> ObjectStore::read(const ObjectKey& key,
@@ -131,9 +148,8 @@ bool ObjectStore::verify(const ObjectKey& key, std::uint64_t offset,
     const std::uint64_t block_start = b * kBlock;
     const std::uint64_t block_len =
         std::min<std::uint64_t>(kBlock, obj.size() - block_start);
-    // Stored bytes with no recorded checksum (e.g. a torn apply that grew
-    // the object) are treated as corrupt: absence of metadata for present
-    // data is itself the signature of an interrupted write.
+    // Stored bytes with no recorded checksum are treated as corrupt:
+    // absence of metadata for present data is itself suspect.
     if (b >= cs.size()) return false;
     const std::uint32_t actual = crc32c(
         std::span<const std::uint8_t>(obj).subspan(block_start, block_len));
@@ -168,41 +184,6 @@ std::span<std::uint8_t> ObjectStore::raw_bytes(const ObjectKey& key) {
   auto it = objects_.find(key);
   if (it == objects_.end()) return {};
   return std::span<std::uint8_t>(it->second);
-}
-
-std::uint64_t ObjectStore::journal_begin(const ObjectKey& key,
-                                         std::uint64_t offset,
-                                         std::span<const std::uint8_t> data) {
-  if (!integrity_) return 0;
-  const std::uint64_t id = next_intent_++;
-  journal_.emplace(id, WriteIntent{key, offset,
-                                   std::vector<std::uint8_t>(data.begin(),
-                                                             data.end())});
-  return id;
-}
-
-void ObjectStore::journal_clear(std::uint64_t intent_id) {
-  journal_.erase(intent_id);
-}
-
-std::size_t ObjectStore::journal_replay() {
-  const std::size_t n = journal_.size();
-  for (const auto& [id, intent] : journal_) {
-    store_bytes(intent.key, intent.offset, intent.data);
-    if (integrity_)
-      refresh_checksums(intent.key, intent.offset, intent.data.size(), {});
-  }
-  journal_.clear();
-  return n;
-}
-
-void ObjectStore::apply_torn(const ObjectKey& key, std::uint64_t offset,
-                             std::span<const std::uint8_t> data,
-                             std::uint64_t prefix_bytes) {
-  if (data.empty() || prefix_bytes == 0) return;
-  store_bytes(key, offset,
-              data.subspan(0, std::min<std::uint64_t>(prefix_bytes,
-                                                      data.size())));
 }
 
 }  // namespace dk::rados

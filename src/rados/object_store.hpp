@@ -4,19 +4,15 @@
 // be read back (end-to-end data-integrity tests depend on this); sparse
 // writes extend objects with zero fill, like a POSIX file.
 //
-// Integrity mode (set_integrity(true), off by default) adds two BlueStore-
-// style mechanisms:
+// Integrity mode (set_integrity(true), off by default) adds BlueStore-style
+// per-object block checksums: every kChecksumBlockBytes block of a stored
+// object carries a CRC-32C, refreshed on write and checked by verify().
+// Mutation through raw_bytes() leaves them stale — that is the point: stale
+// checksums are how silent media corruption becomes detectable.
 //
-//   * Per-object block checksums: every kChecksumBlockBytes block of a
-//     stored object carries a CRC-32C, refreshed on write and checked by
-//     verify(). corrupt_bytes()-style mutation through raw_bytes() leaves
-//     them stale — that is the point: stale checksums are how silent media
-//     corruption becomes detectable.
-//   * A write-intent journal: journal_begin() records the full mutation
-//     before it is applied, journal_clear() retires it after a clean apply,
-//     and journal_replay() re-applies every surviving intent (a torn or
-//     lost apply) on OSD restart. apply_torn() persists only a prefix of a
-//     write WITHOUT refreshing checksums, modelling a crash mid-write.
+// The store itself applies every write atomically. Crash consistency lives
+// one layer up, in the Blockstore WAL each OSD keeps in front of this store
+// whenever integrity or the blockstore is armed (see blockstore.hpp).
 #pragma once
 
 #include <cstdint>
@@ -71,9 +67,9 @@ class ObjectStore {
 
   /// Recompute CRC-32C over the stored bytes of every block overlapping
   /// [offset, offset + length) and compare against the checksum metadata.
-  /// Blocks with no recorded checksum (written before integrity was armed,
-  /// or a torn apply) FAIL verification when any byte in range is stored —
-  /// absence of a checksum for present data is itself suspect. Returns true
+  /// Blocks with no recorded checksum (written before integrity was armed)
+  /// FAIL verification when any byte in range is stored — absence of a
+  /// checksum for present data is itself suspect. Returns true
   /// when integrity is off, the object is absent, or all blocks check out.
   bool verify(const ObjectKey& key, std::uint64_t offset,
               std::uint64_t length) const;
@@ -91,46 +87,20 @@ class ObjectStore {
   /// Empty span when the object is absent.
   std::span<std::uint8_t> raw_bytes(const ObjectKey& key);
 
-  // --- write-intent journal (integrity mode only) ------------------------
-
-  /// Record the intent to apply this write. Returns an intent id for
-  /// journal_clear(). No-op (returns 0) when integrity is off.
-  std::uint64_t journal_begin(const ObjectKey& key, std::uint64_t offset,
-                              std::span<const std::uint8_t> data);
-  /// Retire a cleanly applied intent.
-  void journal_clear(std::uint64_t intent_id);
-  /// Re-apply every surviving intent (crash recovery), refreshing block
-  /// checksums, then clear the journal. Returns the number replayed.
-  std::size_t journal_replay();
-  std::size_t journal_size() const { return journal_.size(); }
-
-  /// Persist only the first `prefix_bytes` of a write and DO NOT refresh
-  /// checksum metadata: a crash landed mid-apply. The matching journal
-  /// intent stays pending so journal_replay() can finish the job.
-  void apply_torn(const ObjectKey& key, std::uint64_t offset,
-                  std::span<const std::uint8_t> data,
-                  std::uint64_t prefix_bytes);
-
  private:
-  struct WriteIntent {
-    ObjectKey key;
-    std::uint64_t offset = 0;
-    std::vector<std::uint8_t> data;
-  };
-
   void store_bytes(const ObjectKey& key, std::uint64_t offset,
                    std::span<const std::uint8_t> data);
-  void refresh_checksums(const ObjectKey& key, std::uint64_t offset,
-                         std::uint64_t length,
+  /// Recompute (or take from `provided`) the checksums of blocks `first`
+  /// through the end of the [offset, offset + length) write.
+  void refresh_checksums(const ObjectKey& key, std::uint64_t first,
+                         std::uint64_t offset, std::uint64_t length,
                          std::span<const std::uint32_t> provided);
 
   bool integrity_ = false;
-  std::uint64_t next_intent_ = 1;
   std::map<ObjectKey, std::vector<std::uint8_t>> objects_;
   // Per-object, per-block CRC-32C (index = block number). Only maintained
   // in integrity mode.
   std::map<ObjectKey, std::vector<std::uint32_t>> checksums_;
-  std::map<std::uint64_t, WriteIntent> journal_;
 };
 
 }  // namespace dk::rados

@@ -31,9 +31,7 @@ void Osd::set_validator(PipelineValidator* validator) {
 }
 
 std::size_t Osd::replay_journal() {
-  std::size_t replayed = store_.journal_replay();
-  if (blockstore_) replayed += blockstore_->replay();
-  return replayed;
+  return blockstore_ ? blockstore_->replay() : 0;
 }
 
 void Osd::set_crashed(bool crashed) {
@@ -66,8 +64,10 @@ Nanos Osd::service_time(std::uint64_t bytes, bool is_write,
   // append (header + payload over the journal device) and the periodic
   // fsync barrier. Charged here — the single service-time choke point — so
   // journal pressure competes with every other op on the worker stations.
-  const Nanos wal = is_write && blockstore_ ? blockstore_->append_cost(bytes)
-                                            : 0;
+  // An integrity-only WAL is uncharged.
+  const Nanos wal = is_write && blockstore_ && blockstore_->charged()
+                        ? blockstore_->append_cost(bytes)
+                        : 0;
   const Nanos base = config_.op_fixed + media_fixed + wal +
                      transfer_time(bytes, config_.media_bps);
   const Nanos jitter = static_cast<Nanos>(
@@ -96,25 +96,21 @@ void Osd::handle(std::shared_ptr<OpBody> body) {
     case OpType::ec_primary_read: do_ec_primary_read(std::move(body)); break;
     case OpType::shard_data: do_shard_data(std::move(body)); break;
     case OpType::backfill_push: {
-      // Recovery copy: persist the pushed object/shard, then notify the
-      // recovery orchestrator directly (the ack path is not modeled on the
-      // wire; its 6 us would be invisible under the multi-ms copy times).
+      // Recovery push, in the background service class: persist the pushed
+      // object/shard (re-sampled from its source at apply time), then
+      // notify the recovery orchestrator directly (the ack path is not
+      // modeled on the wire; its 6 us would be invisible under the
+      // multi-ms copy times). A process that crashed meanwhile never
+      // acknowledges: the move counts as not landed.
       const Nanos svc = service_time(body->data.size(), /*is_write=*/true,
                                      body->key, body->offset);
-      const bool background = body->background;
-      auto persist = [this, body = std::move(body)] {
+      workers_.submit_background(svc, [this, body = std::move(body)] {
         if (!body->transient) {
           if (body->refresh_payload) body->data = body->refresh_payload();
           apply_write(body->key, body->offset, body->data, body->checksums);
         }
-        if (body->on_done) body->on_done();
-      };
-      // Paced-recovery pushes ride the background service class; the
-      // legacy (unpaced) recovery path keeps the client class untouched.
-      if (background)
-        workers_.submit_background(svc, std::move(persist));
-      else
-        workers_.submit(svc, std::move(persist));
+        body->on_done(!crashed_);
+      });
       break;
     }
     case OpType::shard_ack: do_repl_ack(std::move(body)); break;
@@ -127,50 +123,32 @@ void Osd::apply_write(const ObjectKey& key, std::uint64_t offset,
                       std::span<const std::uint8_t> data,
                       std::span<const std::uint32_t> checksums) {
   if (data.empty()) return;
-  if (blockstore_) {
-    // WAL discipline: the journal record lands first; only commit() touches
-    // the data area. A crash mid-append tears the tail record at a byte
-    // boundary drawn from the corruption stream — the data area never sees
-    // those bytes, and replay discards the torn record on restart, so
-    // exactly the acknowledged prefix survives.
-    const std::uint64_t lsn = blockstore_->append(key, offset, data);
-    if (crashed_ && torn_armed_) {
-      torn_armed_ = false;
-      const std::uint64_t record = blockstore_->record_bytes(lsn);
-      const std::uint64_t keep = faults_ != nullptr
-                                     ? faults_->torn_prefix(record)
-                                     : record / 2;
-      blockstore_->tear_tail(keep);
-      if (faults_ != nullptr) faults_->count_torn_write();
-      return;
-    }
-    blockstore_->commit(lsn, key, offset, data, checksums);
-    // Trimming freed journal space; the compaction rewrite occupies an op
-    // thread for its simulated duration, contending with client I/O.
-    const std::uint64_t debt = blockstore_->take_compaction_debt();
-    if (debt > 0) workers_.submit(blockstore_->compaction_cost(debt), [] {});
+  if (!blockstore_) {
+    store_.write(key, offset, data, checksums);
     return;
   }
-  if (!store_.integrity()) {
-    store_.write(key, offset, data);
-    return;
-  }
-  const std::uint64_t intent = store_.journal_begin(key, offset, data);
-  if (crashed_ && torn_armed_ && data.size() >= 2) {
-    // The crash landed mid-apply: only a prefix of the payload reaches the
-    // media and the checksum metadata is never refreshed. The journal
-    // intent stays pending — replay_journal() finishes the write when the
-    // OSD restarts; until then block-checksum verification flags the tear.
+  // WAL discipline: the journal record lands first; only commit() touches
+  // the data area. A crash mid-append tears the tail record at a byte
+  // boundary drawn from the corruption stream — the data area never sees
+  // those bytes, and replay discards the torn record on restart, so
+  // exactly the acknowledged prefix survives.
+  const std::uint64_t lsn = blockstore_->append(key, offset, data);
+  if (crashed_ && torn_armed_) {
     torn_armed_ = false;
-    const std::uint64_t prefix =
-        faults_ != nullptr ? faults_->torn_prefix(data.size())
-                           : data.size() / 2;
-    store_.apply_torn(key, offset, data, prefix);
+    const std::uint64_t record = blockstore_->record_bytes(lsn);
+    const std::uint64_t keep =
+        faults_ != nullptr ? faults_->torn_prefix(record) : record / 2;
+    blockstore_->tear_tail(keep);
     if (faults_ != nullptr) faults_->count_torn_write();
     return;
   }
-  store_.write(key, offset, data, checksums);
-  store_.journal_clear(intent);
+  blockstore_->commit(lsn, key, offset, data, checksums);
+  // Trimming freed journal space; a charged WAL's compaction rewrite
+  // occupies an op thread for its simulated duration, contending with
+  // client I/O.
+  const std::uint64_t debt = blockstore_->take_compaction_debt();
+  if (debt > 0 && blockstore_->charged())
+    workers_.submit(blockstore_->compaction_cost(debt), [] {});
 }
 
 const ec::ReedSolomon& Osd::codec(unsigned k, unsigned m) {

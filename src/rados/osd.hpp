@@ -3,7 +3,14 @@
 // Each OSD owns an object store, a small pool of op threads (FIFO queueing),
 // and a media model (fixed access time + bandwidth term). It speaks the
 // OpBody protocol: serving client reads/writes, acting as replication
-// primary (fan-out to replica OSDs), and serving EC shard reads/writes.
+// primary (fan-out to replica OSDs), serving EC shard reads/writes, and
+// persisting recovery pushes in the background service class.
+//
+// Crash consistency has one path: when integrity or the blockstore is armed
+// every store mutation goes through the Blockstore WAL (append, then
+// commit), a crash mid-append tears the tail record, and restart replays
+// the journal, discarding the torn record. Only blockstore.enabled charges
+// the WAL's simulated time; an integrity-only arming runs it uncharged.
 #pragma once
 
 #include <cstdint>
@@ -68,9 +75,9 @@ class Osd {
   void set_crashed(bool crashed);
   bool crashed() const { return crashed_; }
 
-  /// Integrity mode: every store mutation goes through the write-intent
-  /// journal (journal -> apply -> clear) and every read verifies block
-  /// checksums before replying (mismatch -> Errc::corrupted reply).
+  /// Integrity mode: stored blocks carry checksums and every read verifies
+  /// them before replying (mismatch -> Errc::corrupted reply). The cluster
+  /// also arms the WAL (arm_blockstore) so torn writes stay recoverable.
   void set_integrity(bool on) { store_.set_integrity(on); }
   bool integrity() const { return store_.integrity(); }
 
@@ -79,10 +86,10 @@ class Osd {
   void set_fault_injector(sim::FaultInjector* faults) { faults_ = faults; }
 
   /// Arm the journaled blockstore under this OSD's store: every durable
-  /// mutation lands as a WAL record before touching the data area, append/
-  /// fsync/compaction costs are charged through the op-thread stations, and
-  /// crash recovery replays the acknowledged journal prefix. Call once at
-  /// construction, before traffic.
+  /// mutation lands as a WAL record before touching the data area, and
+  /// crash recovery replays the acknowledged journal prefix. Append/fsync/
+  /// compaction costs are charged through the op-thread stations only when
+  /// `config.enabled` is set. Call once at construction, before traffic.
   void arm_blockstore(const BlockstoreConfig& config);
   Blockstore* blockstore() { return blockstore_.get(); }
   const Blockstore* blockstore() const { return blockstore_.get(); }
@@ -90,32 +97,29 @@ class Osd {
   /// Journal-intent accounting for the blockstore (journal_leak rule).
   void set_validator(PipelineValidator* validator);
 
-  /// Arm a torn write: the next store apply on this (crashed) OSD persists
-  /// only a prefix — of the payload (integrity mode, journal intent left
-  /// pending) or of the tail journal record (blockstore mode, record torn
-  /// at a byte boundary). Honoured when integrity or a blockstore is armed
-  /// (see OsdCrashEvent::torn_write).
+  /// Arm a torn write: the next store apply on this (crashed) OSD tears
+  /// the tail WAL record at a byte boundary, so the data area never sees
+  /// it and replay discards it. Honoured only when a WAL is armed (see
+  /// OsdCrashEvent::torn_write).
   void arm_torn_write() { torn_armed_ = true; }
 
-  /// Crash recovery: replay the blockstore journal (apply intact records,
-  /// discard the torn tail) and/or re-apply surviving write intents,
-  /// refreshing checksums. Returns the number of records resolved.
+  /// Crash recovery: replay the WAL (apply intact records, discard the
+  /// torn tail). Returns the number of records resolved; 0 without a WAL.
   std::size_t replay_journal();
 
-  /// Public durable-apply entry for recovery/repair traffic: routes the
-  /// write through the same journal choke point as client ops, so repair
-  /// rewrites are crash-consistent too.
+  /// Public durable-apply entry: routes a write through the same WAL choke
+  /// point as client ops, so it is crash-consistent too.
   void apply_durable(const ObjectKey& key, std::uint64_t offset,
                      std::span<const std::uint8_t> data,
                      std::span<const std::uint32_t> checksums) {
     apply_write(key, offset, data, checksums);
   }
 
-  /// Enqueue background-class work (scrub chunk read, backfill persist,
-  /// repair rewrite) on this OSD's op-thread station: it queues behind
-  /// client ops and is admitted by the station's starvation guard, so
-  /// background traffic costs simulated time and contends for the same
-  /// service capacity as foreground I/O.
+  /// Enqueue background-class work (scrub chunk read, recovery read or
+  /// persist) on this OSD's op-thread station: it queues behind client ops
+  /// and is admitted by the station's starvation guard, so background
+  /// traffic costs simulated time and contends for the same service
+  /// capacity as foreground I/O.
   void submit_background(Nanos service, sim::EventFn done) {
     workers_.submit_background(service, std::move(done));
   }
@@ -144,10 +148,10 @@ class Osd {
   void attach_metrics(MetricsRegistry& registry, const std::string& prefix);
 
  private:
-  /// Single choke point for every durable store mutation: journals the
-  /// intent in integrity mode, honours an armed torn write (prefix-only
-  /// apply with the intent left pending), otherwise applies fully and
-  /// retires the intent.
+  /// Single choke point for every durable store mutation: with a WAL armed
+  /// the record is appended, then committed — or, on an armed torn write,
+  /// torn and left for replay to discard; without one the store applies
+  /// the write directly.
   void apply_write(const ObjectKey& key, std::uint64_t offset,
                    std::span<const std::uint8_t> data,
                    std::span<const std::uint32_t> checksums);

@@ -4,7 +4,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 
 #include "common/pipeline_validator.hpp"
 #include "ec/reed_solomon.hpp"
@@ -13,15 +12,31 @@ namespace dk::rados {
 
 namespace {
 
-/// Re-check cadence for a paced move parked behind an in-flight client
-/// write on its object (the launch side of the recovery_blocked barrier).
+/// Re-check cadence for a move parked behind an in-flight client write on
+/// its object (the launch side of the recovery_blocked barrier).
 constexpr Nanos kWriteDrainRecheck = us(20);
 
-/// Where every copy/shard of the pool's objects currently lives:
-/// key (with shard) -> holder OSD ids.
-std::map<ObjectKey, std::vector<int>> holders_of_pool(Cluster& cluster,
-                                                      int pool) {
-  std::map<ObjectKey, std::vector<int>> holders;
+/// The OSDs that should hold `key`: every acting OSD holds a full replica;
+/// EC shard s lives on acting[s] only.
+std::vector<int> placements(const PoolConfig& pool, const ObjectKey& key,
+                            const std::vector<int>& acting) {
+  if (pool.mode == PoolConfig::Mode::replicated) return acting;
+  if (key.shard < 0 || static_cast<std::size_t>(key.shard) >= acting.size())
+    return {};
+  return {acting[static_cast<std::size_t>(key.shard)]};
+}
+
+/// Whether `holder`'s whole copy of `key` passes its checksum verify.
+bool copy_verifies(Cluster& cluster, int holder, const ObjectKey& key) {
+  const ObjectStore& st = cluster.osd(holder).store();
+  return st.verify(key, 0, st.object_size(key));
+}
+
+/// Where every copy/shard of a pool's objects lives: key -> holder ids.
+using Holders = std::map<ObjectKey, std::vector<int>>;
+
+Holders holders_of_pool(Cluster& cluster, int pool) {
+  Holders holders;
   for (std::size_t i = 0; i < cluster.osd_count(); ++i) {
     for (const ObjectKey& key :
          cluster.osd(static_cast<int>(i)).store().keys_of_pool(
@@ -32,219 +47,168 @@ std::map<ObjectKey, std::vector<int>> holders_of_pool(Cluster& cluster,
   return holders;
 }
 
+/// The one planner helper: the move that restores `key` on `to_osd` — a
+/// copy from the first live holder of `key` other than `to_osd`, else (EC
+/// pools) a rebuild from k live sibling shards. Every source must pass its
+/// checksum verify, so recovery never launders a corrupt copy under fresh
+/// CRCs (verify is trivially true without integrity). nullopt when no
+/// source exists.
+std::optional<RecoveryMove> plan_move(Cluster& cluster, int pool,
+                                      const Holders& holders,
+                                      const ObjectKey& key, int to_osd) {
+  auto usable = [&](int holder, const ObjectKey& k) {
+    return !cluster.osd_down(holder) && copy_verifies(cluster, holder, k);
+  };
+  RecoveryMove move;
+  move.key = key;
+  move.to_osd = to_osd;
+  if (auto it = holders.find(key); it != holders.end()) {
+    for (int h : it->second) {
+      if (h == to_osd || !usable(h, key)) continue;
+      move.from_osd = h;
+      move.bytes = cluster.osd(h).store().object_size(key);
+      return move;
+    }
+  }
+  // No usable holder of THIS key: an EC shard is rebuilt from k siblings.
+  const auto& pcfg = cluster.pool(pool);
+  if (pcfg.mode != PoolConfig::Mode::erasure) return std::nullopt;
+  const unsigned k = pcfg.ec_profile.k;
+  for (unsigned s = 0; s < pcfg.ec_profile.total() && move.sources.size() < k;
+       ++s) {
+    if (static_cast<std::int32_t>(s) == key.shard) continue;
+    ObjectKey sibling = key;
+    sibling.shard = static_cast<std::int32_t>(s);
+    auto hit = holders.find(sibling);
+    if (hit == holders.end()) continue;
+    for (int h : hit->second)
+      if (usable(h, sibling)) {
+        move.sources.emplace_back(h, sibling);
+        break;
+      }
+  }
+  if (move.sources.size() < k) return std::nullopt;
+  move.reconstruct = true;
+  move.bytes = cluster.osd(move.sources[0].first)
+                   .store()
+                   .object_size(move.sources[0].second);
+  return move;
+}
+
+/// Functionally rebuild an EC shard from the move's sources.
+std::vector<std::uint8_t> rebuild_shard(Cluster& cluster,
+                                        const RecoveryMove& move) {
+  const auto& pcfg = cluster.pool(static_cast<int>(move.key.pool));
+  const unsigned k = pcfg.ec_profile.k, m = pcfg.ec_profile.m;
+  ec::ReedSolomon rs({k, m, pcfg.ec_profile.generator});
+  std::vector<std::optional<ec::Chunk>> chunks(k + m);
+  std::uint64_t chunk_size = 0;
+  for (const auto& [holder, sibling] : move.sources) {
+    const auto& store = cluster.osd(holder).store();
+    const std::uint64_t size = store.object_size(sibling);
+    chunk_size = std::max(chunk_size, size);
+  }
+  for (const auto& [holder, sibling] : move.sources) {
+    const auto& store = cluster.osd(holder).store();
+    chunks[static_cast<std::size_t>(sibling.shard)] =
+        store.read(sibling, 0, chunk_size);
+  }
+  const auto shard = static_cast<std::size_t>(move.key.shard);
+  auto decoded = rs.decode(chunks);
+  if (!decoded.ok()) return {};
+  if (shard < k) return (*decoded)[shard];
+  // Parity shard: re-encode the missing parity from the decoded data.
+  auto coding = rs.encode(*decoded);
+  if (!coding.ok()) return {};
+  return (*coding)[shard - k];
+}
+
 }  // namespace
 
 RecoveryPlan RecoveryManager::plan(int pool) const {
   RecoveryPlan out;
   out.pool = pool;
   const auto& pcfg = cluster_.pool(pool);
-  auto holders = holders_of_pool(cluster_, pool);
+  const Holders holders = holders_of_pool(cluster_, pool);
 
   for (const auto& [key, held_by] : holders) {
-    const auto acting = cluster_.acting_set(pool, key.oid);
-    if (acting.empty()) {
+    const auto want =
+        placements(pcfg, key, cluster_.acting_set(pool, key.oid));
+    if (want.empty()) {
       out.degraded.push_back(key);
       continue;
     }
-
-    // Which OSDs *should* hold this key?
-    std::vector<int> want;
-    if (pcfg.mode == PoolConfig::Mode::replicated) {
-      want = acting;  // every acting OSD holds a full copy
-    } else {
-      // EC: shard s lives on acting[s] only.
-      if (key.shard < 0 ||
-          static_cast<std::size_t>(key.shard) >= acting.size()) {
-        out.degraded.push_back(key);
+    for (int target : want) {
+      if (std::find(held_by.begin(), held_by.end(), target) != held_by.end())
         continue;
-      }
-      want.push_back(acting[static_cast<std::size_t>(key.shard)]);
-    }
-
-    // Pick a surviving source (prefer one that is not down).
-    int source = -1;
-    for (int h : held_by)
-      if (!cluster_.osd_down(h)) {
-        source = h;
+      auto move = plan_move(cluster_, pool, holders, key, target);
+      if (!move) {
+        out.degraded.push_back(key);
         break;
       }
-
-    if (source < 0 && pcfg.mode == PoolConfig::Mode::erasure) {
-      // No live holder of THIS shard: reconstruct it from k live siblings.
-      const unsigned k = pcfg.ec_profile.k;
-      std::vector<std::pair<int, ObjectKey>> sources;
-      for (unsigned s = 0; s < pcfg.ec_profile.total() && sources.size() < k;
-           ++s) {
-        if (static_cast<std::int32_t>(s) == key.shard) continue;
-        ObjectKey sibling = key;
-        sibling.shard = static_cast<std::int32_t>(s);
-        auto hit = holders.find(sibling);
-        if (hit == holders.end()) continue;
-        for (int h : hit->second)
-          if (!cluster_.osd_down(h)) {
-            sources.emplace_back(h, sibling);
-            break;
-          }
-      }
-      if (sources.size() < k) {
-        out.degraded.push_back(key);
-        continue;
-      }
-      const std::uint64_t bytes =
-          cluster_.osd(sources[0].first).store().object_size(
-              sources[0].second);
-      for (int target : want) {
-        RecoveryMove move;
-        move.key = key;
-        move.to_osd = target;
-        move.bytes = bytes;
-        move.reconstruct = true;
-        move.sources = sources;
-        out.moves.push_back(std::move(move));
-      }
-      continue;
-    }
-    if (source < 0) {
-      out.degraded.push_back(key);
-      continue;
-    }
-
-    const std::uint64_t bytes =
-        cluster_.osd(source).store().object_size(key);
-    for (int target : want) {
-      const bool has = std::find(held_by.begin(), held_by.end(), target) !=
-                       held_by.end();
-      if (!has)
-        out.moves.push_back(RecoveryMove{key, source, target, bytes, false, {}});
+      out.moves.push_back(std::move(*move));
     }
   }
   return out;
 }
 
-std::vector<std::uint8_t> RecoveryManager::rebuild_shard(
-    int pool, const RecoveryMove& move) const {
-  const auto& pcfg = cluster_.pool(pool);
-  const unsigned k = pcfg.ec_profile.k, m = pcfg.ec_profile.m;
-  ec::ReedSolomon rs({k, m, pcfg.ec_profile.generator});
-  std::vector<std::optional<ec::Chunk>> chunks(k + m);
-  std::uint64_t chunk_size = 0;
-  for (const auto& [holder, sibling] : move.sources) {
-    const auto& store = cluster_.osd(holder).store();
-    const std::uint64_t size = store.object_size(sibling);
-    chunk_size = std::max(chunk_size, size);
+RecoveryPlan RecoveryManager::plan_repairs(
+    int pool,
+    const std::vector<std::pair<int, ObjectKey>>& convicted) const {
+  RecoveryPlan out;
+  out.pool = pool;
+  const Holders holders = holders_of_pool(cluster_, pool);
+  for (const auto& [holder, key] : convicted) {
+    auto move = plan_move(cluster_, pool, holders, key, holder);
+    if (!move) continue;  // no verified source: unrepairable
+    move->repair = true;
+    out.moves.push_back(std::move(*move));
   }
-  for (const auto& [holder, sibling] : move.sources) {
-    const auto& store = cluster_.osd(holder).store();
-    chunks[static_cast<std::size_t>(sibling.shard)] =
-        store.read(sibling, 0, chunk_size);
-  }
-  const auto shard = static_cast<std::size_t>(move.key.shard);
-  if (shard < k) {
-    auto decoded = rs.decode(chunks);
-    if (!decoded.ok()) return {};
-    return (*decoded)[shard];
-  }
-  // Parity shard: decode the data, then re-encode the missing parity.
-  auto decoded = rs.decode(chunks);
-  if (!decoded.ok()) return {};
-  auto coding = rs.encode(*decoded);
-  if (!coding.ok()) return {};
-  return (*coding)[shard - k];
+  return out;
 }
 
-void RecoveryManager::execute(const RecoveryPlan& plan, unsigned max_parallel,
+void RecoveryManager::execute(RecoveryPlan plan, const ExecuteOptions& options,
                               std::function<void()> done) {
   if (plan.moves.empty()) {
     cluster_.simulator().schedule_after(0, std::move(done));
     return;
   }
   struct State {
-    const RecoveryPlan* plan;
-    int pool = 0;
+    RecoveryPlan plan;
+    ExecuteOptions options;
     std::size_t next = 0;
     std::size_t completed = 0;
     std::function<void()> done;
     std::function<void()> pump;
   };
   auto state = std::make_shared<State>();
-  state->plan = &plan;
-  state->pool = plan.pool;
-  state->done = std::move(done);
-
-  // Bounded-parallel pump: each finished copy starts the next. The pump
-  // lives inside the State it drives, so it holds only a weak
-  // self-reference — owning it would form a shared_ptr cycle and leak the
-  // whole chain. Pending on_done callbacks keep the State alive.
-  state->pump = [this, weak = std::weak_ptr<State>(state)] {
-    auto state = weak.lock();
-    if (!state || state->next >= state->plan->moves.size()) return;
-    const RecoveryMove move = state->plan->moves[state->next++];
-    auto on_done = [this, state, move] {
-      ++recovered_;
-      bytes_ += move.bytes;
-      if (++state->completed == state->plan->moves.size()) {
-        state->done();
-        return;
-      }
-      state->pump();
-    };
-    if (move.reconstruct) {
-      cluster_.reconstruct_shard(move.sources, move.to_osd, move.key,
-                                 rebuild_shard(state->pool, move),
-                                 std::move(on_done));
-    } else {
-      cluster_.backfill(move.from_osd, move.to_osd, move.key,
-                        std::move(on_done));
-    }
-  };
-  const std::size_t starters =
-      std::min<std::size_t>(max_parallel ? max_parallel : 1,
-                            plan.moves.size());
-  for (std::size_t i = 0; i < starters; ++i) state->pump();
-}
-
-void RecoveryManager::execute_paced(const RecoveryPlan& plan,
-                                    const PacedOptions& options,
-                                    std::function<void()> done) {
-  if (plan.moves.empty()) {
-    cluster_.simulator().schedule_after(0, std::move(done));
-    return;
-  }
-  struct State {
-    const RecoveryPlan* plan;
-    PacedOptions options;
-    int pool = 0;
-    std::size_t next = 0;
-    std::size_t completed = 0;
-    std::function<void()> done;
-    std::function<void()> pump;
-  };
-  auto state = std::make_shared<State>();
-  state->plan = &plan;
+  state->plan = std::move(plan);
   state->options = options;
-  state->pool = plan.pool;
   state->done = std::move(done);
 
   // Every planned destination is degraded until its copy lands: client
   // reads route around it (Cluster::object_degraded) instead of being
-  // served not-yet-backfilled bytes. The object's write lock is taken for
+  // served not-yet-recovered bytes. The object's write lock is taken for
   // the same span (Ceph's recovery_blocked): the plan's sources are frozen
   // at planning, so a write slipping in before the copy lands could reach
   // only the destination (or mutate a sibling shard mid-stripe) and be
   // clobbered by the push.
-  for (const RecoveryMove& move : plan.moves) {
+  for (const RecoveryMove& move : state->plan.moves) {
     cluster_.mark_object_degraded(move.to_osd, move.key);
     cluster_.note_recovery_begin(move.key);
   }
 
-  // Same weak-self pump as execute(), with a token grant ahead of each
-  // launch: a move waits until the recovery bucket (filled at max_bps) has
-  // its bytes, clipped at pace_cap so an over-subscribed budget can delay
-  // backfill but never park it.
+  // Bounded-parallel pump: each settled move starts the next. The pump
+  // lives inside the State it drives, so it holds only a weak
+  // self-reference — owning it would form a shared_ptr cycle and leak the
+  // whole chain. Pending callbacks keep the State alive. Ahead of each
+  // launch sits a token grant: a move waits until the recovery bucket
+  // (filled at max_bps) has its bytes, clipped at pace_cap so an
+  // over-subscribed budget can delay recovery but never park it.
   state->pump = [this, weak = std::weak_ptr<State>(state)] {
     auto state = weak.lock();
-    if (!state || state->next >= state->plan->moves.size()) return;
-    const RecoveryMove move = state->plan->moves[state->next++];
+    if (!state || state->next >= state->plan.moves.size()) return;
+    const RecoveryMove move = state->plan.moves[state->next++];
 
     sim::Simulator& sim = cluster_.simulator();
     const Nanos now = sim.now();
@@ -262,16 +226,21 @@ void RecoveryManager::execute_paced(const RecoveryPlan& plan,
     auto settle = [this, state, move](bool landed) {
       cluster_.note_recovery_end(move.key);
       if (landed) {
-        ++recovered_;
-        bytes_ += move.bytes;
+        if (move.repair) {
+          ++scrub_repairs_;
+        } else {
+          ++recovered_;
+          bytes_ += move.bytes;
+        }
         cluster_.clear_object_degraded(move.to_osd, move.key);
       } else {
-        // The copy never landed (an endpoint crashed): the destination
-        // stays degraded until a later round completes the move.
+        // The copy never landed (an endpoint crashed before launch or lost
+        // the push): the destination stays degraded until a later round
+        // completes the move.
         ++moves_cancelled_;
       }
       if (validator_ != nullptr) validator_->on_background_resolved();
-      if (++state->completed == state->plan->moves.size()) {
+      if (++state->completed == state->plan.moves.size()) {
         state->done();
         return;
       }
@@ -281,7 +250,7 @@ void RecoveryManager::execute_paced(const RecoveryPlan& plan,
     // flight: a copy snapshotted mid-fan-out could persist a version one
     // member has already superseded. Once launched, the object's write
     // lock (note_recovery_begin) holds until the move settles.
-    auto launch = [this, state, move, settle](auto&& self) -> void {
+    auto launch = [this, move, settle](auto&& self) -> void {
       sim::Simulator& sim = cluster_.simulator();
       if (cluster_.client_write_inflight(move.key)) {
         ++write_blocked_defers_;
@@ -303,18 +272,17 @@ void RecoveryManager::execute_paced(const RecoveryPlan& plan,
         settle(false);
         return;
       }
-      auto on_done = [settle = settle]() mutable { settle(true); };
+      auto on_done = [settle = settle](bool landed) mutable {
+        settle(landed);
+      };
       if (move.reconstruct) {
         cluster_.reconstruct_shard(
             move.sources, move.to_osd, move.key,
-            rebuild_shard(state->pool, move), std::move(on_done),
-            /*background=*/true,
-            /*refresh=*/[this, pool = state->pool, move] {
-              return rebuild_shard(pool, move);
-            });
+            [this, move] { return rebuild_shard(cluster_, move); },
+            std::move(on_done));
       } else {
         cluster_.backfill(move.from_osd, move.to_osd, move.key,
-                          std::move(on_done), /*background=*/true);
+                          std::move(on_done));
       }
     };
     sim.schedule_at(earliest, [launch = std::move(launch)]() mutable {
@@ -322,26 +290,19 @@ void RecoveryManager::execute_paced(const RecoveryPlan& plan,
     });
   };
   const std::size_t starters = std::min<std::size_t>(
-      options.max_parallel ? options.max_parallel : 1, plan.moves.size());
+      options.max_parallel ? options.max_parallel : 1,
+      state->plan.moves.size());
   for (std::size_t i = 0; i < starters; ++i) state->pump();
 }
 
 ScrubReport RecoveryManager::scrub(int pool) const {
   ScrubReport report;
   const auto& pcfg = cluster_.pool(pool);
-  auto holders = holders_of_pool(cluster_, pool);
 
-  for (const auto& [key, held_by] : holders) {
+  for (const auto& [key, held_by] : holders_of_pool(cluster_, pool)) {
     ++report.objects_checked;
-    const auto acting = cluster_.acting_set(pool, key.oid);
-
-    std::vector<int> want;
-    if (pcfg.mode == PoolConfig::Mode::replicated) {
-      want = acting;
-    } else if (key.shard >= 0 &&
-               static_cast<std::size_t>(key.shard) < acting.size()) {
-      want.push_back(acting[static_cast<std::size_t>(key.shard)]);
-    }
+    const auto want =
+        placements(pcfg, key, cluster_.acting_set(pool, key.oid));
 
     bool ok = true;
     for (int target : want) {
@@ -364,11 +325,10 @@ ScrubReport RecoveryManager::scrub(int pool) const {
     // the bad one. Without checksums all we can do is byte-diff replicas
     // (a diff proves disagreement but cannot name the culprit).
     if (cluster_.integrity()) {
-      std::uint64_t bad = 0;
-      for (int holder : held_by) {
-        const auto& st = cluster_.osd(holder).store();
-        if (!st.verify(key, 0, st.object_size(key))) ++bad;
-      }
+      const auto bad = static_cast<std::uint64_t>(
+          std::count_if(held_by.begin(), held_by.end(), [&](int holder) {
+            return !copy_verifies(cluster_, holder, key);
+          }));
       if (bad > 0) {
         report.checksum_failures += bad;
         ++report.inconsistent;
@@ -377,8 +337,7 @@ ScrubReport RecoveryManager::scrub(int pool) const {
     } else if (pcfg.mode == PoolConfig::Mode::replicated &&
                held_by.size() > 1) {
       const auto& first = cluster_.osd(held_by[0]).store();
-      const auto ref =
-          first.read(key, 0, first.object_size(key));
+      const auto ref = first.read(key, 0, first.object_size(key));
       for (std::size_t i = 1; i < held_by.size(); ++i) {
         const auto& other = cluster_.osd(held_by[i]).store();
         if (other.read(key, 0, other.object_size(key)) != ref) {
@@ -397,68 +356,15 @@ ScrubReport RecoveryManager::repair(int pool) {
   ScrubReport report = scrub(pool);
   if (!cluster_.integrity() || report.checksum_failures == 0) return report;
 
-  const auto& pcfg = cluster_.pool(pool);
-  auto holders = holders_of_pool(cluster_, pool);
-  for (const auto& [key, held_by] : holders) {
-    std::vector<int> good, bad;
-    for (int h : held_by) {
-      const auto& st = cluster_.osd(h).store();
-      if (st.verify(key, 0, st.object_size(key)))
-        good.push_back(h);
-      else
-        bad.push_back(h);
-    }
-    if (bad.empty()) continue;
-
-    std::vector<std::uint8_t> replacement;
-    if (pcfg.mode == PoolConfig::Mode::replicated) {
-      if (good.empty()) continue;  // every copy bad: unrepairable
-      const auto& src = cluster_.osd(good[0]).store();
-      replacement = src.read(key, 0, src.object_size(key));
-    } else {
-      // EC shard: decode it back from k verified live siblings.
-      const unsigned k = pcfg.ec_profile.k;
-      std::vector<std::pair<int, ObjectKey>> sources;
-      for (unsigned s = 0;
-           s < pcfg.ec_profile.total() && sources.size() < k; ++s) {
-        if (static_cast<std::int32_t>(s) == key.shard) continue;
-        ObjectKey sibling = key;
-        sibling.shard = static_cast<std::int32_t>(s);
-        auto hit = holders.find(sibling);
-        if (hit == holders.end()) continue;
-        for (int h : hit->second) {
-          const auto& st = cluster_.osd(h).store();
-          if (!cluster_.osd_down(h) &&
-              st.verify(sibling, 0, st.object_size(sibling))) {
-            sources.emplace_back(h, sibling);
-            break;
-          }
-        }
-      }
-      if (sources.size() < k) continue;  // not enough clean siblings
-      RecoveryMove move;
-      move.key = key;
-      move.sources = std::move(sources);
-      replacement = rebuild_shard(pool, move);
-      if (replacement.empty()) continue;
-    }
-
-    for (int h : bad) {
-      // Full rewrite through the durable-apply path refreshes the block
-      // checksums over the verified bytes, and — blockstore armed — lands
-      // the repair in the journal like any client write.
-      cluster_.osd(h).apply_durable(key, 0, replacement, {});
-      ++report.repaired;
-      ++scrub_repairs_;
-      if (scrub_repairs_metric_ != nullptr) scrub_repairs_metric_->inc();
-    }
-  }
+  std::vector<std::pair<int, ObjectKey>> convicted;
+  for (const auto& [key, held_by] : holders_of_pool(cluster_, pool))
+    for (int holder : held_by)
+      if (!copy_verifies(cluster_, holder, key))
+        convicted.emplace_back(holder, key);
+  RecoveryPlan plan = plan_repairs(pool, convicted);
+  report.repaired = plan.moves.size();
+  execute(std::move(plan), ExecuteOptions{}, [] {});
   return report;
-}
-
-void RecoveryManager::attach_metrics(MetricsRegistry& registry,
-                                     const std::string& prefix) {
-  scrub_repairs_metric_ = &registry.counter(prefix + ".scrub_repairs");
 }
 
 }  // namespace dk::rados

@@ -1,12 +1,18 @@
-// Recovery, backfill, and scrub for the simulated cluster.
+// Recovery, backfill, scrub, and repair for the simulated cluster.
 //
 // When CRUSH placement changes (an OSD marked out, weights adjusted, disks
 // added — the cluster-resize events that drive DFX reconfiguration in
 // §IV.C), objects must move so the stored locations again match the acting
-// sets. RecoveryManager computes that delta (the backfill plan), executes
-// it over the simulated network with OSD service costs, and offers a
+// sets. RecoveryManager computes that delta (the backfill plan) and offers a
 // scrub pass that verifies replica/shard consistency — the background
 // machinery a Ceph cluster runs continuously.
+//
+// Every copy runs through one executor, execute(): bounded parallelism, an
+// optional token-bucket throttle, the OSDs' background service class, the
+// object write lock (Ceph's recovery_blocked), and a source re-read at
+// apply time. A scrub repair is an ordinary move onto the convicted holder
+// — the whole object from a verified replica, or rebuilt from k verified
+// EC siblings, as Ceph repairs — planned by the same helper as backfill.
 #pragma once
 
 #include <cstdint>
@@ -22,10 +28,13 @@ struct RecoveryMove {
   int from_osd = -1;  // copy source (-1 for reconstruction)
   int to_osd = -1;
   std::uint64_t bytes = 0;
-  // EC reconstruction: no live holder of this shard exists, so it must be
-  // rebuilt from k surviving sibling shards (decode at the target).
+  // EC reconstruction: no usable holder of this shard exists, so it must be
+  // rebuilt from k sibling shards (decode at the target).
   bool reconstruct = false;
   std::vector<std::pair<int, ObjectKey>> sources;  // holder, sibling key
+  // Scrub repair of a checksum-convicted copy: counted in scrub_repairs()
+  // rather than as a recovered object.
+  bool repair = false;
 };
 
 struct RecoveryPlan {
@@ -48,7 +57,7 @@ struct ScrubReport {
   std::uint64_t inconsistent = 0;   // objects with an identified bad copy
                                     // (integrity off: replica byte diff)
   std::uint64_t checksum_failures = 0;  // copies/shards failing verification
-  std::uint64_t repaired = 0;           // copies/shards rewritten by repair()
+  std::uint64_t repaired = 0;  // repair moves queued by repair()
 };
 
 class RecoveryManager {
@@ -57,16 +66,18 @@ class RecoveryManager {
 
   /// Compute the backfill plan for a pool: for every stored object, compare
   /// where its copies/shards are against the current acting set, and plan a
-  /// copy from a surviving holder for each missing placement.
+  /// move from a live, verifying source for each missing placement.
   RecoveryPlan plan(int pool) const;
 
-  /// Execute a plan with bounded parallelism; `done` fires when the last
-  /// copy lands. Time passes on the simulator (service + network costs).
-  void execute(const RecoveryPlan& plan, unsigned max_parallel,
-               std::function<void()> done);
+  /// Plan one repair move per convicted (holder, key) copy: the whole
+  /// object from another live holder that verifies, or — EC — a rebuild
+  /// from k live siblings that verify. A copy with no verified source gets
+  /// no move.
+  RecoveryPlan plan_repairs(
+      int pool, const std::vector<std::pair<int, ObjectKey>>& convicted) const;
 
-  /// Throttle knobs for execute_paced().
-  struct PacedOptions {
+  /// Throttle knobs for execute().
+  struct ExecuteOptions {
     // Recovery token bucket: move launches are granted at this byte rate
     // across the whole plan (0 = unpaced).
     double max_bps = 0;
@@ -77,22 +88,24 @@ class RecoveryManager {
     Nanos pace_cap = ms(5);
   };
 
-  /// Background-work accounting: each paced move is scheduled/resolved on
-  /// the validator (the background_leak quiescence rule).
+  /// Background-work accounting: each move is scheduled/resolved on the
+  /// validator (the background_leak quiescence rule).
   void set_validator(PipelineValidator* validator) { validator_ = validator; }
 
-  /// Execute a plan like execute(), but throttled by a token bucket at
-  /// `max_bps` and routed through the OSDs' background service class, so
-  /// every copy queues with — and yields to — client I/O. Moves whose
-  /// source or target crashed by grant time are cancelled (counted in
-  /// moves_cancelled()), not retried; a later re-plan picks them up.
-  void execute_paced(const RecoveryPlan& plan, const PacedOptions& options,
-                     std::function<void()> done);
+  /// Execute a plan; `done` fires when the last move settled. At most
+  /// `max_parallel` moves run at once, launches are granted by a token
+  /// bucket at `max_bps`, and every copy rides the OSDs' background service
+  /// class, so it queues with — and yields to — client I/O. Moves whose
+  /// source or target crashed by grant time, or whose push a crash lost,
+  /// are cancelled (counted in moves_cancelled()), not retried; a later
+  /// re-plan picks them up.
+  void execute(RecoveryPlan plan, const ExecuteOptions& options,
+               std::function<void()> done);
 
   std::uint64_t throttle_waits() const { return throttle_waits_; }
   std::uint64_t moves_cancelled() const { return moves_cancelled_; }
-  /// Paced-move launches deferred behind an in-flight client write on the
-  /// same object (the other half of the recovery_blocked barrier).
+  /// Move launches deferred behind an in-flight client write on the same
+  /// object (the other half of the recovery_blocked barrier).
   std::uint64_t write_blocked_defers() const { return write_blocked_defers_; }
 
   /// Deep scrub: verify every stored object of the pool against its acting
@@ -104,38 +117,27 @@ class RecoveryManager {
   ScrubReport scrub(int pool) const;
 
   /// Checksum scrub + repair (integrity mode only; otherwise identical to
-  /// scrub): every copy/shard failing verification is rewritten from a
-  /// verified source — another replica, or an EC decode of k verified
-  /// siblings. Unrepairable copies (no verified source) stay counted in
-  /// `checksum_failures` but not `repaired`. Store mutations are immediate;
-  /// no simulated time is charged (this scrub runs between measured phases
-  /// — the in-band, time-charged variant is BackgroundScheduler's paced
-  /// deep scrub).
+  /// scrub): every copy/shard failing verification gets a repair move
+  /// (plan_repairs), run through execute() unpaced. The moves land in
+  /// simulated time — drain the simulator before reading the store back;
+  /// `repaired` counts the moves queued, scrub_repairs() the landed ones.
   ScrubReport repair(int pool);
 
   std::uint64_t objects_recovered() const { return recovered_; }
   std::uint64_t bytes_recovered() const { return bytes_; }
   std::uint64_t scrub_repairs() const { return scrub_repairs_; }
 
-  /// Publish scrub-repair activity under "<prefix>." (scrub_repairs).
-  void attach_metrics(MetricsRegistry& registry, const std::string& prefix);
-
  private:
-  /// Functionally rebuild a missing EC shard from the move's sources.
-  std::vector<std::uint8_t> rebuild_shard(int pool,
-                                          const RecoveryMove& move) const;
-
   Cluster& cluster_;
   PipelineValidator* validator_ = nullptr;
   std::uint64_t recovered_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t scrub_repairs_ = 0;
-  // Paced execution: earliest next token grant, and its accounting.
+  // Token bucket: earliest next grant, and its accounting.
   Nanos next_grant_ = 0;
   std::uint64_t throttle_waits_ = 0;
   std::uint64_t moves_cancelled_ = 0;
   std::uint64_t write_blocked_defers_ = 0;
-  Counter* scrub_repairs_metric_ = nullptr;
 };
 
 }  // namespace dk::rados

@@ -58,12 +58,12 @@ struct OsdCrashEvent {
   Nanos restart_at = 0;
   Nanos mark_out_after = ms(2);
   /// Crash lands mid-write: the first store write applied after the crash
-  /// persists only a prefix, leaving a torn object (integrity mode: torn
-  /// payload, intent pending) or a torn tail journal record (blockstore
-  /// mode: record CRC fails, replay discards it). Only honoured when
-  /// FrameworkConfig::integrity or FrameworkConfig::blockstore is armed —
-  /// a journal is what makes the tear detectable and replayable; without
-  /// one the model keeps its pre-integrity atomic-write semantics.
+  /// tears its tail WAL record at a byte boundary — the record's CRC
+  /// fails, the data area never sees the bytes, and restart replay
+  /// discards it (the write was never acknowledged). Only honoured when a
+  /// WAL is armed, by FrameworkConfig::integrity or
+  /// FrameworkConfig::blockstore; without one the model keeps its atomic
+  /// write semantics.
   bool torn_write = false;
 };
 

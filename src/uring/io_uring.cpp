@@ -31,12 +31,16 @@ void IoUring::attach_validator(PipelineValidator& validator,
 }
 
 Status IoUring::prep(const Sqe& sqe) {
-  if (!sq_.try_push(sqe)) {
+  // The validator hears of the SQE before the tail publishes it: the poll
+  // thread may consume (and report) it the instant it becomes visible.
+  const bool queued = sq_.try_push(sqe, [this] {
+    if (validator_) validator_->on_sqe_queued(ring_id_);
+  });
+  if (!queued) {
     stats_.sq_full_rejects.fetch_add(1, kRelaxed);
     if (metrics_.sq_full) metrics_.sq_full->inc();
     return Status::Error(Errc::again, "SQ full");
   }
-  if (validator_) validator_->on_sqe_queued(ring_id_);
   return Status::Ok();
 }
 
@@ -103,11 +107,13 @@ void IoUring::post_cqe(const Cqe& cqe) {
   // CQ overflow mirrors the kernel: the CQ is sized 2x SQ so an app that
   // bounds inflight <= sq_entries cannot overflow. A drop is therefore an
   // accounting bug, which the validator records.
-  if (cq_.try_push(cqe)) {
+  // Posted is reported before the tail publishes the CQE, so a reaper
+  // racing on another thread never counts it first.
+  const bool posted = cq_.try_push(cqe, [&] {
     if (validator_) validator_->on_cqe_posted(ring_id_, cqe.user_data);
-  } else if (validator_) {
+  });
+  if (!posted && validator_)
     validator_->on_cqe_dropped(ring_id_, cqe.user_data);
-  }
 }
 
 void IoUring::issue(const Sqe& sqe) {

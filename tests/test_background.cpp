@@ -1,17 +1,21 @@
 // Tests for the time-charged background subsystem: deterministic scrub
 // timelines, token-bucket budget accounting, paced recovery with the
 // recovery_max_bps throttle, the station two-class scheme (charged
-// background busy time, starvation-guard progress), the validator's
-// background_leak rule, and the armed Framework's background.* metrics.
+// background busy time, starvation-guard progress), scrub repairs run as
+// recovery moves (a replicated copy, EC data and parity shards, and a
+// client write racing a queued repair), the validator's background_leak
+// rule, and the armed Framework's background.* metrics.
 #include "rados/background.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 
+#include "common/check.hpp"
 #include "common/pipeline_validator.hpp"
 #include "common/rng.hpp"
 #include "core/framework.hpp"
@@ -32,9 +36,14 @@ std::vector<std::uint8_t> pattern(std::size_t n, std::uint64_t seed) {
 /// recovery fixture, plus a background scheduler built per test.
 class BackgroundFixture : public ::testing::Test {
  protected:
-  void SetUp() override {
-    cluster_ = std::make_unique<Cluster>(sim_);
+  void SetUp() override { build(ClusterConfig{}); }
+
+  /// Fresh cluster under `cc` with both pools populated.
+  void build(const ClusterConfig& cc) {
+    client_.reset();
+    cluster_ = std::make_unique<Cluster>(sim_, cc);
     client_ = std::make_unique<RadosClient>(*cluster_);
+    client_->set_integrity(cc.integrity);
     pool_ = cluster_->create_replicated_pool("rbd", 2);
     ec_pool_ = cluster_->create_ec_pool("ec", ec::Profile{4, 2});
     for (std::uint64_t oid = 0; oid < 30; ++oid) {
@@ -55,6 +64,42 @@ class BackgroundFixture : public ::testing::Test {
     cluster_->set_background(background_.get());
     background_->start();
     return *background_;
+  }
+
+  /// Flip 16 stored bytes of `key`'s copy on `osd` without refreshing its
+  /// checksums: latent media corruption only a verify can see.
+  void corrupt(int osd, const ObjectKey& key) {
+    auto raw = cluster_->osd(osd).store().raw_bytes(key);
+    ASSERT_GE(raw.size(), 116u);
+    for (std::size_t i = 100; i < 116; ++i) raw[i] ^= 0xff;
+  }
+
+  /// Integrity-armed paced scrub with EC shard `shard` of one object
+  /// corrupt: the convicted shard is rebuilt from k verified siblings and
+  /// afterwards holds exactly its pre-corruption bytes.
+  void expect_scrub_repairs_ec_shard(std::int32_t shard) {
+    ClusterConfig cc;
+    cc.integrity = true;
+    build(cc);
+    const std::uint64_t oid = 4;
+    const int holder = cluster_->acting_set(ec_pool_, oid)
+                           [static_cast<std::size_t>(shard)];
+    const ObjectKey key{static_cast<std::uint32_t>(ec_pool_), oid, shard};
+    const ObjectStore& store = cluster_->osd(holder).store();
+    const auto original = store.read(key, 0, store.object_size(key));
+    corrupt(holder, key);
+
+    BackgroundConfig bc;
+    bc.scrub_interval = ms(10);
+    bc.horizon = ms(25);
+    BackgroundScheduler& bg = arm(bc);
+    sim_.run();
+
+    EXPECT_GT(bg.scrub_errors(), 0u) << "scrub missed the corrupt shard";
+    EXPECT_GT(bg.scrub_repairs(), 0u) << "the EC shard was never repaired";
+    EXPECT_TRUE(store.verify(key, 0, store.object_size(key)))
+        << "repair must leave the shard verifying clean";
+    EXPECT_EQ(store.read(key, 0, store.object_size(key)), original);
   }
 
   Nanos total_bg_busy() const {
@@ -152,23 +197,13 @@ TEST_F(BackgroundFixture, ScrubRepairsCorruptChunkFromVerifiedReplica) {
   // Integrity-armed cluster so scrub can convict a chunk by checksum.
   ClusterConfig cc;
   cc.integrity = true;
-  cluster_ = std::make_unique<Cluster>(sim_, cc);
-  client_ = std::make_unique<RadosClient>(*cluster_);
-  client_->set_integrity(true);
-  pool_ = cluster_->create_replicated_pool("rbd", 2);
-  for (std::uint64_t oid = 0; oid < 8; ++oid) {
-    client_->write(pool_, oid, 0, pattern(8192, oid),
-                   WriteStrategy::primary_copy, [](Status) {});
-  }
-  sim_.run();
+  build(cc);
 
   // Flip stored bytes of one copy without refreshing its checksums.
   const auto acting = cluster_->acting_set(pool_, 3);
   ASSERT_GE(acting.size(), 2u);
   ObjectKey key{static_cast<std::uint32_t>(pool_), 3, -1};
-  auto raw = cluster_->osd(acting[0]).store().raw_bytes(key);
-  ASSERT_FALSE(raw.empty());
-  for (std::size_t i = 100; i < 116; ++i) raw[i] ^= 0xff;
+  corrupt(acting[0], key);
 
   BackgroundConfig bc;
   bc.scrub_interval = ms(10);
@@ -181,6 +216,79 @@ TEST_F(BackgroundFixture, ScrubRepairsCorruptChunkFromVerifiedReplica) {
   const auto& store = cluster_->osd(acting[0]).store();
   EXPECT_TRUE(store.verify(key, 0, store.object_size(key)))
       << "repair must leave the copy verifying clean";
+}
+
+TEST_F(BackgroundFixture, ScrubRepairsCorruptEcDataShard) {
+  expect_scrub_repairs_ec_shard(1);
+}
+
+TEST_F(BackgroundFixture, ScrubRepairsCorruptEcParityShard) {
+  expect_scrub_repairs_ec_shard(5);
+}
+
+TEST_F(BackgroundFixture, ClientWriteOvertakingQueuedRepairIsNotRolledBack) {
+  // The convicted OSD's station is kept busy with client reads, so a
+  // repair queued there in the background class waits while a client
+  // write to the same object arrives. The repair must not land the bytes
+  // it saw at conviction over that newer write: after drain every holder
+  // returns the client's bytes.
+  ClusterConfig cc;
+  cc.integrity = true;
+  build(cc);
+  const std::uint64_t oid = 3;
+  const auto acting = cluster_->acting_set(pool_, oid);
+  const int convicted = acting[0];
+  const ObjectKey key{static_cast<std::uint32_t>(pool_), oid, -1};
+
+  // Load objects whose primary is the convicted OSD.
+  std::vector<std::uint64_t> load;
+  for (std::uint64_t o = 1000; load.size() < 6 && o < 3000; ++o) {
+    if (cluster_->acting_set(pool_, o)[0] != convicted) continue;
+    client_->write(pool_, o, 0, pattern(4096, o), WriteStrategy::primary_copy,
+                   [](Status) {});
+    load.push_back(o);
+  }
+  ASSERT_EQ(load.size(), 6u);
+  sim_.run();
+  corrupt(convicted, key);
+
+  bool loading = true;
+  std::function<void(std::size_t)> read_loop = [&](std::size_t i) {
+    if (!loading) return;
+    client_->read(pool_, load[i % load.size()], 0, 4096,
+                  ReadStrategy::primary,
+                  [&, i](Result<std::vector<std::uint8_t>>) {
+                    read_loop(i + load.size());
+                  });
+  };
+  for (std::size_t i = 0; i < load.size(); ++i) read_loop(i);
+
+  BackgroundConfig bc;
+  bc.scrub_interval = ms(10);
+  bc.horizon = ms(25);
+  BackgroundScheduler& bg = arm(bc);
+  while (bg.scrub_errors() == 0 && sim_.now() < bc.horizon && sim_.step()) {
+  }
+  ASSERT_GT(bg.scrub_errors(), 0u) << "scrub never convicted the copy";
+
+  // The client overwrites the object right at conviction time.
+  const auto fresh = pattern(8192, 777);
+  Status wres = Status::Error(Errc::timed_out);
+  client_->write(pool_, oid, 0, fresh, WriteStrategy::primary_copy,
+                 [&](Status st) { wres = st; });
+  sim_.run_until(sim_.now() + ms(2));
+  loading = false;
+  sim_.run();
+
+  ASSERT_TRUE(wres.ok()) << wres.to_string();
+  EXPECT_GT(bg.scrub_repairs(), 0u);
+  for (const int holder : acting) {
+    const ObjectStore& store = cluster_->osd(holder).store();
+    EXPECT_EQ(store.read(key, 0, fresh.size()), fresh)
+        << "osd." << holder << " lost the client's write to the repair";
+    EXPECT_TRUE(store.verify(key, 0, store.object_size(key)))
+        << "osd." << holder;
+  }
 }
 
 // --- paced recovery ---------------------------------------------------------
@@ -294,6 +402,8 @@ TEST(TwoClassStation, BackgroundYieldsToClientsButIsNotStarved) {
 // --- validator: background_leak ---------------------------------------------
 
 TEST(BackgroundLeak, UnresolvedBackgroundWorkFailsQuiescence) {
+  // The deliberate violation must not abort a debug build.
+  ScopedCheckFailureHandler quiet([](const CheckContext&) {});
   PipelineValidator validator;
   validator.on_background_scheduled();
   validator.on_background_scheduled();

@@ -12,8 +12,10 @@
 // Alongside: the journal-cap/trim-policy regression (sustained writes keep
 // occupancy bounded), the journal_leak validator rule (balanced after
 // replay, and deliberately tripped when a torn journal is abandoned), the
-// blockstore.* metric surface, the fsync-barrier cost model, and a
-// cluster-level crash/restart integration test through Osd::apply_durable.
+// blockstore.* metric surface, the fsync-barrier cost model, a
+// cluster-level crash/restart integration test through Osd::apply_durable
+// (blockstore-armed and integrity-only), and the guard that an
+// integrity-only WAL charges no simulated time.
 #include "rados/blockstore.hpp"
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/metrics.hpp"
 #include "common/pipeline_validator.hpp"
 #include "common/rng.hpp"
@@ -157,7 +160,9 @@ TEST(BlockstoreCrashSweep, ReplayKeepsExactlyTheAcknowledgedPrefix) {
 
 TEST(BlockstoreCrashSweep, AbandonedTornJournalTripsJournalLeak) {
   // Negative control for the validator rule: a record that is neither
-  // committed nor replayed is a journaled intent that never resolved.
+  // committed nor replayed is a journaled intent that never resolved. The
+  // deliberate violation must not abort a debug build.
+  ScopedCheckFailureHandler quiet([](const CheckContext&) {});
   ObjectStore store;
   PipelineValidator validator;
   BlockstoreConfig cfg;
@@ -284,9 +289,16 @@ class BlockstoreClusterFixture : public ::testing::Test {
   void SetUp() override {
     ClusterConfig cc;
     cc.blockstore.enabled = true;
+    build(cc);
+  }
+
+  /// Fresh cluster under `cc` holding 8 acknowledged 8 kB objects.
+  void build(const ClusterConfig& cc) {
+    client_.reset();
     cluster_ = std::make_unique<Cluster>(sim_, cc);
     cluster_->set_validator(&validator_);
     client_ = std::make_unique<RadosClient>(*cluster_);
+    client_->set_integrity(cc.integrity);
     pool_ = cluster_->create_replicated_pool("rbd", 2);
     for (std::uint64_t oid = 0; oid < 8; ++oid) {
       client_->write(pool_, oid, 0, pattern(8192, oid),
@@ -303,46 +315,95 @@ class BlockstoreClusterFixture : public ::testing::Test {
 };
 
 TEST_F(BlockstoreClusterFixture, TornCrashRestartKeepsAcknowledgedData) {
-  const std::uint64_t oid = 5;
-  const auto acting = cluster_->acting_set(pool_, oid);
-  Osd& osd = cluster_->osd(acting[0]);
-  ASSERT_NE(osd.blockstore(), nullptr) << "cluster config must arm the store";
-  const ObjectKey key{static_cast<std::uint32_t>(pool_), oid, -1};
+  // Two armings of the same WAL: the blockstore (charged) and integrity
+  // alone (uncharged). Both must keep acknowledged data across a torn
+  // crash, never surface torn bytes, and leave a copy that verifies.
+  auto torn_crash_restart = [&](const char* arming) {
+    SCOPED_TRACE(arming);
+    const std::uint64_t oid = 5;
+    const auto acting = cluster_->acting_set(pool_, oid);
+    Osd& osd = cluster_->osd(acting[0]);
+    ASSERT_NE(osd.blockstore(), nullptr) << "cluster config must arm the WAL";
+    const ObjectKey key{static_cast<std::uint32_t>(pool_), oid, -1};
 
-  // An acknowledged overwrite lands through the journal.
-  const auto acked = pattern(4096, 5000);
-  osd.apply_durable(key, 0, acked, {});
-  EXPECT_EQ(osd.store().read(key, 0, acked.size()), acked);
+    // An acknowledged overwrite lands through the journal.
+    const auto acked = pattern(4096, 5000);
+    osd.apply_durable(key, 0, acked, {});
+    EXPECT_EQ(osd.store().read(key, 0, acked.size()), acked);
 
-  // Crash; the write in flight at crash time tears the tail record, so its
-  // bytes never reach the data area and it is never acknowledged.
-  cluster_->crash_osd(acting[0]);
-  osd.arm_torn_write();
-  const auto unacked = pattern(4096, 6000);
-  osd.apply_durable(key, 0, unacked, {});
-  EXPECT_EQ(osd.store().read(key, 0, acked.size()), acked)
-      << "WAL discipline: a torn append must not touch the data area";
+    // Crash; the write in flight at crash time tears the tail record, so
+    // its bytes never reach the data area and it is never acknowledged.
+    cluster_->crash_osd(acting[0]);
+    osd.arm_torn_write();
+    const auto unacked = pattern(4096, 6000);
+    osd.apply_durable(key, 0, unacked, {});
+    EXPECT_EQ(osd.store().read(key, 0, acked.size()), acked)
+        << "WAL discipline: a torn append must not touch the data area";
 
-  cluster_->restart_osd(acting[0]);
-  EXPECT_GE(cluster_->torn_writes_replayed(), 1u);
-  EXPECT_EQ(osd.blockstore()->record_count(), 0u)
-      << "replay must drain the journal";
-  EXPECT_GE(osd.blockstore()->replays_discarded(), 1u);
-  EXPECT_EQ(osd.store().read(key, 0, acked.size()), acked)
-      << "acknowledged bytes lost across crash/restart";
+    cluster_->restart_osd(acting[0]);
+    EXPECT_GE(cluster_->torn_writes_replayed(), 1u);
+    EXPECT_EQ(osd.blockstore()->record_count(), 0u)
+        << "replay must drain the journal";
+    EXPECT_GE(osd.blockstore()->replays_discarded(), 1u);
+    EXPECT_EQ(osd.store().read(key, 0, acked.size()), acked)
+        << "acknowledged bytes lost across crash/restart";
+    EXPECT_TRUE(osd.store().verify(key, 0, osd.store().object_size(key)))
+        << "the surviving copy must verify against its checksums";
 
-  // Reads through the client still see consistent replicas.
-  Result<std::vector<std::uint8_t>> r = Status::Error(Errc::timed_out);
-  client_->read(pool_, oid, 0, acked.size(), ReadStrategy::primary,
-                [&](Result<std::vector<std::uint8_t>> x) { r = std::move(x); });
-  sim_.run();
-  ASSERT_TRUE(r.ok()) << r.status().to_string();
-  EXPECT_EQ(validator_.verify_quiescent(), 0u);
+    // Reads through the client still see consistent replicas.
+    Result<std::vector<std::uint8_t>> r = Status::Error(Errc::timed_out);
+    client_->read(pool_, oid, 0, acked.size(), ReadStrategy::primary,
+                  [&](Result<std::vector<std::uint8_t>> x) {
+                    r = std::move(x);
+                  });
+    sim_.run();
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    EXPECT_EQ(*r, acked);
+    EXPECT_EQ(validator_.verify_quiescent(), 0u);
+  };
+
+  torn_crash_restart("blockstore armed");
+  ClusterConfig integrity_only;
+  integrity_only.integrity = true;
+  build(integrity_only);
+  torn_crash_restart("integrity only");
+}
+
+TEST(IntegrityWal, ArmingChargesNoSimulatedTime) {
+  // Integrity alone arms the WAL under every OSD, but only
+  // blockstore.enabled charges its time: the same fault-free write
+  // sequence drains at the same simulated instant with integrity on and
+  // off, while a charged blockstore visibly moves it.
+  auto drain_time = [](const ClusterConfig& cc) {
+    sim::Simulator sim;
+    Cluster cluster(sim, cc);
+    EXPECT_EQ(cluster.osd(0).blockstore() != nullptr,
+              cc.integrity || cc.blockstore.enabled);
+    RadosClient client(cluster);
+    client.set_integrity(cc.integrity);
+    const int pool = cluster.create_replicated_pool("rbd", 2);
+    for (std::uint64_t i = 0; i < 64; ++i) {
+      client.write(pool, i % 8, (i / 8) * 4096, pattern(4096, i),
+                   WriteStrategy::primary_copy, [](Status s) {
+                     EXPECT_TRUE(s.ok()) << s.to_string();
+                   });
+    }
+    sim.run();
+    return sim.now();
+  };
+  ClusterConfig off;
+  ClusterConfig integrity;
+  integrity.integrity = true;
+  ClusterConfig charged;
+  charged.blockstore.enabled = true;
+  const Nanos baseline = drain_time(off);
+  EXPECT_EQ(drain_time(integrity), baseline);
+  EXPECT_GT(drain_time(charged), baseline);
 }
 
 TEST_F(BlockstoreClusterFixture, BackfillAndRepairWritesAreJournaled) {
-  // Recovery writes route through Osd::apply_durable, so they land in the
-  // journal like client writes: after a backfill the target's blockstore
+  // Recovery writes route through the OSD's WAL choke point, so they land
+  // in the journal like client writes: after a backfill the target's blockstore
   // has seen traffic and its intents are balanced.
   const std::uint64_t before = validator_.journal_intents();
   const auto acting = cluster_->acting_set(pool_, 2);
@@ -359,7 +420,9 @@ TEST_F(BlockstoreClusterFixture, BackfillAndRepairWritesAreJournaled) {
   }
   ASSERT_GE(target, 0);
   bool done = false;
-  cluster_->backfill(acting[0], target, key, [&] { done = true; });
+  cluster_->backfill(acting[0], target, key, [&](bool landed) {
+    done = landed;
+  });
   sim_.run();
   ASSERT_TRUE(done);
 

@@ -2,15 +2,17 @@
 // runs of the full delibak stack under frame loss, OSD crash/restart, and
 // QDMA descriptor errors. Every run must end with all submitted I/Os
 // completed-or-errored, read-back matching a shadow model, and a quiescent
-// pipeline (no I/O silently swallowed by an injected fault). Also: the EC
-// degraded-read property (every subset of <= m shards down decodes to the
-// original; > m down returns an error Status, never garbage), write
-// re-issue to the new primary after a CRUSH reweight, and bit-exact replay
-// of a (seed, plan) pair.
+// pipeline (no I/O silently swallowed by an injected fault). Armed legs
+// add integrity, the blockstore, background recovery, and all of them at
+// once. Also: the EC degraded-read property (every subset of <= m shards
+// down decodes to the original; > m down returns an error Status, never
+// garbage), write re-issue to the new primary after a CRUSH reweight, and
+// bit-exact replay of a (seed, plan) pair.
 #include "sim/faults.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <functional>
 #include <map>
@@ -113,6 +115,7 @@ struct ChaosOutcome {
   std::uint64_t scrub_bytes = 0;        // background runs: paced deep scrub
   std::uint64_t backfill_bytes = 0;     // background runs: paced recovery
   std::uint64_t throttle_waits = 0;
+  std::uint64_t scrub_repairs = 0;      // background runs: repair moves
   Nanos ttfr = 0;                       // time-to-full-redundancy
   sim::FaultStats faults;
 };
@@ -244,6 +247,7 @@ ChaosOutcome chaos_run_with(const core::FrameworkConfig& cfg,
     out.scrub_bytes = bg->scrub_bytes();
     out.backfill_bytes = bg->backfill_bytes();
     out.throttle_waits = bg->throttle_waits();
+    out.scrub_repairs = bg->scrub_repairs();
     out.ttfr = bg->time_to_full_redundancy();
   }
   out.faults = fw.faults()->stats();
@@ -535,6 +539,94 @@ TEST(ChaosSweep, BackgroundArmedRebuildStormLosesNoIosAndLeaksNoWork) {
   EXPECT_GT(agg.throttle_waits, 0u) << "the IO-impact budget never engaged";
   EXPECT_GT(ttfr_episodes, 0u)
       << "no run ever reached full redundancy again";
+  EXPECT_GT(agg.completed_ok, agg.errored);
+}
+
+// --- All arms combined: faults + integrity + blockstore + background ------
+
+/// Every default-off arm at once. The integrity plan (media bit-flips on
+/// replicated copies or EC shards of distinct objects, a silent-DMA window,
+/// and a torn-write crash that restarts) runs on a blockstore with a small
+/// journal, under background scrub plus paced recovery, with a second,
+/// permanent crash whose mark-out drives backfill. The permanent victim is
+/// an OSD sharing no object with the torn victim or a media target (found
+/// by probing the acting sets), so every object keeps the live, verified
+/// redundancy it needs: losing more than that is data loss, which no arm
+/// can undo.
+core::FrameworkConfig all_arms_config(std::uint64_t seed) {
+  core::FrameworkConfig cfg = integrity_chaos_config(seed);
+  cfg.blockstore.enabled = true;
+  cfg.blockstore.journal_bytes = 256 * KiB;
+  cfg.background = background_chaos_config(seed).background;
+
+  const int torn_victim = cfg.fault_plan.osd_crashes.front().osd;
+  std::set<int> holders;  // OSDs holding any object
+  std::set<int> exposed;  // OSDs sharing an object with a fault target
+  {
+    sim::Simulator probe_sim;
+    core::Framework probe(probe_sim, cfg);
+    const int pool = probe.image().spec().pool;
+    for (std::uint64_t off = 0; off < cfg.image_size; off += cfg.object_size) {
+      const std::uint64_t oid = probe.image().oid_of(off);
+      const std::vector<int> acting = probe.cluster().acting_set(pool, oid);
+      const bool targeted =
+          std::any_of(cfg.fault_plan.media.begin(),
+                      cfg.fault_plan.media.end(),
+                      [&](const sim::MediaCorruptionEvent& ev) {
+                        return ev.oid == oid;
+                      }) ||
+          std::find(acting.begin(), acting.end(), torn_victim) !=
+              acting.end();
+      holders.insert(acting.begin(), acting.end());
+      if (targeted) exposed.insert(acting.begin(), acting.end());
+    }
+  }
+  // Walk the OSDs from a seed-dependent start; prefer one that holds data
+  // so its mark-out has something to backfill.
+  int victim = -1;
+  for (int i = 0; i < 32; ++i) {
+    const int osd =
+        static_cast<int>((seed * 7 + static_cast<unsigned>(i)) % 32);
+    if (osd == torn_victim || exposed.count(osd) != 0) continue;
+    if (victim < 0 || (holders.count(osd) != 0 && holders.count(victim) == 0))
+      victim = osd;
+  }
+  if (victim >= 0) {
+    sim::OsdCrashEvent crash;
+    crash.osd = victim;
+    crash.crash_at = ms(2);
+    crash.restart_at = 0;          // never restarts
+    crash.mark_out_after = ms(1);  // mark-out at ms(3) -> paced backfill
+    cfg.fault_plan.osd_crashes.push_back(crash);
+  }
+  return cfg;
+}
+
+TEST(ChaosSweep, AllArmsCombinedKeepEveryAcknowledgedByte) {
+  ChaosOutcome agg;
+  const std::uint64_t base = base_seed();
+  for (std::uint64_t i = 0; i < kSeeds; ++i) {
+    const std::uint64_t seed = base + i;
+    SCOPED_TRACE("all-arms seed=" + std::to_string(seed));
+    const ChaosOutcome out = chaos_run_with(all_arms_config(seed), seed);
+    EXPECT_EQ(out.submitted, out.completed_ok + out.errored)
+        << "lost I/Os: neither completed nor errored";
+    EXPECT_EQ(out.verify_mismatches, 0u)
+        << "a read returned wrong bytes, or lost an acknowledged write";
+    EXPECT_EQ(out.leaks, 0u)
+        << "an io, corruption, journal intent or background job leaked";
+    agg.submitted += out.submitted;
+    agg.completed_ok += out.completed_ok;
+    agg.errored += out.errored;
+    agg.scrub_repairs += out.scrub_repairs;
+    agg.backfill_bytes += out.backfill_bytes;
+    agg.faults.torn_writes += out.faults.torn_writes;
+    agg.faults.media_corruptions += out.faults.media_corruptions;
+  }
+  EXPECT_GT(agg.faults.torn_writes, 0u) << "no crash landed mid-append";
+  EXPECT_GT(agg.faults.media_corruptions, 0u);
+  EXPECT_GT(agg.scrub_repairs, 0u) << "scrub never repaired a copy";
+  EXPECT_GT(agg.backfill_bytes, 0u) << "no mark-out ever drove backfill";
   EXPECT_GT(agg.completed_ok, agg.errored);
 }
 

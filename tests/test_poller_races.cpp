@@ -112,11 +112,13 @@ TEST(SqPollRaces, ConcurrentSubmitAndReapDrainsEverything) {
   SqPollThread poller({&ring}, params);
 
   // This thread is the ring's single application thread: it preps (SQ
-  // producer) and reaps (CQ consumer) while the poll thread moves SQEs.
+  // producer) and reaps (CQ consumer) while the poll thread moves SQEs,
+  // keeping in-flight ops within sq_entries so the CQ cannot overflow.
   std::vector<std::uint8_t> buf(512, 0x7E);
   unsigned reaped = 0;
   for (unsigned i = 0; i < kOps; ++i) {
-    while (!ring
+    while (i - reaped >= ring.sq_capacity() ||
+           !ring
                 .prep_write(0, reinterpret_cast<std::uint64_t>(buf.data()),
                             512, 0, i)
                 .ok()) {
@@ -157,9 +159,14 @@ TEST(SqPollRaces, StopMidstreamThenManualDrainBalances) {
   // Application thread: preps all ops and reaps, racing the poller's
   // mid-stream shutdown below. Once the poller is gone this thread takes
   // over SQ draining itself (the join in stop() hands over consumership).
+  // It keeps in-flight ops (prepped, not yet reaped) within sq_entries —
+  // the ring's documented bound, under which the 2x-sized CQ cannot
+  // overflow and drop completions.
   std::thread app([&] {
     for (unsigned i = 0; i < kOps; ++i) {
-      while (!ring
+      while (i - reaped.load(std::memory_order_relaxed) >=
+                 ring.sq_capacity() ||
+             !ring
                   .prep_write(0, reinterpret_cast<std::uint64_t>(buf.data()),
                               512, 0, i)
                   .ok()) {
@@ -208,12 +215,15 @@ TEST(SqPollRaces, MultiRingConcurrentProducersStayConsistent) {
   SqPollThread poller({&ring_a, &ring_b}, params);
 
   // One application thread per ring (the rings are SPSC); the single poll
-  // thread drains both, so validator hooks fire from three threads.
+  // thread drains both, so validator hooks fire from three threads. Each
+  // producer keeps in-flight ops within sq_entries, so its CQ cannot
+  // overflow.
   auto drive = [&](IoUring& ring) {
     std::vector<std::uint8_t> buf(512, 0x44);
     unsigned reaped = 0;
     for (unsigned i = 0; i < kOps; ++i) {
-      while (!ring
+      while (i - reaped >= ring.sq_capacity() ||
+             !ring
                   .prep_write(0, reinterpret_cast<std::uint64_t>(buf.data()),
                               512, 0, i)
                   .ok()) {

@@ -2,7 +2,6 @@
 // execution of the backfill plan, and consistency verification.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 
 #include "common/crc32c.hpp"
@@ -84,7 +83,7 @@ TEST_F(RecoveryFixture, ExecuteRestoresFullRedundancy) {
 
   bool finished = false;
   const Nanos t0 = sim_.now();
-  rec.execute(plan, /*max_parallel=*/4, [&] { finished = true; });
+  rec.execute(plan, {}, [&] { finished = true; });
   sim_.run();
   ASSERT_TRUE(finished);
   EXPECT_GT(sim_.now(), t0) << "backfill must consume simulated time";
@@ -104,7 +103,7 @@ TEST_F(RecoveryFixture, RecoveredDataIsReadable) {
   cluster_->set_osd_down(3, true);
   RecoveryManager rec(*cluster_);
   auto plan = rec.plan(pool_);
-  rec.execute(plan, 8, [] {});
+  rec.execute(plan, {.max_parallel = 8}, [] {});
   sim_.run();
 
   // Every object reads back correctly through the new acting sets.
@@ -123,7 +122,7 @@ TEST_F(RecoveryFixture, EcShardRecovery) {
   cluster_->set_osd_down(7, true);
   RecoveryManager rec(*cluster_);
   auto plan = rec.plan(ec_pool_);
-  rec.execute(plan, 4, [] {});
+  rec.execute(plan, {}, [] {});
   sim_.run();
   auto report = rec.scrub(ec_pool_);
   EXPECT_EQ(report.missing, 0u);
@@ -153,12 +152,40 @@ TEST_F(RecoveryFixture, EmptyPlanCompletesImmediately) {
   RecoveryManager rec(*cluster_);
   RecoveryPlan empty;
   bool finished = false;
-  rec.execute(empty, 4, [&] { finished = true; });
+  rec.execute(empty, {}, [&] { finished = true; });
   sim_.run();
   EXPECT_TRUE(finished);
 }
 
-// --- Integrity mode: checksum scrub, repair, read-repair, journal replay ----
+TEST_F(RecoveryFixture, MoveLostToMidFlightCrashSettlesCancelled) {
+  // A move whose target crashes while its push is in flight loses the
+  // push with the process. It must still settle — as cancelled — or the
+  // object's recovery write lock and the background accounting leak.
+  cluster_->set_osd_out(5, true);
+  cluster_->set_osd_down(5, true);
+  PipelineValidator validator;
+  RecoveryManager rec(*cluster_);
+  rec.set_validator(&validator);
+  const RecoveryPlan plan = rec.plan(pool_);
+  ASSERT_GT(plan.moves.size(), 0u);
+  bool finished = false;
+  rec.execute(plan, {}, [&] { finished = true; });
+  sim_.run_until(sim_.now() + us(20));  // first moves launched, not landed
+  ASSERT_EQ(rec.objects_recovered(), 0u);
+  cluster_->crash_osd(plan.moves[0].to_osd);
+  sim_.run();
+
+  ASSERT_TRUE(finished);
+  EXPECT_GT(rec.moves_cancelled(), 0u);
+  EXPECT_EQ(rec.objects_recovered() + rec.moves_cancelled(),
+            plan.moves.size());
+  EXPECT_EQ(validator.verify_quiescent(), 0u);
+  for (const RecoveryMove& move : plan.moves)
+    EXPECT_FALSE(cluster_->object_recovering(move.key.pool, move.key.oid))
+        << "oid " << move.key.oid << " kept its recovery write lock";
+}
+
+// --- Integrity mode: checksum scrub, repair, read-repair --------------------
 
 class IntegrityFixture : public ::testing::Test {
  protected:
@@ -217,6 +244,7 @@ TEST_F(IntegrityFixture, ScrubArbitratesTwoReplicasByChecksum) {
 
   auto repaired = rec.repair(pool_);
   EXPECT_EQ(repaired.repaired, 1u);
+  sim_.run();  // the repair lands as a recovery move in simulated time
   EXPECT_EQ(rec.scrub_repairs(), 1u);
 
   auto clean = rec.scrub(pool_);
@@ -240,6 +268,7 @@ TEST_F(IntegrityFixture, RepairRestoresEveryCorruptedLocation) {
 
     RecoveryManager rec(*cluster_);
     EXPECT_EQ(rec.repair(pool_).repaired, 1u) << "replica " << r;
+    sim_.run();
     EXPECT_EQ(rec.scrub(pool_).checksum_failures, 0u) << "replica " << r;
     const auto got = read_back(pool_, oid, 8192, ReadStrategy::primary);
     ASSERT_TRUE(got.ok()) << "replica " << r;
@@ -268,6 +297,7 @@ TEST_F(IntegrityFixture, RepairRestoresEveryCorruptedLocation) {
 
       RecoveryManager rec(*cluster_);
       EXPECT_EQ(rec.repair(pool).repaired, 1u) << name << " shard " << s;
+      sim_.run();
       EXPECT_EQ(rec.scrub(pool).checksum_failures, 0u)
           << name << " shard " << s;
       const auto got =
@@ -355,58 +385,30 @@ TEST_F(IntegrityFixture, EcPrimaryReadFallsBackOnCorruptPrimaryShard) {
   EXPECT_EQ(validator_.verify_quiescent(), 0u);
 }
 
-TEST_F(IntegrityFixture, TornWriteReplaysFromJournalOnRestart) {
-  const std::uint64_t oid = 5;
-  const auto acting = cluster_->acting_set(pool_, oid);
-  auto& store = cluster_->osd(acting[0]).store();
-  const ObjectKey key{static_cast<std::uint32_t>(pool_), oid, -1};
-  const auto update = pattern(4096, 5000);
+TEST(ObjectStoreIntegrity, WritesNeverLaunderCorruptBlocks) {
+  // A write re-checksums the blocks it touches from the stored bytes. A
+  // block it only partly overwrites — or the old tail block a write past
+  // the end re-checksums — keeps old bytes; if those were corrupt the
+  // block must keep failing verify instead of gaining a fresh CRC.
+  ObjectStore st;
+  st.set_integrity(true);
+  const ObjectKey key{0, 1, -1};
+  const auto base = pattern(8192, 1);
+  st.write(key, 0, base, block_checksums(base));
+  st.raw_bytes(key)[100] ^= 0x01;         // block 0
+  st.raw_bytes(key)[4096 + 100] ^= 0x01;  // block 1, the tail
 
-  // Crash mid-apply: intent journaled, only half the bytes landed, block
-  // checksums stale. verify() must flag it; restart must finish the job.
-  store.journal_begin(key, 0, update);
-  store.apply_torn(key, 0, update, update.size() / 2);
-  EXPECT_FALSE(store.verify(key, 0, update.size()));
-  EXPECT_EQ(store.journal_size(), 1u);
+  st.write(key, 2048, pattern(1024, 2));
+  EXPECT_FALSE(st.verify(key, 0, 4096)) << "partial overwrite laundered";
+  st.write(key, 16384, pattern(4096, 3));
+  EXPECT_FALSE(st.verify(key, 4096, 4096)) << "extending write laundered";
+  EXPECT_TRUE(st.verify(key, 8192, 12288)) << "zero gap + new block";
 
-  cluster_->crash_osd(acting[0]);
-  cluster_->restart_osd(acting[0]);
-  EXPECT_EQ(cluster_->torn_writes_replayed(), 1u);
-  EXPECT_EQ(store.journal_size(), 0u);
-  EXPECT_TRUE(store.verify(key, 0, update.size()));
-  EXPECT_EQ(store.read(key, 0, update.size()), update);
-
-  const auto r = read_back(pool_, oid, update.size(), ReadStrategy::primary);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, update);
+  st.write(key, 0, pattern(8192, 4));  // full rewrite heals both
+  EXPECT_TRUE(st.verify(key, 0, st.object_size(key)));
 }
 
-TEST(ObjectStoreJournal, ReplayIsDeterministicAndIdempotent) {
-  // Two stores fed the identical op sequence replay to identical contents;
-  // a second replay is a no-op (the journal is cleared by the first).
-  auto run = [](ObjectStore& st) {
-    st.set_integrity(true);
-    const ObjectKey key{0, 1, -1};
-    const auto base = pattern(8192, 1);
-    st.write(key, 0, base, block_checksums(base));
-    const auto update = pattern(4096, 2);
-    st.journal_begin(key, 2048, update);
-    st.apply_torn(key, 2048, update, 1000);
-    EXPECT_FALSE(st.verify(key, 0, 8192));
-    EXPECT_EQ(st.journal_replay(), 1u);
-    EXPECT_EQ(st.journal_replay(), 0u) << "replay must clear the journal";
-    EXPECT_TRUE(st.verify(key, 0, 8192));
-    std::vector<std::uint8_t> want = base;
-    std::copy(update.begin(), update.end(), want.begin() + 2048);
-    EXPECT_EQ(st.read(key, 0, 8192), want);
-    return st.read(key, 0, 8192);
-  };
-  ObjectStore a, b;
-  EXPECT_EQ(run(a), run(b));
-}
-
-// --- Blockstore journal format (pinned next to the write-intent journal
-// tests above: both journals share the crash-consistency contract) ----------
+// --- Blockstore journal format: the crash-consistency contract --------------
 
 TEST(BlockstoreJournal, TornEntryTruncatedAtEveryByteBoundary) {
   // A committed record A and an uncommitted record B. For every possible
