@@ -1,7 +1,7 @@
 // GF(2^8) arithmetic over the AES-friendly primitive polynomial
 // x^8 + x^4 + x^3 + x^2 + 1 (0x11d), the field used by Ceph's jerasure
 // Reed-Solomon backend. Tables are built once at namespace-scope constant
-// initialization, so all operations are branch-light table lookups.
+// initialization, so scalar operations are branch-light table lookups.
 #pragma once
 
 #include <array>
@@ -72,7 +72,10 @@ constexpr std::uint8_t pow(std::uint8_t a, unsigned e) {
   return r;
 }
 
-/// dst[i] ^= c * src[i] — the inner loop of Reed-Solomon encoding.
+/// dst[i] ^= c * src[i] — the inner loop of Reed-Solomon encoding. On
+/// x86-64 CPUs with SSSE3 it runs the split-nibble kernel, 16 bytes per
+/// step; elsewhere the byte-at-a-time table kernel computes the same bytes.
+/// The kernel is picked once per process from CPUID (gf256_detail.hpp).
 void mul_add_region(std::uint8_t c, std::span<const std::uint8_t> src,
                     std::span<std::uint8_t> dst);
 

@@ -249,10 +249,14 @@ void Cluster::backfill(int from_osd, int to_osd, const ObjectKey& key,
     // The source stays in the acting set and keeps absorbing client
     // writes while this push queues; re-sampling at apply time makes the
     // copy land with the latest content instead of the grant-time snapshot
-    // (which would roll back concurrent writes).
-    body->refresh_payload = [this, from_osd, key] {
+    // (which would roll back concurrent writes). The source's stored CRCs
+    // travel with its bytes, so a block that rotted on the source lands
+    // failing verify instead of under a fresh checksum.
+    body->refresh_payload = [this, from_osd, key](OpBody& b) {
       const ObjectStore& store = osd(from_osd).store();
-      return store.read(key, 0, store.object_size(key));
+      const std::uint64_t size = store.object_size(key);
+      b.data = store.read(key, 0, size);
+      b.checksums = store.checksums_for(key, 0, size);
     };
     body->on_done = std::move(done);
     send_from_osd(from_osd, to_osd, std::move(body));

@@ -149,7 +149,9 @@ class Cluster {
   /// when a crashed endpoint lost the push. Both ends ride the OSDs'
   /// background service class, so the copy queues with — and yields to —
   /// client I/O; the persisted bytes are re-read from the source at apply
-  /// time, so a copy that waited behind client writes lands current.
+  /// time, so a copy that waited behind client writes lands current. The
+  /// source's stored checksums ride along, so corrupt source blocks stay
+  /// detectable on the copy.
   void backfill(int from_osd, int to_osd, const ObjectKey& key,
                 std::function<void(bool landed)> done);
 

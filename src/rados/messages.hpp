@@ -59,9 +59,10 @@ struct OpBody {
   // Backfill pushes re-sample the source object at destination-apply time:
   // a recovery copy can spend a long while queued behind client traffic,
   // and persisting the grant-time snapshot would clobber any client write
-  // that landed in between. The wire/service costs still use the
-  // grant-time size.
-  std::function<std::vector<std::uint8_t>()> refresh_payload;
+  // that landed in between. The refresh fills `data` and `checksums` from
+  // the source's current bytes and stored CRCs together. The wire/service
+  // costs still use the grant-time size.
+  std::function<void(OpBody&)> refresh_payload;
   // Integrity mode: per-4kB-block CRC-32C of `data`. On writes the client
   // attaches them so the OSD can store what the client computed; on read
   // replies the OSD attaches the stored checksums so the client can verify

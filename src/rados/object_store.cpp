@@ -167,13 +167,15 @@ std::vector<std::uint32_t> ObjectStore::checksums_for(
   if (it == objects_.end() || cit == checksums_.end()) return out;
   const auto& obj = it->second;
   const auto& cs = cit->second;
-  // Only leading fully stored blocks: a partial tail block's stored CRC
-  // covers fewer bytes than the zero-filled block the reader sees, so
-  // shipping it would flag a false mismatch.
-  for (std::uint64_t b = offset / kBlock;
-       b * kBlock + kBlock <= std::min<std::uint64_t>(offset + length,
-                                                      obj.size()) &&
-       b < cs.size();
+  // Only leading blocks the reader sees exactly as stored: every full
+  // block, and the partial tail block when the range ends at the object's
+  // end. Past the end the reader sees zero fill the stored CRC does not
+  // cover, so shipping it would flag a false mismatch.
+  const std::uint64_t end = offset + length;
+  const std::uint64_t covered =
+      end == obj.size() ? end : std::min<std::uint64_t>(end, obj.size()) /
+                                    kBlock * kBlock;
+  for (std::uint64_t b = offset / kBlock; b * kBlock < covered && b < cs.size();
        ++b) {
     out.push_back(cs[b]);
   }

@@ -75,9 +75,11 @@ class ObjectStore {
               std::uint64_t length) const;
 
   /// Stored checksums for the blocks overlapping [offset, offset + length),
-  /// in block order, for shipping alongside read replies. Empty when
-  /// integrity is off, the object is absent, or `offset` is not block-
-  /// aligned (the receiver could not match blocks up).
+  /// in block order, for shipping alongside read replies and recovery
+  /// pushes. A partial tail block is included only when the range ends at
+  /// the object's end. Empty when integrity is off, the object is absent,
+  /// or `offset` is not block-aligned (the receiver could not match blocks
+  /// up).
   std::vector<std::uint32_t> checksums_for(const ObjectKey& key,
                                            std::uint64_t offset,
                                            std::uint64_t length) const;

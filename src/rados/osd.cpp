@@ -106,7 +106,7 @@ void Osd::handle(std::shared_ptr<OpBody> body) {
                                      body->key, body->offset);
       workers_.submit_background(svc, [this, body = std::move(body)] {
         if (!body->transient) {
-          if (body->refresh_payload) body->data = body->refresh_payload();
+          if (body->refresh_payload) body->refresh_payload(*body);
           apply_write(body->key, body->offset, body->data, body->checksums);
         }
         body->on_done(!crashed_);

@@ -1,5 +1,6 @@
 #include "workload/fio.hpp"
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -28,12 +29,19 @@ bool is_random(RwMode mode) {
 namespace {
 
 /// Deterministic per-block payload so verify mode can check reads without
-/// storing a shadow copy: byte i of block at `offset` = f(offset, i).
+/// storing a shadow copy: byte i of block at `offset` = f(offset, i). Each
+/// generator step fills eight bytes, in host byte order (the pattern only
+/// has to agree with itself inside one process); a tail shorter than eight
+/// bytes takes the first bytes of one more step.
 std::vector<std::uint8_t> block_pattern(std::uint64_t offset, std::uint64_t bs,
                                         std::uint64_t seed) {
   Rng rng(seed ^ (offset * 0x9e3779b97f4a7c15ULL));
-  std::vector<std::uint8_t> v(bs);
-  for (auto& b : v) b = static_cast<std::uint8_t>(rng.below(256));
+  std::vector<std::uint8_t> v(bs + 7);  // room for a whole last word
+  for (std::uint64_t i = 0; i < bs; i += 8) {
+    const std::uint64_t word = rng.next();
+    std::memcpy(v.data() + i, &word, sizeof word);
+  }
+  v.resize(bs);
   return v;
 }
 
@@ -51,17 +59,13 @@ FioResult FioEngine::run(const FioJobSpec& spec) {
   const std::uint64_t blocks = image_bytes / spec.bs;
 
   if (spec.prefill) {
-    // Sequential prefill at a large block size so reads hit real data.
-    const std::uint64_t chunk = 512 * KiB;
-    for (std::uint64_t off = 0; off < image_bytes; off += chunk) {
-      // Prefill honours the verify pattern at the workload block size.
-      for (std::uint64_t b = off; b < off + chunk; b += spec.bs) {
-        bool done = false;
-        fw_.write(0, b, block_pattern(b, spec.bs, spec.seed),
-                  [&](std::int32_t) { done = true; });
-        sim.run();
-        (void)done;
-      }
+    // Sequential prefill, one block at a time on the workload's block grid,
+    // so every block a read can address holds its verify pattern.
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+      const std::uint64_t off = b * spec.bs;
+      fw_.write(0, off, block_pattern(off, spec.bs, spec.seed),
+                [](std::int32_t) {});
+      sim.run();
     }
   }
 

@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/crc32c.hpp"
+#include "common/crc32c_detail.hpp"
 #include "common/histogram.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
@@ -205,22 +208,36 @@ TEST(Result, HoldsValueOrStatus) {
   EXPECT_EQ(e.status().code(), Errc::not_found);
 }
 
+using CrcKernel = std::uint32_t (*)(std::span<const std::uint8_t>,
+                                    std::uint32_t);
+
+// Every CRC-32C kernel this host can run: the dispatching entry point, the
+// portable table kernel, and the SSE4.2 kernel when the CPU has it.
+std::vector<std::pair<const char*, CrcKernel>> crc_kernels() {
+  std::vector<std::pair<const char*, CrcKernel>> out = {
+      {"dispatch", &crc32c}, {"table", &detail::crc32c_table}};
+  if (detail::crc32c_hw_available())
+    out.emplace_back("sse4.2", &detail::crc32c_hw);
+  return out;
+}
+
 // RFC 3720 appendix B.4 test vectors for CRC-32C — the contract the whole
 // integrity subsystem (and the TCP offload's segment digest) rests on.
 TEST(Crc32c, Rfc3720KnownVectors) {
   const std::vector<std::uint8_t> zeros(32, 0x00);
-  EXPECT_EQ(crc32c(zeros), 0x8a9136aau);
-
   const std::vector<std::uint8_t> ones(32, 0xff);
-  EXPECT_EQ(crc32c(ones), 0x62a8ab43u);
-
   std::vector<std::uint8_t> ascending(32), descending(32);
   for (unsigned i = 0; i < 32; ++i) {
     ascending[i] = static_cast<std::uint8_t>(i);
     descending[i] = static_cast<std::uint8_t>(31 - i);
   }
-  EXPECT_EQ(crc32c(ascending), 0x46dd794eu);
-  EXPECT_EQ(crc32c(descending), 0x113fdb5cu);
+  for (const auto& [name, crc] : crc_kernels()) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(crc(zeros, 0), 0x8a9136aau);
+    EXPECT_EQ(crc(ones, 0), 0x62a8ab43u);
+    EXPECT_EQ(crc(ascending, 0), 0x46dd794eu);
+    EXPECT_EQ(crc(descending, 0), 0x113fdb5cu);
+  }
 }
 
 TEST(Crc32c, Rfc3720IscsiReadCommandVector) {
@@ -230,7 +247,36 @@ TEST(Crc32c, Rfc3720IscsiReadCommandVector) {
       0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x18, 0x28, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
   };
-  EXPECT_EQ(crc32c(pdu), 0xd9963a56u);
+  for (const auto& [name, crc] : crc_kernels()) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(crc(pdu, 0), 0xd9963a56u);
+  }
+}
+
+TEST(Crc32c, HardwareKernelMatchesTableAtEveryLengthAndOffset) {
+  // Every length from 0 to 8200 bytes (two 4 kB blocks plus a tail that is
+  // not a whole word) at all eight start offsets of a word, each from a
+  // non-zero seed chained from the previous offset's result. The table
+  // reference grows one byte per length, using crc(ab) == crc(b, crc(a)).
+  if (!detail::crc32c_hw_available())
+    GTEST_SKIP() << "this host has no SSE4.2 CRC-32C kernel";
+  constexpr std::size_t kMaxLen = 8200;
+  std::vector<std::uint8_t> buf(kMaxLen + 8);
+  Rng rng(3720);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+
+  std::uint32_t seed = 0x9e3779b9u;
+  for (std::size_t start = 0; start < 8; ++start) {
+    std::uint32_t want = seed;
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      const std::span<const std::uint8_t> data(buf.data() + start, len);
+      ASSERT_EQ(detail::crc32c_hw(data, seed), want)
+          << "start " << start << ", length " << len << ", seed " << seed;
+      if (len < kMaxLen)
+        want = detail::crc32c_table({&buf[start + len], 1}, want);
+    }
+    seed = want;
+  }
 }
 
 TEST(Crc32c, ChainingMatchesOneShot) {

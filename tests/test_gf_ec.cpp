@@ -2,11 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <span>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "ec/reed_solomon.hpp"
 #include "gf/gf256.hpp"
+#include "gf/gf256_detail.hpp"
 #include "gf/matrix.hpp"
 
 namespace dk {
@@ -74,6 +78,51 @@ TEST(Gf256, RegionOpsMatchScalar) {
     expect[i] ^= gf::mul(c, src[i]);
   gf::mul_add_region(c, src, dst);
   EXPECT_EQ(dst, expect);
+}
+
+using RegionKernel = void (*)(std::uint8_t, std::span<const std::uint8_t>,
+                              std::span<std::uint8_t>);
+
+// Every region multiply-add kernel this host can run: the dispatching entry
+// point, the portable table kernel, and the SSSE3 kernel when the CPU has it.
+std::vector<std::pair<const char*, RegionKernel>> mul_add_kernels() {
+  std::vector<std::pair<const char*, RegionKernel>> out = {
+      {"dispatch", &gf::mul_add_region},
+      {"table", &gf::detail::mul_add_region_table}};
+  if (gf::detail::mul_add_region_simd_available())
+    out.emplace_back("ssse3", &gf::detail::mul_add_region_simd);
+  return out;
+}
+
+TEST(Gf256, MulAddRegionKernelsMatchScalarAtEveryLengthAndOffset) {
+  // Every coefficient, every length up to three 16-byte vectors plus a tail,
+  // and every start offset inside a vector, with src and dst misaligned
+  // differently, must match the scalar product byte for byte.
+  constexpr std::size_t kMaxLen = 56;
+  Rng rng(41);
+  std::vector<std::uint8_t> src(kMaxLen + 16), dst(kMaxLen + 16);
+  for (auto& b : src) b = static_cast<std::uint8_t>(rng.below(256));
+  for (auto& b : dst) b = static_cast<std::uint8_t>(rng.below(256));
+  std::vector<std::uint8_t> got, want;
+  for (const auto& [name, kernel] : mul_add_kernels()) {
+    SCOPED_TRACE(name);
+    for (unsigned c = 0; c < 256; ++c) {
+      const auto coef = static_cast<std::uint8_t>(c);
+      for (std::size_t off = 0; off < 16; ++off) {
+        const std::size_t dst_off = 15 - off;
+        for (std::size_t len = 0; len <= kMaxLen; ++len) {
+          got = dst;
+          want = dst;
+          for (std::size_t i = 0; i < len; ++i)
+            want[dst_off + i] ^= gf::mul(coef, src[off + i]);
+          kernel(coef, std::span(src).subspan(off, len),
+                 std::span(got).subspan(dst_off, len));
+          ASSERT_EQ(got, want)
+              << "c=" << c << " off=" << off << " len=" << len;
+        }
+      }
+    }
+  }
 }
 
 TEST(GfMatrix, IdentityMultiplication) {

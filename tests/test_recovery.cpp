@@ -2,7 +2,9 @@
 // execution of the backfill plan, and consistency verification.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 
 #include "common/crc32c.hpp"
 #include "common/pipeline_validator.hpp"
@@ -383,6 +385,41 @@ TEST_F(IntegrityFixture, EcPrimaryReadFallsBackOnCorruptPrimaryShard) {
   ASSERT_TRUE(r.ok()) << r.status().to_string();
   EXPECT_EQ(*r, data);
   EXPECT_EQ(validator_.verify_quiescent(), 0u);
+}
+
+TEST_F(IntegrityFixture, BackfillFromSourceCorruptedAfterPlanningStaysDetectable) {
+  // A push re-samples its source at apply time. A source block that rots
+  // after the copy was granted must land failing verify on the destination
+  // too, because its stored CRC travels with the bytes; a fresh CRC would
+  // hide it from every later scrub. One object of whole blocks, and one
+  // whose corrupt block is its partial tail.
+  const std::uint64_t partial_oid = 20;
+  client_->write(pool_, partial_oid, 0, pattern(6000, partial_oid),
+                 WriteStrategy::primary_copy, [](Status) {});
+  sim_.run();
+
+  const std::pair<std::uint64_t, std::uint64_t> cases[] = {
+      {5, kChecksumBlockBytes + 7}, {partial_oid, 5000}};
+  for (const auto& [oid, flip_at] : cases) {
+    const auto acting = cluster_->acting_set(pool_, oid);
+    const ObjectKey key{static_cast<std::uint32_t>(pool_), oid, -1};
+    int dest = 0;
+    while (std::find(acting.begin(), acting.end(), dest) != acting.end())
+      ++dest;
+    bool landed = false;
+    cluster_->backfill(acting[0], dest, key, [&](bool ok) { landed = ok; });
+    cluster_->osd(acting[0]).store().raw_bytes(key)[flip_at] ^= 0x40;
+    sim_.run();
+
+    ASSERT_TRUE(landed) << "oid " << oid;
+    const ObjectStore& copy = cluster_->osd(dest).store();
+    const std::uint64_t size = copy.object_size(key);
+    ASSERT_EQ(size, cluster_->osd(acting[0]).store().object_size(key));
+    EXPECT_TRUE(copy.verify(key, 0, kChecksumBlockBytes))
+        << "oid " << oid << ": the untouched first block keeps its CRC";
+    EXPECT_FALSE(copy.verify(key, 0, size))
+        << "oid " << oid << ": corrupt source bytes landed under a fresh CRC";
+  }
 }
 
 TEST(ObjectStoreIntegrity, WritesNeverLaunderCorruptBlocks) {
