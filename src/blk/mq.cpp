@@ -42,6 +42,9 @@ void MqBlockLayer::attach_metrics(MetricsRegistry& registry,
 Status MqBlockLayer::submit(unsigned cpu, Request request) {
   if (request.len == 0 && request.op != ReqOp::flush)
     return Status::Error(Errc::invalid_argument, "zero-length bio");
+  if (!request.data.empty() && request.data.size() != request.len)
+    return Status::Error(Errc::invalid_argument,
+                         "payload view differs from bio length");
   const unsigned hwq = hw_queue_of_cpu(cpu);
   request.hw_queue = hwq;
   ++stats_.submitted;
@@ -75,7 +78,8 @@ Status MqBlockLayer::submit(unsigned cpu, Request request) {
       Request frag = request;
       frag.offset = off;
       frag.len = chunk;
-      frag.addr = request.addr + (off - request.offset);
+      if (!request.data.empty())
+        frag.data = request.data.subspan(off - request.offset, chunk);
       frag.complete = [state, chunk](std::int32_t res) {
         if (res < 0 && state->first_error == 0) state->first_error = res;
         if (res >= 0) state->total += chunk;
@@ -107,7 +111,7 @@ Status MqBlockLayer::submit(unsigned cpu, Request request) {
   }
 
   // Elevator path: try to merge into a queued request first.
-  if (config_.merge && try_merge(hwq, request)) {
+  if (try_merge(hwq, request)) {
     ++stats_.merges;
     if (metrics_.merges) metrics_.merges->inc();
     return Status::Ok();
@@ -120,12 +124,17 @@ Status MqBlockLayer::submit(unsigned cpu, Request request) {
 
 bool MqBlockLayer::try_merge(unsigned hwq, Request& request) {
   // Back-merge only (the common sequential-I/O case): the new bio starts
-  // exactly where a queued request of the same op ends, and the combined
-  // size respects the device limit.
+  // exactly where a queued request of the same op ends, on the device and
+  // in the payload buffer, and the combined size respects the device limit.
   for (auto& queued : pending_[hwq]) {
     if (queued.op != request.op) continue;
     if (queued.offset + queued.len != request.offset) continue;
     if (queued.len + request.len > config_.max_io_bytes) continue;
+    const bool payload_continues =
+        queued.data.empty()
+            ? request.data.empty()
+            : queued.data.data() + queued.len == request.data.data();
+    if (!payload_continues) continue;
     // Chain completions: each original bio is acked with its own length.
     auto prev = std::move(queued.complete);
     auto mine = std::move(request.complete);
@@ -142,6 +151,7 @@ bool MqBlockLayer::try_merge(unsigned hwq, Request& request) {
       }
     };
     queued.len += request.len;
+    if (!queued.data.empty()) queued.data = {queued.data.data(), queued.len};
     return true;
   }
   return false;

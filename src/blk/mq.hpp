@@ -12,12 +12,16 @@
 //     because per-core pinning already guarantees locality and ordering.
 //
 // Oversized requests are split to the device limit; adjacent requests merge
-// (scheduler mode only); tags exhaust and re-pump on completion.
+// (scheduler mode only); tags exhaust and re-pump on completion. Like a Linux
+// bio, a request carries a view of its payload: a split fragment views its
+// slice of the parent's buffer, and a merge happens only where the buffers
+// continue each other, so the driver always sees one contiguous view.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -35,7 +39,9 @@ struct Request {
   ReqOp op = ReqOp::read;
   std::uint64_t offset = 0;   // bytes
   std::uint32_t len = 0;      // bytes
-  std::uint64_t addr = 0;     // data buffer address (opaque)
+  // Payload: exactly `len` bytes of the submitter's buffer, or empty for
+  // timing-only submitters. Must outlive the completion.
+  std::span<std::uint8_t> data;
   std::uint64_t user_data = 0;
   unsigned tag = ~0u;         // assigned at dispatch
   unsigned hw_queue = 0;      // assigned at submission
@@ -54,12 +60,10 @@ class Driver {
 };
 
 struct MqConfig {
-  unsigned nr_cpus = 3;
   unsigned nr_hw_queues = 3;
   unsigned queue_depth = 256;      // tags per hardware queue
   std::uint32_t max_io_bytes = 512 * 1024;  // device transfer limit
-  bool bypass_scheduler = true;    // DeLiBA-K DMQ mode
-  bool merge = true;               // elevator merging (scheduler mode only)
+  bool bypass_scheduler = true;    // DeLiBA-K DMQ mode; else the elevator
 };
 
 struct MqStats {

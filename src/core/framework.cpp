@@ -1,5 +1,7 @@
 #include "core/framework.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "common/crc32c.hpp"
 
@@ -20,7 +22,7 @@ class Framework::RingBackend final : public uring::Backend {
     DK_CHECK(it != fw_.inflight_.end())
         << "SQE for unknown I/O token " << sqe.user_data;
     it->second.ring_complete = std::move(complete);
-    fw_.start_io(sqe.user_data);
+    fw_.start_io(it);
   }
 
  private:
@@ -98,7 +100,6 @@ Framework::Framework(sim::Simulator& sim, FrameworkConfig config)
   }
 
   blk::MqConfig mqc;
-  mqc.nr_cpus = stations;
   mqc.nr_hw_queues = stations;
   mqc.bypass_scheduler =
       config_.dmq_bypass_override.value_or(traits_.dmq_bypass);
@@ -115,15 +116,6 @@ Framework::Framework(sim::Simulator& sim, FrameworkConfig config)
         *fpga_, uc,
         [this](const blk::Request& r, std::function<void(std::int32_t)> done) {
           run_remote(r, std::move(done));
-        });
-    // The QDMA model is timing-only until the driver can name the live
-    // payload buffer; with this hook an armed DmaCorruptionWindow flips
-    // real bytes in flight.
-    uifd_->set_payload_source(
-        [this](std::uint64_t user_data) -> std::span<std::uint8_t> {
-          auto it = inflight_.find(user_data);
-          if (it == inflight_.end()) return {};
-          return {it->second.data.data(), it->second.data.size()};
         });
     mq_ = std::make_unique<blk::MqBlockLayer>(mqc, *uifd_);
   } else {
@@ -332,211 +324,191 @@ Nanos Framework::fpga_stage_latency(bool is_write, std::uint64_t bytes) {
 
 void Framework::write(unsigned job, std::uint64_t offset,
                       std::vector<std::uint8_t> data, WriteDoneFn cb) {
-  if (config_.pool_mode == PoolMode::erasure && !traits_.supports_ec) {
-    cb(-static_cast<std::int32_t>(Errc::unsupported));
-    return;
-  }
-  const std::uint64_t token = next_token_++;
-  IoCtx& ctx = inflight_[token];
-  ctx.is_read = false;
+  IoCtx ctx;
   ctx.job = job;
   ctx.offset = offset;
-  ctx.length = data.size();
   ctx.data = std::move(data);
   ctx.wcb = std::move(cb);
-  // Checksum the payload at the API boundary: everything between here and
-  // the RADOS submit (including the H2C DMA) is covered.
-  if (config_.integrity) ctx.dma_checksums = block_checksums(ctx.data);
-  ctx.trace.mark(Stage::submit, sim_.now());
-  ++stats_.writes;
-  stats_.bytes_written += ctx.length;
-  m_writes_->inc();
-  m_bytes_written_->inc(ctx.length);
-  m_inflight_->add();
-  validator_.on_io_started(token);
-
-  if (traits_.uses_uring) {
-    uring::IoUring& ring =
-        urings_->ring(job % urings_->size());
-    const Status s = ring.prep_write(
-        0, token, static_cast<std::uint32_t>(ctx.length), offset, token);
-    if (!s.ok()) {
-      auto wcb = std::move(ctx.wcb);
-      inflight_.erase(token);
-      validator_.on_io_resolved(token);
-      m_inflight_->sub();
-      m_errors_->inc();
-      wcb(-static_cast<std::int32_t>(s.code()));
-      return;
-    }
-    if (config_.ring_mode == uring::RingMode::kernel_polled)
-      ring.kernel_poll();
-    else
-      ring.enter();
-  } else {
-    start_io(token);
-  }
+  submit(std::move(ctx));
 }
 
 void Framework::read(unsigned job, std::uint64_t offset, std::uint64_t length,
                      ReadDoneFn cb) {
-  if (config_.pool_mode == PoolMode::erasure && !traits_.supports_ec) {
-    cb(Status::Error(Errc::unsupported, "DeLiBA-1 has no EC accelerators"));
-    return;
-  }
-  const std::uint64_t token = next_token_++;
-  IoCtx& ctx = inflight_[token];
+  IoCtx ctx;
   ctx.is_read = true;
   ctx.job = job;
   ctx.offset = offset;
-  ctx.length = length;
+  ctx.data.resize(length);  // the destination; fragments fill their slices
   ctx.rcb = std::move(cb);
-  ctx.trace.mark(Stage::submit, sim_.now());
-  ++stats_.reads;
-  stats_.bytes_read += length;
-  m_reads_->inc();
-  m_bytes_read_->inc(length);
+  submit(std::move(ctx));
+}
+
+void Framework::submit(IoCtx ctx) {
+  if (config_.pool_mode == PoolMode::erasure && !traits_.supports_ec) {
+    ctx.read_error =
+        Status::Error(Errc::unsupported, "DeLiBA-1 has no EC accelerators");
+    deliver(ctx, -static_cast<std::int32_t>(Errc::unsupported));
+    return;
+  }
+  const std::uint64_t bytes = ctx.data.size();
+  if (ctx.is_read) {
+    ++stats_.reads;
+    stats_.bytes_read += bytes;
+    m_reads_->inc();
+    m_bytes_read_->inc(bytes);
+    if (config_.integrity)
+      ctx.dma_checksums.resize((bytes + kChecksumBlockBytes - 1) /
+                               kChecksumBlockBytes);
+  } else {
+    ++stats_.writes;
+    stats_.bytes_written += bytes;
+    m_writes_->inc();
+    m_bytes_written_->inc(bytes);
+    // Checksum the payload at the API boundary: everything between here and
+    // the RADOS submit (including the H2C DMA) is covered.
+    if (config_.integrity) ctx.dma_checksums = block_checksums(ctx.data);
+  }
+
+  const std::uint64_t token = next_token_++;
+  const IoIt io = inflight_.emplace(token, std::move(ctx)).first;
+  IoCtx& c = io->second;
+  c.trace.mark(Stage::submit, sim_.now());
   m_inflight_->add();
   validator_.on_io_started(token);
-
-  if (traits_.uses_uring) {
-    uring::IoUring& ring = urings_->ring(job % urings_->size());
-    const Status s = ring.prep_read(
-        0, token, static_cast<std::uint32_t>(length), offset, token);
-    if (!s.ok()) {
-      auto rcb = std::move(ctx.rcb);
-      inflight_.erase(token);
-      validator_.on_io_resolved(token);
-      m_inflight_->sub();
-      m_errors_->inc();
-      rcb(Status::Error(s.code(), "submission queue full"));
-      return;
-    }
-    if (config_.ring_mode == uring::RingMode::kernel_polled)
-      ring.kernel_poll();
-    else
-      ring.enter();
-  } else {
-    start_io(token);
+  if (!traits_.uses_uring) {
+    start_io(io);
+    return;
   }
+
+  uring::IoUring& ring = urings_->ring(c.job % urings_->size());
+  const auto len = static_cast<std::uint32_t>(bytes);
+  const Status s = c.is_read ? ring.prep_read(0, token, len, c.offset, token)
+                             : ring.prep_write(0, token, len, c.offset, token);
+  if (!s.ok()) {
+    IoCtx rejected = retire(io);
+    m_errors_->inc();
+    rejected.read_error = Status::Error(s.code(), "submission queue full");
+    deliver(rejected, -static_cast<std::int32_t>(s.code()));
+    return;
+  }
+  if (config_.ring_mode == uring::RingMode::kernel_polled)
+    ring.kernel_poll();
+  else
+    ring.enter();
 }
 
-void Framework::mark_stage(std::uint64_t token, Stage stage) {
-  auto it = inflight_.find(token);
-  if (it != inflight_.end()) it->second.trace.mark(stage, sim_.now());
-}
-
-void Framework::start_io(std::uint64_t token) {
-  auto it = inflight_.find(token);
-  DK_CHECK(it != inflight_.end()) << "start_io on unknown token " << token;
-  IoCtx& ctx = it->second;
+void Framework::start_io(IoIt io) {
+  IoCtx& ctx = io->second;
   // The SQE has been consumed (by the SQ-poll kthread or io_uring_enter)
   // and the request is being handed to the host submission path.
   ctx.trace.mark(Stage::sq_dispatch, sim_.now());
   sim::FifoServer& worker = *workers_[ctx.job % workers_.size()];
-  const Nanos submit = host_submit_cost(!ctx.is_read, ctx.length);
-  worker.submit(submit, [this, token] { enter_block_layer(token); });
-  const Nanos extra = host_occupancy_extra(ctx.length);
+  const Nanos submit = host_submit_cost(!ctx.is_read, ctx.data.size());
+  worker.submit(submit, [this, io] { enter_block_layer(io); });
+  const Nanos extra = host_occupancy_extra(ctx.data.size());
   if (extra > 0) worker.submit(extra, nullptr);
 }
 
-void Framework::enter_block_layer(std::uint64_t token) {
-  auto it = inflight_.find(token);
-  DK_CHECK(it != inflight_.end())
-      << "block-layer entry on unknown token " << token;
-  IoCtx& ctx = it->second;
+void Framework::enter_block_layer(IoIt io) {
+  IoCtx& ctx = io->second;
   ctx.trace.mark(Stage::blk_enter, sim_.now());
 
   blk::Request req;
   req.op = ctx.is_read ? blk::ReqOp::read : blk::ReqOp::write;
   req.offset = ctx.offset;
-  req.len = static_cast<std::uint32_t>(ctx.length);
-  req.addr = token;
-  req.user_data = token;
-  req.complete = [this, token](std::int32_t res) {
-    auto cit = inflight_.find(token);
-    if (cit == inflight_.end()) return;
-    IoCtx& c = cit->second;
+  req.len = static_cast<std::uint32_t>(ctx.data.size());
+  req.data = ctx.data;
+  req.user_data = io->first;
+  req.complete = [this, io](std::int32_t res) {
+    IoCtx& c = io->second;
     // The remote side (OSDs / cluster) has answered; only host-side
-    // completion processing remains. First-mark-wins keeps this correct
-    // when the block layer split the bio into several fragments.
+    // completion processing remains. The block layer completes a split bio
+    // once, after its last fragment.
     c.trace.mark(Stage::remote_complete, sim_.now());
     sim::FifoServer& worker =
         *completion_workers_[c.job % completion_workers_.size()];
-    const Nanos complete_cost = host_complete_cost(!c.is_read, c.length);
-    worker.submit(complete_cost, [this, token, res] { finish_io(token, res); });
+    const Nanos complete_cost = host_complete_cost(!c.is_read, c.data.size());
+    worker.submit(complete_cost, [this, io, res] { finish_io(io, res); });
   };
   const Status s = mq_->submit(ctx.job % workers_.size(), std::move(req));
-  if (!s.ok()) finish_io(token, -static_cast<std::int32_t>(s.code()));
+  if (!s.ok()) finish_io(io, -static_cast<std::int32_t>(s.code()));
 }
 
 void Framework::run_remote(const blk::Request& request,
                            std::function<void(std::int32_t)> done) {
-  const std::uint64_t token = request.user_data;
-  const bool is_read = request.op == blk::ReqOp::read;
-  mark_stage(token, Stage::driver_dispatch);
-  const Nanos f = fpga_stage_latency(!is_read, request.len);
+  const IoIt io = inflight_.find(request.user_data);
+  DK_CHECK(io != inflight_.end())
+      << "driver dispatch for unknown I/O token " << request.user_data;
+  io->second.trace.mark(Stage::driver_dispatch, sim_.now());
+  const Nanos f = fpga_stage_latency(!io->second.is_read, request.len);
 
-  sim_.schedule_after(f, [this, token, is_read,
+  // Serve exactly this fragment: its offset, its payload view, and its slice
+  // of the checksum cover. Fragments start on checksum-block boundaries
+  // (the split size is a multiple of kChecksumBlockBytes).
+  sim_.schedule_after(f, [this, io, offset = request.offset,
+                          data = request.data,
                           done = std::move(done)]() mutable {
-    auto it = inflight_.find(token);
-    if (it == inflight_.end()) {
-      done(-static_cast<std::int32_t>(Errc::not_found));
-      return;
-    }
-    IoCtx& ctx = it->second;
+    IoCtx& ctx = io->second;
     ctx.trace.mark(Stage::rados_issue, sim_.now());
-    if (!is_read) {
-      if (config_.integrity && block_checksums(ctx.data) != ctx.dma_checksums) {
+    std::span<std::uint32_t> cover;
+    if (config_.integrity)
+      cover = std::span(ctx.dma_checksums)
+                  .subspan((offset - ctx.offset) / kChecksumBlockBytes,
+                           (data.size() + kChecksumBlockBytes - 1) /
+                               kChecksumBlockBytes);
+    if (!ctx.is_read) {
+      if (config_.integrity &&
+          !std::ranges::equal(block_checksums(data), cover)) {
         // The H2C DMA corrupted the payload in flight: fail the write
         // before the bad bytes reach the cluster. Not retryable through the
         // RADOS layer — the buffer itself is wrong.
-        ctx.corruption_detected = true;
-        validator_.on_corruption_detected();
-        if (m_checksum_failures_) m_checksum_failures_->inc();
+        note_corruption(ctx);
         done(-static_cast<std::int32_t>(Errc::corrupted));
         return;
       }
-      image_->aio_write(ctx.offset, std::move(ctx.data), write_strategy(),
-                        std::move(done));
-    } else {
-      image_->aio_read(
-          ctx.offset, ctx.length, read_strategy(),
-          [this, token, done = std::move(done)](
-              Result<std::vector<std::uint8_t>> r) {
-            auto rit = inflight_.find(token);
-            if (rit == inflight_.end()) return;
-            if (r.ok()) {
-              rit->second.data = std::move(*r);
-              // Cover the delivered bytes across the C2H DMA hop;
-              // finish_io() re-verifies on the host side.
-              if (config_.integrity)
-                rit->second.dma_checksums =
-                    block_checksums(rit->second.data);
-              done(static_cast<std::int32_t>(rit->second.data.size()));
-            } else {
-              rit->second.read_error = r.status();
-              done(-static_cast<std::int32_t>(r.status().code()));
-            }
-          });
+      image_->aio_write(offset, data, write_strategy(), std::move(done));
+      return;
     }
+    image_->aio_read(
+        offset, data, read_strategy(),
+        [this, io, cover, data, done = std::move(done)](Status s) {
+          if (!s.ok()) {
+            Status& first = io->second.read_error;
+            if (first.ok()) first = s;
+            done(-static_cast<std::int32_t>(s.code()));
+            return;
+          }
+          // Cover the delivered bytes across the C2H DMA hop; finish_io()
+          // re-verifies on the host side.
+          if (config_.integrity)
+            std::ranges::copy(block_checksums(data), cover.begin());
+          done(static_cast<std::int32_t>(data.size()));
+        });
   });
 }
 
-void Framework::finish_io(std::uint64_t token, std::int32_t res) {
-  auto it = inflight_.find(token);
-  DK_CHECK(it != inflight_.end()) << "finish_io on unknown token " << token;
-  IoCtx ctx = std::move(it->second);
-  inflight_.erase(it);
-  validator_.on_io_resolved(token);
+void Framework::note_corruption(IoCtx& ctx) {
+  if (m_checksum_failures_) m_checksum_failures_->inc();
+  if (ctx.corruption_detected) return;
+  ctx.corruption_detected = true;
+  validator_.on_corruption_detected();
+}
 
+Framework::IoCtx Framework::retire(IoIt io) {
+  validator_.on_io_resolved(io->first);
+  m_inflight_->sub();
+  IoCtx ctx = std::move(io->second);
+  inflight_.erase(io);
+  return ctx;
+}
+
+void Framework::finish_io(IoIt io, std::int32_t res) {
+  IoCtx ctx = retire(io);
   if (config_.integrity && ctx.is_read && res >= 0 &&
       block_checksums(ctx.data) != ctx.dma_checksums) {
     // The C2H DMA corrupted the payload after the cluster verified it:
     // surface Errc::corrupted rather than hand wrong bytes to the caller.
-    ctx.corruption_detected = true;
-    validator_.on_corruption_detected();
-    if (m_checksum_failures_) m_checksum_failures_->inc();
+    note_corruption(ctx);
     ctx.read_error =
         Status::Error(Errc::corrupted, "payload corrupted in C2H DMA");
     res = -static_cast<std::int32_t>(Errc::corrupted);
@@ -548,7 +520,6 @@ void Framework::finish_io(std::uint64_t token, std::int32_t res) {
   last_trace_ = ctx.trace;
   m_completions_->inc();
   if (res < 0) m_errors_->inc();
-  m_inflight_->sub();
   // However the op ended, a corruption this layer detected is now resolved:
   // the caller got an error, never the wrong bytes.
   if (ctx.corruption_detected) validator_.on_corruption_resolved();
@@ -560,16 +531,17 @@ void Framework::finish_io(std::uint64_t token, std::int32_t res) {
     urings_->ring(ctx.job % urings_->size()).peek_cqes({&cqe, 1});
   }
 
-  if (ctx.is_read) {
-    if (res < 0) {
-      ctx.rcb(ctx.read_error.ok()
-                  ? Status::Error(Errc::io_error, "read failed")
-                  : ctx.read_error);
-    } else {
-      ctx.rcb(std::move(ctx.data));
-    }
-  } else {
+  deliver(ctx, res);
+}
+
+void Framework::deliver(IoCtx& ctx, std::int32_t res) {
+  if (!ctx.is_read) {
     ctx.wcb(res);
+  } else if (res >= 0) {
+    ctx.rcb(std::move(ctx.data));
+  } else {
+    ctx.rcb(ctx.read_error.ok() ? Status::Error(Errc::io_error, "read failed")
+                                : ctx.read_error);
   }
 }
 

@@ -184,30 +184,38 @@ class Framework {
     bool is_read = false;
     unsigned job = 0;
     std::uint64_t offset = 0;
-    std::uint64_t length = 0;
-    std::vector<std::uint8_t> data;       // write payload / read result
-    // Integrity mode: checksum cover for the payload's QDMA hop. Writes
-    // checksum at submit and verify after H2C; reads checksum at RADOS
-    // delivery and verify after C2H.
+    // The write's bytes, or the read's destination (allocated at submit).
+    // The block request views it; split fragments view slices of it.
+    std::vector<std::uint8_t> data;
+    // Integrity mode: per-4 kB checksum cover for the payload's QDMA hop,
+    // one entry per block of `data`. Writes checksum at submit and each
+    // fragment verifies its slice after H2C; each read fragment fills its
+    // slice at RADOS delivery and the whole is verified after C2H.
     std::vector<std::uint32_t> dma_checksums;
-    bool corruption_detected = false;
+    bool corruption_detected = false;  // counted once per I/O
     WriteDoneFn wcb;
     ReadDoneFn rcb;
     Status read_error;
     std::function<void(std::int32_t)> ring_complete;  // posts the CQE
     StageTrace trace;                                 // per-stage timestamps
   };
+  // Map nodes never move, so callbacks hold the iterator until finish_io()
+  // erases it; only the SQE and the driver dispatch look a token up.
+  using IoIt = std::map<std::uint64_t, IoCtx>::iterator;
 
   class PipelineDriver;  // blk::Driver adapter continuing into FPGA/cluster
 
-  void start_io(std::uint64_t token);
-  void enter_block_layer(std::uint64_t token);
-  void mark_stage(std::uint64_t token, Stage stage);
+  void submit(IoCtx ctx);
+  void start_io(IoIt io);
+  void enter_block_layer(IoIt io);
   void wire_metrics();
   void wire_validator();
   void run_remote(const blk::Request& request,
                   std::function<void(std::int32_t)> done);
-  void finish_io(std::uint64_t token, std::int32_t res);
+  void note_corruption(IoCtx& ctx);
+  IoCtx retire(IoIt io);
+  void finish_io(IoIt io, std::int32_t res);
+  static void deliver(IoCtx& ctx, std::int32_t res);
   Nanos fpga_stage_latency(bool is_write, std::uint64_t bytes);
   Nanos sw_crush_time() const;
 

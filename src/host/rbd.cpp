@@ -34,7 +34,8 @@ std::vector<RbdDevice::Extent> RbdDevice::extents(std::uint64_t offset,
   return out;
 }
 
-void RbdDevice::aio_write(std::uint64_t offset, std::vector<std::uint8_t> data,
+void RbdDevice::aio_write(std::uint64_t offset,
+                          std::span<const std::uint8_t> data,
                           rados::WriteStrategy strategy,
                           std::function<void(std::int32_t)> cb) {
   if (offset + data.size() > spec_.size_bytes) {
@@ -64,13 +65,11 @@ void RbdDevice::aio_write(std::uint64_t offset, std::vector<std::uint8_t> data,
 
   std::uint64_t consumed = 0;
   for (const Extent& e : exts) {
-    std::vector<std::uint8_t> part(
-        data.begin() + static_cast<std::ptrdiff_t>(consumed),
-        data.begin() + static_cast<std::ptrdiff_t>(consumed + e.len));
+    const auto part = data.subspan(consumed, e.len);
     consumed += e.len;
     const auto len = static_cast<std::int32_t>(e.len);
-    client_.write(spec_.pool, e.oid, e.obj_off, std::move(part), strategy,
-                  [state, len](Status s) {
+    client_.write(spec_.pool, e.oid, e.obj_off, {part.begin(), part.end()},
+                  strategy, [state, len](Status s) {
                     if (!s.ok()) {
                       if (state->first_error == 0)
                         state->first_error =
@@ -85,55 +84,66 @@ void RbdDevice::aio_write(std::uint64_t offset, std::vector<std::uint8_t> data,
   }
 }
 
-void RbdDevice::aio_read(
-    std::uint64_t offset, std::uint64_t length, rados::ReadStrategy strategy,
-    std::function<void(Result<std::vector<std::uint8_t>>)> cb) {
-  if (offset + length > spec_.size_bytes) {
-    cb(Status::Error(Errc::out_of_range, "read beyond image end"));
+void RbdDevice::aio_read(std::uint64_t offset, std::span<std::uint8_t> dst,
+                         rados::ReadStrategy strategy,
+                         std::function<void(Status)> done) {
+  if (offset + dst.size() > spec_.size_bytes) {
+    done(Status::Error(Errc::out_of_range, "read beyond image end"));
     return;
   }
   ++stats_.reads;
-  stats_.bytes_read += length;
-  auto exts = extents(offset, length);
+  stats_.bytes_read += dst.size();
+  auto exts = extents(offset, dst.size());
   DK_CHECK(!exts.empty());
   stats_.object_ops += exts.size();
   if (metrics_.reads) {
     metrics_.reads->inc();
-    metrics_.bytes_read->inc(length);
+    metrics_.bytes_read->inc(dst.size());
     metrics_.object_ops->inc(exts.size());
   }
 
   struct State {
     unsigned remaining;
-    std::vector<std::vector<std::uint8_t>> parts;
     Status first_error;
-    std::function<void(Result<std::vector<std::uint8_t>>)> cb;
+    std::function<void(Status)> done;
   };
   auto state = std::make_shared<State>();
   state->remaining = static_cast<unsigned>(exts.size());
-  state->parts.resize(exts.size());
-  state->cb = std::move(cb);
+  state->done = std::move(done);
 
-  for (std::size_t i = 0; i < exts.size(); ++i) {
-    const Extent& e = exts[i];
+  std::uint64_t consumed = 0;
+  for (const Extent& e : exts) {
+    const auto part = dst.subspan(consumed, e.len);
+    consumed += e.len;
     client_.read(spec_.pool, e.oid, e.obj_off, e.len, strategy,
-                 [state, i](Result<std::vector<std::uint8_t>> r) {
-                   if (r.ok())
-                     state->parts[i] = std::move(*r);
-                   else if (state->first_error.ok())
+                 [state, part](Result<std::vector<std::uint8_t>> r) {
+                   if (r.ok()) {
+                     DK_CHECK(r->size() == part.size());
+                     std::copy_n(r->begin(), std::min(r->size(), part.size()),
+                                 part.begin());
+                   } else if (state->first_error.ok()) {
                      state->first_error = r.status();
-                   if (--state->remaining == 0) {
-                     if (!state->first_error.ok()) {
-                       state->cb(state->first_error);
-                       return;
-                     }
-                     std::vector<std::uint8_t> all;
-                     for (auto& p : state->parts)
-                       all.insert(all.end(), p.begin(), p.end());
-                     state->cb(std::move(all));
                    }
+                   if (--state->remaining == 0)
+                     state->done(state->first_error);
                  });
   }
+}
+
+void RbdDevice::aio_read(
+    std::uint64_t offset, std::uint64_t length, rados::ReadStrategy strategy,
+    std::function<void(Result<std::vector<std::uint8_t>>)> cb) {
+  // The vector moves into the completion; its storage, which `dst` views,
+  // stays where it is.
+  std::vector<std::uint8_t> buf(length);
+  const std::span<std::uint8_t> dst(buf);
+  aio_read(offset, dst, strategy,
+           [buf = std::move(buf), cb = std::move(cb)](Status s) mutable {
+             if (s.ok())
+               cb(std::move(buf));
+             else
+               cb(std::move(s));
+           });
 }
 
 }  // namespace dk::host

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,12 +41,18 @@ class RbdDevice {
   const RbdImageSpec& spec() const { return spec_; }
   const RbdStats& stats() const { return stats_; }
 
-  /// Asynchronous block write; completion carries bytes written or error.
-  void aio_write(std::uint64_t offset, std::vector<std::uint8_t> data,
+  /// Asynchronous block write of `data`, copied before this returns;
+  /// completion carries bytes written or error.
+  void aio_write(std::uint64_t offset, std::span<const std::uint8_t> data,
                  rados::WriteStrategy strategy,
                  std::function<void(std::int32_t)> cb);
 
-  /// Asynchronous block read.
+  /// Asynchronous block read of `dst.size()` bytes straight into `dst`,
+  /// which must outlive the completion.
+  void aio_read(std::uint64_t offset, std::span<std::uint8_t> dst,
+                rados::ReadStrategy strategy, std::function<void(Status)> done);
+
+  /// Asynchronous block read into a buffer of its own.
   void aio_read(std::uint64_t offset, std::uint64_t length,
                 rados::ReadStrategy strategy,
                 std::function<void(Result<std::vector<std::uint8_t>>)> cb);

@@ -82,8 +82,8 @@ void UifdDriver::queue_rq(blk::Request request) {
     }
     // Host-to-card payload DMA (re-driven on injected DMA errors), then the
     // storage-side pipeline.
-    dma_with_retry(qs, req->len, /*h2c_dir=*/true, payload_for(req->user_data),
-                   0, [this, req](Status s) {
+    dma_with_retry(qs, req->len, /*h2c_dir=*/true, req->data, 0,
+                   [this, req](Status s) {
       if (!s.ok()) {
         ++stats_.errors;
         req->complete(-static_cast<std::int32_t>(s.code()));
@@ -108,8 +108,7 @@ void UifdDriver::queue_rq(blk::Request request) {
     }
     stats_.c2h_bytes += req->len;
     if (metrics_.c2h_bytes) metrics_.c2h_bytes->inc(req->len);
-    dma_with_retry(qs, req->len, /*h2c_dir=*/false,
-                   payload_for(req->user_data), 0,
+    dma_with_retry(qs, req->len, /*h2c_dir=*/false, req->data, 0,
                    [this, req, res](Status s) {
                      if (!s.ok()) {
                        ++stats_.errors;

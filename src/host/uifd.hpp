@@ -4,7 +4,9 @@
 // request it allocates work on the QDMA engine (H2C DMA for write payloads,
 // C2H DMA for read payloads), then hands the storage-side execution to a
 // pluggable remote-I/O functor (the FPGA's CRUSH/EC accelerators + TCP/IP
-// offload + cluster, wired up by the framework in src/core).
+// offload + cluster, wired up by the framework in src/core). The DMA moves
+// the request's own payload view, so an armed DmaCorruptionWindow flips real
+// bytes in flight; a request without a view keeps the QDMA timing-only.
 //
 // One QDMA queue set is allocated per hardware queue, classed replication
 // or erasure-coding; each io_uring instance's CPU maps to one hardware
@@ -45,11 +47,6 @@ struct UifdStats {
 using RemoteIoFn =
     std::function<void(const blk::Request&, std::function<void(std::int32_t)>)>;
 
-/// Maps a request's user_data to its live payload buffer so the QDMA
-/// transfer moves (and may corrupt) the real bytes. Empty span = no buffer.
-using PayloadSourceFn =
-    std::function<std::span<std::uint8_t>(std::uint64_t user_data)>;
-
 class UifdDriver final : public blk::Driver {
  public:
   UifdDriver(fpga::FpgaDevice& device, UifdConfig config, RemoteIoFn remote);
@@ -61,14 +58,6 @@ class UifdDriver final : public blk::Driver {
   /// blk::Driver: writes DMA host->card first, then run remotely; reads run
   /// remotely first, then DMA card->host.
   void queue_rq(blk::Request request) override;
-
-  /// Wire the payload buffers into the DMA path. Without this hook the QDMA
-  /// model stays timing-only (descriptors carry no data), exactly as before;
-  /// with it, integrity-armed stacks expose the bytes a DmaCorruptionWindow
-  /// flips in flight.
-  void set_payload_source(PayloadSourceFn fn) {
-    payload_source_ = std::move(fn);
-  }
 
   /// Publish driver activity under "<prefix>." (writes/reads/h2c_bytes/
   /// c2h_bytes/errors counters plus an in-flight gauge).
@@ -87,15 +76,9 @@ class UifdDriver final : public blk::Driver {
                       std::span<std::uint8_t> payload, unsigned attempt,
                       std::function<void(Status)> done);
 
-  std::span<std::uint8_t> payload_for(std::uint64_t user_data) const {
-    return payload_source_ ? payload_source_(user_data)
-                           : std::span<std::uint8_t>{};
-  }
-
   fpga::FpgaDevice& device_;
   UifdConfig config_;
   RemoteIoFn remote_;
-  PayloadSourceFn payload_source_;
   std::vector<unsigned> queue_sets_;
   UifdStats stats_;
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "blk/mq.hpp"
@@ -41,11 +42,13 @@ class FakeDriver final : public Driver {
 };
 
 Request make_req(ReqOp op, std::uint64_t off, std::uint32_t len,
-                 std::vector<std::int32_t>* results) {
+                 std::vector<std::int32_t>* results,
+                 std::span<std::uint8_t> data = {}) {
   Request r;
   r.op = op;
   r.offset = off;
   r.len = len;
+  r.data = data;
   if (results) r.complete = [results](std::int32_t res) { results->push_back(res); };
   else r.complete = [](std::int32_t) {};
   return r;
@@ -64,7 +67,7 @@ TEST(MqBlockLayer, SubmitDispatchComplete) {
 
 TEST(MqBlockLayer, CpuToHwQueueMapping) {
   FakeDriver drv;
-  MqBlockLayer mq({.nr_cpus = 6, .nr_hw_queues = 3}, drv);
+  MqBlockLayer mq({.nr_hw_queues = 3}, drv);
   EXPECT_EQ(mq.hw_queue_of_cpu(0), 0u);
   EXPECT_EQ(mq.hw_queue_of_cpu(1), 1u);
   EXPECT_EQ(mq.hw_queue_of_cpu(2), 2u);
@@ -102,11 +105,16 @@ TEST(MqBlockLayer, OversizedRequestIsSplitAndCompletesOnce) {
 TEST(MqBlockLayer, SplitFragmentsCoverDistinctRanges) {
   FakeDriver drv;
   MqBlockLayer mq({.max_io_bytes = 4096}, drv);
-  ASSERT_TRUE(mq.submit(0, make_req(ReqOp::read, 0, 3 * 4096, nullptr)).ok());
+  std::vector<std::uint8_t> buf(3 * 4096);
+  ASSERT_TRUE(
+      mq.submit(0, make_req(ReqOp::read, 0, 3 * 4096, nullptr, buf)).ok());
   ASSERT_EQ(drv.held(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(drv.at(i).offset, i * 4096);
     EXPECT_EQ(drv.at(i).len, 4096u);
+    EXPECT_EQ(drv.at(i).data.data(), buf.data() + i * 4096)
+        << "each fragment views its own slice of the payload";
+    EXPECT_EQ(drv.at(i).data.size(), 4096u);
   }
 }
 
@@ -114,7 +122,7 @@ TEST(MqBlockLayer, SchedulerMergesSequentialBios) {
   FakeDriver drv;
   // queue_depth 1 so the second/third bios wait in the elevator and merge.
   MqBlockLayer mq({.nr_hw_queues = 1, .queue_depth = 1,
-                   .bypass_scheduler = false, .merge = true},
+                   .bypass_scheduler = false},
                   drv);
   std::vector<std::int32_t> results;
   ASSERT_TRUE(mq.submit(0, make_req(ReqOp::write, 0, 4096, &results)).ok());
@@ -134,10 +142,64 @@ TEST(MqBlockLayer, SchedulerMergesSequentialBios) {
   for (std::int32_t r : results) EXPECT_EQ(r, 4096);
 }
 
+TEST(MqBlockLayer, MergedBiosOverOneBufferReachTheDriverAsOneView) {
+  FakeDriver drv;
+  MqBlockLayer mq({.nr_hw_queues = 1, .queue_depth = 1,
+                   .bypass_scheduler = false},
+                  drv);
+  std::vector<std::uint8_t> buf(2 * 4096);
+  const std::span<std::uint8_t> view(buf);
+  std::vector<std::int32_t> results;
+  ASSERT_TRUE(mq.submit(0, make_req(ReqOp::write, 0, 4096, &results)).ok());
+  ASSERT_TRUE(mq.submit(0, make_req(ReqOp::write, 4096, 4096, &results,
+                                    view.first(4096)))
+                  .ok());
+  ASSERT_TRUE(mq.submit(0, make_req(ReqOp::write, 8192, 4096, &results,
+                                    view.last(4096)))
+                  .ok());
+  EXPECT_EQ(mq.stats().merges, 1u);
+  drv.complete_next();  // frees the tag for the merged request
+  ASSERT_EQ(drv.held(), 1u);
+  EXPECT_EQ(drv.at(0).len, 2u * 4096);
+  EXPECT_EQ(drv.at(0).data.data(), buf.data());
+  EXPECT_EQ(drv.at(0).data.size(), buf.size());
+  drv.complete_next();
+  EXPECT_EQ(results, (std::vector<std::int32_t>{4096, 4096, 4096}));
+}
+
+TEST(MqBlockLayer, AdjacentBiosOverDisjointBuffersStaySeparate) {
+  FakeDriver drv;
+  MqBlockLayer mq({.nr_hw_queues = 1, .queue_depth = 1,
+                   .bypass_scheduler = false},
+                  drv);
+  // Adjacent on the device but not in memory: a gap separates the buffers.
+  std::vector<std::uint8_t> buf(3 * 4096);
+  const std::span<std::uint8_t> view(buf);
+  std::vector<std::int32_t> results;
+  ASSERT_TRUE(mq.submit(0, make_req(ReqOp::write, 0, 4096, nullptr)).ok());
+  ASSERT_TRUE(mq.submit(0, make_req(ReqOp::write, 4096, 4096, &results,
+                                    view.first(4096)))
+                  .ok());
+  ASSERT_TRUE(mq.submit(0, make_req(ReqOp::write, 8192, 2048, &results,
+                                    view.subspan(2 * 4096, 2048)))
+                  .ok());
+  EXPECT_EQ(mq.stats().merges, 0u);
+  EXPECT_EQ(mq.queued(0), 2u);
+  drv.complete_next();
+  ASSERT_EQ(drv.held(), 1u);
+  EXPECT_EQ(drv.at(0).data.data(), buf.data());
+  drv.complete_next();
+  ASSERT_EQ(drv.held(), 1u);
+  EXPECT_EQ(drv.at(0).data.data(), buf.data() + 2 * 4096);
+  drv.complete_next();
+  EXPECT_EQ(results, (std::vector<std::int32_t>{4096, 2048}))
+      << "each bio completes with its own length";
+}
+
 TEST(MqBlockLayer, BypassModeNeverMerges) {
   FakeDriver drv;
   MqBlockLayer mq({.nr_hw_queues = 1, .queue_depth = 1,
-                   .bypass_scheduler = true, .merge = true},
+                   .bypass_scheduler = true},
                   drv);
   ASSERT_TRUE(mq.submit(0, make_req(ReqOp::write, 0, 4096, nullptr)).ok());
   ASSERT_TRUE(mq.submit(0, make_req(ReqOp::write, 4096, 4096, nullptr)).ok());
@@ -148,7 +210,7 @@ TEST(MqBlockLayer, BypassModeNeverMerges) {
 TEST(MqBlockLayer, NonAdjacentBiosDoNotMerge) {
   FakeDriver drv;
   MqBlockLayer mq({.nr_hw_queues = 1, .queue_depth = 1,
-                   .bypass_scheduler = false, .merge = true},
+                   .bypass_scheduler = false},
                   drv);
   ASSERT_TRUE(mq.submit(0, make_req(ReqOp::write, 0, 4096, nullptr)).ok());
   ASSERT_TRUE(mq.submit(0, make_req(ReqOp::write, 4096, 4096, nullptr)).ok());
@@ -160,7 +222,7 @@ TEST(MqBlockLayer, NonAdjacentBiosDoNotMerge) {
 TEST(MqBlockLayer, ErrorPropagatesToAllMergedBios) {
   FakeDriver drv;
   MqBlockLayer mq({.nr_hw_queues = 1, .queue_depth = 1,
-                   .bypass_scheduler = false, .merge = true},
+                   .bypass_scheduler = false},
                   drv);
   std::vector<std::int32_t> results;
   ASSERT_TRUE(mq.submit(0, make_req(ReqOp::write, 0, 4096, &results)).ok());
@@ -178,9 +240,18 @@ TEST(MqBlockLayer, ZeroLengthBioRejected) {
   EXPECT_FALSE(mq.submit(0, make_req(ReqOp::read, 0, 0, nullptr)).ok());
 }
 
+TEST(MqBlockLayer, PayloadViewOfAnotherLengthRejected) {
+  FakeDriver drv;
+  MqBlockLayer mq({}, drv);
+  std::vector<std::uint8_t> buf(4096);
+  EXPECT_FALSE(
+      mq.submit(0, make_req(ReqOp::write, 0, 8192, nullptr, buf)).ok());
+  EXPECT_EQ(drv.held(), 0u);
+}
+
 TEST(MqBlockLayer, SeparateHwQueuesHaveIndependentTags) {
   FakeDriver drv;
-  MqBlockLayer mq({.nr_cpus = 2, .nr_hw_queues = 2, .queue_depth = 1}, drv);
+  MqBlockLayer mq({.nr_hw_queues = 2, .queue_depth = 1}, drv);
   ASSERT_TRUE(mq.submit(0, make_req(ReqOp::read, 0, 512, nullptr)).ok());
   ASSERT_TRUE(mq.submit(1, make_req(ReqOp::read, 512, 512, nullptr)).ok());
   EXPECT_EQ(drv.held(), 2u) << "per-queue tags must not interfere";

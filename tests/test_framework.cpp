@@ -3,6 +3,7 @@
 // selection, ring accounting, DFX fallback, and structural latency ordering.
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/framework.hpp"
 
@@ -48,19 +49,118 @@ TEST_P(VariantRoundTrip, WriteThenReadReturnsSameBytes) {
   EXPECT_EQ(*rres, data);
 }
 
+std::string variant_pool_name(
+    const ::testing::TestParamInfo<std::tuple<VariantKind, PoolMode>>& info) {
+  std::string name(variant_short_name(std::get<0>(info.param)));
+  for (auto& ch : name)
+    if (ch == '-') ch = '_';
+  return name +
+         (std::get<1>(info.param) == PoolMode::replicated ? "_repl" : "_ec");
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllVariantsBothPools, VariantRoundTrip,
     ::testing::Combine(::testing::ValuesIn(kAllVariants),
                        ::testing::Values(PoolMode::replicated,
                                          PoolMode::erasure)),
-    [](const auto& info) {
-      std::string name(variant_short_name(std::get<0>(info.param)));
-      for (auto& ch : name)
-        if (ch == '-') ch = '_';
-      return name + (std::get<1>(info.param) == PoolMode::replicated
-                         ? "_repl"
-                         : "_ec");
-    });
+    variant_pool_name);
+
+// Every I/O the API accepts completes: sizes on both sides of the block
+// layer's 512 KiB split limit round-trip at a 4 kB-aligned offset whose range
+// crosses an object boundary and at an unaligned one, each split fragment
+// moving only its own slice, and a write past the image end fails.
+class SplitRoundTrip
+    : public ::testing::TestWithParam<std::tuple<VariantKind, PoolMode>> {};
+
+TEST_P(SplitRoundTrip, EverySizeCompletesWithTheBytesWritten) {
+  const auto [variant, pool] = GetParam();
+  if (pool == PoolMode::erasure && !variant_traits(variant).supports_ec)
+    GTEST_SKIP() << "DeLiBA-1 has no EC accelerators";
+  std::uint64_t check_failures = 0;
+  ScopedCheckFailureHandler count(
+      [&](const CheckContext&) { ++check_failures; });
+  sim::Simulator sim;
+  FrameworkConfig cfg;
+  cfg.variant = variant;
+  cfg.pool_mode = pool;
+  cfg.image_size = 16 * MiB;
+  Framework fw(sim, cfg);
+
+  constexpr std::uint64_t kSizes[] = {
+      512,       4 * KiB,         512 * KiB, 516 * KiB,
+      768 * KiB, 1 * MiB + 1000, 3 * MiB,   4 * MiB};
+  constexpr std::uint64_t kOffsets[] = {4 * MiB - 4 * KiB, 8 * MiB - 3000};
+  for (const std::uint64_t offset : kOffsets) {
+    for (const std::uint64_t size : kSizes) {
+      SCOPED_TRACE(::testing::Message() << size << " B at " << offset);
+      const auto data = pattern(size, size + offset);
+      std::int32_t wres = 0;
+      fw.write(0, offset, data, [&](std::int32_t r) { wres = r; });
+      sim.run();
+      EXPECT_EQ(wres, static_cast<std::int32_t>(size));
+
+      const std::uint64_t read_before = fw.image().stats().bytes_read;
+      Result<std::vector<std::uint8_t>> rres = Status::Error(Errc::timed_out);
+      fw.read(0, offset, size, [&](Result<std::vector<std::uint8_t>> r) {
+        rres = std::move(r);
+      });
+      sim.run();
+      ASSERT_TRUE(rres.ok()) << rres.status().to_string();
+      EXPECT_EQ(*rres, data);
+      EXPECT_EQ(fw.image().stats().bytes_read - read_before, size);
+      EXPECT_EQ(fw.validator().verify_quiescent(), 0u);
+    }
+  }
+
+  std::int32_t past_end = 0;
+  fw.write(0, cfg.image_size - 512 * KiB, pattern(1 * MiB, 7),
+           [&](std::int32_t r) { past_end = r; });
+  sim.run();
+  EXPECT_EQ(past_end, -static_cast<std::int32_t>(Errc::out_of_range));
+  EXPECT_EQ(fw.validator().verify_quiescent(), 0u);
+  EXPECT_EQ(check_failures, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllVariantsBothPools, SplitRoundTrip,
+    ::testing::Combine(::testing::ValuesIn(kAllVariants),
+                       ::testing::Values(PoolMode::replicated,
+                                         PoolMode::erasure)),
+    variant_pool_name);
+
+TEST(Framework, DmaCorruptionOfSplitIoIsDetectedOncePerIo) {
+  std::uint64_t check_failures = 0;
+  ScopedCheckFailureHandler count(
+      [&](const CheckContext&) { ++check_failures; });
+  sim::Simulator sim;
+  FrameworkConfig cfg;
+  cfg.variant = VariantKind::delibak;
+  cfg.image_size = 16 * MiB;
+  cfg.integrity = true;
+  cfg.fault_plan.dma_corruption.push_back(
+      sim::DmaCorruptionWindow{0, sec(1), 1.0, 4});
+  Framework fw(sim, cfg);
+
+  std::int32_t wres = 0;
+  fw.write(0, 0, pattern(1 * MiB, 11), [&](std::int32_t r) { wres = r; });
+  sim.run();
+  EXPECT_EQ(wres, -static_cast<std::int32_t>(Errc::corrupted));
+
+  Result<std::vector<std::uint8_t>> rres = Status::Error(Errc::timed_out);
+  fw.read(0, 0, 1 * MiB,
+          [&](Result<std::vector<std::uint8_t>> r) { rres = std::move(r); });
+  sim.run();
+  ASSERT_FALSE(rres.ok());
+  EXPECT_EQ(rres.status().code(), Errc::corrupted);
+
+  // Both fragments of both I/Os were hit, yet each I/O counts one detection,
+  // and each detection is resolved by the error its caller got.
+  EXPECT_EQ(fw.faults()->stats().dma_corruptions, 4u);
+  EXPECT_EQ(fw.validator().corruptions_detected(), 2u);
+  EXPECT_EQ(fw.validator().corruptions_resolved(), 2u);
+  EXPECT_EQ(fw.validator().verify_quiescent(), 0u);
+  EXPECT_EQ(check_failures, 0u);
+}
 
 TEST(Framework, Deliba1RejectsEc) {
   sim::Simulator sim;

@@ -119,12 +119,10 @@ TEST(BlkProperty, EveryBioCompletesExactlyOnce) {
 
   Rng rng(7);
   RandomDriver driver(rng);
-  blk::MqBlockLayer mq({.nr_cpus = 4,
-                        .nr_hw_queues = 2,
+  blk::MqBlockLayer mq({.nr_hw_queues = 2,
                         .queue_depth = 8,
                         .max_io_bytes = 64 * 1024,
-                        .bypass_scheduler = false,
-                        .merge = true},
+                        .bypass_scheduler = false},
                        driver);
   unsigned completions = 0;
   constexpr unsigned kBios = 500;
