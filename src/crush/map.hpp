@@ -52,6 +52,13 @@ struct PlacementWork {
   std::uint64_t bucket_descents = 0;   // bucket choose() invocations
   std::uint64_t item_comparisons = 0;  // sum of choose_work() over descents
   std::uint64_t retries = 0;           // collision / failure retries
+
+  PlacementWork& operator+=(const PlacementWork& other) {
+    bucket_descents += other.bucket_descents;
+    item_comparisons += other.item_comparisons;
+    retries += other.retries;
+    return *this;
+  }
 };
 
 class CrushMap {

@@ -31,7 +31,7 @@ NodeId Network::add_node(std::string name, DeliveryFn on_delivery) {
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
-void Network::send(Message msg) {
+bool Network::send(Message msg) {
   DK_CHECK(msg.src < nodes_.size() && msg.dst < nodes_.size());
   payload_sent_ += msg.payload_bytes;
 
@@ -41,7 +41,7 @@ void Network::send(Message msg) {
     dst.rx_payload += msg.payload_bytes;
     sim_.schedule_after(config_.nic.nic_latency,
                         [&dst, m = std::move(msg)] { dst.deliver(m); });
-    return;
+    return true;
   }
 
   // Injected frame loss: the whole message is lost on the wire and delivery
@@ -51,7 +51,7 @@ void Network::send(Message msg) {
   // dropping before serialization keeps the fabric channels independent of
   // fault decisions, which preserves single-domain replayability.
   if (faults_ != nullptr && faults_->should_drop_frame(msg.src, msg.dst))
-    return;
+    return false;
   const Nanos extra_delay =
       faults_ != nullptr ? faults_->link_extra_delay(msg.src, msg.dst) : 0;
 
@@ -71,6 +71,7 @@ void Network::send(Message msg) {
                               });
                             });
       });
+  return true;
 }
 
 double Network::node_rx_mbps(NodeId id, Nanos elapsed) const {

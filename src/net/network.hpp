@@ -73,8 +73,9 @@ class Network {
   /// serialization + switch + RX serialization + NIC latencies.
   /// Loopback (src == dst) skips the fabric and costs only nic_latency.
   /// With a fault injector attached, non-loopback messages may be dropped
-  /// (whole-message frame loss — delivery never fires) or delayed.
-  void send(Message msg);
+  /// (whole-message frame loss — delivery never fires; send returns false)
+  /// or delayed.
+  bool send(Message msg);
 
   /// Arm fault injection on this fabric (nullptr detaches). Loopback is
   /// never faulted: it models in-host queue hand-off, not a wire.

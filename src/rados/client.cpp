@@ -224,7 +224,7 @@ std::uint64_t RadosClient::dispatch_write(int pool, std::uint64_t oid,
     return 0;
   }
   const auto& p = cluster_.pool(pool);
-  auto acting = cluster_.acting_set(pool, oid, &work_);
+  const auto& acting = cluster_.acting_set(pool, oid, &work_);
   if (acting.size() < p.fanout()) {
     cb(Status::Error(Errc::no_space, "not enough OSDs in acting set"));
     return 0;
@@ -374,7 +374,7 @@ std::uint64_t RadosClient::dispatch_read(int pool, std::uint64_t oid,
                                          ReadStrategy strategy,
                                          ReadCallback cb) {
   const auto& p = cluster_.pool(pool);
-  auto acting = cluster_.acting_set(pool, oid, &work_);
+  const auto& acting = cluster_.acting_set(pool, oid, &work_);
   if (acting.empty()) {
     cb(Status::Error(Errc::not_found, "empty acting set"));
     return 0;
@@ -423,7 +423,7 @@ std::uint64_t RadosClient::read_replicated(int pool, std::uint64_t oid,
           kRecoveryBlockedRetryDelay,
           [this, pool, oid, offset, length, cb = std::move(cb),
            defers = degraded_defers_left - 1]() mutable {
-            auto fresh = cluster_.acting_set(pool, oid, &work_);
+            const auto& fresh = cluster_.acting_set(pool, oid, &work_);
             if (fresh.empty()) {
               cb(Status::Error(Errc::not_found, "empty acting set"));
               return;

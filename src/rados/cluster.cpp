@@ -1,6 +1,7 @@
 #include "rados/cluster.hpp"
 
 
+#include "common/annotations.hpp"
 #include "common/check.hpp"
 #include "crush/hash.hpp"
 #include "rados/background.hpp"
@@ -66,6 +67,7 @@ int Cluster::create_replicated_pool(std::string name, unsigned size,
   p.size = size;
   p.pg_num = pg_num;
   p.crush_rule = layout_.replicated_rule;
+  placement_.emplace_back(p.pg_num);
   pools_.push_back(std::move(p));
   return static_cast<int>(pools_.size() - 1);
 }
@@ -78,6 +80,7 @@ int Cluster::create_ec_pool(std::string name, ec::Profile profile,
   p.ec_profile = profile;
   p.pg_num = pg_num;
   p.crush_rule = layout_.ec_rule;
+  placement_.emplace_back(p.pg_num);
   pools_.push_back(std::move(p));
   return static_cast<int>(pools_.size() - 1);
 }
@@ -89,26 +92,40 @@ std::uint32_t Cluster::pg_of(int pool, std::uint64_t oid) const {
   return h % p.pg_num;
 }
 
-std::vector<int> Cluster::acting_set(int pool, std::uint64_t oid,
-                                     crush::PlacementWork* work) const {
-  const auto& p = pools_[static_cast<std::size_t>(pool)];
+DK_HOT const std::vector<int>& Cluster::acting_set(
+    int pool, std::uint64_t oid, crush::PlacementWork* work) const {
   const std::uint32_t pg = pg_of(pool, oid);
+  PlacementSlot& slot = placement_[static_cast<std::size_t>(pool)][pg];
+  if (slot.epoch != epoch_) place_pg(pool, pg, slot);
+  if (work != nullptr) *work += slot.work;
+  return slot.acting;
+}
+
+void Cluster::place_pg(int pool, std::uint32_t pg,
+                       PlacementSlot& slot) const {
+  const auto& p = pools_[static_cast<std::size_t>(pool)];
   // CRUSH input mixes pool id and PG, like Ceph's pps (placement seed).
   const std::uint32_t x =
       crush::hash32_2(static_cast<std::uint32_t>(pool) + 1, pg);
-  auto items = layout_.map.do_rule(p.crush_rule, x, p.fanout(), work);
-  std::vector<int> osds;
-  osds.reserve(items.size());
-  for (auto item : items) osds.push_back(static_cast<int>(item));
-  return osds;
+  slot.work = {};
+  const auto items = layout_.map.do_rule(p.crush_rule, x, p.fanout(),
+                                         &slot.work);
+  slot.acting.assign(items.begin(), items.end());
+  slot.epoch = epoch_;
 }
 
 void Cluster::set_osd_down(int id, bool down) {
-  down_[static_cast<std::size_t>(id)] = down;
+  const auto i = static_cast<std::size_t>(id);
+  if (down_[i] == down) return;
+  down_[i] = down;
+  ++epoch_;
 }
 
 void Cluster::set_osd_out(int id, bool out) {
-  layout_.map.set_device_out(id, out);
+  if (layout_.map.device_out(id) != out) {
+    layout_.map.set_device_out(id, out);
+    ++epoch_;
+  }
   // A mark-out reweights CRUSH: placement changed, so the background
   // scheduler (when armed) plans and executes a paced backfill.
   if (out && background_ != nullptr) background_->on_placement_change();
@@ -224,11 +241,16 @@ void Cluster::send_from_osd(int src_osd, int dst,
   if (dst < 0) {
     net_.send(net::Message{node_of_osd(src_osd), client_node_, bytes, 0,
                            std::move(body)});
-  } else {
-    body->target_osd = dst;
-    net_.send(net::Message{node_of_osd(src_osd), node_of_osd(dst), bytes, 0,
-                           std::move(body)});
+    return;
   }
+  body->target_osd = dst;
+  // Frame loss drops a message silently; a recovery push it drops still
+  // settles its move as not landed (frames_dropped already counted it).
+  const std::shared_ptr<OpBody> push = body->on_done ? body : nullptr;
+  if (!net_.send(net::Message{node_of_osd(src_osd), node_of_osd(dst), bytes,
+                              0, std::move(body)}) &&
+      push != nullptr)
+    push->on_done(false);
 }
 
 void Cluster::backfill(int from_osd, int to_osd, const ObjectKey& key,

@@ -68,8 +68,9 @@ class Cluster {
   sim::Simulator& simulator() { return sim_; }
   net::Network& network() { return net_; }
   net::NodeId client_node() const { return client_node_; }
+  /// Read-only: after construction only set_osd_out() changes placement,
+  /// so no change can get round epoch().
   const crush::ClusterLayout& layout() const { return layout_; }
-  crush::CrushMap& crush_map() { return layout_.map; }
 
   std::size_t osd_count() const { return osds_.size(); }
   Osd& osd(int id) { return *osds_[static_cast<std::size_t>(id)]; }
@@ -89,10 +90,18 @@ class Cluster {
   /// Placement group for an object, and the CRUSH input x for that PG.
   std::uint32_t pg_of(int pool, std::uint64_t oid) const;
 
-  /// Ordered acting set (OSD ids) for an object. `work` accumulates the
-  /// CRUSH computation performed — the quantity the FPGA kernels offload.
-  std::vector<int> acting_set(int pool, std::uint64_t oid,
-                              crush::PlacementWork* work = nullptr) const;
+  /// Ordered acting set (OSD ids) for an object, computed once per (pool,
+  /// PG) per epoch like Ceph's OSDMapMapping. `work` accumulates one CRUSH
+  /// run's work on every call, cached or not — the quantity the FPGA
+  /// kernels offload. The reference is current until the next epoch bump;
+  /// a caller that keeps the set across a simulator event copies it.
+  const std::vector<int>& acting_set(
+      int pool, std::uint64_t oid, crush::PlacementWork* work = nullptr) const;
+
+  /// Cluster-map epoch: starts at 1 and rises by one each time any OSD's
+  /// down or out flag actually changes (set_osd_down, set_osd_out,
+  /// crash_osd, restart_osd).
+  std::uint64_t epoch() const { return epoch_; }
 
   /// Mark an OSD down: placement is unchanged but clients route reads
   /// around it (degraded operation, triggering EC decode).
@@ -146,7 +155,7 @@ class Cluster {
 
   /// Recovery copy: read `key` on `from_osd`, push it over the network to
   /// `to_osd`, persist there, then fire `done(true)` — or `done(false)`
-  /// when a crashed endpoint lost the push. Both ends ride the OSDs'
+  /// when a crash or frame loss lost the push. Both ends ride the OSDs'
   /// background service class, so the copy queues with — and yields to —
   /// client I/O; the persisted bytes are re-read from the source at apply
   /// time, so a copy that waited behind client writes lands current. The
@@ -222,6 +231,15 @@ class Cluster {
   }
 
  private:
+  /// One PG's placement at `epoch` (0: never computed), and its CRUSH work.
+  struct PlacementSlot {
+    std::uint64_t epoch = 0;
+    std::vector<int> acting;
+    crush::PlacementWork work;
+  };
+  /// The cache miss: run do_rule for (pool, pg) and record it in `slot`.
+  void place_pg(int pool, std::uint32_t pg, PlacementSlot& slot) const;
+
   void send_from_osd(int src_osd, int dst, std::shared_ptr<OpBody> body);
   /// A message a crashed process never consumes (or never sends).
   void drop_message(const OpBody& body);
@@ -236,6 +254,9 @@ class Cluster {
   std::vector<net::NodeId> osd_nodes_;  // osd id -> hosting server node
   std::vector<bool> down_;
   std::vector<PoolConfig> pools_;
+  std::uint64_t epoch_ = 1;
+  // pg_num slots per pool, filled lazily by the const acting_set().
+  mutable std::vector<std::vector<PlacementSlot>> placement_;
   std::function<void(std::shared_ptr<OpBody>)> client_handler_;
   sim::FaultInjector* faults_ = nullptr;
   BackgroundScheduler* background_ = nullptr;

@@ -51,7 +51,7 @@ struct OpBody {
   unsigned ec_m = 0;
   // Orchestrator completion hook for backfill pushes (recovery manager):
   // true once the push persisted (or, transient, arrived); false when a
-  // crashed endpoint lost it.
+  // crashed endpoint or frame loss lost it.
   std::function<void(bool landed)> on_done;
   // Transient pushes (EC reconstruction gathers) are not persisted at the
   // destination; they only charge transfer + service time.

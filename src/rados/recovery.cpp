@@ -234,9 +234,9 @@ void RecoveryManager::execute(RecoveryPlan plan, const ExecuteOptions& options,
         }
         cluster_.clear_object_degraded(move.to_osd, move.key);
       } else {
-        // The copy never landed (an endpoint crashed before launch or lost
-        // the push): the destination stays degraded until a later round
-        // completes the move.
+        // The copy never landed (an endpoint crashed before launch, or a
+        // crash or frame loss lost the push): the destination stays
+        // degraded until a later round completes the move.
         ++moves_cancelled_;
       }
       if (validator_ != nullptr) validator_->on_background_resolved();

@@ -96,9 +96,9 @@ class RecoveryManager {
   /// `max_parallel` moves run at once, launches are granted by a token
   /// bucket at `max_bps`, and every copy rides the OSDs' background service
   /// class, so it queues with — and yields to — client I/O. Moves whose
-  /// source or target crashed by grant time, or whose push a crash lost,
-  /// are cancelled (counted in moves_cancelled()), not retried; a later
-  /// re-plan picks them up.
+  /// source or target crashed by grant time, or whose push a crash or frame
+  /// loss lost, are cancelled (counted in moves_cancelled()), not retried;
+  /// a later re-plan picks them up.
   void execute(RecoveryPlan plan, const ExecuteOptions& options,
                std::function<void()> done);
 

@@ -20,6 +20,7 @@
 #include "common/rng.hpp"
 #include "core/framework.hpp"
 #include "rados/client.hpp"
+#include "sim/faults.hpp"
 #include "workload/fio.hpp"
 
 namespace dk::rados {
@@ -372,6 +373,45 @@ TEST(PacedRecovery, PaceCapBoundsStarvationUnderTinyBudget) {
   // sequentially per pool the episode stays near moves * cap, not
   // bytes / bps (which would be ~100x longer).
   EXPECT_LT(out.ttfr, static_cast<Nanos>(out.moves + 16) * ms(1) + ms(50));
+}
+
+TEST_F(BackgroundFixture, RecoveryPushLostToFrameLossSettlesItsMove) {
+  // Frame loss on server1's links eats every backfill push to or from it
+  // for 5 ms after a mark-out. A lost push must settle its move as not
+  // landed: otherwise the object's recovery lock never releases, its
+  // client writes defer forever and the round never ends.
+  PipelineValidator validator;
+  cluster_->set_validator(&validator);
+  client_->set_validator(&validator);
+  const Nanos t0 = sim_.now();
+  sim::FaultPlan plan;
+  plan.links.push_back(sim::LinkFaultWindow{t0, t0 + ms(5), 1.0, 0, 2});
+  sim::FaultInjector faults(sim_, plan);
+  faults.set_validator(&validator);
+  cluster_->arm_faults(faults);
+  BackgroundConfig bc;
+  bc.scrub_interval = 0;  // recovery only
+  BackgroundScheduler& bg = arm(bc);
+  bg.set_validator(&validator);
+
+  cluster_->set_osd_out(cluster_->acting_set(pool_, 3)[0], true);
+  sim_.run_until(t0 + ms(20));
+  ASSERT_GT(faults.stats().frames_dropped, 0u) << "no push was lost";
+
+  unsigned completed = 0;
+  for (std::uint64_t oid = 0; oid < 30; ++oid) {
+    client_->write(pool_, oid, 0, pattern(8192, 500 + oid),
+                   WriteStrategy::primary_copy, [&](Status st) {
+                     EXPECT_TRUE(st.ok()) << st.to_string();
+                     ++completed;
+                   });
+  }
+  sim_.run_until(t0 + ms(500));
+  EXPECT_EQ(completed, 30u);
+  EXPECT_FALSE(bg.recovery_active());
+  EXPECT_EQ(faults.stats().crash_dropped_msgs, 0u)
+      << "frame loss is not a crash drop";
+  EXPECT_EQ(validator.verify_quiescent(), 0u);
 }
 
 // --- two-class station ------------------------------------------------------

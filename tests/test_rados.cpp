@@ -1,11 +1,13 @@
 // Integration tests for the simulated RADOS cluster: object store, OSD
 // protocol paths (replication primary-copy / client-fanout, EC primary /
-// client-encode), degraded reads, and placement behaviour.
+// client-encode), degraded reads, placement behaviour, and the per-epoch
+// placement cache.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "common/rng.hpp"
+#include "crush/hash.hpp"
 #include "rados/client.hpp"
 #include "rados/cluster.hpp"
 
@@ -264,6 +266,120 @@ TEST_F(ClusterFixture, LatencyIsMicrosecondScale) {
   const Nanos lat = sim_.now() - t0;
   EXPECT_GT(lat, us(20));
   EXPECT_LT(lat, us(500));
+}
+
+// --- placement cache -------------------------------------------------------
+
+class PlacementCache : public ClusterFixture {
+ protected:
+  /// One object id per PG of `pool`, so a sweep over them looks up every PG.
+  std::vector<std::uint64_t> oid_per_pg(int pool) const {
+    const unsigned pg_num = cluster_->pool(pool).pg_num;
+    std::vector<std::uint64_t> oids(pg_num);
+    std::vector<bool> seen(pg_num, false);
+    unsigned found = 0;
+    for (std::uint64_t oid = 0; found < pg_num; ++oid) {
+      const std::uint32_t pg = cluster_->pg_of(pool, oid);
+      if (seen[pg]) continue;
+      seen[pg] = true;
+      oids[pg] = oid;
+      ++found;
+    }
+    return oids;
+  }
+
+  /// Placement computed from scratch on the cluster's current CRUSH map.
+  std::vector<int> uncached(int pool, std::uint64_t oid,
+                            crush::PlacementWork* work = nullptr) const {
+    const PoolConfig& p = cluster_->pool(pool);
+    const std::uint32_t x = crush::hash32_2(
+        static_cast<std::uint32_t>(pool) + 1, cluster_->pg_of(pool, oid));
+    const auto items =
+        cluster_->layout().map.do_rule(p.crush_rule, x, p.fanout(), work);
+    return std::vector<int>(items.begin(), items.end());
+  }
+};
+
+TEST_F(PlacementCache, EveryPgMatchesUncachedCrushAcrossMapChanges) {
+  const std::vector<int> pools{repl_pool_, ec_pool_};
+  std::vector<std::vector<std::uint64_t>> oids;
+  for (int pool : pools) oids.push_back(oid_per_pg(pool));
+  auto expect_current = [&](int step) {
+    for (std::size_t i = 0; i < pools.size(); ++i)
+      for (std::uint64_t oid : oids[i])
+        ASSERT_EQ(cluster_->acting_set(pools[i], oid),
+                  uncached(pools[i], oid))
+            << "pool " << pools[i] << " oid " << oid << " after step "
+            << step;
+  };
+  expect_current(-1);
+
+  Rng rng(20261017);
+  std::set<int> crashed;
+  for (int step = 0; step < 80; ++step) {
+    const int osd = static_cast<int>(rng.below(cluster_->osd_count()));
+    switch (rng.below(4)) {
+      case 0: cluster_->set_osd_out(osd, true); break;
+      case 1: cluster_->set_osd_out(osd, false); break;
+      case 2:
+        cluster_->crash_osd(osd);
+        crashed.insert(osd);
+        break;
+      default:
+        if (crashed.empty()) break;
+        cluster_->restart_osd(*crashed.begin());
+        crashed.erase(crashed.begin());
+        break;
+    }
+    expect_current(step);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST_F(PlacementCache, LookupsAddTheWorkOfDirectCrushCalls) {
+  // Two passes over the same objects: the first fills each PG's slot, the
+  // second hits it. Either way a lookup adds one do_rule's work.
+  crush::PlacementWork cached, direct;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::uint64_t oid = 0; oid < 300; ++oid) {
+      for (int pool : {repl_pool_, ec_pool_}) {
+        (void)cluster_->acting_set(pool, oid, &cached);
+        (void)uncached(pool, oid, &direct);
+      }
+    }
+  }
+  EXPECT_GT(direct.bucket_descents, 0u);
+  EXPECT_EQ(cached.bucket_descents, direct.bucket_descents);
+  EXPECT_EQ(cached.item_comparisons, direct.item_comparisons);
+  EXPECT_EQ(cached.retries, direct.retries);
+}
+
+TEST_F(PlacementCache, EpochCountsRealDownAndOutChanges) {
+  EXPECT_EQ(cluster_->epoch(), 1u);
+  cluster_->set_osd_out(3, false);
+  cluster_->set_osd_down(3, false);
+  EXPECT_EQ(cluster_->epoch(), 1u) << "no flag changed";
+  cluster_->set_osd_out(3, true);
+  EXPECT_EQ(cluster_->epoch(), 2u);
+  cluster_->set_osd_out(3, true);
+  EXPECT_EQ(cluster_->epoch(), 2u);
+  cluster_->set_osd_down(3, true);
+  EXPECT_EQ(cluster_->epoch(), 3u);
+  cluster_->set_osd_down(3, true);
+  EXPECT_EQ(cluster_->epoch(), 3u);
+
+  cluster_->crash_osd(4);  // down
+  EXPECT_EQ(cluster_->epoch(), 4u);
+  cluster_->crash_osd(4);
+  EXPECT_EQ(cluster_->epoch(), 4u);
+  cluster_->restart_osd(4);  // up; it was never out
+  EXPECT_EQ(cluster_->epoch(), 5u);
+
+  cluster_->crash_osd(5);
+  cluster_->set_osd_out(5, true);
+  EXPECT_EQ(cluster_->epoch(), 7u);
+  cluster_->restart_osd(5);  // up and in
+  EXPECT_EQ(cluster_->epoch(), 9u);
 }
 
 }  // namespace
