@@ -18,8 +18,7 @@ int main() {
   std::cout << "One Alveo U280, two tenants via SR-IOV virtual functions.\n\n";
 
   // Tenant A: replication traffic on VF 1. Tenant B: EC traffic on VF 2.
-  auto service = [&sim](const blk::Request& r,
-                        std::function<void(std::int32_t)> done) {
+  auto service = [&sim](const blk::Request& r, blk::CompleteFn done) {
     // Stand-in for the storage backend: fixed 30 us remote service.
     sim.schedule_after(us(30), [&r, done = std::move(done)] {
       done(static_cast<std::int32_t>(r.len));
@@ -50,6 +49,7 @@ int main() {
     ra.len = 64 * 1024;
     ra.offset = static_cast<std::uint64_t>(i) * 64 * 1024;
     ra.hw_queue = static_cast<unsigned>(i % 3);
+    ra.tag = static_cast<unsigned>(i);  // as blk-mq would assign
     ra.complete = [&](std::int32_t) {
       ++done_a;
       last_a = sim.now();
@@ -61,6 +61,7 @@ int main() {
     rb.len = 64 * 1024;
     rb.offset = static_cast<std::uint64_t>(i) * 64 * 1024;
     rb.hw_queue = static_cast<unsigned>(i % 3);
+    rb.tag = static_cast<unsigned>(i);
     rb.complete = [&](std::int32_t) {
       ++done_b;
       last_b = sim.now();

@@ -3,6 +3,7 @@
 #include <memory>
 #include <utility>
 
+#include "common/annotations.hpp"
 #include "common/check.hpp"
 #include "common/pipeline_validator.hpp"
 
@@ -13,6 +14,8 @@ MqBlockLayer::MqBlockLayer(MqConfig config, Driver& driver)
   DK_CHECK(config_.nr_hw_queues >= 1 && config_.queue_depth >= 1);
   pending_.resize(config_.nr_hw_queues);
   free_tags_.resize(config_.nr_hw_queues);
+  parked_.resize(config_.nr_hw_queues);
+  for (auto& slots : parked_) slots.resize(config_.queue_depth);
   for (auto& tags : free_tags_) {
     // Stack holds depth-1 .. 0 so the first dispatch draws tag 0.
     tags.reserve(config_.queue_depth);
@@ -39,7 +42,7 @@ void MqBlockLayer::attach_metrics(MetricsRegistry& registry,
   metrics_.queued = &registry.gauge(prefix + ".queued");
 }
 
-Status MqBlockLayer::submit(unsigned cpu, Request request) {
+DK_HOT Status MqBlockLayer::submit(unsigned cpu, Request request) {
   if (request.len == 0 && request.op != ReqOp::flush)
     return Status::Error(Errc::invalid_argument, "zero-length bio");
   if (!request.data.empty() && request.data.size() != request.len)
@@ -49,56 +52,11 @@ Status MqBlockLayer::submit(unsigned cpu, Request request) {
   request.hw_queue = hwq;
   ++stats_.submitted;
 
-  // Split to the device transfer limit. All fragments share one completion
-  // that fires once, with the total byte count, after the last fragment.
-  if (request.len > config_.max_io_bytes) {
-    struct SplitState {
-      unsigned remaining;
-      std::int32_t first_error = 0;
-      std::uint64_t total = 0;
-      std::function<void(std::int32_t)> complete;
-    };
-    const unsigned nfrag =
-        (request.len + config_.max_io_bytes - 1) / config_.max_io_bytes;
-    auto state = std::make_shared<SplitState>();
-    state->remaining = nfrag;
-    state->complete = std::move(request.complete);
-    stats_.splits += nfrag - 1;
-    if (metrics_.splits) metrics_.splits->inc(nfrag - 1);
-    // The original bio was already counted; fragments re-enter submit()
-    // individually so merging/tagging treats them uniformly.
-    stats_.submitted -= 1;
+  if (request.len > config_.max_io_bytes)
+    return split(cpu, std::move(request));
 
-    std::uint64_t off = request.offset;
-    std::uint32_t left = request.len;
-    while (left > 0) {
-      const std::uint32_t chunk = left < config_.max_io_bytes
-                                      ? left
-                                      : config_.max_io_bytes;
-      Request frag = request;
-      frag.offset = off;
-      frag.len = chunk;
-      if (!request.data.empty())
-        frag.data = request.data.subspan(off - request.offset, chunk);
-      frag.complete = [state, chunk](std::int32_t res) {
-        if (res < 0 && state->first_error == 0) state->first_error = res;
-        if (res >= 0) state->total += chunk;
-        if (--state->remaining == 0) {
-          state->complete(state->first_error != 0
-                              ? state->first_error
-                              : static_cast<std::int32_t>(state->total));
-        }
-      };
-      const Status s = submit(cpu, std::move(frag));
-      if (!s.ok()) return s;  // only possible for invalid fragments
-      off += chunk;
-      left -= chunk;
-    }
-    return Status::Ok();
-  }
-
-  // Fragments re-enter submit() above, so this point is reached exactly
-  // once per bio the layer will queue — the live counter mirrors that.
+  // Fragments re-enter submit() from split(), so this point is reached
+  // exactly once per bio the layer will queue — the live counter mirrors it.
   if (metrics_.submitted) metrics_.submitted->inc();
 
   if (config_.bypass_scheduler) {
@@ -119,6 +77,55 @@ Status MqBlockLayer::submit(unsigned cpu, Request request) {
   pending_[hwq].push_back(std::move(request));
   if (metrics_.queued) metrics_.queued->add();
   dispatch(hwq);
+  return Status::Ok();
+}
+
+Status MqBlockLayer::split(unsigned cpu, Request request) {
+  // Split to the device transfer limit. All fragments share one completion
+  // that fires once, with the total byte count, after the last fragment.
+  struct SplitState {
+    unsigned remaining;
+    std::int32_t first_error = 0;
+    std::uint64_t total = 0;
+    CompleteFn complete;
+  };
+  const unsigned nfrag =
+      (request.len + config_.max_io_bytes - 1) / config_.max_io_bytes;
+  auto state = std::make_shared<SplitState>();
+  state->remaining = nfrag;
+  state->complete = std::move(request.complete);
+  stats_.splits += nfrag - 1;
+  if (metrics_.splits) metrics_.splits->inc(nfrag - 1);
+  // The original bio was already counted; fragments re-enter submit()
+  // individually so merging/tagging treats them uniformly.
+  stats_.submitted -= 1;
+
+  std::uint64_t off = request.offset;
+  std::uint32_t left = request.len;
+  while (left > 0) {
+    const std::uint32_t chunk =
+        left < config_.max_io_bytes ? left : config_.max_io_bytes;
+    Request frag;
+    frag.op = request.op;
+    frag.offset = off;
+    frag.len = chunk;
+    if (!request.data.empty())
+      frag.data = request.data.subspan(off - request.offset, chunk);
+    frag.user_data = request.user_data;
+    frag.complete = [state, chunk](std::int32_t res) {
+      if (res < 0 && state->first_error == 0) state->first_error = res;
+      if (res >= 0) state->total += chunk;
+      if (--state->remaining == 0) {
+        state->complete(state->first_error != 0
+                            ? state->first_error
+                            : static_cast<std::int32_t>(state->total));
+      }
+    };
+    const Status s = submit(cpu, std::move(frag));
+    if (!s.ok()) return s;  // only possible for invalid fragments
+    off += chunk;
+    left -= chunk;
+  }
   return Status::Ok();
 }
 
@@ -157,7 +164,7 @@ bool MqBlockLayer::try_merge(unsigned hwq, Request& request) {
   return false;
 }
 
-void MqBlockLayer::dispatch(unsigned hwq) {
+DK_HOT void MqBlockLayer::dispatch(unsigned hwq) {
   auto& queue = pending_[hwq];
   while (!queue.empty()) {
     if (free_tags_[hwq].empty()) {
@@ -177,25 +184,33 @@ void MqBlockLayer::dispatch(unsigned hwq) {
       metrics_.tags_in_use->add();
     }
 
-    // Wrap completion to release the tag and re-pump this queue.
-    auto inner = std::move(req.complete);
+    // Park the submitter's completion under the tag; the driver's ends the
+    // request there.
     const unsigned tag = req.tag;
-    req.complete = [this, hwq, tag,
-                    inner = std::move(inner)](std::int32_t res) {
-      DK_CHECK(tags_in_use(hwq) > 0)
-          << "completion on hw queue " << hwq << " with no tags in flight";
-      free_tags_[hwq].push_back(tag);
-      if (validator_) validator_->on_tag_released(hwq, tag);
-      ++stats_.completed;
-      if (metrics_.completed) {
-        metrics_.completed->inc();
-        metrics_.tags_in_use->sub();
-      }
-      if (inner) inner(res);
-      dispatch(hwq);
+    parked_[hwq][tag] = std::move(req.complete);
+    req.complete = [this, hwq, tag](std::int32_t res) {
+      end_request(hwq, tag, res);
     };
     driver_.queue_rq(std::move(req));
   }
+}
+
+DK_HOT void MqBlockLayer::end_request(unsigned hwq, unsigned tag,
+                                      std::int32_t res) {
+  DK_CHECK(tags_in_use(hwq) > 0)
+      << "completion on hw queue " << hwq << " with no tags in flight";
+  // Moved out before the tag frees: the completion may submit a request
+  // that is dispatched onto this very tag.
+  CompleteFn done = std::move(parked_[hwq][tag]);
+  free_tags_[hwq].push_back(tag);
+  if (validator_) validator_->on_tag_released(hwq, tag);
+  ++stats_.completed;
+  if (metrics_.completed) {
+    metrics_.completed->inc();
+    metrics_.tags_in_use->sub();
+  }
+  if (done) done(res);
+  dispatch(hwq);
 }
 
 void MqBlockLayer::run_queues() {

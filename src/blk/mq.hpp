@@ -20,12 +20,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "common/metrics.hpp"
 #include "common/status.hpp"
+#include "sim/event_pool.hpp"
 
 namespace dk {
 class PipelineValidator;
@@ -34,6 +34,9 @@ class PipelineValidator;
 namespace dk::blk {
 
 enum class ReqOp : std::uint8_t { read, write, flush };
+
+/// Request completion: bytes done (>= 0) or a negative errno-style code.
+using CompleteFn = sim::UniqueFn<void(std::int32_t)>;
 
 struct Request {
   ReqOp op = ReqOp::read;
@@ -45,9 +48,11 @@ struct Request {
   std::uint64_t user_data = 0;
   unsigned tag = ~0u;         // assigned at dispatch
   unsigned hw_queue = 0;      // assigned at submission
-  // Completion: bytes done (>= 0) or negative errno-style code. For merged
-  // requests the block layer fans completion back out to every merged bio.
-  std::function<void(std::int32_t)> complete;
+  // Completion. For merged requests the block layer fans completion back
+  // out to every merged bio. At dispatch the block layer parks the
+  // submitter's completion under (hw_queue, tag) and hands the driver one
+  // that ends the request there.
+  CompleteFn complete;
 };
 
 /// The device driver under the block layer (UIFD in DeLiBA-K).
@@ -55,7 +60,7 @@ class Driver {
  public:
   virtual ~Driver() = default;
   /// Owns the request until it calls request.complete(res) (possibly
-  /// asynchronously). Tag release is handled by the block layer wrapper.
+  /// asynchronously), which releases the tag in the block layer.
   virtual void queue_rq(Request request) = 0;
 };
 
@@ -116,7 +121,13 @@ class MqBlockLayer {
 
  private:
   void dispatch(unsigned hw_queue);
+  /// Split a bio over the device transfer limit into fragments that share
+  /// one completion.
+  Status split(unsigned cpu, Request request);
   bool try_merge(unsigned hw_queue, Request& request);
+  /// The driver finished the request holding (hw_queue, tag): release the
+  /// tag, run the parked completion, and re-pump the queue.
+  void end_request(unsigned hw_queue, unsigned tag, std::int32_t res);
 
   MqConfig config_;
   Driver& driver_;
@@ -125,6 +136,8 @@ class MqBlockLayer {
   // so concurrently in-flight requests always hold distinct tags.
   std::vector<std::deque<Request>> pending_;
   std::vector<std::vector<unsigned>> free_tags_;
+  // The submitter's completion of each dispatched request, by [hwq][tag].
+  std::vector<std::vector<CompleteFn>> parked_;
   MqStats stats_;
   PipelineValidator* validator_ = nullptr;
 

@@ -90,7 +90,7 @@ void PipelineValidator::on_sqe_issued(unsigned ring, std::uint64_t user_data) {
        << ") overran SQ tail (" << r.queued << ")";
     violation(Violation::ring_accounting, __LINE__, os.str());
   }
-  ++r.inflight[user_data];
+  ++count_nodes_.emplace(r.inflight, user_data, 0).first->second;
 }
 
 void PipelineValidator::on_cqe_posted(unsigned ring, std::uint64_t user_data) {
@@ -105,7 +105,7 @@ void PipelineValidator::on_cqe_posted(unsigned ring, std::uint64_t user_data) {
     violation(Violation::double_completion, __LINE__, os.str());
     return;
   }
-  if (--it->second == 0) r.inflight.erase(it);
+  if (--it->second == 0) count_nodes_.erase(r.inflight, it);
 }
 
 void PipelineValidator::on_cqe_dropped(unsigned ring,
@@ -185,8 +185,10 @@ void PipelineValidator::on_tag_released(unsigned hw_queue, unsigned tag) {
 
 void PipelineValidator::on_descriptor_posted(std::uint64_t descriptor) {
   RecursiveMutexLock lock(mu_);
-  auto [it, inserted] =
-      descriptors_.emplace(descriptor, DescriptorState::posted);
+  const bool inserted =
+      descriptor_nodes_
+          .emplace(descriptors_, descriptor, DescriptorState::posted)
+          .second;
   if (!inserted) {
     std::ostringstream os;
     os << "descriptor " << descriptor << " posted twice (reuse before "
@@ -230,7 +232,7 @@ void PipelineValidator::on_descriptor_completed(std::uint64_t descriptor) {
     violation(Violation::descriptor_lifetime, __LINE__, os.str());
     return;
   }
-  descriptors_.erase(it);
+  descriptor_nodes_.erase(descriptors_, it);
   ++descriptors_completed_;
 }
 
@@ -259,7 +261,7 @@ void PipelineValidator::on_trace_complete(const StageTrace& trace) {
 
 void PipelineValidator::on_io_started(std::uint64_t token) {
   RecursiveMutexLock lock(mu_);
-  ++ios_inflight_[token];
+  ++count_nodes_.emplace(ios_inflight_, token, 0).first->second;
 }
 
 void PipelineValidator::on_io_resolved(std::uint64_t token) {
@@ -272,7 +274,7 @@ void PipelineValidator::on_io_resolved(std::uint64_t token) {
     violation(Violation::io_leak, __LINE__, os.str());
     return;
   }
-  if (--it->second == 0) ios_inflight_.erase(it);
+  if (--it->second == 0) count_nodes_.erase(ios_inflight_, it);
   ++ios_resolved_;
 }
 

@@ -25,7 +25,9 @@
 //
 // Thread safety: all hooks take an internal lock, so rings driven by a live
 // SqPollThread can report from the poll thread while the application thread
-// reports reaps.
+// reports reaps. The per-I/O map nodes (ring in-flight, descriptor, I/O
+// token) recycle through node pools under the same lock, so a steady I/O
+// stream costs the validator no heap allocation.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +38,7 @@
 #include "common/annotations.hpp"
 #include "common/metrics.hpp"
 #include "common/mutex.hpp"
+#include "common/node_pool.hpp"
 #include "common/trace.hpp"
 
 namespace dk {
@@ -159,6 +162,11 @@ class PipelineValidator {
   std::uint64_t background_resolved() const;
 
  private:
+  // key -> outstanding count.
+  using CountMap = std::unordered_map<std::uint64_t, std::uint32_t>;
+  enum class DescriptorState : std::uint8_t { posted, fetched };
+  using DescriptorMap = std::unordered_map<std::uint64_t, DescriptorState>;
+
   struct RingState {
     std::uint64_t queued = 0;  // SQ tail: SQEs accepted into the ring
     std::uint64_t issued = 0;  // SQ head: SQEs drained to the backend
@@ -166,15 +174,13 @@ class PipelineValidator {
     std::uint64_t reaped = 0;  // CQ head: CQEs consumed
     // user_data -> outstanding completions owed (>1 only if an application
     // reuses user_data across concurrent SQEs, which the rings permit).
-    std::unordered_map<std::uint64_t, std::uint32_t> inflight;
+    CountMap inflight;
   };
   struct TagState {
     unsigned depth = 0;
     unsigned in_use = 0;
     std::vector<char> held;
   };
-  enum class DescriptorState : std::uint8_t { posted, fetched };
-
   RingState& ring_state(unsigned ring) DK_REQUIRES(mu_);
   TagState& tag_state(unsigned hw_queue) DK_REQUIRES(mu_);
   void violation(Violation kind, int line, const std::string& message)
@@ -185,10 +191,10 @@ class PipelineValidator {
   MetricsRegistry* registry_ DK_GUARDED_BY(mu_);
   std::unordered_map<unsigned, RingState> rings_ DK_GUARDED_BY(mu_);
   std::unordered_map<unsigned, TagState> tags_ DK_GUARDED_BY(mu_);
-  std::unordered_map<std::uint64_t, DescriptorState> descriptors_
-      DK_GUARDED_BY(mu_);
-  std::unordered_map<std::uint64_t, std::uint32_t> ios_inflight_
-      DK_GUARDED_BY(mu_);
+  DescriptorMap descriptors_ DK_GUARDED_BY(mu_);
+  CountMap ios_inflight_ DK_GUARDED_BY(mu_);
+  NodePool<CountMap> count_nodes_ DK_GUARDED_BY(mu_);
+  NodePool<DescriptorMap> descriptor_nodes_ DK_GUARDED_BY(mu_);
   std::uint64_t descriptors_completed_ DK_GUARDED_BY(mu_) = 0;
   std::uint64_t ios_resolved_ DK_GUARDED_BY(mu_) = 0;
   std::uint64_t faults_injected_ DK_GUARDED_BY(mu_) = 0;

@@ -1,7 +1,9 @@
 #include "core/framework.hpp"
 
 #include <algorithm>
+#include <utility>
 
+#include "common/annotations.hpp"
 #include "common/check.hpp"
 #include "common/crc32c.hpp"
 
@@ -16,13 +18,10 @@ class Framework::RingBackend final : public uring::Backend {
  public:
   explicit RingBackend(Framework& fw) : fw_(fw) {}
 
-  void submit_io(const uring::Sqe& sqe,
-                 std::function<void(std::int32_t)> complete) override {
-    auto it = fw_.inflight_.find(sqe.user_data);
-    DK_CHECK(it != fw_.inflight_.end())
-        << "SQE for unknown I/O token " << sqe.user_data;
-    it->second.ring_complete = std::move(complete);
-    fw_.start_io(it);
+  void submit_io(const uring::Sqe& sqe, uring::CompleteFn complete) override {
+    IoCtx& io = fw_.slot_of(sqe.user_data);
+    io.ring_complete = std::move(complete);
+    fw_.start_io(io);
   }
 
  private:
@@ -36,7 +35,7 @@ class Framework::PipelineDriver final : public blk::Driver {
   explicit PipelineDriver(Framework& fw) : fw_(fw) {}
 
   void queue_rq(blk::Request request) override {
-    auto complete = std::move(request.complete);
+    blk::CompleteFn complete = std::move(request.complete);
     fw_.run_remote(request, std::move(complete));
   }
 
@@ -114,7 +113,7 @@ Framework::Framework(sim::Simulator& sim, FrameworkConfig config)
                          : fpga::QueueClass::replication;
     uifd_ = std::make_unique<host::UifdDriver>(
         *fpga_, uc,
-        [this](const blk::Request& r, std::function<void(std::int32_t)> done) {
+        [this](const blk::Request& r, blk::CompleteFn done) {
           run_remote(r, std::move(done));
         });
     mq_ = std::make_unique<blk::MqBlockLayer>(mqc, *uifd_);
@@ -324,26 +323,37 @@ Nanos Framework::fpga_stage_latency(bool is_write, std::uint64_t bytes) {
 
 void Framework::write(unsigned job, std::uint64_t offset,
                       std::vector<std::uint8_t> data, WriteDoneFn cb) {
-  IoCtx ctx;
+  IoCtx& ctx = acquire();
   ctx.job = job;
   ctx.offset = offset;
   ctx.data = std::move(data);
   ctx.wcb = std::move(cb);
-  submit(std::move(ctx));
+  submit(ctx);
 }
 
 void Framework::read(unsigned job, std::uint64_t offset, std::uint64_t length,
                      ReadDoneFn cb) {
-  IoCtx ctx;
+  IoCtx& ctx = acquire();
   ctx.is_read = true;
   ctx.job = job;
   ctx.offset = offset;
   ctx.data.resize(length);  // the destination; fragments fill their slices
   ctx.rcb = std::move(cb);
-  submit(std::move(ctx));
+  submit(ctx);
 }
 
-void Framework::submit(IoCtx ctx) {
+DK_HOT Framework::IoCtx& Framework::acquire() {
+  if (free_slots_.empty()) {
+    const auto slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back().slot = slot;
+    return slots_.back();
+  }
+  IoCtx& io = slots_[free_slots_.back()];
+  free_slots_.pop_back();
+  return io;
+}
+
+DK_HOT void Framework::submit(IoCtx& ctx) {
   if (config_.pool_mode == PoolMode::erasure && !traits_.supports_ec) {
     ctx.read_error =
         Status::Error(Errc::unsupported, "DeLiBA-1 has no EC accelerators");
@@ -369,14 +379,14 @@ void Framework::submit(IoCtx ctx) {
     if (config_.integrity) ctx.dma_checksums = block_checksums(ctx.data);
   }
 
-  const std::uint64_t token = next_token_++;
-  const IoIt io = inflight_.emplace(token, std::move(ctx)).first;
-  IoCtx& c = io->second;
+  IoCtx& c = ctx;
+  const std::uint64_t token = next_token_++ << 32 | c.slot;
+  c.token = token;
   c.trace.mark(Stage::submit, sim_.now());
   m_inflight_->add();
   validator_.on_io_started(token);
   if (!traits_.uses_uring) {
-    start_io(io);
+    start_io(c);
     return;
   }
 
@@ -385,10 +395,10 @@ void Framework::submit(IoCtx ctx) {
   const Status s = c.is_read ? ring.prep_read(0, token, len, c.offset, token)
                              : ring.prep_write(0, token, len, c.offset, token);
   if (!s.ok()) {
-    IoCtx rejected = retire(io);
+    retire(c);
     m_errors_->inc();
-    rejected.read_error = Status::Error(s.code(), "submission queue full");
-    deliver(rejected, -static_cast<std::int32_t>(s.code()));
+    c.read_error = Status::Error(s.code(), "submission queue full");
+    deliver(c, -static_cast<std::int32_t>(s.code()));
     return;
   }
   if (config_.ring_mode == uring::RingMode::kernel_polled)
@@ -397,20 +407,24 @@ void Framework::submit(IoCtx ctx) {
     ring.enter();
 }
 
-void Framework::start_io(IoIt io) {
-  IoCtx& ctx = io->second;
+Framework::IoCtx& Framework::slot_of(std::uint64_t token) {
+  IoCtx& io = slots_[token & 0xffffffffu];
+  DK_CHECK(io.token == token) << "no in-flight I/O holds token " << token;
+  return io;
+}
+
+DK_HOT void Framework::start_io(IoCtx& ctx) {
   // The SQE has been consumed (by the SQ-poll kthread or io_uring_enter)
   // and the request is being handed to the host submission path.
   ctx.trace.mark(Stage::sq_dispatch, sim_.now());
   sim::FifoServer& worker = *workers_[ctx.job % workers_.size()];
   const Nanos submit = host_submit_cost(!ctx.is_read, ctx.data.size());
-  worker.submit(submit, [this, io] { enter_block_layer(io); });
+  worker.submit(submit, [this, io = &ctx] { enter_block_layer(*io); });
   const Nanos extra = host_occupancy_extra(ctx.data.size());
   if (extra > 0) worker.submit(extra, nullptr);
 }
 
-void Framework::enter_block_layer(IoIt io) {
-  IoCtx& ctx = io->second;
+DK_HOT void Framework::enter_block_layer(IoCtx& ctx) {
   ctx.trace.mark(Stage::blk_enter, sim_.now());
 
   blk::Request req;
@@ -418,37 +432,34 @@ void Framework::enter_block_layer(IoIt io) {
   req.offset = ctx.offset;
   req.len = static_cast<std::uint32_t>(ctx.data.size());
   req.data = ctx.data;
-  req.user_data = io->first;
-  req.complete = [this, io](std::int32_t res) {
-    IoCtx& c = io->second;
+  req.user_data = ctx.token;
+  req.complete = [this, io = &ctx](std::int32_t res) {
     // The remote side (OSDs / cluster) has answered; only host-side
     // completion processing remains. The block layer completes a split bio
     // once, after its last fragment.
-    c.trace.mark(Stage::remote_complete, sim_.now());
+    io->trace.mark(Stage::remote_complete, sim_.now());
     sim::FifoServer& worker =
-        *completion_workers_[c.job % completion_workers_.size()];
-    const Nanos complete_cost = host_complete_cost(!c.is_read, c.data.size());
-    worker.submit(complete_cost, [this, io, res] { finish_io(io, res); });
+        *completion_workers_[io->job % completion_workers_.size()];
+    const Nanos complete_cost =
+        host_complete_cost(!io->is_read, io->data.size());
+    worker.submit(complete_cost, [this, io, res] { finish_io(*io, res); });
   };
   const Status s = mq_->submit(ctx.job % workers_.size(), std::move(req));
-  if (!s.ok()) finish_io(io, -static_cast<std::int32_t>(s.code()));
+  if (!s.ok()) finish_io(ctx, -static_cast<std::int32_t>(s.code()));
 }
 
-void Framework::run_remote(const blk::Request& request,
-                           std::function<void(std::int32_t)> done) {
-  const IoIt io = inflight_.find(request.user_data);
-  DK_CHECK(io != inflight_.end())
-      << "driver dispatch for unknown I/O token " << request.user_data;
-  io->second.trace.mark(Stage::driver_dispatch, sim_.now());
-  const Nanos f = fpga_stage_latency(!io->second.is_read, request.len);
+void Framework::run_remote(const blk::Request& request, blk::CompleteFn done) {
+  IoCtx& io = slot_of(request.user_data);
+  io.trace.mark(Stage::driver_dispatch, sim_.now());
+  const Nanos f = fpga_stage_latency(!io.is_read, request.len);
 
   // Serve exactly this fragment: its offset, its payload view, and its slice
   // of the checksum cover. Fragments start on checksum-block boundaries
   // (the split size is a multiple of kChecksumBlockBytes).
-  sim_.schedule_after(f, [this, io, offset = request.offset,
+  sim_.schedule_after(f, [this, io = &io, offset = request.offset,
                           data = request.data,
                           done = std::move(done)]() mutable {
-    IoCtx& ctx = io->second;
+    IoCtx& ctx = *io;
     ctx.trace.mark(Stage::rados_issue, sim_.now());
     std::span<std::uint32_t> cover;
     if (config_.integrity)
@@ -473,7 +484,7 @@ void Framework::run_remote(const blk::Request& request,
         offset, data, read_strategy(),
         [this, io, cover, data, done = std::move(done)](Status s) {
           if (!s.ok()) {
-            Status& first = io->second.read_error;
+            Status& first = io->read_error;
             if (first.ok()) first = s;
             done(-static_cast<std::int32_t>(s.code()));
             return;
@@ -494,16 +505,13 @@ void Framework::note_corruption(IoCtx& ctx) {
   validator_.on_corruption_detected();
 }
 
-Framework::IoCtx Framework::retire(IoIt io) {
-  validator_.on_io_resolved(io->first);
+DK_HOT void Framework::retire(IoCtx& io) {
+  validator_.on_io_resolved(io.token);
   m_inflight_->sub();
-  IoCtx ctx = std::move(io->second);
-  inflight_.erase(io);
-  return ctx;
 }
 
-void Framework::finish_io(IoIt io, std::int32_t res) {
-  IoCtx ctx = retire(io);
+DK_HOT void Framework::finish_io(IoCtx& ctx, std::int32_t res) {
+  retire(ctx);
   if (config_.integrity && ctx.is_read && res >= 0 &&
       block_checksums(ctx.data) != ctx.dma_checksums) {
     // The C2H DMA corrupted the payload after the cluster verified it:
@@ -534,14 +542,22 @@ void Framework::finish_io(IoIt io, std::int32_t res) {
   deliver(ctx, res);
 }
 
-void Framework::deliver(IoCtx& ctx, std::int32_t res) {
-  if (!ctx.is_read) {
-    ctx.wcb(res);
+DK_HOT void Framework::deliver(IoCtx& io, std::int32_t res) {
+  const bool is_read = io.is_read;
+  const WriteDoneFn wcb = std::move(io.wcb);
+  const ReadDoneFn rcb = std::move(io.rcb);
+  std::vector<std::uint8_t> data = std::move(io.data);
+  const Status error = std::move(io.read_error);
+  const std::uint32_t slot = io.slot;
+  io = IoCtx{};
+  io.slot = slot;
+  free_slots_.push_back(slot);
+  if (!is_read) {
+    wcb(res);
   } else if (res >= 0) {
-    ctx.rcb(std::move(ctx.data));
+    rcb(std::move(data));
   } else {
-    ctx.rcb(ctx.read_error.ok() ? Status::Error(Errc::io_error, "read failed")
-                                : ctx.read_error);
+    rcb(error.ok() ? Status::Error(Errc::io_error, "read failed") : error);
   }
 }
 

@@ -12,8 +12,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -113,8 +112,8 @@ struct FrameworkStats {
   std::uint64_t fpga_placements = 0;
 };
 
-using WriteDoneFn = std::function<void(std::int32_t)>;
-using ReadDoneFn = std::function<void(Result<std::vector<std::uint8_t>>)>;
+using WriteDoneFn = sim::UniqueFn<void(std::int32_t)>;
+using ReadDoneFn = sim::UniqueFn<void(Result<std::vector<std::uint8_t>>)>;
 
 class Framework {
  public:
@@ -180,7 +179,13 @@ class Framework {
   Nanos host_occupancy_extra(std::uint64_t bytes) const;
 
  private:
+  // One I/O's state, built and finished in place in a recycled slot.
   struct IoCtx {
+    std::uint32_t slot = 0;  // index in slots_; kept across reuse
+    // The validator's and the SQE's handle: a sequence number above the
+    // slot index (low 32 bits), so tokens stay unique as slots recycle.
+    // 0 while the slot is free.
+    std::uint64_t token = 0;
     bool is_read = false;
     unsigned job = 0;
     std::uint64_t offset = 0;
@@ -196,26 +201,29 @@ class Framework {
     WriteDoneFn wcb;
     ReadDoneFn rcb;
     Status read_error;
-    std::function<void(std::int32_t)> ring_complete;  // posts the CQE
-    StageTrace trace;                                 // per-stage timestamps
+    uring::CompleteFn ring_complete;  // posts the CQE
+    StageTrace trace;                 // per-stage timestamps
   };
-  // Map nodes never move, so callbacks hold the iterator until finish_io()
-  // erases it; only the SQE and the driver dispatch look a token up.
-  using IoIt = std::map<std::uint64_t, IoCtx>::iterator;
 
   class PipelineDriver;  // blk::Driver adapter continuing into FPGA/cluster
 
-  void submit(IoCtx ctx);
-  void start_io(IoIt io);
-  void enter_block_layer(IoIt io);
+  IoCtx& acquire();
+  void submit(IoCtx& io);
+  /// The in-flight I/O holding `token` (the SQE and the driver dispatch
+  /// look it up; every other hop holds the slot's address).
+  IoCtx& slot_of(std::uint64_t token);
+  void start_io(IoCtx& io);
+  void enter_block_layer(IoCtx& io);
   void wire_metrics();
   void wire_validator();
-  void run_remote(const blk::Request& request,
-                  std::function<void(std::int32_t)> done);
+  void run_remote(const blk::Request& request, blk::CompleteFn done);
   void note_corruption(IoCtx& ctx);
-  IoCtx retire(IoIt io);
-  void finish_io(IoIt io, std::int32_t res);
-  static void deliver(IoCtx& ctx, std::int32_t res);
+  /// The I/O is resolved: validator and in-flight gauge.
+  void retire(IoCtx& io);
+  void finish_io(IoCtx& io, std::int32_t res);
+  /// Move the callback and the result out of the slot, free the slot
+  /// (which the callback may reuse for the next I/O), then call back.
+  void deliver(IoCtx& io, std::int32_t res);
   Nanos fpga_stage_latency(bool is_write, std::uint64_t bytes);
   Nanos sw_crush_time() const;
 
@@ -264,7 +272,10 @@ class Framework {
 
   int pool_ = -1;
   std::uint64_t next_token_ = 1;
-  std::map<std::uint64_t, IoCtx> inflight_;
+  // IoCtx slots (a deque: a slot never moves while callbacks point at it)
+  // and the indices of the free ones.
+  std::deque<IoCtx> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace dk::core

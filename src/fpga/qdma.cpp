@@ -127,37 +127,40 @@ Status QdmaEngine::dma(unsigned id, std::uint64_t bytes, bool h2c_dir,
       metrics_.c2h_bytes->inc(bytes);
     }
   }
-  const Nanos dma_start = sim_.now();
+  // The op waits in a slot, so every event of its lifecycle captures only
+  // the slot index.
+  if (idle_ops_.empty()) {
+    idle_ops_.push_back(static_cast<unsigned>(ops_.size()));
+    ops_.emplace_back();
+  }
+  const unsigned op = idle_ops_.back();
+  idle_ops_.pop_back();
+  ops_[op] = InFlight{id, bytes, h2c_dir, sim_.now(), seq, payload,
+                      std::move(done)};
 
   // Doorbell + descriptor fetch (RQ + DE), then PCIe serialization of the
   // descriptor + payload, then the H2C/C2H engine slot, then CE writeback.
-  sim_.schedule_after(config_.doorbell_latency, [this, id, bytes, h2c_dir,
-                                                 dma_start, seq, payload,
-                                                 done = std::move(done)]() mutable {
+  sim_.schedule_after(config_.doorbell_latency, [this, op] {
+    const InFlight& f = ops_[op];
     ++stats_.descriptors_fetched;
-    if (validator_) validator_->on_descriptor_fetched(seq);
+    if (validator_) validator_->on_descriptor_fetched(f.seq);
     if (faults_ && faults_->should_fail_descriptor_fetch()) {
       // DE abort: the payload never crosses PCIe; the CE writes back an
       // error status after its usual writeback latency. The descriptor
       // still retires cleanly so quiescence accounting holds.
-      sim_.schedule_after(config_.completion_latency,
-                          [this, id, h2c_dir, seq, done = std::move(done)] {
-                            complete_descriptor(id, h2c_dir, seq);
-                            if (done)
-                              done(Status::Error(
-                                  Errc::io_error,
-                                  "QDMA descriptor fetch error"));
-                          });
+      sim_.schedule_after(config_.completion_latency, [this, op] {
+        const InFlight& f = ops_[op];
+        complete_descriptor(f.id, f.h2c_dir, f.seq);
+        finish(op, Status::Error(Errc::io_error,
+                                 "QDMA descriptor fetch error"));
+      });
       return;
     }
-    pcie_.transfer(bytes + kDescriptorBytes, [this, id, h2c_dir, dma_start,
-                                              seq, payload,
-                                              done = std::move(done)]() mutable {
-      auto& engine = h2c_dir ? h2c_engine_ : c2h_engine_;
-      engine.submit(config_.completion_latency, [this, id, h2c_dir, dma_start,
-                                                 seq, payload,
-                                                 done = std::move(done)] {
-        complete_descriptor(id, h2c_dir, seq);
+    pcie_.transfer(f.bytes + kDescriptorBytes, [this, op] {
+      auto& engine = ops_[op].h2c_dir ? h2c_engine_ : c2h_engine_;
+      engine.submit(config_.completion_latency, [this, op] {
+        const InFlight& f = ops_[op];
+        complete_descriptor(f.id, f.h2c_dir, f.seq);
         // Completion error: the DMA ran full-length but the CE flags it bad
         // (e.g. reorder-buffer parity); the host must treat it as failed.
         const bool ce_error = faults_ && faults_->should_fail_completion();
@@ -165,21 +168,25 @@ Status QdmaEngine::dma(unsigned id, std::uint64_t bytes, bool h2c_dir,
           // A DMA the CE calls good may still have flipped payload bits in
           // the reorder buffer (DmaCorruptionWindow): silent corruption that
           // only end-to-end checksums can surface.
-          if (faults_) faults_->maybe_corrupt_dma(payload);
+          if (faults_) faults_->maybe_corrupt_dma(f.payload);
           if (metrics_.h2c_latency) {
-            (h2c_dir ? metrics_.h2c_latency : metrics_.c2h_latency)
-                ->record(sim_.now() - dma_start);
+            (f.h2c_dir ? metrics_.h2c_latency : metrics_.c2h_latency)
+                ->record(sim_.now() - f.start);
           }
         }
-        if (done) {
-          done(ce_error
-                   ? Status::Error(Errc::io_error, "QDMA completion error")
-                   : Status::Ok());
-        }
+        finish(op, ce_error
+                       ? Status::Error(Errc::io_error, "QDMA completion error")
+                       : Status::Ok());
       });
     });
   });
   return Status::Ok();
+}
+
+void QdmaEngine::finish(unsigned op, Status status) {
+  const DmaCallback done = std::move(ops_[op].done);
+  idle_ops_.push_back(op);
+  if (done) done(std::move(status));
 }
 
 Status QdmaEngine::h2c(unsigned id, std::uint64_t bytes, DmaCallback done,

@@ -17,7 +17,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <span>
@@ -42,7 +42,7 @@ enum class QueueClass : std::uint8_t { replication, erasure_coding };
 /// DMA completion callback: Ok() on a clean CE writeback, io_error when the
 /// Descriptor Engine aborted the fetch or the Completion Engine wrote back
 /// an error status (fault-injected paths).
-using DmaCallback = std::function<void(Status)>;
+using DmaCallback = sim::UniqueFn<void(Status)>;
 
 /// 128-byte DMA descriptor (§IV.A): the five fields the Descriptor Engine
 /// consumes. The descriptor does not carry payload.
@@ -176,6 +176,20 @@ class QdmaEngine {
   /// consume the ring descriptor, post the completion entry, release the
   /// UltraRAM slot, and close the validator lifecycle.
   void complete_descriptor(unsigned id, bool h2c_dir, std::uint64_t seq);
+  /// Free the op's slot, then run its completion (which may start a DMA
+  /// that takes the slot).
+  void finish(unsigned op, Status status);
+
+  /// A DMA between doorbell and CE writeback.
+  struct InFlight {
+    unsigned id = 0;
+    std::uint64_t bytes = 0;
+    bool h2c_dir = false;
+    Nanos start = 0;
+    std::uint64_t seq = 0;
+    std::span<std::uint8_t> payload;
+    DmaCallback done;
+  };
 
   sim::Simulator& sim_;
   QdmaConfig config_;
@@ -185,6 +199,8 @@ class QdmaEngine {
   sim::BandwidthChannel pcie_;
   sim::FifoServer h2c_engine_;
   sim::FifoServer c2h_engine_;
+  std::deque<InFlight> ops_;  // by slot; a deque never moves a slot
+  std::vector<unsigned> idle_ops_;
   unsigned outstanding_descriptors_ = 0;
   std::uint64_t descriptor_seq_ = 0;  // identity for lifetime validation
   PipelineValidator* validator_ = nullptr;

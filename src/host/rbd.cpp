@@ -1,6 +1,7 @@
 #include "host/rbd.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/check.hpp"
 
@@ -20,119 +21,123 @@ void RbdDevice::attach_metrics(MetricsRegistry& registry,
   metrics_.bytes_read = &registry.counter(prefix + ".bytes_read");
 }
 
-std::vector<RbdDevice::Extent> RbdDevice::extents(std::uint64_t offset,
-                                                  std::uint64_t length) const {
-  std::vector<Extent> out;
-  while (length > 0) {
-    const std::uint64_t obj_off = offset % spec_.object_size;
-    const std::uint64_t in_obj =
-        std::min<std::uint64_t>(length, spec_.object_size - obj_off);
-    out.push_back(Extent{oid_of(offset), obj_off, in_obj});
-    offset += in_obj;
-    length -= in_obj;
+Result<unsigned> RbdDevice::admit(std::uint64_t offset, std::uint64_t length,
+                                 bool is_write) {
+  if (length == 0) return Status::Error(Errc::invalid_argument, "empty I/O");
+  if (offset > spec_.size_bytes || length > spec_.size_bytes - offset)
+    return Status::Error(Errc::out_of_range, "I/O beyond image end");
+  const auto extents = static_cast<unsigned>(
+      (offset + length - 1) / spec_.object_size - offset / spec_.object_size +
+      1);
+  (is_write ? stats_.writes : stats_.reads) += 1;
+  (is_write ? stats_.bytes_written : stats_.bytes_read) += length;
+  stats_.object_ops += extents;
+  if (metrics_.writes) {
+    (is_write ? metrics_.writes : metrics_.reads)->inc();
+    (is_write ? metrics_.bytes_written : metrics_.bytes_read)->inc(length);
+    metrics_.object_ops->inc(extents);
   }
-  return out;
+  return extents;
+}
+
+template <typename Issue>
+void RbdDevice::stripe(std::uint64_t offset, std::uint64_t length,
+                       Issue issue) const {
+  std::uint64_t pos = 0;
+  while (pos < length) {
+    const std::uint64_t obj_off = (offset + pos) % spec_.object_size;
+    const std::uint64_t in_obj =
+        std::min<std::uint64_t>(length - pos, spec_.object_size - obj_off);
+    issue(oid_of(offset + pos), obj_off, pos, in_obj);
+    pos += in_obj;
+  }
 }
 
 void RbdDevice::aio_write(std::uint64_t offset,
                           std::span<const std::uint8_t> data,
                           rados::WriteStrategy strategy,
-                          std::function<void(std::int32_t)> cb) {
-  if (offset + data.size() > spec_.size_bytes) {
-    cb(-static_cast<std::int32_t>(Errc::out_of_range));
+                          sim::UniqueFn<void(std::int32_t)> cb) {
+  const Result<unsigned> extents = admit(offset, data.size(), true);
+  if (!extents.ok()) {
+    cb(-static_cast<std::int32_t>(extents.status().code()));
     return;
   }
-  ++stats_.writes;
-  stats_.bytes_written += data.size();
-  auto exts = extents(offset, data.size());
-  DK_CHECK(!exts.empty());
-  stats_.object_ops += exts.size();
-  if (metrics_.writes) {
-    metrics_.writes->inc();
-    metrics_.bytes_written->inc(data.size());
-    metrics_.object_ops->inc(exts.size());
-  }
-
-  struct State {
+  // An I/O that spans objects completes once, after its last extent.
+  struct Gather {
     unsigned remaining;
     std::int32_t total = 0;
     std::int32_t first_error = 0;
-    std::function<void(std::int32_t)> cb;
+    sim::UniqueFn<void(std::int32_t)> cb;
   };
-  auto state = std::make_shared<State>();
-  state->remaining = static_cast<unsigned>(exts.size());
-  state->cb = std::move(cb);
-
-  std::uint64_t consumed = 0;
-  for (const Extent& e : exts) {
-    const auto part = data.subspan(consumed, e.len);
-    consumed += e.len;
-    const auto len = static_cast<std::int32_t>(e.len);
-    client_.write(spec_.pool, e.oid, e.obj_off, {part.begin(), part.end()},
-                  strategy, [state, len](Status s) {
-                    if (!s.ok()) {
-                      if (state->first_error == 0)
-                        state->first_error =
-                            -static_cast<std::int32_t>(s.code());
-                    } else {
-                      state->total += len;
+  std::shared_ptr<Gather> gather;
+  if (*extents > 1)
+    gather = std::make_shared<Gather>(Gather{*extents, 0, 0, std::move(cb)});
+  stripe(offset, data.size(), [&](std::uint64_t oid, std::uint64_t obj_off,
+                                  std::uint64_t pos, std::uint64_t len) {
+    const auto part = data.subspan(pos, len);
+    const auto n = static_cast<std::int32_t>(len);
+    client_.write(spec_.pool, oid, obj_off, {part.begin(), part.end()},
+                  strategy,
+                  [n, gather, cb = gather ? nullptr : std::move(cb)](Status s) {
+                    const std::int32_t res =
+                        s.ok() ? n : -static_cast<std::int32_t>(s.code());
+                    if (!gather) {
+                      cb(res);
+                      return;
                     }
-                    if (--state->remaining == 0)
-                      state->cb(state->first_error ? state->first_error
-                                                   : state->total);
+                    if (res < 0 && gather->first_error == 0)
+                      gather->first_error = res;
+                    if (res >= 0) gather->total += res;
+                    if (--gather->remaining == 0)
+                      gather->cb(gather->first_error ? gather->first_error
+                                                     : gather->total);
                   });
-  }
+  });
 }
 
 void RbdDevice::aio_read(std::uint64_t offset, std::span<std::uint8_t> dst,
                          rados::ReadStrategy strategy,
-                         std::function<void(Status)> done) {
-  if (offset + dst.size() > spec_.size_bytes) {
-    done(Status::Error(Errc::out_of_range, "read beyond image end"));
+                         sim::UniqueFn<void(Status)> done) {
+  const Result<unsigned> extents = admit(offset, dst.size(), false);
+  if (!extents.ok()) {
+    done(extents.status());
     return;
   }
-  ++stats_.reads;
-  stats_.bytes_read += dst.size();
-  auto exts = extents(offset, dst.size());
-  DK_CHECK(!exts.empty());
-  stats_.object_ops += exts.size();
-  if (metrics_.reads) {
-    metrics_.reads->inc();
-    metrics_.bytes_read->inc(dst.size());
-    metrics_.object_ops->inc(exts.size());
-  }
-
-  struct State {
+  struct Gather {
     unsigned remaining;
     Status first_error;
-    std::function<void(Status)> done;
+    sim::UniqueFn<void(Status)> done;
   };
-  auto state = std::make_shared<State>();
-  state->remaining = static_cast<unsigned>(exts.size());
-  state->done = std::move(done);
-
-  std::uint64_t consumed = 0;
-  for (const Extent& e : exts) {
-    const auto part = dst.subspan(consumed, e.len);
-    consumed += e.len;
-    client_.read(spec_.pool, e.oid, e.obj_off, e.len, strategy,
-                 [state, part](Result<std::vector<std::uint8_t>> r) {
+  std::shared_ptr<Gather> gather;
+  if (*extents > 1)
+    gather = std::make_shared<Gather>(
+        Gather{*extents, Status::Ok(), std::move(done)});
+  stripe(offset, dst.size(), [&](std::uint64_t oid, std::uint64_t obj_off,
+                                 std::uint64_t pos, std::uint64_t len) {
+    client_.read(spec_.pool, oid, obj_off, len, strategy,
+                 [part = dst.subspan(pos, len), gather,
+                  done = gather ? nullptr : std::move(done)](
+                     Result<std::vector<std::uint8_t>> r) {
                    if (r.ok()) {
                      DK_CHECK(r->size() == part.size());
                      std::copy_n(r->begin(), std::min(r->size(), part.size()),
                                  part.begin());
-                   } else if (state->first_error.ok()) {
-                     state->first_error = r.status();
                    }
-                   if (--state->remaining == 0)
-                     state->done(state->first_error);
+                   if (!gather) {
+                     done(r.status());
+                     return;
+                   }
+                   if (!r.ok() && gather->first_error.ok())
+                     gather->first_error = r.status();
+                   if (--gather->remaining == 0)
+                     gather->done(gather->first_error);
                  });
-  }
+  });
 }
 
-void RbdDevice::aio_read(
-    std::uint64_t offset, std::uint64_t length, rados::ReadStrategy strategy,
-    std::function<void(Result<std::vector<std::uint8_t>>)> cb) {
+void RbdDevice::aio_read(std::uint64_t offset, std::uint64_t length,
+                         rados::ReadStrategy strategy,
+                         rados::ReadCallback cb) {
   // The vector moves into the completion; its storage, which `dst` views,
   // stays where it is.
   std::vector<std::uint8_t> buf(length);

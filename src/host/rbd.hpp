@@ -3,12 +3,11 @@
 // Mirrors the Ceph RBD kernel driver DeLiBA-K integrates into UIFD: the
 // image's linear byte range is striped over fixed-size RADOS objects
 // (default 4 MiB); block requests are split at object boundaries and issued
-// through the RadosClient with the framework-selected strategies.
+// through the RadosClient with the framework-selected strategies. An I/O
+// inside one object (every 4 kB I/O) is issued with no gather state.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -42,20 +41,20 @@ class RbdDevice {
   const RbdStats& stats() const { return stats_; }
 
   /// Asynchronous block write of `data`, copied before this returns;
-  /// completion carries bytes written or error.
+  /// completion carries bytes written or error. An empty write fails with
+  /// invalid_argument, one past the image end with out_of_range.
   void aio_write(std::uint64_t offset, std::span<const std::uint8_t> data,
                  rados::WriteStrategy strategy,
-                 std::function<void(std::int32_t)> cb);
+                 sim::UniqueFn<void(std::int32_t)> cb);
 
   /// Asynchronous block read of `dst.size()` bytes straight into `dst`,
-  /// which must outlive the completion.
+  /// which must outlive the completion. Range errors as for aio_write.
   void aio_read(std::uint64_t offset, std::span<std::uint8_t> dst,
-                rados::ReadStrategy strategy, std::function<void(Status)> done);
+                rados::ReadStrategy strategy, sim::UniqueFn<void(Status)> done);
 
   /// Asynchronous block read into a buffer of its own.
   void aio_read(std::uint64_t offset, std::uint64_t length,
-                rados::ReadStrategy strategy,
-                std::function<void(Result<std::vector<std::uint8_t>>)> cb);
+                rados::ReadStrategy strategy, rados::ReadCallback cb);
 
   /// Publish image activity under "<prefix>." (writes/reads/object_ops/
   /// bytes_written/bytes_read counters).
@@ -68,12 +67,14 @@ class RbdDevice {
   }
 
  private:
-  struct Extent {
-    std::uint64_t oid;
-    std::uint64_t obj_off;
-    std::uint64_t len;
-  };
-  std::vector<Extent> extents(std::uint64_t offset, std::uint64_t length) const;
+  /// Range check, then stats, for an I/O of `length` bytes at `offset`:
+  /// the number of object extents it spans, or the error it completes with.
+  Result<unsigned> admit(std::uint64_t offset, std::uint64_t length,
+                         bool is_write);
+  /// The striping loop: `issue(oid, obj_off, pos, len)` for each object
+  /// extent, where `pos` is the extent's position within the I/O.
+  template <typename Issue>
+  void stripe(std::uint64_t offset, std::uint64_t length, Issue issue) const;
 
   rados::RadosClient& client_;
   RbdImageSpec spec_;

@@ -1,7 +1,6 @@
 #include "host/uifd.hpp"
 
-#include <memory>
-
+#include "common/annotations.hpp"
 #include "common/check.hpp"
 
 namespace dk::host {
@@ -16,6 +15,7 @@ UifdDriver::UifdDriver(fpga::FpgaDevice& device, UifdConfig config,
     DK_CHECK(id.ok()) << "QDMA queue sets exhausted";
     queue_sets_.push_back(*id);
   }
+  slots_.resize(config_.nr_hw_queues);
 }
 
 void UifdDriver::attach_metrics(MetricsRegistry& registry,
@@ -33,91 +33,98 @@ void UifdDriver::attach_metrics(MetricsRegistry& registry,
     metrics_.dma_retries = &registry.counter("io.retries.qdma");
 }
 
-void UifdDriver::dma_with_retry(unsigned qs, std::uint64_t bytes, bool h2c_dir,
-                                std::span<std::uint8_t> payload,
-                                unsigned attempt,
-                                std::function<void(Status)> done) {
-  constexpr unsigned kMaxDmaAttempts = 3;
-  // Shared so the sync-reject path below can still reach the callback after
-  // it was moved into the completion closure.
-  auto done_sp = std::make_shared<std::function<void(Status)>>(std::move(done));
-  auto on_dma = [this, qs, bytes, h2c_dir, payload, attempt,
-                 done_sp](Status s) {
-    if (s.ok() || attempt + 1 >= kMaxDmaAttempts) {
-      (*done_sp)(std::move(s));
-      return;
-    }
-    ++stats_.dma_retries;
-    if (metrics_.dma_retries) metrics_.dma_retries->inc();
-    dma_with_retry(qs, bytes, h2c_dir, payload, attempt + 1,
-                   std::move(*done_sp));
-  };
-  const Status issued =
-      h2c_dir ? device_.qdma().h2c(qs, bytes, std::move(on_dma), payload)
-              : device_.qdma().c2h(qs, bytes, std::move(on_dma), payload);
-  if (!issued.ok()) (*done_sp)(issued);
-}
-
-void UifdDriver::queue_rq(blk::Request request) {
-  const unsigned qs = queue_set_for(request);
-  if (metrics_.inflight) {
-    metrics_.inflight->add();
-    auto inner = std::move(request.complete);
-    request.complete = [this, inner = std::move(inner)](std::int32_t res) {
-      metrics_.inflight->sub();
-      if (res < 0 && metrics_.errors) metrics_.errors->inc();
-      inner(res);
-    };
+DK_HOT void UifdDriver::queue_rq(blk::Request request) {
+  const unsigned hwq = request.hw_queue;
+  const unsigned tag = request.tag;
+  const bool tagged = tag != ~0u && hwq < slots_.size();
+  DK_CHECK(tagged) << "UIFD request on hw queue " << hwq
+                   << " without a block-layer tag";
+  if (!tagged) {
+    request.complete(-static_cast<std::int32_t>(Errc::invalid_argument));
+    return;
   }
-  // Requests are move-captured through the async chain; share them so both
-  // the DMA completion and the remote completion see the same object.
-  auto req = std::make_shared<blk::Request>(std::move(request));
+  if (tag >= slots_[hwq].size()) slots_[hwq].resize(tag + 1);
+  if (metrics_.inflight) metrics_.inflight->add();
+  const std::uint32_t len = request.len;
+  const bool to_card =
+      request.op == blk::ReqOp::write || request.op == blk::ReqOp::flush;
+  slot(hwq, tag).request = std::move(request);
 
-  if (req->op == blk::ReqOp::write || req->op == blk::ReqOp::flush) {
+  if (to_card) {
     ++stats_.writes;
-    stats_.h2c_bytes += req->len;
+    stats_.h2c_bytes += len;
     if (metrics_.writes) {
       metrics_.writes->inc();
-      metrics_.h2c_bytes->inc(req->len);
+      metrics_.h2c_bytes->inc(len);
     }
     // Host-to-card payload DMA (re-driven on injected DMA errors), then the
     // storage-side pipeline.
-    dma_with_retry(qs, req->len, /*h2c_dir=*/true, req->data, 0,
-                   [this, req](Status s) {
-      if (!s.ok()) {
-        ++stats_.errors;
-        req->complete(-static_cast<std::int32_t>(s.code()));
-        return;
-      }
-      remote_(*req, [this, req](std::int32_t res) {
-        if (res < 0) ++stats_.errors;
-        req->complete(res);
-      });
-    });
+    dma(hwq, tag, 0);
     return;
   }
-
   ++stats_.reads;
   if (metrics_.reads) metrics_.reads->inc();
   // Storage-side fetch first, then card-to-host payload DMA.
-  remote_(*req, [this, qs, req](std::int32_t res) {
-    if (res < 0) {
-      ++stats_.errors;
-      req->complete(res);
+  run_remote(hwq, tag);
+}
+
+DK_HOT void UifdDriver::run_remote(unsigned hwq, unsigned tag) {
+  remote_(slot(hwq, tag).request, [this, hwq, tag](std::int32_t res) {
+    const blk::Request& req = slot(hwq, tag).request;
+    if (res < 0 || req.op != blk::ReqOp::read) {
+      finish(hwq, tag, res);
       return;
     }
-    stats_.c2h_bytes += req->len;
-    if (metrics_.c2h_bytes) metrics_.c2h_bytes->inc(req->len);
-    dma_with_retry(qs, req->len, /*h2c_dir=*/false, req->data, 0,
-                   [this, req, res](Status s) {
-                     if (!s.ok()) {
-                       ++stats_.errors;
-                       req->complete(-static_cast<std::int32_t>(s.code()));
-                       return;
-                     }
-                     req->complete(res);
-                   });
+    stats_.c2h_bytes += req.len;
+    if (metrics_.c2h_bytes) metrics_.c2h_bytes->inc(req.len);
+    slot(hwq, tag).res = res;
+    dma(hwq, tag, 0);
   });
+}
+
+DK_HOT void UifdDriver::dma(unsigned hwq, unsigned tag, unsigned attempt) {
+  const blk::Request& req = slot(hwq, tag).request;
+  const unsigned qs = queue_sets_[hwq];
+  auto on_done = [this, hwq, tag, attempt](Status s) {
+    on_dma(hwq, tag, attempt, std::move(s));
+  };
+  const Status issued =
+      req.op == blk::ReqOp::read
+          ? device_.qdma().c2h(qs, req.len, std::move(on_done), req.data)
+          : device_.qdma().h2c(qs, req.len, std::move(on_done), req.data);
+  if (!issued.ok())
+    finish(hwq, tag, -static_cast<std::int32_t>(issued.code()));
+}
+
+DK_HOT void UifdDriver::on_dma(unsigned hwq, unsigned tag, unsigned attempt,
+                               Status s) {
+  constexpr unsigned kMaxDmaAttempts = 3;
+  if (!s.ok() && attempt + 1 < kMaxDmaAttempts) {
+    ++stats_.dma_retries;
+    if (metrics_.dma_retries) metrics_.dma_retries->inc();
+    dma(hwq, tag, attempt + 1);
+    return;
+  }
+  if (!s.ok()) {
+    finish(hwq, tag, -static_cast<std::int32_t>(s.code()));
+    return;
+  }
+  // A write's payload is on the card: run it remotely. A read's C2H DMA
+  // delivered it to the host: complete with the remote result.
+  if (slot(hwq, tag).request.op == blk::ReqOp::read)
+    finish(hwq, tag, slot(hwq, tag).res);
+  else
+    run_remote(hwq, tag);
+}
+
+DK_HOT void UifdDriver::finish(unsigned hwq, unsigned tag, std::int32_t res) {
+  if (res < 0) {
+    ++stats_.errors;
+    if (metrics_.errors) metrics_.errors->inc();
+  }
+  if (metrics_.inflight) metrics_.inflight->sub();
+  const blk::CompleteFn done = std::move(slot(hwq, tag).request.complete);
+  done(res);
 }
 
 }  // namespace dk::host

@@ -8,6 +8,10 @@
 // the request's own payload view, so an armed DmaCorruptionWindow flips real
 // bytes in flight; a request without a view keeps the QDMA timing-only.
 //
+// The driver keeps each request under its block-layer (hw queue, tag) until
+// it completes, so its DMA and remote completions carry only those indices
+// and the per-I/O path allocates nothing.
+//
 // One QDMA queue set is allocated per hardware queue, classed replication
 // or erasure-coding; each io_uring instance's CPU maps to one hardware
 // queue maps to one queue set, giving the per-core end-to-end alignment the
@@ -16,8 +20,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <span>
+#include <deque>
 #include <vector>
 
 #include "blk/mq.hpp"
@@ -44,8 +47,7 @@ struct UifdStats {
 
 /// Storage-side executor: performs the remote part of the request (card ->
 /// network -> OSDs -> card) and reports bytes-done or negative error.
-using RemoteIoFn =
-    std::function<void(const blk::Request&, std::function<void(std::int32_t)>)>;
+using RemoteIoFn = sim::UniqueFn<void(const blk::Request&, blk::CompleteFn)>;
 
 class UifdDriver final : public blk::Driver {
  public:
@@ -56,7 +58,8 @@ class UifdDriver final : public blk::Driver {
   const std::vector<unsigned>& queue_sets() const { return queue_sets_; }
 
   /// blk::Driver: writes DMA host->card first, then run remotely; reads run
-  /// remotely first, then DMA card->host.
+  /// remotely first, then DMA card->host. The request must carry its
+  /// block-layer tag, and its hw queue must be one of this driver's.
   void queue_rq(blk::Request request) override;
 
   /// Publish driver activity under "<prefix>." (writes/reads/h2c_bytes/
@@ -64,22 +67,33 @@ class UifdDriver final : public blk::Driver {
   void attach_metrics(MetricsRegistry& registry, const std::string& prefix);
 
  private:
-  unsigned queue_set_for(const blk::Request& request) const {
-    return queue_sets_[request.hw_queue % queue_sets_.size()];
-  }
+  /// A request in flight, with the remote result a read carries across its
+  /// C2H DMA.
+  struct Slot {
+    blk::Request request;
+    std::int32_t res = 0;
+  };
+  Slot& slot(unsigned hwq, unsigned tag) { return slots_[hwq][tag]; }
 
-  /// Issue a DMA, transparently re-driving the doorbell on async errors
-  /// (injected descriptor-fetch / completion faults) up to a small attempt
-  /// cap. Synchronous rejects (ring full) are NOT retried here — that would
-  /// spin at the same sim instant; backpressure belongs to the submitter.
-  void dma_with_retry(unsigned qs, std::uint64_t bytes, bool h2c_dir,
-                      std::span<std::uint8_t> payload, unsigned attempt,
-                      std::function<void(Status)> done);
+  /// Issue the request's payload DMA (H2C for writes, C2H for reads),
+  /// transparently re-driving the doorbell on async errors (injected
+  /// descriptor-fetch / completion faults) up to a small attempt cap.
+  /// Synchronous rejects (ring full) are NOT retried here — that would spin
+  /// at the same sim instant; backpressure belongs to the submitter.
+  void dma(unsigned hwq, unsigned tag, unsigned attempt);
+  void on_dma(unsigned hwq, unsigned tag, unsigned attempt, Status s);
+  void run_remote(unsigned hwq, unsigned tag);
+  /// Complete the request: error accounting, then its completion, moved
+  /// out first because it may dispatch a new request onto this tag.
+  void finish(unsigned hwq, unsigned tag, std::int32_t res);
 
   fpga::FpgaDevice& device_;
   UifdConfig config_;
   RemoteIoFn remote_;
   std::vector<unsigned> queue_sets_;
+  // [hw_queue][tag]; a deque grows by tag without moving a slot, so the
+  // request a remote executor was handed stays put until it completes.
+  std::vector<std::deque<Slot>> slots_;
   UifdStats stats_;
 
   struct MetricHandles {

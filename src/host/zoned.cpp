@@ -110,7 +110,7 @@ Status ZonedDevice::finish_zone(unsigned zone_index) {
 }
 
 void ZonedBackend::submit_io(const uring::Sqe& sqe,
-                             std::function<void(std::int32_t)> complete) {
+                             uring::CompleteFn complete) {
   using uring::Opcode;
   switch (sqe.opcode) {
     case Opcode::nop:

@@ -96,8 +96,7 @@ class ZonedBackend final : public uring::Backend {
  public:
   explicit ZonedBackend(ZonedDevice& device) : device_(device) {}
 
-  void submit_io(const uring::Sqe& sqe,
-                 std::function<void(std::int32_t)> complete) override;
+  void submit_io(const uring::Sqe& sqe, uring::CompleteFn complete) override;
 
  private:
   ZonedDevice& device_;

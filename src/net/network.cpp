@@ -57,20 +57,31 @@ bool Network::send(Message msg) {
 
   Node& src = *nodes_[msg.src];
   const std::uint64_t wire = wire_bytes(msg.payload_bytes, config_.nic.mtu);
-  const Nanos forward_delay = config_.switch_latency + extra_delay;
+  // The message waits in a slot, so each hop's event captures only the
+  // slot index.
+  if (idle_.empty()) {
+    idle_.push_back(static_cast<std::uint32_t>(in_flight_.size()));
+    in_flight_.emplace_back();
+  }
+  const std::uint32_t slot = idle_.back();
+  idle_.pop_back();
+  in_flight_[slot] = InFlight{std::move(msg), wire,
+                              config_.switch_latency + extra_delay};
   // TX serialization (+ NIC latency folded into the channel) ...
-  src.tx->transfer(
-      wire, [this, wire, forward_delay, &dst, m = std::move(msg)]() mutable {
-        // ... switch forwarding (+ injected congestion delay) ...
-        sim_.schedule_after(forward_delay,
-                            [this, wire, &dst, m = std::move(m)]() mutable {
-                              // ... RX serialization at the receiver.
-                              dst.rx->transfer(wire, [&dst, m = std::move(m)] {
-                                dst.rx_payload += m.payload_bytes;
-                                dst.deliver(m);
-                              });
-                            });
+  src.tx->transfer(wire, [this, slot] {
+    // ... switch forwarding (+ injected congestion delay) ...
+    sim_.schedule_after(in_flight_[slot].forward_delay, [this, slot] {
+      // ... RX serialization at the receiver.
+      const InFlight& f = in_flight_[slot];
+      nodes_[f.msg.dst]->rx->transfer(f.wire, [this, slot] {
+        const Message m = std::move(in_flight_[slot].msg);
+        idle_.push_back(slot);
+        Node& dst = *nodes_[m.dst];
+        dst.rx_payload += m.payload_bytes;
+        dst.deliver(m);
       });
+    });
+  });
   return true;
 }
 

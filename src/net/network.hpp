@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -53,7 +52,7 @@ struct Message {
   std::shared_ptr<void> body;              // caller-defined typed body
 };
 
-using DeliveryFn = std::function<void(const Message&)>;
+using DeliveryFn = sim::UniqueFn<void(const Message&)>;
 
 class Network {
  public:
@@ -88,6 +87,12 @@ class Network {
   double node_rx_mbps(NodeId id, Nanos elapsed) const;
 
  private:
+  /// A message on the wire, between TX and delivery.
+  struct InFlight {
+    Message msg;
+    std::uint64_t wire = 0;
+    Nanos forward_delay = 0;
+  };
   struct Node {
     std::string name;
     DeliveryFn deliver;
@@ -99,6 +104,8 @@ class Network {
   sim::Simulator& sim_;
   FabricConfig config_;
   std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<InFlight> in_flight_;  // by slot
+  std::vector<std::uint32_t> idle_;
   std::uint64_t payload_sent_ = 0;
   sim::FaultInjector* faults_ = nullptr;
 };

@@ -1,5 +1,6 @@
 #include "rados/client.hpp"
 
+#include "common/annotations.hpp"
 #include "common/check.hpp"
 #include "common/crc32c.hpp"
 #include "common/pipeline_validator.hpp"
@@ -20,6 +21,11 @@ bool status_retryable(const Status& s) {
 /// move on its object (Ceph's recovery_blocked). Short enough that the
 /// unblock latency is dominated by the move itself.
 constexpr Nanos kRecoveryBlockedRetryDelay = us(20);
+
+/// The key of object (pool, oid), or of its EC shard `shard`.
+ObjectKey object_key(int pool, std::uint64_t oid, std::int32_t shard = -1) {
+  return ObjectKey{static_cast<std::uint32_t>(pool), oid, shard};
+}
 
 Nanos scaled_capped(Nanos base, double factor, unsigned attempt, Nanos cap) {
   double v = static_cast<double>(base);
@@ -89,7 +95,7 @@ void RadosClient::arm_deadline(std::uint64_t op_id, Nanos timeout) {
     auto it = pending_.find(op_id);
     if (it == pending_.end()) return;  // completed within the deadline
     Pending pend = std::move(it->second);
-    pending_.erase(it);
+    pending_nodes_.erase(pending_, it);
     ++timeouts_;
     if (metrics_.timeouts) metrics_.timeouts->inc();
     if (metrics_.inflight) metrics_.inflight->sub();
@@ -252,13 +258,10 @@ std::uint64_t RadosClient::write_replicated(int pool, std::uint64_t oid,
 
   if (strategy == WriteStrategy::primary_copy) {
     pend.awaiting = 1;
-    pending_.emplace(op_id, std::move(pend));
+    pending_nodes_.emplace(pending_, op_id, std::move(pend));
     op_started();
-    auto body = std::make_shared<OpBody>();
-    body->type = OpType::client_write;
-    body->op_id = op_id;
-    body->key = ObjectKey{static_cast<std::uint32_t>(pool), oid, -1};
-    body->offset = offset;
+    auto body = make_op(OpType::client_write, op_id, object_key(pool, oid),
+                        offset);
     body->data = std::move(data);
     body->checksums = maybe_checksums(offset, body->data);
     body->replicas.assign(acting.begin() + 1, acting.end());
@@ -268,18 +271,14 @@ std::uint64_t RadosClient::write_replicated(int pool, std::uint64_t oid,
 
   // client_fanout: one direct copy per replica, acked independently.
   pend.awaiting = static_cast<unsigned>(acting.size());
-  pending_.emplace(op_id, std::move(pend));
+  pending_nodes_.emplace(pending_, op_id, std::move(pend));
   op_started();
   const auto checksums = maybe_checksums(offset, data);
   for (int osd : acting) {
-    auto body = std::make_shared<OpBody>();
-    body->type = OpType::shard_write;
-    body->op_id = op_id;
-    body->key = ObjectKey{static_cast<std::uint32_t>(pool), oid, -1};
-    body->offset = offset;
+    auto body = make_op(OpType::shard_write, op_id, object_key(pool, oid),
+                        offset);
     body->data = data;  // full copy per replica, as the QDMA engine emits
     body->checksums = checksums;
-    body->reply_osd = -1;
     send(osd, std::move(body));
   }
   return op_id;
@@ -306,13 +305,10 @@ std::uint64_t RadosClient::write_ec(int pool, std::uint64_t oid,
 
   if (strategy == WriteStrategy::primary_copy) {
     pend.awaiting = 1;
-    pending_.emplace(op_id, std::move(pend));
+    pending_nodes_.emplace(pending_, op_id, std::move(pend));
     op_started();
-    auto body = std::make_shared<OpBody>();
-    body->type = OpType::ec_primary_write;
-    body->op_id = op_id;
-    body->key = ObjectKey{static_cast<std::uint32_t>(pool), oid, -1};
-    body->offset = offset;
+    auto body = make_op(OpType::ec_primary_write, op_id,
+                        object_key(pool, oid), offset);
     body->data = std::move(data);
     body->replicas = acting;
     body->ec_k = k;
@@ -333,19 +329,14 @@ std::uint64_t RadosClient::write_ec(int pool, std::uint64_t oid,
   for (auto& c : *coding) chunks.push_back(std::move(c));
 
   pend.awaiting = static_cast<unsigned>(chunks.size());
-  pending_.emplace(op_id, std::move(pend));
+  pending_nodes_.emplace(pending_, op_id, std::move(pend));
   op_started();
   const std::uint64_t shard_off = offset / k;
   for (unsigned s = 0; s < chunks.size(); ++s) {
-    auto body = std::make_shared<OpBody>();
-    body->type = OpType::shard_write;
-    body->op_id = op_id;
-    body->key = ObjectKey{static_cast<std::uint32_t>(pool), oid,
-                          static_cast<std::int32_t>(s)};
-    body->offset = shard_off;
+    auto body = make_op(OpType::shard_write, op_id, object_key(pool, oid, s),
+                        shard_off);
     body->data = std::move(chunks[s]);
     body->checksums = maybe_checksums(shard_off, body->data);
-    body->reply_osd = -1;
     send(acting[s], std::move(body));
   }
   return op_id;
@@ -368,7 +359,7 @@ void RadosClient::read(int pool, std::uint64_t oid, std::uint64_t offset,
   start_read_attempt(std::move(ctx));
 }
 
-std::uint64_t RadosClient::dispatch_read(int pool, std::uint64_t oid,
+DK_HOT std::uint64_t RadosClient::dispatch_read(int pool, std::uint64_t oid,
                                          std::uint64_t offset,
                                          std::uint64_t length,
                                          ReadStrategy strategy,
@@ -385,7 +376,25 @@ std::uint64_t RadosClient::dispatch_read(int pool, std::uint64_t oid,
   return read_ec(pool, oid, offset, length, acting, strategy, std::move(cb));
 }
 
-std::uint64_t RadosClient::read_replicated(int pool, std::uint64_t oid,
+void RadosClient::defer_read(int pool, std::uint64_t oid,
+                             std::uint64_t offset, std::uint64_t length,
+                             ReadCallback cb, unsigned defers_left) {
+  ++recovery_read_delays_;
+  cluster_.simulator().schedule_after(
+      kRecoveryBlockedRetryDelay,
+      [this, pool, oid, offset, length, cb = std::move(cb),
+       defers_left]() mutable {
+        const auto& fresh = cluster_.acting_set(pool, oid, &work_);
+        if (fresh.empty()) {
+          cb(Status::Error(Errc::not_found, "empty acting set"));
+          return;
+        }
+        read_replicated(pool, oid, offset, length, fresh, std::move(cb),
+                        defers_left);
+      });
+}
+
+DK_HOT std::uint64_t RadosClient::read_replicated(int pool, std::uint64_t oid,
                                            std::uint64_t offset,
                                            std::uint64_t length,
                                            const std::vector<int>& acting,
@@ -395,7 +404,7 @@ std::uint64_t RadosClient::read_replicated(int pool, std::uint64_t oid,
   // nor awaiting backfill (a newcomer's copy is missing or stale until its
   // recovery push lands). With a healthy acting set this is the primary,
   // as before.
-  const ObjectKey key{static_cast<std::uint32_t>(pool), oid, -1};
+  const ObjectKey key = object_key(pool, oid);
   std::size_t choice = acting.size();
   for (std::size_t i = 0; i < acting.size(); ++i) {
     if (!cluster_.osd_down(acting[i]) &&
@@ -418,19 +427,8 @@ std::uint64_t RadosClient::read_replicated(int pool, std::uint64_t oid,
         break;
       }
     if (any_live && degraded_defers_left > 0) {
-      ++recovery_read_delays_;
-      cluster_.simulator().schedule_after(
-          kRecoveryBlockedRetryDelay,
-          [this, pool, oid, offset, length, cb = std::move(cb),
-           defers = degraded_defers_left - 1]() mutable {
-            const auto& fresh = cluster_.acting_set(pool, oid, &work_);
-            if (fresh.empty()) {
-              cb(Status::Error(Errc::not_found, "empty acting set"));
-              return;
-            }
-            read_replicated(pool, oid, offset, length, fresh, std::move(cb),
-                            defers);
-          });
+      defer_read(pool, oid, offset, length, std::move(cb),
+                 degraded_defers_left - 1);
       return 0;
     }
     for (std::size_t i = 0; i < acting.size(); ++i) {
@@ -461,16 +459,11 @@ std::uint64_t RadosClient::read_replicated(int pool, std::uint64_t oid,
     pend.tried[choice] = 1;
     pend.current = choice;
   }
-  pending_.emplace(op_id, std::move(pend));
+  pending_nodes_.emplace(pending_, op_id, std::move(pend));
   op_started();
 
-  auto body = std::make_shared<OpBody>();
-  body->type = OpType::client_read;
-  body->op_id = op_id;
-  body->key = ObjectKey{static_cast<std::uint32_t>(pool), oid, -1};
-  body->offset = offset;
-  body->length = length;
-  send(acting[choice], std::move(body));
+  send(acting[choice], make_op(OpType::client_read, op_id,
+                               object_key(pool, oid), offset, length));
   return op_id;
 }
 
@@ -486,11 +479,6 @@ std::uint64_t RadosClient::read_ec(int pool, std::uint64_t oid,
     return 0;
   }
 
-  auto shard_key = [pool, oid](unsigned s) {
-    return ObjectKey{static_cast<std::uint32_t>(pool), oid,
-                     static_cast<std::int32_t>(s)};
-  };
-
   // A down primary cannot gather shards — and a primary gather returns the
   // data shards verbatim, so any data-shard holder still awaiting recovery
   // would contribute missing bytes. Either way, fall back to reading the
@@ -498,7 +486,7 @@ std::uint64_t RadosClient::read_ec(int pool, std::uint64_t oid,
   if (strategy == ReadStrategy::primary) {
     bool gather_unsafe = cluster_.osd_down(acting[0]);
     for (unsigned s = 0; !gather_unsafe && s < k; ++s)
-      gather_unsafe = cluster_.object_degraded(acting[s], shard_key(s));
+      gather_unsafe = cluster_.object_degraded(acting[s], object_key(pool, oid, static_cast<std::int32_t>(s)));
     if (gather_unsafe) {
       count_degraded_read();
       strategy = ReadStrategy::direct_shards;
@@ -519,14 +507,10 @@ std::uint64_t RadosClient::read_ec(int pool, std::uint64_t oid,
       pend.offset = offset;
       pend.acting = acting;
     }
-    pending_.emplace(op_id, std::move(pend));
+    pending_nodes_.emplace(pending_, op_id, std::move(pend));
     op_started();
-    auto body = std::make_shared<OpBody>();
-    body->type = OpType::ec_primary_read;
-    body->op_id = op_id;
-    body->key = ObjectKey{static_cast<std::uint32_t>(pool), oid, -1};
-    body->offset = offset;
-    body->length = length;
+    auto body = make_op(OpType::ec_primary_read, op_id,
+                        object_key(pool, oid), offset, length);
     body->replicas = acting;
     body->ec_k = k;
     body->ec_m = m;
@@ -539,7 +523,7 @@ std::uint64_t RadosClient::read_ec(int pool, std::uint64_t oid,
   std::vector<unsigned> shards;
   for (unsigned s = 0; s < acting.size() && shards.size() < k; ++s)
     if (!cluster_.osd_down(acting[s]) &&
-        !cluster_.object_degraded(acting[s], shard_key(s)))
+        !cluster_.object_degraded(acting[s], object_key(pool, oid, static_cast<std::int32_t>(s))))
       shards.push_back(s);
   if (shards.size() < k) {
     cb(Status::Error(Errc::io_error, "fewer than k shards available"));
@@ -565,21 +549,14 @@ std::uint64_t RadosClient::read_ec(int pool, std::uint64_t oid,
     for (unsigned s : shards) pend.tried[s] = 1;
     pend.bad_shards.assign(k + m, 0);
   }
-  pending_.emplace(op_id, std::move(pend));
+  pending_nodes_.emplace(pending_, op_id, std::move(pend));
   op_started();
 
   const std::uint64_t chunk_len = (length + k - 1) / k;
   const std::uint64_t shard_off = offset / k;
   for (unsigned s : shards) {
-    auto body = std::make_shared<OpBody>();
-    body->type = OpType::shard_read;
-    body->op_id = op_id;
-    body->key = ObjectKey{static_cast<std::uint32_t>(pool), oid,
-                          static_cast<std::int32_t>(s)};
-    body->offset = shard_off;
-    body->length = chunk_len;
-    body->reply_osd = -1;
-    send(acting[s], std::move(body));
+    send(acting[s], make_op(OpType::shard_read, op_id,
+                            object_key(pool, oid, s), shard_off, chunk_len));
   }
   return op_id;
 }
@@ -611,7 +588,7 @@ void RadosClient::on_reply(std::shared_ptr<OpBody> body) {
     cluster_.note_client_write_end(static_cast<std::uint32_t>(pend.pool),
                                    pend.oid);
     auto cb = std::move(pend.wcb);
-    pending_.erase(it);
+    pending_nodes_.erase(pending_, it);
     cb(Status::Ok());
     return;
   }
@@ -620,7 +597,7 @@ void RadosClient::on_reply(std::shared_ptr<OpBody> body) {
   if (body->type == OpType::reply_read) {
     auto cb = std::move(pend.rcb);
     auto data = std::move(body->data);
-    pending_.erase(it);
+    pending_nodes_.erase(pending_, it);
     cb(std::move(data));
     return;
   }
@@ -646,14 +623,14 @@ void RadosClient::on_reply(std::shared_ptr<OpBody> body) {
     auto decoded = rs.decode(pend.chunks);
     if (!decoded.ok()) {
       auto cb = std::move(pend.rcb);
-      pending_.erase(it);
+      pending_nodes_.erase(pending_, it);
       cb(decoded.status());
       return;
     }
     out = rs.assemble(*decoded, pend.length);
   }
   auto cb = std::move(pend.rcb);
-  pending_.erase(it);
+  pending_nodes_.erase(pending_, it);
   cb(std::move(out));
 }
 
@@ -700,7 +677,7 @@ void RadosClient::complete_read(PendingIt it,
   }
   const bool seen = it->second.corrupted_seen;
   auto cb = std::move(it->second.rcb);
-  pending_.erase(it);
+  pending_nodes_.erase(pending_, it);
   // Whatever the outcome — repaired data or Errc::corrupted — the detected
   // corruption is resolved: no wrong bytes were handed to the caller.
   if (seen && validator_ != nullptr) validator_->on_corruption_resolved();
@@ -713,14 +690,9 @@ void RadosClient::send_repair_write(int osd, const ObjectKey& key,
   // Fire-and-forget: the repair is best-effort and its ack is stale by
   // construction (fresh op_id, no pending entry). A failed repair is caught
   // again by the next read or a deep scrub.
-  auto body = std::make_shared<OpBody>();
-  body->type = OpType::shard_write;
-  body->op_id = next_op_id_++;
-  body->key = key;
-  body->offset = offset;
+  auto body = make_op(OpType::shard_write, next_op_id_++, key, offset);
   body->data = std::move(data);
   body->checksums = maybe_checksums(offset, body->data);
-  body->reply_osd = -1;
   ++read_repairs_;
   if (metrics_.read_repairs) metrics_.read_repairs->inc();
   send(osd, std::move(body));
@@ -735,21 +707,14 @@ unsigned RadosClient::issue_more_shards(std::uint64_t op_id, Pending& pend,
     if (pend.tried[s] || cluster_.osd_down(pend.acting[s]) ||
         cluster_.object_degraded(
             pend.acting[s],
-            ObjectKey{static_cast<std::uint32_t>(pend.pool), pend.oid,
-                      static_cast<std::int32_t>(s)}))
+            object_key(pend.pool, pend.oid, static_cast<std::int32_t>(s))))
       continue;
     pend.tried[s] = 1;
     ++pend.awaiting;
     ++issued;
-    auto body = std::make_shared<OpBody>();
-    body->type = OpType::shard_read;
-    body->op_id = op_id;
-    body->key = ObjectKey{static_cast<std::uint32_t>(pend.pool), pend.oid,
-                          static_cast<std::int32_t>(s)};
-    body->offset = shard_off;
-    body->length = chunk_len;
-    body->reply_osd = -1;
-    send(pend.acting[s], body);
+    send(pend.acting[s],
+         make_op(OpType::shard_read, op_id, object_key(pend.pool, pend.oid, s),
+                 shard_off, chunk_len));
   }
   return issued;
 }
@@ -807,8 +772,8 @@ void RadosClient::ec_gather_complete(PendingIt it, std::uint64_t op_id) {
       repaired = (*coding)[s - k];
     }
     send_repair_write(pend.acting[s],
-                      ObjectKey{static_cast<std::uint32_t>(pend.pool),
-                                pend.oid, static_cast<std::int32_t>(s)},
+                      object_key(pend.pool, pend.oid,
+                                 static_cast<std::int32_t>(s)),
                       shard_off, std::move(repaired));
   }
 
@@ -843,8 +808,7 @@ void RadosClient::handle_integrity_read_reply(PendingIt it,
     // here, then deliver.
     for (int idx : pend.bad_replicas) {
       send_repair_write(pend.acting[static_cast<std::size_t>(idx)],
-                        ObjectKey{static_cast<std::uint32_t>(pend.pool),
-                                  pend.oid, -1},
+                        object_key(pend.pool, pend.oid),
                         pend.offset, body->data);
     }
     complete_read(it, std::move(body->data));
@@ -876,8 +840,7 @@ void RadosClient::handle_integrity_read_reply(PendingIt it,
   // Replicated: mark this copy bad and walk to the next untried live
   // replica under the same op (awaiting stays 1).
   pend.bad_replicas.push_back(static_cast<int>(pend.current));
-  const ObjectKey walk_key{static_cast<std::uint32_t>(pend.pool), pend.oid,
-                           -1};
+  const ObjectKey walk_key = object_key(pend.pool, pend.oid);
   std::size_t next = pend.acting.size();
   for (std::size_t i = 0; i < pend.acting.size(); ++i) {
     if (!pend.tried[i] && !cluster_.osd_down(pend.acting[i]) &&
@@ -893,14 +856,9 @@ void RadosClient::handle_integrity_read_reply(PendingIt it,
   }
   pend.tried[next] = 1;
   pend.current = next;
-  auto req = std::make_shared<OpBody>();
-  req->type = OpType::client_read;
-  req->op_id = op_id;
-  req->key =
-      ObjectKey{static_cast<std::uint32_t>(pend.pool), pend.oid, -1};
-  req->offset = pend.offset;
-  req->length = pend.length;
-  send(pend.acting[next], std::move(req));
+  send(pend.acting[next],
+       make_op(OpType::client_read, op_id, object_key(pend.pool, pend.oid),
+               pend.offset, pend.length));
 }
 
 }  // namespace dk::rados

@@ -18,13 +18,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/metrics.hpp"
+#include "common/node_pool.hpp"
 #include "common/status.hpp"
 #include "ec/reed_solomon.hpp"
 #include "rados/cluster.hpp"
@@ -38,8 +38,8 @@ namespace dk::rados {
 enum class WriteStrategy { primary_copy, client_fanout };
 enum class ReadStrategy { primary, direct_shards };
 
-using WriteCallback = std::function<void(Status)>;
-using ReadCallback = std::function<void(Result<std::vector<std::uint8_t>>)>;
+using WriteCallback = sim::UniqueFn<void(Status)>;
+using ReadCallback = sim::UniqueFn<void(Result<std::vector<std::uint8_t>>)>;
 
 /// Per-op deadline + capped exponential-backoff retry. Armed via
 /// set_retry_policy(); without it the client is deadline-free and schedules
@@ -215,6 +215,9 @@ class RadosClient {
   // `degraded_defers_left` bounds how long a read blocks behind recovery
   // when every live replica of the object is still awaiting its copy.
   static constexpr unsigned kMaxDegradedReadDefers = 50'000;
+  /// Re-dispatch a read blocked behind recovery after a short delay.
+  void defer_read(int pool, std::uint64_t oid, std::uint64_t offset,
+                  std::uint64_t length, ReadCallback cb, unsigned defers_left);
   std::uint64_t read_replicated(int pool, std::uint64_t oid,
                                 std::uint64_t offset, std::uint64_t length,
                                 const std::vector<int>& acting,
@@ -235,6 +238,7 @@ class RadosClient {
   Cluster& cluster_;
   std::uint64_t next_op_id_ = 1;
   std::map<std::uint64_t, Pending> pending_;
+  NodePool<std::map<std::uint64_t, Pending>> pending_nodes_;
   std::map<std::uint64_t, std::unique_ptr<ec::ReedSolomon>> codecs_;
   crush::PlacementWork work_;
   std::uint64_t ec_encoded_ = 0;

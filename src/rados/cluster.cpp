@@ -262,7 +262,7 @@ void Cluster::backfill(int from_osd, int to_osd, const ObjectKey& key,
       src.service_time(size, /*is_write=*/false, key, /*offset=*/0);
   auto push = [this, from_osd, to_osd, key, data = std::move(data),
                done = std::move(done)]() mutable {
-    auto body = std::make_shared<OpBody>();
+    auto body = make_op();
     body->type = OpType::backfill_push;
     body->key = key;
     body->offset = 0;
@@ -316,9 +316,12 @@ void Cluster::reconstruct_shard(
     dst.submit_background(decode + write_svc, [this, to_osd, target_key,
                                                rebuild = std::move(rebuild),
                                                gather] {
+      // An empty rebuild (a sibling failed verify, or the decode failed)
+      // is never persisted, and the move did not land.
+      const std::vector<std::uint8_t> shard = rebuild();
       Osd& target = osd(to_osd);
-      target.apply_durable(target_key, 0, rebuild(), {});
-      gather->done(!target.crashed());
+      if (!shard.empty()) target.apply_durable(target_key, 0, shard, {});
+      gather->done(!shard.empty() && !target.crashed());
     });
   };
 
@@ -329,7 +332,7 @@ void Cluster::reconstruct_shard(
         src.service_time(size, /*is_write=*/false, sibling_key, 0);
     auto push = [this, holder, to_osd, sibling_key, size, gather,
                  finish]() mutable {
-      auto body = std::make_shared<OpBody>();
+      auto body = make_op();
       body->type = OpType::backfill_push;
       body->key = sibling_key;
       body->data = osd(holder).store().read(sibling_key, 0, size);

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/metrics.hpp"
+#include "common/node_pool.hpp"
 #include "crush/builder.hpp"
 #include "ec/reed_solomon.hpp"
 #include "net/network.hpp"
@@ -143,7 +144,7 @@ class Cluster {
   void attach_metrics(MetricsRegistry& registry, const std::string& prefix);
 
   /// Register the client-side handler for reply messages.
-  void set_client_handler(std::function<void(std::shared_ptr<OpBody>)> fn) {
+  void set_client_handler(sim::UniqueFn<void(std::shared_ptr<OpBody>)> fn) {
     client_handler_ = std::move(fn);
   }
 
@@ -169,7 +170,8 @@ class Cluster {
   /// `rebuild()` under `target_key`. Every leg rides the background service
   /// class, like backfill(), and `done` reports whether the shard landed.
   /// `rebuild` runs once at launch (to size the decode and write) and again
-  /// at persist time, so the shard lands with the siblings' latest content.
+  /// at persist time, so the shard lands with the siblings' latest content;
+  /// an empty rebuild at persist time is not persisted and reports false.
   void reconstruct_shard(
       const std::vector<std::pair<int, ObjectKey>>& sources, int to_osd,
       const ObjectKey& target_key,
@@ -208,12 +210,12 @@ class Cluster {
   /// member already applied. Keyed by (pool, oid) — shard-agnostic, since
   /// a client write touches every shard.
   void note_client_write_begin(std::uint32_t pool, std::uint64_t oid) {
-    ++writes_inflight_[{pool, oid}];
+    ++write_nodes_.emplace(writes_inflight_, {pool, oid}, 0).first->second;
   }
   void note_client_write_end(std::uint32_t pool, std::uint64_t oid) {
     auto it = writes_inflight_.find({pool, oid});
     if (it == writes_inflight_.end()) return;
-    if (--it->second == 0) writes_inflight_.erase(it);
+    if (--it->second == 0) write_nodes_.erase(writes_inflight_, it);
   }
   bool client_write_inflight(const ObjectKey& key) const {
     return writes_inflight_.count({key.pool, key.oid}) != 0;
@@ -257,12 +259,15 @@ class Cluster {
   std::uint64_t epoch_ = 1;
   // pg_num slots per pool, filled lazily by the const acting_set().
   mutable std::vector<std::vector<PlacementSlot>> placement_;
-  std::function<void(std::shared_ptr<OpBody>)> client_handler_;
+  sim::UniqueFn<void(std::shared_ptr<OpBody>)> client_handler_;
   sim::FaultInjector* faults_ = nullptr;
   BackgroundScheduler* background_ = nullptr;
   std::set<std::pair<int, ObjectKey>> degraded_;
-  std::map<std::pair<std::uint32_t, std::uint64_t>, unsigned> writes_inflight_;
-  std::map<std::pair<std::uint32_t, std::uint64_t>, unsigned> recovering_;
+  using ObjectCounts =
+      std::map<std::pair<std::uint32_t, std::uint64_t>, unsigned>;
+  ObjectCounts writes_inflight_;
+  NodePool<ObjectCounts> write_nodes_;
+  ObjectCounts recovering_;
   std::uint64_t torn_writes_replayed_ = 0;
   Counter* torn_replayed_metric_ = nullptr;
 };

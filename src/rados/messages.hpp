@@ -1,7 +1,9 @@
 // Wire protocol between the RADOS client and the simulated OSDs.
 //
 // Message bodies ride the network layer's shared_ptr<void>; payload byte
-// counts charged to the fabric are header + data length.
+// counts charged to the fabric are header + data length. Bodies come from
+// make_op(), whose recycled blocks make a steady op stream allocation-free
+// apart from payload bytes.
 #pragma once
 
 #include <cstdint>
@@ -9,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/node_pool.hpp"
 #include "common/status.hpp"
 #include "rados/object_store.hpp"
 
@@ -72,6 +75,15 @@ struct OpBody {
   // the serving OSD's checksum verification failed.
   Errc error = Errc::ok;
 };
+
+/// A new message body with its control block, from a recycled block.
+/// `args` initialize OpBody's leading members in order (type, op_id, key,
+/// offset, length, ...), or copy another body.
+template <typename... Args>
+std::shared_ptr<OpBody> make_op(Args&&... args) {
+  return std::allocate_shared<OpBody>(RecyclingAllocator<OpBody>(),
+                                      std::forward<Args>(args)...);
+}
 
 inline std::uint64_t op_wire_bytes(const OpBody& body) {
   return kMsgHeaderBytes + body.data.size();

@@ -170,16 +170,13 @@ void Osd::do_client_write(std::shared_ptr<OpBody> body) {
   // every replica ack have landed.
   PendingWrite pw;
   pw.awaiting = 1 + static_cast<unsigned>(body->replicas.size());
-  auto reply = std::make_shared<OpBody>();
-  reply->type = OpType::reply_write;
-  reply->op_id = body->op_id;
-  reply->key = body->key;
+  auto reply = make_op(OpType::reply_write, body->op_id, body->key);
   pw.reply = reply;
   const std::uint64_t op_id = body->op_id;
-  pending_.emplace(op_id, std::move(pw));
+  pending_nodes_.emplace(pending_, op_id, std::move(pw));
 
   for (int replica : body->replicas) {
-    auto sub = std::make_shared<OpBody>(*body);
+    auto sub = make_op(*body);
     sub->type = OpType::repl_write;
     sub->target_osd = replica;
     sub->reply_osd = id_;
@@ -191,9 +188,7 @@ void Osd::do_client_write(std::shared_ptr<OpBody> body) {
                                  body->key, body->offset);
   workers_.submit(svc, [this, op_id, body = std::move(body)] {
     apply_write(body->key, body->offset, body->data, body->checksums);
-    auto self_ack = std::make_shared<OpBody>();
-    self_ack->type = OpType::repl_ack;
-    self_ack->op_id = op_id;
+    auto self_ack = make_op(OpType::repl_ack, op_id);
     do_repl_ack(std::move(self_ack));
   });
 }
@@ -202,10 +197,7 @@ void Osd::do_client_read(std::shared_ptr<OpBody> body) {
   const Nanos svc = service_time(body->length, /*is_write=*/false, body->key,
                                  body->offset);
   workers_.submit(svc, [this, body = std::move(body)] {
-    auto reply = std::make_shared<OpBody>();
-    reply->type = OpType::reply_read;
-    reply->op_id = body->op_id;
-    reply->key = body->key;
+    auto reply = make_op(OpType::reply_read, body->op_id, body->key);
     if (!store_.verify(body->key, body->offset, body->length)) {
       // Block checksum mismatch: reply the error instead of known-bad
       // bytes; the client's read-repair fetches another replica.
@@ -224,10 +216,7 @@ void Osd::do_repl_write(std::shared_ptr<OpBody> body) {
                                  body->key, body->offset);
   workers_.submit(svc, [this, body = std::move(body)] {
     apply_write(body->key, body->offset, body->data, body->checksums);
-    auto ack = std::make_shared<OpBody>();
-    ack->type = OpType::repl_ack;
-    ack->op_id = body->op_id;
-    ack->key = body->key;
+    auto ack = make_op(OpType::repl_ack, body->op_id, body->key);
     ack->target_osd = body->reply_osd;
     send_(body->reply_osd, std::move(ack));
   });
@@ -237,8 +226,8 @@ void Osd::do_repl_ack(std::shared_ptr<OpBody> body) {
   auto it = pending_.find(body->op_id);
   if (it == pending_.end()) return;  // stale ack
   if (--it->second.awaiting == 0) {
-    send_(-1, it->second.reply);
-    pending_.erase(it);
+    send_(-1, std::move(it->second.reply));
+    pending_nodes_.erase(pending_, it);
   }
 }
 
@@ -247,10 +236,7 @@ void Osd::do_shard_write(std::shared_ptr<OpBody> body) {
                                  body->key, body->offset);
   workers_.submit(svc, [this, body = std::move(body)] {
     apply_write(body->key, body->offset, body->data, body->checksums);
-    auto ack = std::make_shared<OpBody>();
-    ack->type = OpType::shard_ack;
-    ack->op_id = body->op_id;
-    ack->key = body->key;
+    auto ack = make_op(OpType::shard_ack, body->op_id, body->key);
     ack->target_osd = body->reply_osd;
     send_(body->reply_osd, std::move(ack));
   });
@@ -288,21 +274,15 @@ void Osd::do_ec_primary_write(std::shared_ptr<OpBody> body) {
 
     PendingWrite pw;
     pw.awaiting = static_cast<unsigned>(shards.size() - 1);
-    auto reply = std::make_shared<OpBody>();
-    reply->type = OpType::reply_write;
-    reply->op_id = body->op_id;
-    reply->key = body->key;
+    auto reply = make_op(OpType::reply_write, body->op_id, body->key);
     pw.reply = reply;
     if (pw.awaiting == 0) {
       send_(-1, reply);
       return;
     }
-    pending_.emplace(body->op_id, std::move(pw));
+    pending_nodes_.emplace(pending_, body->op_id, std::move(pw));
     for (unsigned s = 1; s < shards.size(); ++s) {
-      auto sub = std::make_shared<OpBody>();
-      sub->type = OpType::shard_write;
-      sub->op_id = body->op_id;
-      sub->key = body->key;
+      auto sub = make_op(OpType::shard_write, body->op_id, body->key);
       sub->key.shard = static_cast<std::int32_t>(s);
       sub->offset = shard_off;
       sub->data = std::move(shards[s]);
@@ -331,10 +311,7 @@ void Osd::do_ec_primary_read(std::shared_ptr<OpBody> body) {
       // The primary's own shard is bad: it cannot serve this gather-and-
       // decode path. Reply the error; the client falls back to a
       // direct_shards read, which reconstructs from parity and repairs.
-      auto reply = std::make_shared<OpBody>();
-      reply->type = OpType::reply_read;
-      reply->op_id = body->op_id;
-      reply->key = body->key;
+      auto reply = make_op(OpType::reply_read, body->op_id, body->key);
       reply->error = Errc::corrupted;
       send_(-1, std::move(reply));
       return;
@@ -347,10 +324,7 @@ void Osd::do_ec_primary_read(std::shared_ptr<OpBody> body) {
     pr.chunks.resize(k + m);
     pr.chunks[0] = store_.read(own, shard_off, chunk_len);
 
-    auto reply = std::make_shared<OpBody>();
-    reply->type = OpType::reply_read;
-    reply->op_id = body->op_id;
-    reply->key = body->key;
+    auto reply = make_op(OpType::reply_read, body->op_id, body->key);
     pr.reply = reply;
 
     if (pr.awaiting == 0) {
@@ -358,12 +332,9 @@ void Osd::do_ec_primary_read(std::shared_ptr<OpBody> body) {
       send_(-1, reply);
       return;
     }
-    pending_reads_.emplace(body->op_id, std::move(pr));
+    read_nodes_.emplace(pending_reads_, body->op_id, std::move(pr));
     for (unsigned s = 1; s < k; ++s) {
-      auto sub = std::make_shared<OpBody>();
-      sub->type = OpType::shard_read;
-      sub->op_id = body->op_id;
-      sub->key = body->key;
+      auto sub = make_op(OpType::shard_read, body->op_id, body->key);
       sub->key.shard = static_cast<std::int32_t>(s);
       sub->offset = shard_off;
       sub->length = chunk_len;
@@ -382,8 +353,8 @@ void Osd::do_shard_data(std::shared_ptr<OpBody> body) {
     // data shards, so it cannot decode around the bad one — abort the
     // gather and let the client's direct_shards fallback reconstruct.
     pr.reply->error = body->error;
-    send_(-1, pr.reply);
-    pending_reads_.erase(it);
+    send_(-1, std::move(pr.reply));
+    read_nodes_.erase(pending_reads_, it);
     return;
   }
   const auto shard = static_cast<std::size_t>(body->key.shard);
@@ -395,18 +366,15 @@ void Osd::do_shard_data(std::shared_ptr<OpBody> body) {
   std::vector<ec::Chunk> data;
   for (unsigned s = 0; s < pr.k; ++s) data.push_back(std::move(*pr.chunks[s]));
   pr.reply->data = codec(pr.k, pr.m).assemble(data, pr.length);
-  send_(-1, pr.reply);
-  pending_reads_.erase(it);
+  send_(-1, std::move(pr.reply));
+  read_nodes_.erase(pending_reads_, it);
 }
 
 void Osd::do_shard_read(std::shared_ptr<OpBody> body) {
   const Nanos svc = service_time(body->length, /*is_write=*/false, body->key,
                                  body->offset);
   workers_.submit(svc, [this, body = std::move(body)] {
-    auto reply = std::make_shared<OpBody>();
-    reply->type = OpType::shard_data;
-    reply->op_id = body->op_id;
-    reply->key = body->key;
+    auto reply = make_op(OpType::shard_data, body->op_id, body->key);
     if (!store_.verify(body->key, body->offset, body->length)) {
       reply->error = Errc::corrupted;
     } else {

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -22,6 +21,7 @@
 #include <vector>
 
 #include "common/metrics.hpp"
+#include "common/node_pool.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "ec/reed_solomon.hpp"
@@ -49,7 +49,8 @@ struct OsdConfig {
 
 /// Callback the OSD uses to send protocol messages (bound to its node's NIC
 /// by the cluster).
-using SendFn = std::function<void(int dst_osd_or_client, std::shared_ptr<OpBody>)>;
+using SendFn =
+    sim::UniqueFn<void(int dst_osd_or_client, std::shared_ptr<OpBody>)>;
 
 class Osd {
  public:
@@ -194,6 +195,8 @@ class Osd {
   std::map<ObjectKey, std::uint64_t> last_write_end_;
   std::map<std::uint64_t, PendingWrite> pending_;
   std::map<std::uint64_t, PendingRead> pending_reads_;
+  NodePool<std::map<std::uint64_t, PendingWrite>> pending_nodes_;
+  NodePool<std::map<std::uint64_t, PendingRead>> read_nodes_;
   std::map<std::uint64_t, std::unique_ptr<ec::ReedSolomon>> codecs_;
   std::uint64_t ops_served_ = 0;
   bool crashed_ = false;

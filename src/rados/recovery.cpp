@@ -95,7 +95,9 @@ std::optional<RecoveryMove> plan_move(Cluster& cluster, int pool,
   return move;
 }
 
-/// Functionally rebuild an EC shard from the move's sources.
+/// Functionally rebuild an EC shard from the move's sources; empty when a
+/// source fails its checksum verify now (it may have rotted since the move
+/// was planned) or the decode fails, so a wrong shard is never persisted.
 std::vector<std::uint8_t> rebuild_shard(Cluster& cluster,
                                         const RecoveryMove& move) {
   const auto& pcfg = cluster.pool(static_cast<int>(move.key.pool));
@@ -104,9 +106,9 @@ std::vector<std::uint8_t> rebuild_shard(Cluster& cluster,
   std::vector<std::optional<ec::Chunk>> chunks(k + m);
   std::uint64_t chunk_size = 0;
   for (const auto& [holder, sibling] : move.sources) {
-    const auto& store = cluster.osd(holder).store();
-    const std::uint64_t size = store.object_size(sibling);
-    chunk_size = std::max(chunk_size, size);
+    if (!copy_verifies(cluster, holder, sibling)) return {};
+    chunk_size =
+        std::max(chunk_size, cluster.osd(holder).store().object_size(sibling));
   }
   for (const auto& [holder, sibling] : move.sources) {
     const auto& store = cluster.osd(holder).store();

@@ -1,26 +1,29 @@
 // Zero-allocation event machinery for the discrete-event simulator.
 //
 //  EventPool — slab/free-list allocator for event-callback captures that do
-//              not fit EventFn's inline buffer. Chunks are recycled through a
+//              not fit UniqueFn's inline buffer. Chunks are recycled through a
 //              free list, so a steady-state simulation performs no general
 //              heap allocation per event; the pool's own counters are the
 //              alloc accounting that bench/micro_simspeed.cpp reports.
-//  EventFn   — move-only, small-buffer-optimized callable replacing the old
-//              `std::function<void()>`. Captures up to kInlineBytes (32 B —
-//              "this + a couple of ids/timestamps", the common case) live
-//              inline in the event record; larger or nontrivial ones are
-//              placed in an EventPool chunk. Nothing is ever copied: events
-//              move from schedule to bucket to execution.
+//  UniqueFn  — move-only, small-buffer-optimized callable of any signature,
+//              used for simulator events (EventFn = UniqueFn<void()>) and
+//              for every completion on the per-I/O path. Captures up to
+//              kInlineBytes (32 B — "this + a couple of ids/timestamps",
+//              the common case) live inline; larger or nontrivial ones are
+//              placed in an EventPool chunk. Nothing is ever copied:
+//              callables move from creation to invocation.
 //
-// Layout note: EventFn is exactly 48 bytes (32-byte buffer + two function
-// pointers) so that Event in calendar_queue.hpp — (t, seq, fn) — is exactly
-// one 64-byte cache line. A spilled capture's pool pointer lives in the
-// first 8 bytes of the buffer rather than a separate member; invoke_ and
-// destroy_ know which case they were instantiated for.
+// Layout note: a UniqueFn is exactly 48 bytes (32-byte buffer + two function
+// pointers) whatever its signature, so that Event in calendar_queue.hpp —
+// (t, seq, fn) — is exactly one 64-byte cache line. A spilled capture's
+// chunk pointer and owning pool live in the first 16 bytes of the buffer
+// rather than in separate members; invoke_ and destroy_ know which case
+// they were instantiated for.
 //
 // Threading: the pool is thread-local (EventPool::local()), matching the
-// single-threaded simulator. An EventFn whose capture spilled to the pool
-// must be destroyed on the thread that created it.
+// single-threaded simulator. A UniqueFn whose capture spilled to the pool
+// must be destroyed on the thread that created it; a completion built on
+// another thread (the SQ-poll thread) keeps its capture inline.
 #pragma once
 
 #include <cstddef>
@@ -63,7 +66,7 @@ class EventPool {
   std::size_t slabs() const { return slabs_.size(); }
 
   /// The calling thread's pool (the simulator is single-threaded; each
-  /// thread that builds EventFns gets its own pool, keeping TSAN quiet).
+  /// thread that builds UniqueFns gets its own pool, keeping TSAN quiet).
   static EventPool& local();
 
  private:
@@ -83,74 +86,87 @@ class EventPool {
   std::uint64_t live_ = 0;
 };
 
-/// Move-only type-erased `void()` callable with inline small-buffer storage.
+template <typename Signature>
+class UniqueFn;
+
+/// Move-only type-erased callable with inline small-buffer storage, for any
+/// signature: the simulator's events (EventFn below) and every completion
+/// on the per-I/O path use it.
 ///
 /// Inline storage is reserved for *trivially copyable* captures (pointers,
 /// ids, timestamps — the overwhelmingly common case in this codebase), which
-/// makes an EventFn move a plain memcpy: no virtual manager call, no
-/// per-member move, no destructor on the moved-from shell. That matters
-/// because an event moves several times on its way through the calendar
-/// queue (push → bucket → sort-on-claim → execution). Captures that are too
-/// big or carry nontrivial members (a nested done-closure, a shared_ptr)
-/// live in a recycled EventPool chunk whose pointer travels in the buffer.
-class EventFn {
+/// makes a move a plain memcpy: no virtual manager call, no per-member move,
+/// no destructor on the moved-from shell. That matters because an event
+/// moves several times on its way through the calendar queue (push ->
+/// bucket -> sort-on-claim -> execution). Captures that are too big or carry
+/// nontrivial members (a nested completion, a shared_ptr) live in a
+/// recycled EventPool chunk whose pointer travels in the buffer.
+template <typename R, typename... Args>
+class UniqueFn<R(Args...)> {
  public:
   static constexpr std::size_t kInlineBytes = 32;
 
-  EventFn() noexcept = default;
-  EventFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
+  UniqueFn() noexcept = default;
+  UniqueFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
   template <typename F,
             typename = std::enable_if_t<
-                !std::is_same_v<std::remove_cvref_t<F>, EventFn> &&
-                std::is_invocable_r_v<void, std::remove_cvref_t<F>&>>>
-  DK_HOT EventFn(F&& f) {  // NOLINT(google-explicit-constructor)
+                !std::is_same_v<std::remove_cvref_t<F>, UniqueFn> &&
+                std::is_invocable_r_v<R, std::remove_cvref_t<F>&, Args...>>>
+  DK_HOT UniqueFn(F&& f) {  // NOLINT(google-explicit-constructor)
     using T = std::remove_cvref_t<F>;
     constexpr bool kInline = sizeof(T) <= kInlineBytes &&
                              alignof(T) <= alignof(std::max_align_t) &&
                              std::is_trivially_copyable_v<T>;
     if constexpr (kInline) {
       ::new (static_cast<void*>(buf_)) T(std::forward<F>(f));
-      invoke_ = [](void* p) { (*static_cast<T*>(p))(); };
+      invoke_ = [](void* p, Args&&... args) -> R {
+        return call(*static_cast<T*>(p), std::forward<Args>(args)...);
+      };
       // destroy_ stays null: trivially-copyable implies trivially
       // destructible, so teardown and moved-from shells cost nothing.
     } else {
-      void* chunk = EventPool::local().alloc(sizeof(T));
+      // The buffer holds the chunk and its pool, so teardown skips the
+      // thread-local lookup.
+      EventPool* pool = &EventPool::local();
+      void* chunk = pool->alloc(sizeof(T));
       ::new (chunk) T(std::forward<F>(f));
       std::memcpy(buf_, &chunk, sizeof(chunk));
-      invoke_ = [](void* p) {
-        void* chunk;
-        std::memcpy(&chunk, p, sizeof(chunk));
-        (*static_cast<T*>(chunk))();
+      std::memcpy(buf_ + sizeof(chunk), &pool, sizeof(pool));
+      invoke_ = [](void* p, Args&&... args) -> R {
+        return call(*static_cast<T*>(chunk_of(p)), std::forward<Args>(args)...);
       };
       destroy_ = [](void* p) {
-        void* chunk;
-        std::memcpy(&chunk, p, sizeof(chunk));
+        void* chunk = chunk_of(p);
         static_cast<T*>(chunk)->~T();
-        EventPool::local().dealloc(chunk, sizeof(T));
+        EventPool* pool;
+        std::memcpy(&pool, static_cast<std::byte*>(p) + sizeof(chunk),
+                    sizeof(pool));
+        pool->dealloc(chunk, sizeof(T));
       };
     }
   }
 
-  EventFn(EventFn&& other) noexcept { steal(other); }
-  EventFn& operator=(EventFn&& other) noexcept {
+  UniqueFn(UniqueFn&& other) noexcept { steal(other); }
+  UniqueFn& operator=(UniqueFn&& other) noexcept {
     if (this != &other) {
       reset();
       steal(other);
     }
     return *this;
   }
-  EventFn(const EventFn&) = delete;
-  EventFn& operator=(const EventFn&) = delete;
-  ~EventFn() { reset(); }
+  UniqueFn(const UniqueFn&) = delete;
+  UniqueFn& operator=(const UniqueFn&) = delete;
+  ~UniqueFn() { reset(); }
 
   explicit operator bool() const noexcept { return invoke_ != nullptr; }
 
   /// Const like std::function::operator(): the callable itself may mutate
   /// its capture (invoke_ was instantiated on the non-const target type).
-  void operator()() const {
+  /// A completion that may re-enter the slot holding it is moved out first.
+  R operator()(Args... args) const {
     DK_DCHECK(invoke_ != nullptr);
-    invoke_(const_cast<std::byte*>(buf_));
+    return invoke_(const_cast<std::byte*>(buf_), std::forward<Args>(args)...);
   }
 
   /// True when the capture lives in the inline buffer (no pool chunk).
@@ -165,10 +181,25 @@ class EventFn {
   }
 
  private:
-  using InvokeFn = void (*)(void*);
+  using InvokeFn = R (*)(void*, Args&&...);
   using DestroyFn = void (*)(void*);
 
-  void steal(EventFn& other) noexcept {
+  // A void signature discards whatever the target returns.
+  template <typename T>
+  static R call(T& target, Args&&... args) {
+    if constexpr (std::is_void_v<R>)
+      target(std::forward<Args>(args)...);
+    else
+      return target(std::forward<Args>(args)...);
+  }
+
+  static void* chunk_of(void* buf) noexcept {
+    void* chunk;
+    std::memcpy(&chunk, buf, sizeof(chunk));
+    return chunk;
+  }
+
+  void steal(UniqueFn& other) noexcept {
     // Bytewise relocation: valid because inline captures are trivially
     // copyable and pooled ones travel as the chunk pointer in buf_. The
     // tail of buf_ beyond the capture is dead bytes; copying them is
@@ -186,6 +217,9 @@ class EventFn {
   InvokeFn invoke_ = nullptr;
   DestroyFn destroy_ = nullptr;
 };
+
+/// The simulator's event callback: the `void()` case of UniqueFn.
+using EventFn = UniqueFn<void()>;
 
 static_assert(sizeof(EventFn) == 48, "EventFn must keep Event at 64 bytes");
 

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <vector>
 
 #include "common/units.hpp"
 #include "sim/simulator.hpp"
@@ -29,7 +30,12 @@ namespace dk::sim {
 class FifoServer {
  public:
   FifoServer(Simulator& sim, unsigned servers, const char* name = "server")
-      : sim_(sim), free_(servers ? servers : 1), name_(name) {}
+      : sim_(sim), free_(servers ? servers : 1), name_(name) {
+    // One slot per server holds the completion of the job it serves, so the
+    // scheduled end-of-service event captures only the slot index.
+    in_service_.resize(free_);
+    for (unsigned s = free_; s-- > 0;) idle_slots_.push_back(s);
+  }
 
   const char* name() const { return name_; }
   unsigned free_servers() const { return free_; }
@@ -91,14 +97,21 @@ class FifoServer {
       --free_;
       busy_time_ += job.service;
       if (serve_bg) bg_busy_time_ += job.service;
-      sim_.schedule_after(job.service,
-                          [this, done = std::move(job.done)]() mutable {
-                            ++free_;
-                            ++completed_;
-                            if (done) done();
-                            pump();
-                          });
+      const unsigned slot = idle_slots_.back();
+      idle_slots_.pop_back();
+      in_service_[slot] = std::move(job.done);
+      sim_.schedule_after(job.service, [this, slot] { finish(slot); });
     }
+  }
+
+  void finish(unsigned slot) {
+    ++free_;
+    ++completed_;
+    // Out of its slot first: the completion may submit the next job.
+    const EventFn done = std::move(in_service_[slot]);
+    idle_slots_.push_back(slot);
+    if (done) done();
+    pump();
   }
 
   Simulator& sim_;
@@ -106,6 +119,8 @@ class FifoServer {
   const char* name_;
   std::deque<Job> waiting_;
   std::deque<Job> bg_waiting_;
+  std::vector<EventFn> in_service_;  // by slot
+  std::vector<unsigned> idle_slots_;
   std::uint64_t completed_ = 0;
   Nanos busy_time_ = 0;
   Nanos bg_busy_time_ = 0;

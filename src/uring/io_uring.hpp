@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <utility>
@@ -26,6 +25,7 @@
 #include "common/metrics.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/status.hpp"
+#include "sim/event_pool.hpp"
 #include "uring/sqe.hpp"
 
 namespace dk {
@@ -33,6 +33,9 @@ class PipelineValidator;
 }  // namespace dk
 
 namespace dk::uring {
+
+/// Completion of one backend I/O: bytes transferred or a negative Errc.
+using CompleteFn = sim::UniqueFn<void(std::int32_t)>;
 
 /// The "kernel" side: consumes SQEs, performs I/O, posts completions via
 /// the callback. Implementations: simulated block stacks (DES), RAM disk
@@ -42,9 +45,10 @@ class Backend {
   virtual ~Backend() = default;
 
   /// Start the I/O described by `sqe`; invoke `complete(res)` when done.
-  /// `res` is bytes transferred on success or a negative Errc value.
-  virtual void submit_io(const Sqe& sqe,
-                         std::function<void(std::int32_t)> complete) = 0;
+  /// `res` is bytes transferred on success or a negative Errc value. The
+  /// completion a ring builds captures only (ring, user_data, flags), so it
+  /// stays inline even when the SQ-poll thread builds it.
+  virtual void submit_io(const Sqe& sqe, CompleteFn complete) = 0;
 };
 
 struct UringParams {

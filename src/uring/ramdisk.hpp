@@ -25,8 +25,7 @@ class RamDisk final : public Backend {
   std::uint64_t reads() const { return reads_; }
   std::uint64_t writes() const { return writes_; }
 
-  void submit_io(const Sqe& sqe,
-                 std::function<void(std::int32_t)> complete) override {
+  void submit_io(const Sqe& sqe, CompleteFn complete) override {
     if (deferred_) {
       queue_.push_back({sqe, std::move(complete)});
       return;
@@ -67,7 +66,7 @@ class RamDisk final : public Backend {
 
   struct Deferred {
     Sqe sqe;
-    std::function<void(std::int32_t)> complete;
+    CompleteFn complete;
   };
 
   std::vector<std::uint8_t> data_;

@@ -174,6 +174,26 @@ TEST(Framework, Deliba1RejectsEc) {
   EXPECT_EQ(res, -static_cast<std::int32_t>(Errc::unsupported));
 }
 
+TEST(Framework, IoAtTheTopOfTheAddressSpaceIsOutOfRange) {
+  // offset + length overflows 64 bits; the image's range check must still
+  // reject it rather than store the bytes in another image's oids.
+  sim::Simulator sim;
+  Framework fw(sim, FrameworkConfig{});
+  const std::uint64_t top = ~std::uint64_t{0} - 4095;
+  std::int32_t res = 0;
+  fw.write(0, top, pattern(4096, 1), [&](std::int32_t r) { res = r; });
+  Result<std::vector<std::uint8_t>> read = Status::Error(Errc::timed_out);
+  fw.read(0, top, 4096, [&](Result<std::vector<std::uint8_t>> r) {
+    read = std::move(r);
+  });
+  sim.run();
+  EXPECT_EQ(res, -static_cast<std::int32_t>(Errc::out_of_range));
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), Errc::out_of_range);
+  EXPECT_EQ(fw.cluster().total_ops_served(), 0u);
+  EXPECT_EQ(fw.validator().verify_quiescent(), 0u);
+}
+
 TEST(Framework, UringVariantsPostAndReapCqes) {
   sim::Simulator sim;
   FrameworkConfig cfg;

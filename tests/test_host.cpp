@@ -23,7 +23,7 @@ TEST(Uifd, AllocatesOneQueueSetPerHwQueue) {
   sim::Simulator sim;
   fpga::FpgaDevice dev(sim);
   UifdDriver uifd(dev, {.nr_hw_queues = 3},
-                  [](const blk::Request&, std::function<void(std::int32_t)> done) {
+                  [](const blk::Request&, blk::CompleteFn done) {
                     done(0);
                   });
   EXPECT_EQ(uifd.queue_sets().size(), 3u);
@@ -35,12 +35,13 @@ TEST(Uifd, WritePathDmasHostToCardThenRunsRemote) {
   fpga::FpgaDevice dev(sim);
   Nanos remote_at = -1;
   UifdDriver uifd(dev, {},
-                  [&](const blk::Request& r, std::function<void(std::int32_t)> done) {
+                  [&](const blk::Request& r, blk::CompleteFn done) {
                     remote_at = sim.now();
                     done(static_cast<std::int32_t>(r.len));
                   });
   std::int32_t result = 0;
   blk::Request req;
+  req.tag = 0;  // the block layer tags every request it dispatches
   req.op = blk::ReqOp::write;
   req.len = 4096;
   req.complete = [&](std::int32_t res) { result = res; };
@@ -57,13 +58,14 @@ TEST(Uifd, ReadPathRunsRemoteThenDmasCardToHost) {
   sim::Simulator sim;
   fpga::FpgaDevice dev(sim);
   UifdDriver uifd(dev, {},
-                  [&](const blk::Request& r, std::function<void(std::int32_t)> done) {
+                  [&](const blk::Request& r, blk::CompleteFn done) {
                     sim.schedule_after(us(30), [done = std::move(done), &r] {
                       done(static_cast<std::int32_t>(r.len));
                     });
                   });
   Nanos done_at = -1;
   blk::Request req;
+  req.tag = 0;  // the block layer tags every request it dispatches
   req.op = blk::ReqOp::read;
   req.len = 8192;
   req.complete = [&](std::int32_t) { done_at = sim.now(); };
@@ -77,11 +79,12 @@ TEST(Uifd, RemoteErrorPropagatesWithoutC2hDma) {
   sim::Simulator sim;
   fpga::FpgaDevice dev(sim);
   UifdDriver uifd(dev, {},
-                  [](const blk::Request&, std::function<void(std::int32_t)> done) {
+                  [](const blk::Request&, blk::CompleteFn done) {
                     done(-5);
                   });
   std::int32_t result = 0;
   blk::Request req;
+  req.tag = 0;  // the block layer tags every request it dispatches
   req.op = blk::ReqOp::read;
   req.len = 4096;
   req.complete = [&](std::int32_t res) { result = res; };
@@ -95,7 +98,7 @@ TEST(Uifd, RemoteErrorPropagatesWithoutC2hDma) {
 TEST(Uifd, VirtualFunctionIsolatesQueueSets) {
   sim::Simulator sim;
   fpga::FpgaDevice dev(sim);
-  auto noop = [](const blk::Request&, std::function<void(std::int32_t)> done) {
+  auto noop = [](const blk::Request&, blk::CompleteFn done) {
     done(0);
   };
   UifdDriver tenant_a(dev, {.nr_hw_queues = 2, .virtual_function = 1}, noop);
@@ -168,6 +171,32 @@ TEST_F(RbdFixture, OutOfRangeRejected) {
   EXPECT_LT(write_sync(64 * MiB - 100, pattern(4096, 3)), 0);
   auto r = read_sync(64 * MiB - 100, 4096);
   EXPECT_FALSE(r.ok());
+}
+
+TEST_F(RbdFixture, EmptyIoCompletesWithInvalidArgument) {
+  // Every I/O the device accepts completes or errors; an empty one used to
+  // trip a check and never call back.
+  EXPECT_EQ(write_sync(4096, {}),
+            -static_cast<std::int32_t>(Errc::invalid_argument));
+  auto r = read_sync(4096, 0);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), Errc::invalid_argument);
+  EXPECT_EQ(image_->stats().object_ops, 0u);
+}
+
+TEST_F(RbdFixture, RangeCheckDoesNotWrapAroundTheAddressSpace) {
+  // offset + len wraps to 4096 - 4096 = 0 here; the I/O must still be out
+  // of range, not land in an oid outside this image's namespace.
+  const std::uint64_t top = ~std::uint64_t{0} - 4095;
+  EXPECT_EQ(write_sync(top, pattern(4096, 6)),
+            -static_cast<std::int32_t>(Errc::out_of_range));
+  auto r = read_sync(top, 4096);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), Errc::out_of_range);
+  EXPECT_EQ(image_->stats().object_ops, 0u);
+  EXPECT_EQ(cluster_->total_ops_served(), 0u);
+  // The last whole block of the image still fits.
+  EXPECT_EQ(write_sync(64 * MiB - 4096, pattern(4096, 7)), 4096);
 }
 
 TEST_F(RbdFixture, TwoImagesDoNotCollide) {

@@ -422,6 +422,46 @@ TEST_F(IntegrityFixture, BackfillFromSourceCorruptedAfterPlanningStaysDetectable
   }
 }
 
+TEST_F(IntegrityFixture, EcRebuildFromSiblingCorruptedAfterPlanningDoesNotLand) {
+  // plan_move verifies a rebuild's k siblings when it plans the move. A
+  // sibling that rots before the rebuild runs must fail the move; decoding
+  // it would persist a wrong shard under fresh CRCs, which every later
+  // verify and direct_shards read would then trust.
+  const int pool = cluster_->create_ec_pool("ec", ec::Profile{4, 2});
+  for (std::uint64_t oid = 0; oid < 10; ++oid)
+    client_->write(pool, oid, 0, pattern(8192, 100 + oid),
+                   WriteStrategy::client_fanout, [](Status) {});
+  sim_.run();
+  cluster_->set_osd_out(7, true);
+  cluster_->set_osd_down(7, true);
+  RecoveryManager rec(*cluster_);
+  const RecoveryPlan plan = rec.plan(pool);
+  const auto rebuild = std::find_if(
+      plan.moves.begin(), plan.moves.end(),
+      [](const RecoveryMove& m) { return m.reconstruct; });
+  ASSERT_NE(rebuild, plan.moves.end());
+  const ObjectKey key = rebuild->key;
+  const auto [source_osd, source_key] = rebuild->sources.front();
+  const ObjectStore& lost = cluster_->osd(7).store();
+  const auto original = lost.read(key, 0, lost.object_size(key));
+
+  rec.execute(plan, {}, [] {});
+  cluster_->osd(source_osd).store().raw_bytes(source_key)[0] ^= 0x01;
+  sim_.run();
+
+  const ObjectStore& rebuilt = cluster_->osd(rebuild->to_osd).store();
+  const std::uint64_t size = rebuilt.object_size(key);
+  EXPECT_FALSE(size > 0 && rebuilt.verify(key, 0, size) &&
+               rebuilt.read(key, 0, size) != original)
+      << "oid " << key.oid << " shard " << key.shard
+      << ": a wrong rebuild landed under fresh CRCs";
+  const auto r = read_back(pool, key.oid, 8192, ReadStrategy::direct_shards);
+  if (r.ok()) {
+    EXPECT_EQ(*r, pattern(8192, 100 + key.oid));
+  }
+  EXPECT_EQ(validator_.verify_quiescent(), 0u);
+}
+
 TEST(ObjectStoreIntegrity, WritesNeverLaunderCorruptBlocks) {
   // A write re-checksums the blocks it touches from the stored bytes. A
   // block it only partly overwrites — or the old tail block a write past

@@ -18,11 +18,14 @@ Checks that clang-tidy cannot express:
                         signatures: attach_metrics(MetricsRegistry&, ...)
                         and attach_validator(PipelineValidator&, ...), so
                         every layer wires up the same way.
-  6. no-std-function-event: no `std::function<void()>` in src/sim/ — event
-                        callbacks must be dk::sim::EventFn (zero-alloc,
-                        move-only; see docs/PERFORMANCE.md). std::function's
-                        16-byte inline buffer heap-allocates the common
-                        24-byte capture and copies on every queue hop.
+  6. no-std-function-event: no `std::function` in src/sim/ or on the
+                        per-I/O path (src/blk/, src/uring/, src/host/,
+                        src/net/, src/fpga/qdma.*, src/core/framework.*,
+                        src/rados/client.*) — events and completions must be
+                        dk::sim::UniqueFn (EventFn is its void() case;
+                        zero-alloc, move-only; see docs/PERFORMANCE.md).
+                        std::function's 16-byte inline buffer heap-allocates
+                        the common 24-byte capture and copies on every hop.
 
 Exit status: 0 clean, 1 violations found. Run from anywhere:
 
@@ -51,7 +54,10 @@ CASSERT_INCLUDE = re.compile(r"#\s*include\s*<(cassert|assert\.h)>")
 DIRECTIVE = re.compile(r"^\s*#\s*(\w+)")
 QUOTED_INCLUDE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 ATTACH_DECL = re.compile(r"\battach_(metrics|validator)\s*\(([^)]*)")
-STD_FUNCTION_EVENT = re.compile(r"\bstd\s*::\s*function\s*<\s*void\s*\(\s*\)\s*>")
+STD_FUNCTION = re.compile(r"\bstd\s*::\s*function\s*<")
+# Paths under src/ whose callbacks must be UniqueFn (rule 6).
+UNIQUE_FN_PATHS = ("sim/", "blk/", "uring/", "host/", "net/", "fpga/qdma.",
+                   "core/framework.", "rados/client.")
 
 ATTACH_FIRST_PARAM = {
     "metrics": "MetricsRegistry&",
@@ -193,10 +199,10 @@ class Linter:
 
     def check_no_std_function_event(self, path: Path, code: str) -> None:
         for lineno, line in enumerate(code.splitlines(), 1):
-            if STD_FUNCTION_EVENT.search(line):
+            if STD_FUNCTION.search(line):
                 self.report(path, lineno, "no-std-function-event",
-                            "std::function<void()> in src/sim/: event "
-                            "callbacks must be dk::sim::EventFn "
+                            "std::function in src/sim/ or on the per-I/O "
+                            "path: callbacks must be dk::sim::UniqueFn "
                             "(event_pool.hpp) to stay zero-alloc")
 
     # --- driver --------------------------------------------------------------
@@ -210,7 +216,7 @@ class Linter:
             code = strip_comments(raw)
             self.check_naked_assert(path, code)
             self.check_attach_naming(path, code)
-            if path.is_relative_to(src / "sim"):
+            if path.relative_to(src).as_posix().startswith(UNIQUE_FN_PATHS):
                 self.check_no_std_function_event(path, code)
             if path.suffix in HEADER_SUFFIXES:
                 self.check_pragma_once(path, raw)
