@@ -64,6 +64,15 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  constexpr std::uint64_t kImageSize = 128 * MiB;
+  for (const auto& job : *jobs) {
+    if (job.spec.bs > kImageSize) {
+      std::cerr << "job " << job.name << ": bs " << job.spec.bs
+                << " exceeds the " << kImageSize << "-byte image\n";
+      return 1;
+    }
+  }
+
   TextTable t({"job", "variant", "pool", "rw", "bs", "IOPS", "MB/s",
                "lat mean [us]", "lat p99 [us]"});
   for (const auto& job : *jobs) {
@@ -71,7 +80,7 @@ int main(int argc, char** argv) {
     core::FrameworkConfig cfg;
     cfg.variant = job.variant;
     cfg.pool_mode = job.pool;
-    cfg.image_size = 128 * MiB;
+    cfg.image_size = kImageSize;
     core::Framework fw(sim, cfg);
     workload::FioEngine engine(fw);
     auto r = engine.run(job.spec);

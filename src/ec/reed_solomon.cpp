@@ -1,11 +1,32 @@
 #include "ec/reed_solomon.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/check.hpp"
 #include "gf/gf256.hpp"
 
 namespace dk::ec {
+
+namespace {
+
+// Views of up to k input chunks; k + m <= kFieldSize bounds every table.
+using Regions = std::array<std::span<const std::uint8_t>, gf::kFieldSize>;
+
+// `rows` new chunks of `size` bytes, row r the product of row r of the
+// row-major matrix at `coef` with `in`, in one gf::mul_regions call.
+std::vector<Chunk> multiply(const std::uint8_t* coef, std::size_t rows,
+                            std::span<const std::span<const std::uint8_t>> in,
+                            std::size_t size) {
+  std::vector<Chunk> out;
+  out.reserve(rows);
+  std::array<std::span<std::uint8_t>, gf::kFieldSize> views;
+  for (std::size_t r = 0; r < rows; ++r) views[r] = out.emplace_back(size);
+  gf::mul_regions({coef, rows * in.size()}, in, std::span(views).first(rows));
+  return out;
+}
+
+}  // namespace
 
 ReedSolomon::ReedSolomon(Profile profile) : profile_(profile) {
   DK_CHECK(profile_.k >= 1 && profile_.m >= 1);
@@ -19,12 +40,17 @@ std::vector<Chunk> ReedSolomon::split(
     std::span<const std::uint8_t> object) const {
   const unsigned k = profile_.k;
   const std::size_t chunk_size = (object.size() + k - 1) / k;
-  std::vector<Chunk> chunks(k, Chunk(chunk_size, 0));
+  std::vector<Chunk> chunks;
+  chunks.reserve(profile_.total());
   for (unsigned i = 0; i < k; ++i) {
-    const std::size_t off = static_cast<std::size_t>(i) * chunk_size;
-    if (off >= object.size()) break;
-    const std::size_t n = std::min(chunk_size, object.size() - off);
-    std::copy_n(object.data() + off, n, chunks[i].data());
+    const std::size_t off =
+        std::min(object.size(), static_cast<std::size_t>(i) * chunk_size);
+    const auto part =
+        object.subspan(off, std::min(chunk_size, object.size() - off));
+    Chunk& chunk = chunks.emplace_back();
+    chunk.reserve(chunk_size);
+    chunk.assign(part.begin(), part.end());
+    chunk.resize(chunk_size);  // zero padding past the object's end
   }
   return chunks;
 }
@@ -38,13 +64,10 @@ Result<std::vector<Chunk>> ReedSolomon::encode(
     if (c.size() != chunk_size)
       return Status::Error(Errc::invalid_argument, "unequal chunk sizes");
 
-  std::vector<Chunk> coding(profile_.m, Chunk(chunk_size, 0));
-  for (unsigned i = 0; i < profile_.m; ++i) {
-    const std::uint8_t* grow = generator_.row(profile_.k + i);
-    for (unsigned j = 0; j < profile_.k; ++j)
-      gf::mul_add_region(grow[j], data[j], coding[i]);
-  }
-  return coding;
+  Regions in;
+  std::copy(data.begin(), data.end(), in.begin());
+  return multiply(generator_.row(profile_.k), profile_.m,
+                  std::span(in).first(profile_.k), chunk_size);
 }
 
 Result<std::vector<Chunk>> ReedSolomon::decode(
@@ -69,19 +92,19 @@ Result<std::vector<Chunk>> ReedSolomon::decode(
 
   // Gather the first k surviving chunks and their generator rows.
   std::vector<std::size_t> rows;
-  std::vector<const Chunk*> survivors;
+  Regions survivors;
   for (std::size_t i = 0; i < chunks.size() && rows.size() < k; ++i) {
     if (chunks[i]) {
+      survivors[rows.size()] = *chunks[i];
       rows.push_back(i);
-      survivors.push_back(&*chunks[i]);
     }
   }
   if (rows.size() < k)
     return Status::Error(Errc::corrupted, "fewer than k chunks survive");
 
-  const std::size_t chunk_size = survivors[0]->size();
-  for (const auto* c : survivors)
-    if (c->size() != chunk_size)
+  const std::size_t chunk_size = survivors[0].size();
+  for (unsigned i = 0; i < k; ++i)
+    if (survivors[i].size() != chunk_size)
       return Status::Error(Errc::invalid_argument, "unequal chunk sizes");
 
   auto sub = generator_.select_rows(rows);
@@ -89,13 +112,7 @@ Result<std::vector<Chunk>> ReedSolomon::decode(
   if (!inv.ok()) return inv.status();
 
   // data[j] = sum_i inv[j][i] * survivor[i]
-  std::vector<Chunk> data(k, Chunk(chunk_size, 0));
-  for (unsigned j = 0; j < k; ++j) {
-    const std::uint8_t* row = inv->row(j);
-    for (unsigned i = 0; i < k; ++i)
-      gf::mul_add_region(row[i], *survivors[i], data[j]);
-  }
-  return data;
+  return multiply(inv->row(0), k, std::span(survivors).first(k), chunk_size);
 }
 
 std::vector<std::uint8_t> ReedSolomon::assemble(

@@ -38,7 +38,10 @@ class ReedSolomon {
   const Profile& profile() const { return profile_; }
   const gf::Matrix& generator() const { return generator_; }
 
-  /// Pad `object` to a multiple of k and split into k equal data chunks.
+  /// Pad `object` to a multiple of k and split into k equal data chunks,
+  /// copying each byte once. The vector has room for the m coding chunks,
+  /// so a caller that appends them to ship all k+m shards does not
+  /// reallocate.
   std::vector<Chunk> split(std::span<const std::uint8_t> object) const;
 
   /// Compute the m coding chunks for the given k data chunks.

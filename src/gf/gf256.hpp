@@ -72,18 +72,18 @@ constexpr std::uint8_t pow(std::uint8_t a, unsigned e) {
   return r;
 }
 
-/// dst[i] ^= c * src[i] — the inner loop of Reed-Solomon encoding. On
-/// x86-64 CPUs with SSSE3 it runs the split-nibble kernel, 16 bytes per
-/// step; elsewhere the byte-at-a-time table kernel computes the same bytes.
-/// The kernel is picked once per process from CPUID (gf256_detail.hpp).
-void mul_add_region(std::uint8_t c, std::span<const std::uint8_t> src,
-                    std::span<std::uint8_t> dst);
-
-/// dst[i] = c * src[i].
-void mul_region(std::uint8_t c, std::span<const std::uint8_t> src,
-                std::span<std::uint8_t> dst);
-
-/// dst[i] ^= src[i].
-void xor_region(std::span<const std::uint8_t> src, std::span<std::uint8_t> dst);
+/// dst[r][i] = sum over j of coef[r * src.size() + j] * src[j][i]: a
+/// coefficient matrix times a column of regions, the product behind
+/// Reed-Solomon encode (parity rows times the data chunks) and decode (the
+/// inverted survivor rows times the survivors). `coef` is row-major,
+/// dst.size() rows by src.size() columns, with at most kFieldSize columns.
+/// Every region has the same length; each output is overwritten and must not
+/// overlap a source. On x86-64 CPUs with AVX2 a split-nibble kernel computes
+/// up to four outputs per pass, 32 bytes per step; elsewhere a table loop
+/// computes the same bytes. The kernel is picked once per process from CPUID
+/// (gf256_detail.hpp).
+void mul_regions(std::span<const std::uint8_t> coef,
+                 std::span<const std::span<const std::uint8_t>> src,
+                 std::span<const std::span<std::uint8_t>> dst);
 
 }  // namespace dk::gf

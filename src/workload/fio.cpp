@@ -1,8 +1,16 @@
 #include "workload/fio.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <memory>
 #include <vector>
+
+#include "workload/fio_detail.hpp"
+
+#ifdef __x86_64__
+#include <immintrin.h>
+#endif
 
 namespace dk::workload {
 
@@ -26,22 +34,132 @@ bool is_random(RwMode mode) {
          mode == RwMode::rand_rw;
 }
 
+namespace detail {
+
+namespace {
+
+constexpr unsigned kLanes = 4;
+constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;  // SplitMix64's step
+
+}  // namespace
+
+void block_pattern_portable(std::uint64_t offset, std::uint64_t seed,
+                            std::span<std::uint8_t> out) {
+  // Rng(x) takes its state from the four SplitMix64 draws after x, and each
+  // draw adds kGolden, so lane l's Rng starts 4l draws into the stream.
+  const std::uint64_t base = seed ^ (offset * kGolden);
+  std::array<Rng, kLanes> lanes = {Rng(base), Rng(base + 4 * kGolden),
+                                   Rng(base + 8 * kGolden),
+                                   Rng(base + 12 * kGolden)};
+  // One word from each lane per round; the fixed inner trip count lets the
+  // compiler keep the four states in registers.
+  const std::size_t n = out.size();
+  std::size_t i = 0;
+  for (; i + 8 * kLanes <= n; i += 8 * kLanes) {
+    for (unsigned l = 0; l < kLanes; ++l) {
+      const std::uint64_t word = lanes[l].next();
+      std::memcpy(out.data() + i + 8 * l, &word, 8);
+    }
+  }
+  for (unsigned l = 0; i < n; ++l, i += 8) {
+    const std::uint64_t word = lanes[l].next();
+    std::memcpy(out.data() + i, &word, std::min<std::size_t>(8, n - i));
+  }
+}
+
+#ifdef __x86_64__
+
+bool block_pattern_avx2_available() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+}
+
+namespace {
+
+// Word i of every lane's xoshiro256** state: lane l in 64-bit element l.
+struct LaneState {
+  __m256i s0, s1, s2, s3;
+};
+
+template <int K>
+__attribute__((target("avx2"))) inline __m256i rotl_avx2(__m256i x) {
+  return _mm256_or_si256(_mm256_slli_epi64(x, K),
+                         _mm256_srli_epi64(x, 64 - K));
+}
+
+// Rng::next() on four lanes at once. AVX2 has no 64-bit multiply, so x * 5
+// and x * 9 are a shift and an add.
+__attribute__((target("avx2"))) inline __m256i next_avx2(LaneState& s) {
+  const __m256i times5 = _mm256_add_epi64(_mm256_slli_epi64(s.s1, 2), s.s1);
+  const __m256i rot = rotl_avx2<7>(times5);
+  const __m256i result = _mm256_add_epi64(_mm256_slli_epi64(rot, 3), rot);
+  const __m256i t = _mm256_slli_epi64(s.s1, 17);
+  s.s2 = _mm256_xor_si256(s.s2, s.s0);
+  s.s3 = _mm256_xor_si256(s.s3, s.s1);
+  s.s1 = _mm256_xor_si256(s.s1, s.s2);
+  s.s0 = _mm256_xor_si256(s.s0, s.s3);
+  s.s2 = _mm256_xor_si256(s.s2, t);
+  s.s3 = rotl_avx2<45>(s.s3);
+  return result;
+}
+
+}  // namespace
+
+__attribute__((target("avx2"))) void block_pattern_avx2(
+    std::uint64_t offset, std::uint64_t seed, std::span<std::uint8_t> out) {
+  // words[4i + l] is word i of lane l's state; lane l takes SplitMix64
+  // draws 4l to 4l + 3, as Rng's seeding does.
+  std::array<std::uint64_t, 4 * kLanes> words{};
+  SplitMix64 seeder(seed ^ (offset * kGolden));
+  for (unsigned l = 0; l < kLanes; ++l)
+    for (unsigned i = 0; i < 4; ++i) words[4 * i + l] = seeder.next();
+  const auto* state = reinterpret_cast<const __m256i*>(words.data());
+  LaneState s{_mm256_loadu_si256(state), _mm256_loadu_si256(state + 1),
+              _mm256_loadu_si256(state + 2), _mm256_loadu_si256(state + 3)};
+  std::uint8_t* p = out.data();
+  const std::size_t n = out.size();
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32)
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + i), next_avx2(s));
+  if (i < n) {
+    std::array<std::uint8_t, 32> last{};
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(last.data()), next_avx2(s));
+    std::memcpy(p + i, last.data(), n - i);
+  }
+}
+
+#else
+
+bool block_pattern_avx2_available() { return false; }
+void block_pattern_avx2(std::uint64_t offset, std::uint64_t seed,
+                        std::span<std::uint8_t> out) {
+  block_pattern_portable(offset, seed, out);
+}
+
+#endif
+
+}  // namespace detail
+
 namespace {
 
 /// Deterministic per-block payload so verify mode can check reads without
-/// storing a shadow copy: byte i of block at `offset` = f(offset, i). Each
-/// generator step fills eight bytes, in host byte order (the pattern only
-/// has to agree with itself inside one process); a tail shorter than eight
-/// bytes takes the first bytes of one more step.
+/// storing a shadow copy. The block at `offset` is a run of 8-byte words in
+/// host byte order (the pattern only has to agree with itself inside one
+/// process), drawn from four interleaved xoshiro256** lanes: word w is the
+/// next output of lane w mod 4. A SplitMix64 stream started at
+/// seed ^ (offset * 0x9e3779b97f4a7c15) seeds the lanes in turn, lane l
+/// taking draws 4l to 4l + 3 as its state. A tail shorter than eight bytes
+/// takes the first bytes of one more word. The lanes are independent, so the
+/// AVX2 kernel steps all four in one register.
 std::vector<std::uint8_t> block_pattern(std::uint64_t offset, std::uint64_t bs,
                                         std::uint64_t seed) {
-  Rng rng(seed ^ (offset * 0x9e3779b97f4a7c15ULL));
-  std::vector<std::uint8_t> v(bs + 7);  // room for a whole last word
-  for (std::uint64_t i = 0; i < bs; i += 8) {
-    const std::uint64_t word = rng.next();
-    std::memcpy(v.data() + i, &word, sizeof word);
+  std::vector<std::uint8_t> v(bs);
+  static const bool avx2 = detail::block_pattern_avx2_available();
+  if (avx2) {
+    detail::block_pattern_avx2(offset, seed, v);
+  } else {
+    detail::block_pattern_portable(offset, seed, v);
   }
-  v.resize(bs);
   return v;
 }
 
@@ -56,7 +174,9 @@ struct JobState {
 FioResult FioEngine::run(const FioJobSpec& spec) {
   sim::Simulator& sim = fw_.simulator();
   const std::uint64_t image_bytes = fw_.image().spec().size_bytes;
-  const std::uint64_t blocks = image_bytes / spec.bs;
+  const std::uint64_t blocks = spec.bs == 0 ? 0 : image_bytes / spec.bs;
+  FioResult result;
+  if (blocks == 0) return result;  // no whole block fits: nothing to address
 
   if (spec.prefill) {
     // Sequential prefill, one block at a time on the workload's block grid,
@@ -69,7 +189,6 @@ FioResult FioEngine::run(const FioJobSpec& spec) {
     }
   }
 
-  FioResult result;
   const Nanos start = sim.now();
   const Nanos measure_from = start + spec.ramp;
   const Nanos deadline = start + spec.runtime;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <limits>
 
 namespace dk::workload {
 
@@ -32,6 +33,19 @@ Result<std::uint64_t> parse_u64(std::string_view token) {
   return v;
 }
 
+/// A count in [lo, hi], for fields narrower than the 64-bit parse.
+Result<unsigned> parse_count(std::string_view key, std::string_view token,
+                             unsigned lo, unsigned hi) {
+  auto n = parse_u64(token);
+  if (!n.ok()) return n.status();
+  if (*n < lo || *n > hi)
+    return Status::Error(Errc::invalid_argument,
+                         std::string(key) + " must be in [" +
+                             std::to_string(lo) + ", " + std::to_string(hi) +
+                             "]: " + std::string(token));
+  return static_cast<unsigned>(*n);
+}
+
 Status apply(ParsedJob& job, std::string_view key, std::string_view value) {
   const std::string k = lower(key);
   const std::string v = lower(value);
@@ -45,15 +59,17 @@ Status apply(ParsedJob& job, std::string_view key, std::string_view value) {
   } else if (k == "bs" || k == "blocksize") {
     auto size = parse_size(v);
     if (!size.ok()) return size.status();
+    if (*size == 0)
+      return Status::Error(Errc::invalid_argument, "bs must be at least 1");
     job.spec.bs = *size;
   } else if (k == "iodepth") {
-    auto n = parse_u64(v);
+    auto n = parse_count(k, v, 1, std::numeric_limits<unsigned>::max());
     if (!n.ok()) return n.status();
-    job.spec.iodepth = static_cast<unsigned>(*n);
+    job.spec.iodepth = *n;
   } else if (k == "numjobs") {
-    auto n = parse_u64(v);
+    auto n = parse_count(k, v, 1, std::numeric_limits<unsigned>::max());
     if (!n.ok()) return n.status();
-    job.spec.numjobs = static_cast<unsigned>(*n);
+    job.spec.numjobs = *n;
   } else if (k == "runtime") {
     auto n = parse_u64(v);
     if (!n.ok()) return n.status();
@@ -67,9 +83,9 @@ Status apply(ParsedJob& job, std::string_view key, std::string_view value) {
   } else if (k == "prefill") {
     job.spec.prefill = v != "0";
   } else if (k == "rwmixread") {
-    auto n = parse_u64(v);
+    auto n = parse_count(k, v, 0, 100);
     if (!n.ok()) return n.status();
-    job.spec.rwmix_read = static_cast<unsigned>(*n);
+    job.spec.rwmix_read = *n;
   } else if (k == "seed" || k == "randseed") {
     auto n = parse_u64(v);
     if (!n.ok()) return n.status();
@@ -107,9 +123,11 @@ Result<std::uint64_t> parse_size(std::string_view token) {
   if (suffix == 'k') mult = 1024;
   else if (suffix == 'm') mult = 1024 * 1024;
   else if (suffix == 'g') mult = 1024ull * 1024 * 1024;
-  if (mult != 1) token.remove_suffix(1);
-  auto n = parse_u64(token);
+  auto n = parse_u64(mult == 1 ? token : token.substr(0, token.size() - 1));
   if (!n.ok()) return n.status();
+  if (*n > std::numeric_limits<std::uint64_t>::max() / mult)
+    return Status::Error(Errc::invalid_argument,
+                         "size overflows 64 bits: " + std::string(token));
   return *n * mult;
 }
 

@@ -1,6 +1,7 @@
 // Tests for GF(2^8) arithmetic, matrix algebra, and Reed-Solomon coding.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <numeric>
 #include <span>
 #include <tuple>
@@ -67,59 +68,131 @@ TEST(Gf256, PowMatchesRepeatedMul) {
   }
 }
 
-TEST(Gf256, RegionOpsMatchScalar) {
-  Rng rng(9);
-  std::vector<std::uint8_t> src(257), dst(257), expect(257);
-  for (auto& b : src) b = static_cast<std::uint8_t>(rng.below(256));
-  for (auto& b : dst) b = static_cast<std::uint8_t>(rng.below(256));
-  expect = dst;
-  const std::uint8_t c = 0x37;
-  for (std::size_t i = 0; i < src.size(); ++i)
-    expect[i] ^= gf::mul(c, src[i]);
-  gf::mul_add_region(c, src, dst);
-  EXPECT_EQ(dst, expect);
+using Regions = std::vector<std::vector<std::uint8_t>>;
+
+std::vector<std::uint8_t> random_bytes(Rng& rng, std::size_t n) {
+  std::vector<std::uint8_t> v(n);
+  for (auto& b : v) b = static_cast<std::uint8_t>(rng.below(256));
+  return v;
 }
 
-using RegionKernel = void (*)(std::uint8_t, std::span<const std::uint8_t>,
-                              std::span<std::uint8_t>);
+/// The product every kernel must match, from scalar gf::mul: `want` holds
+/// the outputs' buffers, and [dst_off, dst_off + len) of each is replaced
+/// by its row of `coef` times the sources' [src_off, src_off + len).
+void scalar_product(std::span<const std::uint8_t> coef, const Regions& src,
+                    std::size_t src_off, std::size_t len, Regions& want,
+                    std::size_t dst_off) {
+  for (std::size_t r = 0; r < want.size(); ++r)
+    for (std::size_t i = 0; i < len; ++i) {
+      std::uint8_t acc = 0;
+      for (std::size_t j = 0; j < src.size(); ++j)
+        acc ^= gf::mul(coef[r * src.size() + j], src[j][src_off + i]);
+      want[r][dst_off + i] = acc;
+    }
+}
 
-// Every region multiply-add kernel this host can run: the dispatching entry
-// point, the portable table kernel, and the SSSE3 kernel when the CPU has it.
-std::vector<std::pair<const char*, RegionKernel>> mul_add_kernels() {
+using RegionKernel = void (*)(std::span<const std::uint8_t>,
+                              std::span<const std::span<const std::uint8_t>>,
+                              std::span<const std::span<std::uint8_t>>);
+
+// Every region kernel this host can run: the dispatching entry point, the
+// portable table kernel, and the AVX2 kernel when the CPU has it.
+std::vector<std::pair<const char*, RegionKernel>> region_kernels() {
   std::vector<std::pair<const char*, RegionKernel>> out = {
-      {"dispatch", &gf::mul_add_region},
-      {"table", &gf::detail::mul_add_region_table}};
-  if (gf::detail::mul_add_region_simd_available())
-    out.emplace_back("ssse3", &gf::detail::mul_add_region_simd);
+      {"dispatch", &gf::mul_regions},
+      {"table", &gf::detail::mul_regions_table}};
+  if (gf::detail::mul_regions_avx2_available())
+    out.emplace_back("avx2", &gf::detail::mul_regions_avx2);
   return out;
 }
 
-TEST(Gf256, MulAddRegionKernelsMatchScalarAtEveryLengthAndOffset) {
-  // Every coefficient, every length up to three 16-byte vectors plus a tail,
-  // and every start offset inside a vector, with src and dst misaligned
-  // differently, must match the scalar product byte for byte.
-  constexpr std::size_t kMaxLen = 56;
+/// Runs `kernel` on `src` into stale copies of `dst` and compares every
+/// byte of every output buffer, the bytes around each region included.
+void expect_kernel_matches_scalar(RegionKernel kernel,
+                                  std::span<const std::uint8_t> coef,
+                                  const Regions& src, std::size_t src_off,
+                                  std::size_t len, const Regions& dst,
+                                  std::size_t dst_off) {
+  Regions want = dst;
+  scalar_product(coef, src, src_off, len, want, dst_off);
+  Regions got = dst;
+  std::vector<std::span<const std::uint8_t>> in;
+  for (const auto& b : src) in.push_back(std::span(b).subspan(src_off, len));
+  std::vector<std::span<std::uint8_t>> out;
+  for (auto& b : got) out.push_back(std::span(b).subspan(dst_off, len));
+  kernel(coef, in, out);
+  EXPECT_EQ(got, want) << dst.size() << "x" << src.size() << " len=" << len
+                       << " src_off=" << src_off << " dst_off=" << dst_off;
+}
+
+TEST(Gf256, RegionOpsMatchScalar) {
+  // The public entry point on the 4+2 parity shape, stale outputs included.
+  Rng rng(9);
+  Regions src, dst;
+  for (int j = 0; j < 4; ++j) src.push_back(random_bytes(rng, 257));
+  for (int r = 0; r < 2; ++r) dst.push_back(random_bytes(rng, 257));
+  const std::vector<std::uint8_t> coef = {0x37, 1, 0, 0xff, 2, 0x8e, 0x1d, 1};
+  expect_kernel_matches_scalar(&gf::mul_regions, coef, src, 0, 257, dst, 0);
+}
+
+TEST(Gf256, RegionKernelsMatchScalarAtEveryLengthAndOffset) {
+  // Every coefficient at every length up to three 32-byte vectors plus a
+  // tail, then every start offset inside a vector at every such length,
+  // with sources and outputs misaligned differently, must match the scalar
+  // product byte for byte. A coefficient only picks the kernel's tables,
+  // and the offsets only move its loads and stores, so the two sweeps need
+  // not be crossed.
+  constexpr std::size_t kVector = 32;
+  constexpr std::size_t kMaxLen = 3 * kVector + kVector - 1;
   Rng rng(41);
-  std::vector<std::uint8_t> src(kMaxLen + 16), dst(kMaxLen + 16);
-  for (auto& b : src) b = static_cast<std::uint8_t>(rng.below(256));
-  for (auto& b : dst) b = static_cast<std::uint8_t>(rng.below(256));
-  std::vector<std::uint8_t> got, want;
-  for (const auto& [name, kernel] : mul_add_kernels()) {
+  const Regions src = {random_bytes(rng, kMaxLen + kVector)};
+  const Regions dst = {random_bytes(rng, kMaxLen + kVector)};
+  Regions got = dst, want = dst;
+  std::array<std::span<const std::uint8_t>, 1> in;
+  std::array<std::span<std::uint8_t>, 1> out;
+  const auto check = [&](RegionKernel kernel, std::uint8_t coef,
+                         std::size_t off, std::size_t dst_off,
+                         std::size_t len) {
+    got[0] = dst[0];
+    want[0] = dst[0];
+    scalar_product({&coef, 1}, src, off, len, want, dst_off);
+    in[0] = std::span(src[0]).subspan(off, len);
+    out[0] = std::span(got[0]).subspan(dst_off, len);
+    kernel({&coef, 1}, in, out);
+    return got == want;
+  };
+  for (const auto& [name, kernel] : region_kernels()) {
     SCOPED_TRACE(name);
-    for (unsigned c = 0; c < 256; ++c) {
-      const auto coef = static_cast<std::uint8_t>(c);
-      for (std::size_t off = 0; off < 16; ++off) {
-        const std::size_t dst_off = 15 - off;
-        for (std::size_t len = 0; len <= kMaxLen; ++len) {
-          got = dst;
-          want = dst;
-          for (std::size_t i = 0; i < len; ++i)
-            want[dst_off + i] ^= gf::mul(coef, src[off + i]);
-          kernel(coef, std::span(src).subspan(off, len),
-                 std::span(got).subspan(dst_off, len));
-          ASSERT_EQ(got, want)
-              << "c=" << c << " off=" << off << " len=" << len;
-        }
+    for (unsigned c = 0; c < 256; ++c)
+      for (std::size_t len = 0; len <= kMaxLen; ++len)
+        ASSERT_TRUE(check(kernel, static_cast<std::uint8_t>(c), 1, 30, len))
+            << "c=" << c << " len=" << len;
+    for (std::size_t off = 0; off < kVector; ++off)
+      for (std::size_t len = 0; len <= kMaxLen; ++len)
+        ASSERT_TRUE(check(kernel, 0x8e, off, kVector - 1 - off, len))
+            << "off=" << off << " len=" << len;
+  }
+}
+
+TEST(Gf256, RegionKernelsMatchScalarAcrossRowGroups) {
+  // rows x sources shapes around the AVX2 kernel's four-output passes: one
+  // output, a full pass, two passes over eight sources, and passes of
+  // four plus one and four plus two over odd source counts.
+  constexpr std::pair<std::size_t, std::size_t> kShapes[] = {
+      {1, 1}, {2, 4}, {4, 8}, {5, 9}, {6, 12}};
+  constexpr std::size_t kLengths[] = {0, 1, 31, 32, 33, 100, 4096 + 13};
+  Rng rng(43);
+  for (const auto& [name, kernel] : region_kernels()) {
+    SCOPED_TRACE(name);
+    for (const auto& [rows, sources] : kShapes) {
+      const std::vector<std::uint8_t> coef = random_bytes(rng, rows * sources);
+      for (const std::size_t len : kLengths) {
+        Regions src, dst;
+        for (std::size_t j = 0; j < sources; ++j)
+          src.push_back(random_bytes(rng, len + 3));
+        for (std::size_t r = 0; r < rows; ++r)
+          dst.push_back(random_bytes(rng, len + 9));
+        expect_kernel_matches_scalar(kernel, coef, src, 3, len, dst, 5);
       }
     }
   }
@@ -212,7 +285,8 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(4u, 2u, ec::GeneratorKind::vandermonde),
         std::make_tuple(4u, 2u, ec::GeneratorKind::cauchy),
         std::make_tuple(6u, 3u, ec::GeneratorKind::vandermonde),
-        std::make_tuple(8u, 4u, ec::GeneratorKind::cauchy)));
+        std::make_tuple(8u, 4u, ec::GeneratorKind::cauchy),
+        std::make_tuple(10u, 6u, ec::GeneratorKind::cauchy)));
 
 TEST(ReedSolomon, TooManyErasuresFails) {
   ec::ReedSolomon rs({4, 2, ec::GeneratorKind::vandermonde});

@@ -85,6 +85,48 @@ TEST(Jobfile, ErrorsCarryLineNumbers) {
   EXPECT_NE(jobs.status().message().find("line 2"), std::string::npos);
 }
 
+/// `text` must fail to parse with invalid_argument, naming `line`.
+void expect_rejected(std::string_view text, std::string_view line) {
+  auto jobs = parse_jobfile(text);
+  ASSERT_FALSE(jobs.ok()) << text;
+  EXPECT_EQ(jobs.status().code(), Errc::invalid_argument);
+  EXPECT_NE(jobs.status().message().find(line), std::string::npos)
+      << jobs.status().to_string();
+}
+
+TEST(Jobfile, ZeroBlockSizeRejected) {
+  expect_rejected("[j]\nrw=read\nbs=0\n", "line 3");
+}
+
+TEST(Jobfile, IodepthBeyondUnsignedRejected) {
+  // 2^32 + 1 used to narrow to 1 and run at queue depth 1.
+  expect_rejected("[j]\niodepth=4294967297\n", "line 2");
+  expect_rejected("[j]\nnumjobs=4294967296\n", "line 2");
+  auto jobs = parse_jobfile("[j]\niodepth=4294967295\n");
+  ASSERT_TRUE(jobs.ok()) << jobs.status().to_string();
+  EXPECT_EQ((*jobs)[0].spec.iodepth, 4294967295u);
+}
+
+TEST(Jobfile, ZeroIodepthAndNumjobsRejected) {
+  expect_rejected("[j]\niodepth=0\n", "line 2");
+  expect_rejected("[global]\nnumjobs=0\n[j]\n", "line 2");
+}
+
+TEST(Jobfile, RwmixreadAboveHundredRejected) {
+  expect_rejected("[j]\nrw=randrw\nrwmixread=250\n", "line 3");
+  auto jobs = parse_jobfile("[j]\nrw=randrw\nrwmixread=100\n");
+  ASSERT_TRUE(jobs.ok()) << jobs.status().to_string();
+  EXPECT_EQ((*jobs)[0].spec.rwmix_read, 100u);
+}
+
+TEST(Jobfile, SizeSuffixOverflowRejected) {
+  // 2^34 GiB is 2^64 bytes, which used to wrap to 0.
+  EXPECT_FALSE(parse_size("17179869184g").ok());
+  EXPECT_FALSE(parse_size("18014398509481984k").ok());
+  EXPECT_EQ(*parse_size("17179869183g"), 17179869183ull << 30);
+  expect_rejected("[j]\nbs=17179869184g\n", "line 2");
+}
+
 TEST(Jobfile, UnknownKeyRejected) {
   EXPECT_FALSE(parse_jobfile("[j]\nwarp_speed=9\n").ok());
 }

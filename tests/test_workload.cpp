@@ -5,6 +5,7 @@
 #include "rados/cluster.hpp"
 #include "workload/apps.hpp"
 #include "workload/fio.hpp"
+#include "workload/fio_detail.hpp"
 
 namespace dk::workload {
 namespace {
@@ -153,6 +154,83 @@ TEST(FioEngine, VerifyModeAcceptsBlockSizeNotAMultipleOfEight) {
   const auto r = engine.run(verify_spec(RwMode::rand_rw, 1000));
   EXPECT_GT(r.ops, 50u);
   EXPECT_EQ(r.verify_errors, 0u);
+}
+
+TEST(FioEngine, NoWholeBlockInTheImageIssuesNoIo) {
+  // A 1 GiB block on a 32 MiB image, or a zero block size, leaves no block
+  // to address; the run used to divide by the block count of zero.
+  sim::Simulator sim;
+  core::Framework fw(sim, small_config(core::VariantKind::delibak));
+  FioEngine engine(fw);
+  for (const RwMode rw : {RwMode::seq_read, RwMode::rand_read,
+                          RwMode::seq_write, RwMode::rand_rw}) {
+    for (const std::uint64_t bs : {std::uint64_t{0}, std::uint64_t{GiB}}) {
+      FioJobSpec spec;
+      spec.rw = rw;
+      spec.bs = bs;
+      spec.runtime = ms(5);
+      spec.prefill = true;
+      EXPECT_EQ(engine.run(spec).ops, 0u) << rw_name(rw) << " bs=" << bs;
+    }
+  }
+  EXPECT_EQ(fw.metrics().find_counter("io.reads")->value(), 0u);
+  EXPECT_EQ(fw.metrics().find_counter("io.writes")->value(), 0u);
+}
+
+// Block sizes for the pattern kernels: every size through 300 (every tail
+// length at several vector counts), a size that is no multiple of eight, a
+// page, and 128 KiB plus a tail.
+std::vector<std::uint64_t> pattern_sizes() {
+  std::vector<std::uint64_t> sizes;
+  for (std::uint64_t bs = 1; bs <= 300; ++bs) sizes.push_back(bs);
+  sizes.insert(sizes.end(), {1000, 4096, 128 * KiB + 7});
+  return sizes;
+}
+
+constexpr std::uint64_t kPatternOffsets[] = {0, 4096, 1000 * 1000 + 8,
+                                             std::uint64_t{1} << 40};
+constexpr std::uint64_t kPatternSeeds[] = {0, 1, 97, ~std::uint64_t{0}};
+
+TEST(BlockPattern, Avx2AndPortableKernelsGiveIdenticalBytes) {
+  if (!detail::block_pattern_avx2_available())
+    GTEST_SKIP() << "this CPU has no AVX2";
+  std::vector<std::uint8_t> portable, avx2;
+  for (const std::uint64_t bs : pattern_sizes()) {
+    portable.assign(bs, 0);
+    for (const std::uint64_t offset : kPatternOffsets) {
+      for (const std::uint64_t seed : kPatternSeeds) {
+        detail::block_pattern_portable(offset, seed, portable);
+        avx2.assign(bs, 0xa5);
+        detail::block_pattern_avx2(offset, seed, avx2);
+        ASSERT_EQ(avx2, portable)
+            << "bs=" << bs << " offset=" << offset << " seed=" << seed;
+      }
+    }
+  }
+}
+
+TEST(BlockPattern, DifferentOffsetsGiveDifferentBlocks) {
+  // From eight bytes up a repeat would mean the lanes of two blocks share
+  // a stream; a one-byte block matches another by chance 1 time in 256.
+  std::vector<std::uint8_t> a, b;
+  for (const std::uint64_t bs : pattern_sizes()) {
+    if (bs < 8) continue;
+    a.resize(bs);
+    b.resize(bs);
+    for (const std::uint64_t seed : kPatternSeeds) {
+      for (std::size_t i = 0; i < std::size(kPatternOffsets); ++i) {
+        detail::block_pattern_portable(kPatternOffsets[i], seed, a);
+        for (std::size_t j = i + 1; j < std::size(kPatternOffsets); ++j) {
+          detail::block_pattern_portable(kPatternOffsets[j], seed, b);
+          EXPECT_NE(a, b) << "bs=" << bs << " seed=" << seed << " offsets "
+                          << kPatternOffsets[i] << ", " << kPatternOffsets[j];
+        }
+        // The next block on the same grid too.
+        detail::block_pattern_portable(kPatternOffsets[i] + bs, seed, b);
+        EXPECT_NE(a, b) << "bs=" << bs << " seed=" << seed;
+      }
+    }
+  }
 }
 
 TEST(FioEngine, HigherIodepthRaisesThroughput) {
