@@ -45,6 +45,73 @@ std::uint32_t crc32c_table(std::span<const std::uint8_t> data,
 
 #ifdef __x86_64__
 
+namespace {
+
+// Register state after `bytes` zero bytes follow `state`: multiplication by
+// x^(8·bytes) mod P. The register is linear in its start state and its
+// input, so crc(s, AB) == shift(crc(s, A)) ^ crc(0, B) with |B| = bytes.
+// The four tables hold the shift of each byte lane. An entry is the XOR of
+// the shifts of its set bits, so the constexpr build shifts only the 32
+// single-bit states: about 32 × `bytes` table steps.
+struct ShiftTables {
+  std::array<std::array<std::uint32_t, 256>, 4> lane{};
+
+  std::uint32_t operator()(std::uint32_t state) const {
+    return lane[0][state & 0xffu] ^ lane[1][(state >> 8) & 0xffu] ^
+           lane[2][(state >> 16) & 0xffu] ^ lane[3][state >> 24];
+  }
+};
+
+constexpr ShiftTables make_shift(std::size_t bytes) {
+  std::array<std::uint32_t, 32> bit_shift{};
+  for (std::size_t bit = 0; bit < 32; ++bit) {
+    std::uint32_t state = 1u << bit;
+    for (std::size_t i = 0; i < bytes; ++i)
+      state = kTable[state & 0xffu] ^ (state >> 8);
+    bit_shift[bit] = state;
+  }
+  ShiftTables tables;
+  for (std::size_t lane = 0; lane < 4; ++lane) {
+    for (std::size_t byte = 0; byte < 256; ++byte) {
+      std::uint32_t shifted = 0;
+      for (std::size_t bit = 0; bit < 8; ++bit)
+        if ((byte >> bit) & 1u) shifted ^= bit_shift[8 * lane + bit];
+      tables.lane[lane][byte] = shifted;
+    }
+  }
+  return tables;
+}
+
+constexpr ShiftTables kShift = make_shift(kCrc32cStreamBytes);
+
+inline std::uint64_t load64(const std::uint8_t* p) {
+  std::uint64_t word = 0;
+  std::memcpy(&word, p, sizeof word);
+  return word;
+}
+
+// One superblock of three consecutive kCrc32cStreamBytes streams, each its
+// own `crc32` chain, so the three run in parallel instead of each step
+// waiting for the last; then joined as shift(shift(a) ^ b) ^ c.
+__attribute__((target("sse4.2"))) inline std::uint32_t superblock(
+    const std::uint8_t* p, std::uint32_t state) {
+  constexpr std::size_t kStream = kCrc32cStreamBytes;
+  static_assert(kStream % 8 == 0, "streams are whole words");
+  std::uint64_t a = state;
+  std::uint64_t b = 0;
+  std::uint64_t c = 0;
+  for (std::size_t i = 0; i < kStream; i += 8) {
+    a = _mm_crc32_u64(a, load64(p + i));
+    b = _mm_crc32_u64(b, load64(p + kStream + i));
+    c = _mm_crc32_u64(c, load64(p + 2 * kStream + i));
+  }
+  return kShift(kShift(static_cast<std::uint32_t>(a)) ^
+                static_cast<std::uint32_t>(b)) ^
+         static_cast<std::uint32_t>(c);
+}
+
+}  // namespace
+
 bool crc32c_hw_available() {
   __builtin_cpu_init();
   return __builtin_cpu_supports("sse4.2");
@@ -58,15 +125,15 @@ __attribute__((target("sse4.2"))) std::uint32_t crc32c_hw(
     std::span<const std::uint8_t> data, std::uint32_t crc) {
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
-  std::uint64_t state = crc ^ 0xffffffffu;
-  for (; n >= 8; p += 8, n -= 8) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, p, sizeof word);
-    state = _mm_crc32_u64(state, word);
-  }
-  auto state32 = static_cast<std::uint32_t>(state);
-  for (; n > 0; ++p, --n) state32 = _mm_crc32_u8(state32, *p);
-  return state32 ^ 0xffffffffu;
+  std::uint32_t state = crc ^ 0xffffffffu;
+  for (; n >= 3 * kCrc32cStreamBytes;
+       p += 3 * kCrc32cStreamBytes, n -= 3 * kCrc32cStreamBytes)
+    state = superblock(p, state);
+  std::uint64_t wide = state;
+  for (; n >= 8; p += 8, n -= 8) wide = _mm_crc32_u64(wide, load64(p));
+  state = static_cast<std::uint32_t>(wide);
+  for (; n > 0; ++p, --n) state = _mm_crc32_u8(state, *p);
+  return state ^ 0xffffffffu;
 }
 
 #else

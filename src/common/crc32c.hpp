@@ -1,10 +1,11 @@
 #pragma once
 // CRC-32C (Castagnoli, polynomial 0x1EDC6F41, reflected) — the checksum iSCSI
 // (RFC 3720), Ceph BlueStore, and btrfs use for data blocks. On x86-64 CPUs
-// with SSE4.2 it runs on the `crc32` instruction, eight bytes per step;
-// elsewhere a byte-at-a-time table kernel computes the same values. The
-// kernel is picked once per process from CPUID (crc32c_detail.hpp); the
-// choice changes the simulator's wall-clock cost, never a checksum value.
+// with SSE4.2 it runs on the `crc32` instruction as three interleaved
+// eight-byte chains joined by a table shift; elsewhere a byte-at-a-time
+// table kernel computes the same values. The kernel is picked once per
+// process from CPUID (crc32c_detail.hpp); the choice changes the
+// simulator's wall-clock cost, never a checksum value.
 //
 // The integrity subsystem checksums payloads in fixed-size blocks so a
 // corrupted object localises to a block instead of poisoning the whole read.

@@ -75,8 +75,11 @@ std::uint64_t Blockstore::append(const ObjectKey& key, std::uint64_t offset,
     if (!tail.torn && tail.key == key && data.size() < config_.coalesce_bytes &&
         offset == tail.offset + tail.payload.size() &&
         tail.payload.size() + data.size() <= config_.coalesce_limit) {
+      // Chain the stored CRC over the new bytes: the same value as a fresh
+      // one over the whole payload when the record was intact, and a record
+      // whose CRC had gone bad stays bad instead of being laundered.
       tail.payload.insert(tail.payload.end(), data.begin(), data.end());
-      tail.crc = crc32c(std::span<const std::uint8_t>(tail.payload));
+      tail.crc = crc32c(data, tail.crc);
       tail.stored_bytes += data.size();
       tail.applied = false;  // the new delta is not in the data area yet
       occupancy_ += data.size();

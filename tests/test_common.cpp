@@ -212,12 +212,13 @@ using CrcKernel = std::uint32_t (*)(std::span<const std::uint8_t>,
                                     std::uint32_t);
 
 // Every CRC-32C kernel this host can run: the dispatching entry point, the
-// portable table kernel, and the SSE4.2 kernel when the CPU has it.
+// portable table kernel, and the three-stream SSE4.2 kernel when the CPU
+// has it.
 std::vector<std::pair<const char*, CrcKernel>> crc_kernels() {
   std::vector<std::pair<const char*, CrcKernel>> out = {
       {"dispatch", &crc32c}, {"table", &detail::crc32c_table}};
   if (detail::crc32c_hw_available())
-    out.emplace_back("sse4.2", &detail::crc32c_hw);
+    out.emplace_back("sse4.2 three-stream", &detail::crc32c_hw);
   return out;
 }
 
@@ -255,27 +256,38 @@ TEST(Crc32c, Rfc3720IscsiReadCommandVector) {
 
 TEST(Crc32c, HardwareKernelMatchesTableAtEveryLengthAndOffset) {
   // Every length from 0 to 8200 bytes (two 4 kB blocks plus a tail that is
-  // not a whole word) at all eight start offsets of a word, each from a
-  // non-zero seed chained from the previous offset's result. The table
-  // reference grows one byte per length, using crc(ab) == crc(b, crc(a)).
+  // not a whole word), and every length within 16 bytes of 3, 4 and 32
+  // three-stream superblocks and of 128 KiB, at all eight start offsets of
+  // a word, each from a non-zero seed chained from the previous sweep's
+  // result. The table reference is computed once at the start of each range
+  // and then grows one byte per length, using crc(ab) == crc(b, crc(a)).
   if (!detail::crc32c_hw_available())
     GTEST_SKIP() << "this host has no SSE4.2 CRC-32C kernel";
-  constexpr std::size_t kMaxLen = 8200;
-  std::vector<std::uint8_t> buf(kMaxLen + 8);
+  constexpr std::size_t kSuperblock = 3 * detail::kCrc32cStreamBytes;
+  constexpr std::size_t kReach = 16;
+  const std::pair<std::size_t, std::size_t> ranges[] = {
+      {0, 8200},
+      {3 * kSuperblock - kReach, 3 * kSuperblock + kReach},
+      {4 * kSuperblock - kReach, 4 * kSuperblock + kReach},
+      {32 * kSuperblock - kReach, 32 * kSuperblock + kReach},
+      {128 * KiB - kReach, 128 * KiB + kReach}};
+  std::vector<std::uint8_t> buf(128 * KiB + kReach + 8);
   Rng rng(3720);
   for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
 
   std::uint32_t seed = 0x9e3779b9u;
-  for (std::size_t start = 0; start < 8; ++start) {
-    std::uint32_t want = seed;
-    for (std::size_t len = 0; len <= kMaxLen; ++len) {
-      const std::span<const std::uint8_t> data(buf.data() + start, len);
-      ASSERT_EQ(detail::crc32c_hw(data, seed), want)
-          << "start " << start << ", length " << len << ", seed " << seed;
-      if (len < kMaxLen)
-        want = detail::crc32c_table({&buf[start + len], 1}, want);
+  for (const auto& [lo, hi] : ranges) {
+    for (std::size_t start = 0; start < 8; ++start) {
+      std::uint32_t want = detail::crc32c_table({&buf[start], lo}, seed);
+      for (std::size_t len = lo; len <= hi; ++len) {
+        const std::span<const std::uint8_t> data(buf.data() + start, len);
+        ASSERT_EQ(detail::crc32c_hw(data, seed), want)
+            << "start " << start << ", length " << len << ", seed " << seed;
+        if (len < hi)
+          want = detail::crc32c_table({&buf[start + len], 1}, want);
+      }
+      seed = want;
     }
-    seed = want;
   }
 }
 

@@ -547,6 +547,28 @@ TEST(BlockstoreJournal, CrcRejectedEntryStopsReplay) {
       << "bytes past the rejected record must not surface";
 }
 
+TEST(BlockstoreJournal, CoalescedWriteDoesNotLaunderACorruptRecord) {
+  // A record with a latent CRC error, then a contiguous sub-block write
+  // that coalesces into it. The merged record must still fail its check:
+  // replay discards it, and neither write's bytes surface.
+  ObjectStore store;
+  BlockstoreConfig cfg;
+  cfg.enabled = true;
+  Blockstore bs(cfg, store);
+  const ObjectKey key{0, 1, -1};
+  const auto p1 = pattern(1000, 1);
+  const auto p2 = pattern(1000, 2);
+  const std::uint64_t lsn = bs.append(key, 0, p1);
+  bs.corrupt_crc(lsn);
+  ASSERT_EQ(bs.append(key, p1.size(), p2), lsn) << "the write must coalesce";
+  ASSERT_EQ(bs.coalesced_writes(), 1u);
+
+  EXPECT_EQ(bs.replay(), 1u);
+  EXPECT_EQ(bs.replays_discarded(), 1u);
+  EXPECT_EQ(store.object_size(key), 0u)
+      << "the coalescing write re-derived the corrupt record's CRC";
+}
+
 TEST(BlockstoreJournal, AppendWrapsAroundAtTheCap) {
   // A tiny ring with the watermark policy disabled: making room is entirely
   // the append path's wraparound trim. Old applied records are evicted

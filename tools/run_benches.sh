@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Regenerate bench_output.txt: one captured run of every deterministic
 # (fixed-seed, simulated-time) bench binary, in a stable order. The
-# google-benchmark microbenches (micro_crush, micro_gf_rs, micro_rings) are
-# excluded on purpose — they measure real CPU time and are not reproducible
-# across machines.
+# google-benchmark microbenches (micro_crc32c, micro_crush, micro_gf_rs,
+# micro_rings) are excluded on purpose — they measure real CPU time and are
+# not reproducible across machines.
 #
 # Usage: tools/run_benches.sh [build-dir] [output-file]
 # Defaults: build/ and bench_output.txt at the repo root. Re-running must
