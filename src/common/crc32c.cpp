@@ -1,8 +1,10 @@
 #include "common/crc32c.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
+#include "common/check.hpp"
 #include "common/crc32c_detail.hpp"
 
 #ifdef __x86_64__
@@ -153,20 +155,42 @@ std::uint32_t crc32c(std::span<const std::uint8_t> data, std::uint32_t crc) {
   return hw ? detail::crc32c_hw(data, crc) : detail::crc32c_table(data, crc);
 }
 
-std::vector<std::uint32_t> block_checksums(std::span<const std::uint8_t> data,
-                                           std::uint64_t base) {
-  std::vector<std::uint32_t> out;
-  std::uint64_t pos = 0;
-  while (pos < data.size()) {
-    const std::uint64_t block_end =
-        (base + pos) / kChecksumBlockBytes * kChecksumBlockBytes +
-        kChecksumBlockBytes;
-    const std::uint64_t take =
-        std::min<std::uint64_t>(data.size() - pos, block_end - (base + pos));
-    out.push_back(crc32c(data.subspan(pos, take)));
-    pos += take;
-  }
+namespace {
+
+std::size_t block_count(std::size_t bytes) {
+  return (bytes + kChecksumBlockBytes - 1) / kChecksumBlockBytes;
+}
+
+std::uint32_t block_checksum(std::span<const std::uint8_t> data,
+                             std::size_t block) {
+  const std::size_t pos = block * kChecksumBlockBytes;
+  return crc32c(data.subspan(
+      pos, std::min<std::size_t>(kChecksumBlockBytes, data.size() - pos)));
+}
+
+}  // namespace
+
+void block_checksums(std::span<const std::uint8_t> data,
+                     std::span<std::uint32_t> out) {
+  const std::size_t blocks = block_count(data.size());
+  DK_CHECK(out.size() == blocks)
+      << out.size() << " checksum slots for " << blocks << " blocks";
+  for (std::size_t i = 0; i < std::min(blocks, out.size()); ++i)
+    out[i] = block_checksum(data, i);
+}
+
+std::vector<std::uint32_t> block_checksums(std::span<const std::uint8_t> data) {
+  std::vector<std::uint32_t> out(block_count(data.size()));
+  block_checksums(data, out);
   return out;
+}
+
+bool block_checksums_match(std::span<const std::uint8_t> data,
+                           std::span<const std::uint32_t> sums) {
+  if (sums.size() != block_count(data.size())) return false;
+  for (std::size_t i = 0; i < sums.size(); ++i)
+    if (block_checksum(data, i) != sums[i]) return false;
+  return true;
 }
 
 }  // namespace dk

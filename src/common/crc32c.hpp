@@ -27,11 +27,17 @@ inline constexpr std::uint64_t kChecksumBlockBytes = 4096;
 std::uint32_t crc32c(std::span<const std::uint8_t> data,
                      std::uint32_t crc = 0);
 
-// Per-block checksums of `data` as if it started at byte `base` of an
-// object: the first block may be a partial one ending at the next
-// kChecksumBlockBytes boundary of `base + i`. With an aligned base this is
-// simply one CRC per 4 kB chunk (last chunk may be short).
-std::vector<std::uint32_t> block_checksums(std::span<const std::uint8_t> data,
-                                           std::uint64_t base = 0);
+// One CRC per kChecksumBlockBytes chunk of `data` (the last chunk may be
+// short), written to `out`, which holds one entry per chunk.
+void block_checksums(std::span<const std::uint8_t> data,
+                     std::span<std::uint32_t> out);
+
+// The same checksums in a new vector.
+std::vector<std::uint32_t> block_checksums(std::span<const std::uint8_t> data);
+
+// True when `sums` equals block_checksums(data), checked chunk by chunk
+// without building the list.
+bool block_checksums_match(std::span<const std::uint8_t> data,
+                           std::span<const std::uint32_t> sums);
 
 }  // namespace dk

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 
 namespace dk {
 
@@ -98,15 +97,6 @@ void LatencyHistogram::reset() {
   sum_ = 0.0;
   min_ = 0;
   max_ = 0;
-}
-
-std::string LatencyHistogram::summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "n=%llu mean=%.1fus p50=%.1fus p99=%.1fus max=%.1fus",
-                static_cast<unsigned long long>(count_), mean() / kMicrosecond,
-                to_us(p50()), to_us(p99()), to_us(max()));
-  return buf;
 }
 
 }  // namespace dk

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/units.hpp"
@@ -38,9 +37,6 @@ class LatencyHistogram {
   Nanos p99() const { return percentile(99.0); }
 
   void reset();
-
-  /// One-line human summary, e.g. "n=1000 mean=82.1us p50=80us p99=120us".
-  std::string summary() const;
 
  private:
   std::size_t bucket_index(Nanos value) const;

@@ -1,7 +1,6 @@
 #include "common/metrics.hpp"
 
 #include <cstdio>
-#include <ostream>
 
 namespace dk {
 
@@ -159,32 +158,6 @@ std::string MetricsRegistry::to_json() const {
   }
   out += "}}";
   return out;
-}
-
-void MetricsRegistry::dump(std::ostream& os) const {
-  MutexLock lock(mu_);
-  os << "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    os << (first ? "\n" : ",\n") << "    " << json_key(name) << ": "
-       << c->value();
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    os << (first ? "\n" : ",\n") << "    " << json_key(name) << ": "
-       << g->value();
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    os << (first ? "\n" : ",\n") << "    " << json_key(name) << ": "
-       << histogram_json(h->snapshot());
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "}\n}\n";
 }
 
 MetricsRegistry& MetricsRegistry::global() {

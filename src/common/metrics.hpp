@@ -7,7 +7,7 @@
 // Histograms take a short mutex (they are recorded at completion rate, not
 // per event-loop iteration).
 //
-// A registry can be dumped as JSON (`to_json()` / `dump()`), which is how
+// A registry exports as one line of JSON (`to_json()`), which is how
 // the bench binaries emit per-stage p50/p95/p99 breakdowns alongside their
 // table output. Registries are usually owned per Framework instance so that
 // back-to-back runs in one process don't bleed into each other; a shared
@@ -16,7 +16,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <string>
@@ -121,9 +120,6 @@ class MetricsRegistry {
   ///    "min_ns":..,"max_ns":..,"mean_ns":..,"p50_ns":..,"p95_ns":..,
   ///    "p99_ns":..},...}}
   std::string to_json() const;
-
-  /// Pretty-printed JSON to a stream (same schema as to_json()).
-  void dump(std::ostream& os) const;
 
   /// Shared process-wide registry for tools that want a single sink.
   static MetricsRegistry& global();

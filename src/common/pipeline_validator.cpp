@@ -438,19 +438,6 @@ std::uint64_t PipelineValidator::descriptors_outstanding() const {
   return descriptors_.size();
 }
 
-std::uint64_t PipelineValidator::io_inflight() const {
-  RecursiveMutexLock lock(mu_);
-  std::uint64_t n = 0;
-  // dklint: allow(DK-D003) — commutative sum; result is order-independent
-  for (const auto& [token, count] : ios_inflight_) n += count;
-  return n;
-}
-
-std::uint64_t PipelineValidator::faults_injected() const {
-  RecursiveMutexLock lock(mu_);
-  return faults_injected_;
-}
-
 std::uint64_t PipelineValidator::corruptions_detected() const {
   RecursiveMutexLock lock(mu_);
   return corruptions_detected_;
@@ -469,16 +456,6 @@ std::uint64_t PipelineValidator::journal_intents() const {
 std::uint64_t PipelineValidator::journal_intents_resolved() const {
   RecursiveMutexLock lock(mu_);
   return journal_resolved_;
-}
-
-std::uint64_t PipelineValidator::background_scheduled() const {
-  RecursiveMutexLock lock(mu_);
-  return background_scheduled_;
-}
-
-std::uint64_t PipelineValidator::background_resolved() const {
-  RecursiveMutexLock lock(mu_);
-  return background_resolved_;
 }
 
 }  // namespace dk

@@ -152,14 +152,10 @@ class PipelineValidator {
     RecursiveMutexLock lock(mu_);
     return traces_audited_;
   }
-  std::uint64_t io_inflight() const;
-  std::uint64_t faults_injected() const;
   std::uint64_t corruptions_detected() const;
   std::uint64_t corruptions_resolved() const;
   std::uint64_t journal_intents() const;
   std::uint64_t journal_intents_resolved() const;
-  std::uint64_t background_scheduled() const;
-  std::uint64_t background_resolved() const;
 
  private:
   // key -> outstanding count.

@@ -1,16 +1,8 @@
 #include "common/trace.hpp"
 
-#include <atomic>
-
 #include "common/wall_clock.hpp"
 
 namespace dk {
-
-namespace {
-// Injectable so replay tools and tests can trace deterministically; the
-// default is the one sanctioned wall-clock read in common/wall_clock.cpp.
-std::atomic<TraceClockFn> g_trace_clock{&wall_clock_now};
-}  // namespace
 
 std::string_view stage_name(Stage s) {
   switch (s) {
@@ -25,14 +17,7 @@ std::string_view stage_name(Stage s) {
   return "unknown";
 }
 
-TraceClockFn set_trace_clock(TraceClockFn clock) {
-  return g_trace_clock.exchange(clock ? clock : &wall_clock_now,
-                                std::memory_order_relaxed);
-}
-
-Nanos trace_wall_now() {
-  return g_trace_clock.load(std::memory_order_relaxed)();
-}
+Nanos trace_wall_now() { return wall_clock_now(); }
 
 void StageTrace::mark(Stage s, Nanos t) {
   Nanos& slot = t_[static_cast<std::size_t>(s)];

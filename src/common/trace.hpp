@@ -37,17 +37,9 @@ inline constexpr std::size_t kStageCount = 7;
 
 std::string_view stage_name(Stage s);
 
-/// Source of timestamps for live (non-DES) tracing. DES code never uses
-/// this — it marks stages with sim.now(). Defaults to the wall clock
-/// (common/wall_clock.hpp, the one dklint-allowed wall-clock read); tests
-/// and replay tools may inject a deterministic clock.
-using TraceClockFn = Nanos (*)();
-
-/// Install `clock` as the live trace clock; returns the previous one.
-/// Passing nullptr restores the default wall clock.
-TraceClockFn set_trace_clock(TraceClockFn clock);
-
-/// Timestamp from the installed live trace clock (wall clock by default).
+/// Timestamp for live (non-DES) tracing: the wall clock
+/// (common/wall_clock.hpp, the one dklint-allowed wall-clock read). DES code
+/// never uses this — it marks stages with sim.now().
 Nanos trace_wall_now();
 
 class StageTrace {

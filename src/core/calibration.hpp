@@ -44,9 +44,6 @@ struct Calibration {
   Nanos host_tcp_per_msg = us(4.0); // kernel TCP/IP per-message CPU
   double host_tcp_bps = 1.1e9;      // per-byte protocol/data-touch cost
 
-  // --- Software EC encode (client-side, when EC is NOT offloaded) ---------
-  double sw_encode_bps = 1.2e9;     // jerasure-class encode bandwidth
-
   // --- OSD blockstore station costs ---------------------------------------
   // WAL append and compaction drain bandwidths for the journaled blockstore
   // (rocksdb-WAL-class sequential append; compaction churn). Flow into

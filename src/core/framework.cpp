@@ -1,6 +1,5 @@
 #include "core/framework.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/annotations.hpp"
@@ -296,7 +295,7 @@ Nanos Framework::fpga_stage_latency(bool is_write, std::uint64_t bytes) {
     if (lat.ok()) {
       f += *lat;
       ++stats_.fpga_placements;
-    } else if (config_.sw_fallback_when_kernel_absent) {
+    } else {
       // RM is being reconfigured (or not loaded): fall back to host CRUSH.
       f += sw_crush_time();
       ++stats_.sw_placement_fallbacks;
@@ -468,8 +467,7 @@ void Framework::run_remote(const blk::Request& request, blk::CompleteFn done) {
                            (data.size() + kChecksumBlockBytes - 1) /
                                kChecksumBlockBytes);
     if (!ctx.is_read) {
-      if (config_.integrity &&
-          !std::ranges::equal(block_checksums(data), cover)) {
+      if (config_.integrity && !block_checksums_match(data, cover)) {
         // The H2C DMA corrupted the payload in flight: fail the write
         // before the bad bytes reach the cluster. Not retryable through the
         // RADOS layer — the buffer itself is wrong.
@@ -491,8 +489,7 @@ void Framework::run_remote(const blk::Request& request, blk::CompleteFn done) {
           }
           // Cover the delivered bytes across the C2H DMA hop; finish_io()
           // re-verifies on the host side.
-          if (config_.integrity)
-            std::ranges::copy(block_checksums(data), cover.begin());
+          if (config_.integrity) block_checksums(data, cover);
           done(static_cast<std::int32_t>(data.size()));
         });
   });
@@ -513,7 +510,7 @@ DK_HOT void Framework::retire(IoCtx& io) {
 DK_HOT void Framework::finish_io(IoCtx& ctx, std::int32_t res) {
   retire(ctx);
   if (config_.integrity && ctx.is_read && res >= 0 &&
-      block_checksums(ctx.data) != ctx.dma_checksums) {
+      !block_checksums_match(ctx.data, ctx.dma_checksums)) {
     // The C2H DMA corrupted the payload after the cluster verified it:
     // surface Errc::corrupted rather than hand wrong bytes to the caller.
     note_corruption(ctx);

@@ -52,7 +52,6 @@ struct FrameworkConfig {
   std::optional<rados::WriteStrategy> write_strategy_override;  // ablation
 
   crush::BucketAlg placement_alg = crush::BucketAlg::straw2;
-  bool sw_fallback_when_kernel_absent = true;  // during DFX reconfiguration
 
   rados::ClusterConfig cluster;
   std::uint64_t image_size = 256 * MiB;
@@ -130,7 +129,7 @@ class Framework {
   /// Per-instance observability sink. Every layer of this stack (rings,
   /// DMQ, UIFD, QDMA, RBD, RADOS client, OSDs) publishes counters/gauges
   /// here, and completed I/Os contribute per-stage latency histograms
-  /// ("stage.*"). Export with metrics().to_json() or metrics().dump().
+  /// ("stage.*"). Export with metrics().to_json().
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 

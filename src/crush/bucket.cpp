@@ -38,16 +38,6 @@ Status Bucket::add_item(ItemId item, Weight weight) {
   return Status::Ok();
 }
 
-Status Bucket::remove_item(ItemId item) {
-  auto it = std::find(items_.begin(), items_.end(), item);
-  if (it == items_.end()) return Status::Error(Errc::not_found, "no such item");
-  const auto idx = static_cast<std::size_t>(it - items_.begin());
-  items_.erase(it);
-  weights_.erase(weights_.begin() + static_cast<long>(idx));
-  rebuild();
-  return Status::Ok();
-}
-
 Status Bucket::adjust_weight(ItemId item, Weight new_weight) {
   auto it = std::find(items_.begin(), items_.end(), item);
   if (it == items_.end()) return Status::Error(Errc::not_found, "no such item");

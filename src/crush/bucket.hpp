@@ -32,9 +32,6 @@ constexpr Weight kWeightOne = 0x10000;
 constexpr Weight weight_from_double(double w) {
   return w <= 0 ? 0 : static_cast<Weight>(w * kWeightOne + 0.5);
 }
-constexpr double weight_to_double(Weight w) {
-  return static_cast<double>(w) / kWeightOne;
-}
 
 enum class BucketAlg : std::uint8_t { uniform, list, tree, straw, straw2 };
 
@@ -46,7 +43,6 @@ class Bucket {
 
   ItemId id() const { return id_; }
   std::uint16_t type() const { return type_; }
-  BucketAlg alg() const { return alg_; }
   std::size_t size() const { return items_.size(); }
   const std::vector<ItemId>& items() const { return items_; }
   Weight item_weight(std::size_t i) const { return weights_[i]; }
@@ -55,8 +51,6 @@ class Bucket {
   /// Add a child with the given weight. Uniform buckets require all weights
   /// equal; violating that returns invalid_argument.
   Status add_item(ItemId item, Weight weight);
-
-  Status remove_item(ItemId item);
 
   /// Change the weight of an existing child.
   Status adjust_weight(ItemId item, Weight new_weight);

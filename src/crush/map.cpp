@@ -7,20 +7,12 @@
 
 namespace dk::crush {
 
+// Ceph's default `choose_total_tries` tunable.
+constexpr unsigned kChooseTotalTries = 19;
+
 ItemId CrushMap::add_bucket(std::uint16_t type, BucketAlg alg) {
   const ItemId id = next_bucket_id_--;
   buckets_.emplace(id, Bucket(id, type, alg));
-  return id;
-}
-
-Result<ItemId> CrushMap::add_bucket_with_id(ItemId id, std::uint16_t type,
-                                            BucketAlg alg) {
-  if (id >= 0)
-    return Status::Error(Errc::invalid_argument, "bucket ids are negative");
-  if (buckets_.count(id))
-    return Status::Error(Errc::invalid_argument, "bucket id in use");
-  buckets_.emplace(id, Bucket(id, type, alg));
-  if (id <= next_bucket_id_) next_bucket_id_ = id - 1;
   return id;
 }
 
@@ -42,15 +34,6 @@ Status CrushMap::link(ItemId parent, ItemId child, Weight weight) {
   Status s = p->add_item(child, weight);
   if (!s.ok()) return s;
   parent_[child] = parent;
-  return Status::Ok();
-}
-
-Status CrushMap::unlink(ItemId parent, ItemId child) {
-  Bucket* p = bucket(parent);
-  if (!p) return Status::Error(Errc::not_found, "no such parent bucket");
-  Status s = p->remove_item(child);
-  if (!s.ok()) return s;
-  parent_.erase(child);
   return Status::Ok();
 }
 
@@ -140,7 +123,7 @@ std::vector<ItemId> CrushMap::choose_step(const std::vector<ItemId>& in,
     std::vector<ItemId> local_mid;  // intermediate buckets used by chooseleaf
     for (unsigned rep = 0; rep < want; ++rep) {
       ItemId picked = kNoItem;
-      for (unsigned attempt = 0; attempt < choose_total_tries_; ++attempt) {
+      for (unsigned attempt = 0; attempt < kChooseTotalTries; ++attempt) {
         // Re-randomize the rank on retry, as crush_do_rule does with r'.
         const std::uint32_t r = rep + attempt * numrep;
         ItemId node = descend(start, type, x, r, work);

@@ -4,8 +4,8 @@
 //
 // Mirrors the structure of Ceph's crush_map/crush_do_rule: rules are step
 // lists (TAKE / CHOOSE_FIRSTN / CHOOSELEAF_FIRSTN / EMIT); selection retries
-// on collision, failed descent, or devices marked out, up to
-// `choose_total_tries` attempts with a re-randomized replica rank.
+// on collision, failed descent, or devices marked out, up to 19 attempts
+// (Ceph's `choose_total_tries`) with a re-randomized replica rank.
 #pragma once
 
 #include <cstdint>
@@ -68,19 +68,11 @@ class CrushMap {
   /// Create a bucket; returns its (negative) id.
   ItemId add_bucket(std::uint16_t type, BucketAlg alg);
 
-  /// Create a bucket with an explicit (negative) id; fails on collision.
-  /// Used by the text-map compiler (crush/dump.hpp).
-  Result<ItemId> add_bucket_with_id(ItemId id, std::uint16_t type,
-                                    BucketAlg alg);
-
   Bucket* bucket(ItemId id);
   const Bucket* bucket(ItemId id) const;
-  std::size_t bucket_count() const { return buckets_.size(); }
 
   /// Attach child (device or bucket) to parent with the given weight.
   Status link(ItemId parent, ItemId child, Weight weight);
-
-  Status unlink(ItemId parent, ItemId child);
 
   /// Reweight child within parent and propagate the delta up to the root.
   Status reweight(ItemId parent, ItemId child, Weight new_weight);
@@ -91,14 +83,6 @@ class CrushMap {
 
   int add_rule(Rule rule);
   const Rule* rule(int id) const;
-
-  /// Read-only views for decompilation and introspection.
-  const std::map<ItemId, Bucket>& buckets() const { return buckets_; }
-  const std::map<int, Rule>& rules() const { return rules_; }
-  const std::map<ItemId, ItemId>& parents() const { return parent_; }
-
-  unsigned choose_total_tries() const { return choose_total_tries_; }
-  void set_choose_total_tries(unsigned n) { choose_total_tries_ = n ? n : 1; }
 
   /// Execute a rule for input x, producing up to numrep devices.
   /// `work`, when non-null, accumulates the placement work performed.
@@ -127,7 +111,6 @@ class CrushMap {
   std::set<ItemId> out_;
   ItemId next_bucket_id_ = -1;
   int next_rule_id_ = 0;
-  unsigned choose_total_tries_ = 19;  // Ceph default tunable
 };
 
 /// Hierarchy type ids used by the builders (Ceph convention: 0 == device).

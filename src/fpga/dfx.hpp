@@ -54,7 +54,6 @@ class DfxManager {
  public:
   explicit DfxManager(sim::Simulator& sim, DfxConfig config = {});
 
-  const DfxConfig& config() const { return config_; }
   const DfxStats& stats() const { return stats_; }
   RpState state() const { return state_; }
   std::optional<KernelKind> active_rm() const { return active_; }

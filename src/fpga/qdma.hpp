@@ -65,8 +65,6 @@ struct QdmaConfig {
   unsigned max_queue_sets = 2048;
   unsigned ring_entries = 64;            // per descriptor ring
   unsigned h2c_max_concurrent = 256;     // concurrent in-flight I/Os
-  unsigned reorder_buffer_bytes = 32 * 1024;
-  unsigned datapath_bits = 256;          // 256-bit now, 512-bit provisioned
   double pcie_bytes_per_sec = 12.0e9;    // PCIe Gen3 x16 effective payload
   Nanos doorbell_latency = us(0.8);      // MMIO doorbell + RQ/DE fetch
   Nanos completion_latency = us(0.6);    // CE writeback + status update
@@ -123,7 +121,6 @@ class QdmaEngine {
  public:
   QdmaEngine(sim::Simulator& sim, QdmaConfig config = {});
 
-  const QdmaConfig& config() const { return config_; }
   const QdmaStats& stats() const { return stats_; }
   std::size_t queue_set_count() const { return active_sets_; }
 

@@ -46,8 +46,6 @@ class TcpIpOffload {
  public:
   explicit TcpIpOffload(TcpIpConfig config = {});
 
-  const TcpIpConfig& config() const { return config_; }
-
   /// Max payload per segment under the configured frame limit.
   unsigned mss() const { return config_.max_frame_bytes - kTcpIpHeaderBytes; }
 

@@ -164,15 +164,6 @@ Result<Nanos> IoApis::direct_read(std::uint64_t offset,
   return calib_.syscall + device_.read_block(offset, out);
 }
 
-Result<Nanos> IoApis::direct_write(std::uint64_t offset,
-                                   std::span<const std::uint8_t> data) {
-  if (offset % kPageBytes != 0 || data.size() % kPageBytes != 0)
-    return Status::Error(Errc::invalid_argument,
-                         "O_DIRECT requires page-aligned offset and length");
-  ++stats_.syscalls;
-  return calib_.syscall + device_.write_block(offset, data);
-}
-
 Nanos IoApis::aio_submit(bool direct, bool is_write, std::uint64_t offset,
                          std::span<std::uint8_t> buffer) {
   if (direct) {

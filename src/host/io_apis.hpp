@@ -93,11 +93,9 @@ class IoApis {
   Nanos mmap_access(std::uint64_t offset, std::span<std::uint8_t> out,
                     bool write_access, std::span<const std::uint8_t> in = {});
 
-  /// O_DIRECT read/write: device round trip, no cache, offset/length must
-  /// be page-aligned (the real constraint).
+  /// O_DIRECT read: device round trip, no cache, offset/length must be
+  /// page-aligned (the real constraint).
   Result<Nanos> direct_read(std::uint64_t offset, std::span<std::uint8_t> out);
-  Result<Nanos> direct_write(std::uint64_t offset,
-                             std::span<const std::uint8_t> data);
 
   /// libaio-style submission: returns the SUBMITTER-VISIBLE cost. With
   /// O_DIRECT the device time overlaps other work (only syscall cost is

@@ -1,7 +1,7 @@
 // Live kernel SQ-poll thread.
 //
 // In the DES, kernel-polled mode is driven by explicit kernel_poll() calls;
-// in live mode (examples, microbenchmarks against the RAM disk) this class
+// in live mode (against the RAM disk; only tests run it) this class
 // provides the real thing: a dedicated std::jthread that continuously
 // drains the SQ of one or more rings — the sqpoll kthread io_uring spawns
 // with IORING_SETUP_SQPOLL. Includes the idle-backoff behaviour: after
@@ -9,6 +9,8 @@
 // io_uring_enter(IORING_ENTER_SQ_WAKEUP) a submitter issues when it sees
 // IORING_SQ_NEED_WAKEUP — cuts the nap short. stop() also interrupts the
 // nap, so shutdown latency is bounded by in-progress work, not nap length.
+// conventions: allow(reached-header) — the only code driving a ring from a
+// second thread; SqPollRaces and CI's TSAN job check ring ordering with it.
 #pragma once
 
 #include <atomic>

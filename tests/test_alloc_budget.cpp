@@ -1,10 +1,10 @@
 // Allocation budget of the per-I/O path. A closed loop of 4 kB
-// Framework::read/write calls on D3 replicated x2, or of 128 kB writes on
-// D3 EC 4+2, may make only a fixed number of heap allocations per I/O,
-// counted after a warm-up (so the recycled slots, pools and free lists have
-// reached their peak) and with write payloads built outside the counted
-// region. This binary replaces the global operator new with a thread-local
-// counter, so it is a test program of its own.
+// Framework::read/write calls on D3 replicated x2 (with `integrity` armed or
+// not), or of 128 kB writes on D3 EC 4+2, may make only a fixed number of
+// heap allocations per I/O, counted after a warm-up (so the recycled slots,
+// pools and free lists have reached their peak) and with write payloads
+// built outside the counted region. This binary replaces the global operator
+// new with a thread-local counter, so it is a test program of its own.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -96,16 +96,18 @@ class ClosedLoop {
 class AllocBudget : public ::testing::Test {
  protected:
   /// A D3 stack, x2 replicated or EC 4+2 (client fan-out encode), whose
-  /// loops issue `ops` I/Os of `block` bytes. Warm-up: a write and a read
-  /// loop grow every object to its final size and bring every slot, pool
-  /// and free list to its peak.
-  void build(PoolMode pool, std::uint64_t block, std::size_t ops) {
+  /// loops issue `ops` I/Os of `block` bytes, with `integrity` armed or
+  /// not. Warm-up: a write and a read loop grow every object to its final
+  /// size and bring every slot, pool and free list to its peak.
+  void build(PoolMode pool, std::uint64_t block, std::size_t ops,
+             bool integrity = false) {
     FrameworkConfig cfg;
     cfg.variant = VariantKind::delibak;
     cfg.pool_mode = pool;
     cfg.replica_size = 2;
     cfg.ec_profile = {4, 2, ec::GeneratorKind::vandermonde};
     cfg.image_size = kImageBytes;
+    cfg.integrity = integrity;
     fw_ = std::make_unique<Framework>(sim_, cfg);
     block_ = block;
     ops_ = ops;
@@ -141,6 +143,19 @@ TEST_F(AllocBudget, FourKilobyteWriteStaysAtItsCount) {
   // of the FIFO stations' queues.
   build(PoolMode::replicated, 4 * KiB, 4000);
   EXPECT_LE(allocations_per_io(/*writes=*/true), 4.01);
+}
+
+TEST_F(AllocBudget, IntegrityArmedFourKilobyteReadStaysAtItsCount) {
+  // 6.875 (8.875 while the C2H cover and the host re-verify each built a
+  // checksum vector; both now work in place).
+  build(PoolMode::replicated, 4 * KiB, 4000, /*integrity=*/true);
+  EXPECT_LE(allocations_per_io(/*writes=*/false), 6.88);
+}
+
+TEST_F(AllocBudget, IntegrityArmedFourKilobyteWriteStaysAtItsCount) {
+  // 10.402 (11.402 while the H2C check built a checksum vector to compare).
+  build(PoolMode::replicated, 4 * KiB, 4000, /*integrity=*/true);
+  EXPECT_LE(allocations_per_io(/*writes=*/true), 10.41);
 }
 
 TEST_F(AllocBudget, EcClientWriteOf128KilobytesStaysAtItsCount) {

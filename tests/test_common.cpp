@@ -314,20 +314,15 @@ TEST(Crc32c, BlockChecksumsSplitAtBlockBoundaries) {
             crc32c(whole.subspan(kChecksumBlockBytes, kChecksumBlockBytes)));
   EXPECT_EQ(sums[2], crc32c(whole.subspan(2 * kChecksumBlockBytes)))
       << "short tail block gets its own checksum";
-}
 
-TEST(Crc32c, BlockChecksumsRespectUnalignedBase) {
-  std::vector<std::uint8_t> buf(kChecksumBlockBytes);
-  for (std::size_t i = 0; i < buf.size(); ++i)
-    buf[i] = static_cast<std::uint8_t>(i * 13 + 1);
-  const std::span<const std::uint8_t> whole(buf);
-
-  // Starting 100 bytes before a block boundary: the first checksum covers
-  // only the partial head up to the boundary, then full blocks follow.
-  const auto sums = block_checksums(whole, kChecksumBlockBytes - 100);
-  ASSERT_EQ(sums.size(), 2u);
-  EXPECT_EQ(sums[0], crc32c(whole.first(100)));
-  EXPECT_EQ(sums[1], crc32c(whole.subspan(100)));
+  std::vector<std::uint32_t> into(3);
+  block_checksums(whole, into);
+  EXPECT_EQ(into, sums) << "the span form writes the same checksums";
+  EXPECT_TRUE(block_checksums_match(whole, sums));
+  into[2] ^= 1;
+  EXPECT_FALSE(block_checksums_match(whole, into)) << "one wrong block";
+  EXPECT_FALSE(block_checksums_match(whole, std::span(sums).first(2)))
+      << "a cover missing a block";
 }
 
 }  // namespace

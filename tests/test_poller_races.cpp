@@ -1,10 +1,12 @@
-// SqPollThread stop/wake and idle-backoff races. These tests run real
-// threads against the lock-free SQ/CQ rings and are the primary workload of
-// the ThreadSanitizer CI job: the poll thread drains SQs while application
-// threads prep and reap concurrently, nap/wake/stop transitions race with
-// submissions, and the PipelineValidator observes from both sides.
+// SqPollThread: the basic drive and idle-nap behaviour, then stop/wake and
+// idle-backoff races. These tests run real threads against the lock-free
+// SQ/CQ rings and are the primary workload of the ThreadSanitizer CI job: the
+// poll thread drains SQs while application threads prep and reap
+// concurrently, nap/wake/stop transitions race with submissions, and the
+// PipelineValidator observes from both sides.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -46,6 +48,47 @@ IoUring make_polled_ring(Backend& backend, unsigned sq_entries = 64) {
   params.sq_entries = sq_entries;
   params.mode = RingMode::kernel_polled;
   return IoUring(params, backend);
+}
+
+TEST(SqPollThread, DrivesRingWithoutEnterCalls) {
+  RamDisk disk(1 * MiB);
+  IoUring ring({.sq_entries = 64, .mode = RingMode::kernel_polled}, disk);
+  SqPollThread poller({&ring});
+
+  std::array<std::uint8_t, 512> buf{};
+  constexpr int kOps = 200;
+  int reaped = 0;
+  std::array<Cqe, 16> cqes;
+  for (int i = 0; i < kOps; ++i) {
+    while (!ring.prep_write(0, reinterpret_cast<std::uint64_t>(buf.data()),
+                            buf.size(), (i % 128) * 512ull, i)
+                .ok()) {
+      reaped += ring.peek_cqes(cqes);  // SQ full: reap to make room
+    }
+    reaped += ring.peek_cqes(cqes);
+  }
+  // Wait for the poller to drain the tail.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (reaped < kOps && std::chrono::steady_clock::now() < deadline)
+    reaped += ring.peek_cqes(cqes);
+  poller.stop();
+
+  EXPECT_EQ(reaped, kOps);
+  EXPECT_EQ(ring.stats().enter_calls, 0u);
+  EXPECT_GT(ring.stats().sq_poll_wakeups, 0u);
+  EXPECT_GT(poller.polls(), 0u);
+}
+
+TEST(SqPollThread, NapsWhenIdle) {
+  RamDisk disk(4096);
+  IoUring ring({.sq_entries = 8, .mode = RingMode::kernel_polled}, disk);
+  SqPollThread poller({&ring}, {.idle_spins = 8, .nap = 100us});
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (poller.naps() == 0 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  EXPECT_GT(poller.naps(), 0u) << "idle poller must back off";
+  poller.stop();
 }
 
 TEST(SqPollRaces, StopInterruptsLongNap) {

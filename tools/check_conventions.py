@@ -26,6 +26,14 @@ Checks that clang-tidy cannot express:
                         zero-alloc, move-only; see docs/PERFORMANCE.md).
                         std::function's 16-byte inline buffer heap-allocates
                         the common 24-byte capture and copies on every hop.
+  7. reached-header:    every header under src/ is included by some file
+                        other than its own .cpp: another file in src/, or a
+                        file in bench/, examples/ or perfbench/. A module
+                        that only its own tests include is wired in or
+                        deleted. A header opts out with
+                        `// conventions: allow(reached-header) — <reason>`;
+                        a marker without a dash-led reason is itself a
+                        violation.
 
 Exit status: 0 clean, 1 violations found. Run from anywhere:
 
@@ -58,6 +66,12 @@ STD_FUNCTION = re.compile(r"\bstd\s*::\s*function\s*<")
 # Paths under src/ whose callbacks must be UniqueFn (rule 6).
 UNIQUE_FN_PATHS = ("sim/", "blk/", "uring/", "host/", "net/", "fpga/qdma.",
                    "core/framework.", "rados/client.")
+# Directories whose includes make a src/ header reached (rule 7); tests/ is
+# left out on purpose.
+REACHING_DIRS = ("src", "bench", "examples", "perfbench")
+# The opt-out marker; group 1 is the dash-led reason, None when missing.
+ALLOW_UNREACHED = re.compile(
+    r"//\s*conventions:\s*allow\(reached-header\)(\s*(?:—|-{1,2})\s*\S)?")
 
 ATTACH_FIRST_PARAM = {
     "metrics": "MetricsRegistry&",
@@ -205,6 +219,37 @@ class Linter:
                             "path: callbacks must be dk::sim::UniqueFn "
                             "(event_pool.hpp) to stay zero-alloc")
 
+    def check_reached_headers(self) -> None:
+        includers: dict[str, set[Path]] = {}
+        for top in REACHING_DIRS:
+            for path in sorted((self.root / top).rglob("*")):
+                if path.suffix not in HEADER_SUFFIXES | SOURCE_SUFFIXES:
+                    continue
+                raw = path.read_text(encoding="utf-8", errors="replace")
+                for _, inc in self.dk_includes(raw, strip_comments(raw)):
+                    includers.setdefault(inc, set()).add(path)
+        src = self.root / "src"
+        for path in sorted(src.rglob("*")):
+            if path.suffix not in HEADER_SUFFIXES:
+                continue
+            raw = path.read_text(encoding="utf-8", errors="replace")
+            marker = next(((lineno, m) for lineno, line in
+                           enumerate(raw.splitlines(), 1)
+                           if (m := ALLOW_UNREACHED.search(line))), None)
+            if marker is not None:
+                lineno, m = marker
+                if m.group(1) is None:
+                    self.report(path, lineno, "reached-header",
+                                "allow(reached-header) needs a reason after "
+                                "a dash")
+                continue
+            rel = path.relative_to(src).as_posix()
+            if not includers.get(rel, set()) - {path.with_suffix(".cpp")}:
+                self.report(path, 1, "reached-header",
+                            "no file in src/, bench/, examples/ or "
+                            f'perfbench/ but its own .cpp includes "{rel}": '
+                            "wire it in or delete it")
+
     # --- driver --------------------------------------------------------------
 
     def lint(self) -> int:
@@ -224,6 +269,7 @@ class Linter:
             else:
                 self.check_own_header_first(path, raw, code)
                 self.check_include_order(path, raw, code, skip_first=True)
+        self.check_reached_headers()
         return len(self.violations)
 
 
