@@ -1,23 +1,19 @@
 #include "common/check.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
 
-#include "common/annotations.hpp"
 #include "common/metrics.hpp"
-#include "common/mutex.hpp"
 
 namespace dk {
 namespace {
 
-Mutex g_handler_mu;
 // empty -> default behaviour
-CheckFailureHandler g_handler DK_GUARDED_BY(g_handler_mu);
+CheckFailureHandler g_handler;
 // nullptr -> global()
-MetricsRegistry* g_registry DK_GUARDED_BY(g_handler_mu) = nullptr;
-std::atomic<std::uint64_t> g_failures{0};
+MetricsRegistry* g_registry = nullptr;
+std::uint64_t g_failures = 0;
 
 /// "src/blk/mq.cpp" -> "mq.cpp": keeps metric names stable across build
 /// systems that pass absolute __FILE__ paths.
@@ -35,12 +31,8 @@ void default_handler(const CheckContext& context) {
                context.message.c_str());
   if (context.fatal) std::abort();
 
-  MetricsRegistry* registry;
-  {
-    MutexLock lock(g_handler_mu);
-    registry = g_registry;
-  }
-  if (!registry) registry = &MetricsRegistry::global();
+  MetricsRegistry* registry =
+      g_registry ? g_registry : &MetricsRegistry::global();
   registry->counter("check.violations.total").inc();
   registry
       ->counter(std::string("check.violations.") +
@@ -52,28 +44,21 @@ void default_handler(const CheckContext& context) {
 }  // namespace
 
 CheckFailureHandler set_check_failure_handler(CheckFailureHandler handler) {
-  MutexLock lock(g_handler_mu);
   return std::exchange(g_handler, std::move(handler));
 }
 
 void set_check_metrics_registry(MetricsRegistry* registry) {
-  MutexLock lock(g_handler_mu);
   g_registry = registry;
 }
 
-std::uint64_t check_failures_total() {
-  return g_failures.load(std::memory_order_relaxed);
-}
+std::uint64_t check_failures_total() { return g_failures; }
 
 namespace detail {
 
 void report_check_failure(const CheckContext& context) {
-  g_failures.fetch_add(1, std::memory_order_relaxed);
-  CheckFailureHandler handler;
-  {
-    MutexLock lock(g_handler_mu);
-    handler = g_handler;
-  }
+  ++g_failures;
+  // A copy: the handler may install another one while it runs.
+  const CheckFailureHandler handler = g_handler;
   if (handler) {
     handler(context);
     return;

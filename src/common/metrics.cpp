@@ -56,7 +56,6 @@ std::string histogram_json(const LatencyHistogram& h) {
 }  // namespace
 
 Counter& MetricsRegistry::counter(const std::string& name) {
-  MutexLock lock(mu_);
   auto it = counters_.find(name);
   if (it == counters_.end())
     it = counters_.emplace(name, std::make_unique<Counter>()).first;
@@ -64,7 +63,6 @@ Counter& MetricsRegistry::counter(const std::string& name) {
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name) {
-  MutexLock lock(mu_);
   auto it = gauges_.find(name);
   if (it == gauges_.end())
     it = gauges_.emplace(name, std::make_unique<Gauge>()).first;
@@ -73,7 +71,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
 
 HistogramMetric& MetricsRegistry::histogram(const std::string& name,
                                             unsigned sub_buckets_per_octave) {
-  MutexLock lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end())
     it = histograms_
@@ -84,26 +81,22 @@ HistogramMetric& MetricsRegistry::histogram(const std::string& name,
 }
 
 const Counter* MetricsRegistry::find_counter(const std::string& name) const {
-  MutexLock lock(mu_);
   auto it = counters_.find(name);
   return it == counters_.end() ? nullptr : it->second.get();
 }
 
 const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
-  MutexLock lock(mu_);
   auto it = gauges_.find(name);
   return it == gauges_.end() ? nullptr : it->second.get();
 }
 
 const HistogramMetric* MetricsRegistry::find_histogram(
     const std::string& name) const {
-  MutexLock lock(mu_);
   auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : it->second.get();
 }
 
 std::vector<std::string> MetricsRegistry::counter_names() const {
-  MutexLock lock(mu_);
   std::vector<std::string> out;
   out.reserve(counters_.size());
   for (const auto& [name, c] : counters_) out.push_back(name);
@@ -111,7 +104,6 @@ std::vector<std::string> MetricsRegistry::counter_names() const {
 }
 
 std::vector<std::string> MetricsRegistry::gauge_names() const {
-  MutexLock lock(mu_);
   std::vector<std::string> out;
   out.reserve(gauges_.size());
   for (const auto& [name, g] : gauges_) out.push_back(name);
@@ -119,7 +111,6 @@ std::vector<std::string> MetricsRegistry::gauge_names() const {
 }
 
 std::vector<std::string> MetricsRegistry::histogram_names() const {
-  MutexLock lock(mu_);
   std::vector<std::string> out;
   out.reserve(histograms_.size());
   for (const auto& [name, h] : histograms_) out.push_back(name);
@@ -127,14 +118,12 @@ std::vector<std::string> MetricsRegistry::histogram_names() const {
 }
 
 void MetricsRegistry::reset() {
-  MutexLock lock(mu_);
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
 }
 
 std::string MetricsRegistry::to_json() const {
-  MutexLock lock(mu_);
   std::string out = "{\"counters\":{";
   bool first = true;
   for (const auto& [name, c] : counters_) {

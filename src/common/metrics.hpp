@@ -1,92 +1,70 @@
-// Process-wide metrics registry: named counters, gauges and latency
-// histograms with cheap thread-safe handles.
+// Metrics registry: named counters, gauges and latency histograms with
+// cheap handles.
 //
 // Components on the I/O path (rings, DMQ, UIFD, QDMA, RADOS client, OSDs)
-// attach to a registry once at wiring time and then update raw atomic
-// handles on the hot path — no map lookups, no locks for counters/gauges.
-// Histograms take a short mutex (they are recorded at completion rate, not
-// per event-loop iteration).
+// attach to a registry once at wiring time and then update the handles on
+// the hot path with no map lookups. Every metric is plain single-threaded
+// state, like the simulator that updates it.
 //
 // A registry exports as one line of JSON (`to_json()`), which is how
 // the bench binaries emit per-stage p50/p95/p99 breakdowns alongside their
 // table output. Registries are usually owned per Framework instance so that
-// back-to-back runs in one process don't bleed into each other; a shared
-// `MetricsRegistry::global()` exists for live tools that want one sink.
+// back-to-back runs in one process don't bleed into each other; the shared
+// `MetricsRegistry::global()` is where the default DK_CHECK handler counts
+// release-mode violations unless a registry is installed.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "common/histogram.hpp"
-#include "common/mutex.hpp"
 #include "common/units.hpp"
 
 namespace dk {
 
-/// Monotonic counter. All operations are lock-free and safe from any thread.
+/// Monotonic counter.
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
+  void inc(std::uint64_t n = 1) { v_ += n; }
+  std::uint64_t value() const { return v_; }
+  void reset() { v_ = 0; }
 
  private:
-  std::atomic<std::uint64_t> v_{0};
+  std::uint64_t v_ = 0;
 };
 
 /// Point-in-time signed value (queue depths, in-flight counts).
 class Gauge {
  public:
-  void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  void sub(std::int64_t n = 1) { v_.fetch_sub(n, std::memory_order_relaxed); }
-  std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
+  void set(std::int64_t v) { v_ = v; }
+  void add(std::int64_t n = 1) { v_ += n; }
+  void sub(std::int64_t n = 1) { v_ -= n; }
+  std::int64_t value() const { return v_; }
+  void reset() { v_ = 0; }
 
  private:
-  std::atomic<std::int64_t> v_{0};
+  std::int64_t v_ = 0;
 };
 
-/// Thread-safe wrapper around LatencyHistogram.
+/// A registered LatencyHistogram.
 class HistogramMetric {
  public:
   explicit HistogramMetric(unsigned sub_buckets_per_octave = 32)
       : hist_(sub_buckets_per_octave) {}
 
-  void record(Nanos value) {
-    MutexLock lock(mu_);
-    hist_.record(value);
-  }
-  void record_n(Nanos value, std::uint64_t n) {
-    MutexLock lock(mu_);
-    hist_.record_n(value, n);
-  }
-  void merge(const LatencyHistogram& other) {
-    MutexLock lock(mu_);
-    hist_.merge(other);
-  }
-  /// Consistent copy for reporting.
-  LatencyHistogram snapshot() const {
-    MutexLock lock(mu_);
-    return hist_;
-  }
-  std::uint64_t count() const {
-    MutexLock lock(mu_);
-    return hist_.count();
-  }
-  void reset() {
-    MutexLock lock(mu_);
-    hist_.reset();
-  }
+  void record(Nanos value) { hist_.record(value); }
+  void record_n(Nanos value, std::uint64_t n) { hist_.record_n(value, n); }
+  void merge(const LatencyHistogram& other) { hist_.merge(other); }
+  /// The histogram itself, for reporting.
+  const LatencyHistogram& snapshot() const { return hist_; }
+  std::uint64_t count() const { return hist_.count(); }
+  void reset() { hist_.reset(); }
 
  private:
-  mutable Mutex mu_;
-  LatencyHistogram hist_ DK_GUARDED_BY(mu_);
+  LatencyHistogram hist_;
 };
 
 class MetricsRegistry {
@@ -97,7 +75,7 @@ class MetricsRegistry {
 
   /// Find-or-create. The returned reference stays valid for the lifetime of
   /// the registry (entries are never removed), so callers cache it once and
-  /// update it lock-free afterwards.
+  /// update it without a lookup afterwards.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   HistogramMetric& histogram(const std::string& name,
@@ -121,15 +99,13 @@ class MetricsRegistry {
   ///    "p99_ns":..},...}}
   std::string to_json() const;
 
-  /// Shared process-wide registry for tools that want a single sink.
+  /// Shared process-wide registry (the default check-violation sink).
   static MetricsRegistry& global();
 
  private:
-  mutable Mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_ DK_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_ DK_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_
-      DK_GUARDED_BY(mu_);
+  std::map<std::string, std::unique_ptr<Counter>> counters_;
+  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
+  std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_;
 };
 
 }  // namespace dk

@@ -5,8 +5,7 @@
 //                          and insert(node_type&&): once a map has reached
 //                          its peak size, inserts and erases allocate
 //                          nothing. Spares move freely between maps of the
-//                          same type; the pool is guarded by whatever guards
-//                          its maps.
+//                          same type.
 //  RecyclingAllocator<T> — allocate_shared allocator that keeps freed
 //                          single-object blocks on a thread-local free list
 //                          per rebound type, so a shared per-op body costs

@@ -76,12 +76,10 @@ PipelineValidator::TagState& PipelineValidator::tag_state(unsigned hw_queue) {
 // --- SQ/CQ ring state machine ----------------------------------------------
 
 void PipelineValidator::on_sqe_queued(unsigned ring) {
-  RecursiveMutexLock lock(mu_);
   ++ring_state(ring).queued;
 }
 
 void PipelineValidator::on_sqe_issued(unsigned ring, std::uint64_t user_data) {
-  RecursiveMutexLock lock(mu_);
   RingState& r = ring_state(ring);
   ++r.issued;
   if (r.issued > r.queued) {
@@ -94,7 +92,6 @@ void PipelineValidator::on_sqe_issued(unsigned ring, std::uint64_t user_data) {
 }
 
 void PipelineValidator::on_cqe_posted(unsigned ring, std::uint64_t user_data) {
-  RecursiveMutexLock lock(mu_);
   RingState& r = ring_state(ring);
   ++r.posted;
   auto it = r.inflight.find(user_data);
@@ -110,7 +107,6 @@ void PipelineValidator::on_cqe_posted(unsigned ring, std::uint64_t user_data) {
 
 void PipelineValidator::on_cqe_dropped(unsigned ring,
                                        std::uint64_t user_data) {
-  RecursiveMutexLock lock(mu_);
   std::ostringstream os;
   os << "ring " << ring << ": CQ overflow dropped completion for user_data "
      << user_data;
@@ -118,7 +114,6 @@ void PipelineValidator::on_cqe_dropped(unsigned ring,
 }
 
 void PipelineValidator::on_cqes_reaped(unsigned ring, unsigned n) {
-  RecursiveMutexLock lock(mu_);
   RingState& r = ring_state(ring);
   r.reaped += n;
   if (r.reaped > r.posted) {
@@ -132,7 +127,6 @@ void PipelineValidator::on_cqes_reaped(unsigned ring, unsigned n) {
 // --- blk-mq tag lifecycle ---------------------------------------------------
 
 void PipelineValidator::set_tag_depth(unsigned hw_queue, unsigned depth) {
-  RecursiveMutexLock lock(mu_);
   TagState& t = tag_state(hw_queue);
   t.depth = depth;
   t.in_use = 0;
@@ -140,7 +134,6 @@ void PipelineValidator::set_tag_depth(unsigned hw_queue, unsigned depth) {
 }
 
 void PipelineValidator::on_tag_acquired(unsigned hw_queue, unsigned tag) {
-  RecursiveMutexLock lock(mu_);
   TagState& t = tag_state(hw_queue);
   if (t.depth != 0 && tag >= t.depth) {
     std::ostringstream os;
@@ -168,7 +161,6 @@ void PipelineValidator::on_tag_acquired(unsigned hw_queue, unsigned tag) {
 }
 
 void PipelineValidator::on_tag_released(unsigned hw_queue, unsigned tag) {
-  RecursiveMutexLock lock(mu_);
   TagState& t = tag_state(hw_queue);
   if (tag >= t.held.size() || !t.held[tag]) {
     std::ostringstream os;
@@ -184,7 +176,6 @@ void PipelineValidator::on_tag_released(unsigned hw_queue, unsigned tag) {
 // --- QDMA descriptor lifecycle ----------------------------------------------
 
 void PipelineValidator::on_descriptor_posted(std::uint64_t descriptor) {
-  RecursiveMutexLock lock(mu_);
   const bool inserted =
       descriptor_nodes_
           .emplace(descriptors_, descriptor, DescriptorState::posted)
@@ -198,7 +189,6 @@ void PipelineValidator::on_descriptor_posted(std::uint64_t descriptor) {
 }
 
 void PipelineValidator::on_descriptor_fetched(std::uint64_t descriptor) {
-  RecursiveMutexLock lock(mu_);
   auto it = descriptors_.find(descriptor);
   if (it == descriptors_.end()) {
     std::ostringstream os;
@@ -216,7 +206,6 @@ void PipelineValidator::on_descriptor_fetched(std::uint64_t descriptor) {
 }
 
 void PipelineValidator::on_descriptor_completed(std::uint64_t descriptor) {
-  RecursiveMutexLock lock(mu_);
   auto it = descriptors_.find(descriptor);
   if (it == descriptors_.end()) {
     std::ostringstream os;
@@ -239,7 +228,6 @@ void PipelineValidator::on_descriptor_completed(std::uint64_t descriptor) {
 // --- StageTrace audit -------------------------------------------------------
 
 void PipelineValidator::on_trace_complete(const StageTrace& trace) {
-  RecursiveMutexLock lock(mu_);
   ++traces_audited_;
   if (!trace.monotonic()) {
     std::ostringstream os;
@@ -260,12 +248,10 @@ void PipelineValidator::on_trace_complete(const StageTrace& trace) {
 // --- I/O resolution under fault injection -----------------------------------
 
 void PipelineValidator::on_io_started(std::uint64_t token) {
-  RecursiveMutexLock lock(mu_);
   ++count_nodes_.emplace(ios_inflight_, token, 0).first->second;
 }
 
 void PipelineValidator::on_io_resolved(std::uint64_t token) {
-  RecursiveMutexLock lock(mu_);
   auto it = ios_inflight_.find(token);
   if (it == ios_inflight_.end() || it->second == 0) {
     std::ostringstream os;
@@ -279,19 +265,16 @@ void PipelineValidator::on_io_resolved(std::uint64_t token) {
 }
 
 void PipelineValidator::on_fault_injected() {
-  RecursiveMutexLock lock(mu_);
   ++faults_injected_;
 }
 
 // --- corruption resolution (integrity mode) ---------------------------------
 
 void PipelineValidator::on_corruption_detected() {
-  RecursiveMutexLock lock(mu_);
   ++corruptions_detected_;
 }
 
 void PipelineValidator::on_corruption_resolved() {
-  RecursiveMutexLock lock(mu_);
   ++corruptions_resolved_;
   if (corruptions_resolved_ > corruptions_detected_) {
     std::ostringstream os;
@@ -305,12 +288,10 @@ void PipelineValidator::on_corruption_resolved() {
 // --- journaled-blockstore intent resolution ----------------------------------
 
 void PipelineValidator::on_journal_intent() {
-  RecursiveMutexLock lock(mu_);
   ++journal_intents_;
 }
 
 void PipelineValidator::on_journal_intent_resolved() {
-  RecursiveMutexLock lock(mu_);
   ++journal_resolved_;
   if (journal_resolved_ > journal_intents_) {
     std::ostringstream os;
@@ -323,12 +304,10 @@ void PipelineValidator::on_journal_intent_resolved() {
 // --- background-work resolution (scrub / paced recovery) ---------------------
 
 void PipelineValidator::on_background_scheduled() {
-  RecursiveMutexLock lock(mu_);
   ++background_scheduled_;
 }
 
 void PipelineValidator::on_background_resolved() {
-  RecursiveMutexLock lock(mu_);
   ++background_resolved_;
   if (background_resolved_ > background_scheduled_) {
     std::ostringstream os;
@@ -341,7 +320,6 @@ void PipelineValidator::on_background_resolved() {
 // --- teardown ---------------------------------------------------------------
 
 std::uint64_t PipelineValidator::verify_quiescent() {
-  RecursiveMutexLock lock(mu_);
   const std::uint64_t before = total_;
   for (const unsigned id : sorted_keys(rings_)) {
     const RingState& r = rings_.at(id);
@@ -403,22 +381,18 @@ std::uint64_t PipelineValidator::verify_quiescent() {
 // --- introspection ----------------------------------------------------------
 
 std::uint64_t PipelineValidator::violations() const {
-  RecursiveMutexLock lock(mu_);
   return total_;
 }
 
 std::uint64_t PipelineValidator::violations(Violation kind) const {
-  RecursiveMutexLock lock(mu_);
   return counts_[static_cast<std::size_t>(kind)];
 }
 
 std::vector<std::string> PipelineValidator::violation_log() const {
-  RecursiveMutexLock lock(mu_);
   return log_;
 }
 
 std::uint64_t PipelineValidator::ring_inflight(unsigned ring) const {
-  RecursiveMutexLock lock(mu_);
   auto it = rings_.find(ring);
   if (it == rings_.end()) return 0;
   std::uint64_t n = 0;
@@ -428,33 +402,27 @@ std::uint64_t PipelineValidator::ring_inflight(unsigned ring) const {
 }
 
 unsigned PipelineValidator::tags_in_use(unsigned hw_queue) const {
-  RecursiveMutexLock lock(mu_);
   auto it = tags_.find(hw_queue);
   return it == tags_.end() ? 0 : it->second.in_use;
 }
 
 std::uint64_t PipelineValidator::descriptors_outstanding() const {
-  RecursiveMutexLock lock(mu_);
   return descriptors_.size();
 }
 
 std::uint64_t PipelineValidator::corruptions_detected() const {
-  RecursiveMutexLock lock(mu_);
   return corruptions_detected_;
 }
 
 std::uint64_t PipelineValidator::corruptions_resolved() const {
-  RecursiveMutexLock lock(mu_);
   return corruptions_resolved_;
 }
 
 std::uint64_t PipelineValidator::journal_intents() const {
-  RecursiveMutexLock lock(mu_);
   return journal_intents_;
 }
 
 std::uint64_t PipelineValidator::journal_intents_resolved() const {
-  RecursiveMutexLock lock(mu_);
   return journal_resolved_;
 }
 

@@ -23,11 +23,11 @@
 // one validator per instance (Framework::validator()) wired to every layer
 // it assembles.
 //
-// Thread safety: all hooks take an internal lock, so rings driven by a live
-// SqPollThread can report from the poll thread while the application thread
-// reports reaps. The per-I/O map nodes (ring in-flight, descriptor, I/O
-// token) recycle through node pools under the same lock, so a steady I/O
-// stream costs the validator no heap allocation.
+// The per-I/O map nodes (ring in-flight, descriptor, I/O token) recycle
+// through node pools, so a steady I/O stream costs the validator no heap
+// allocation. A DK_CHECK failure handler may query the validator that is
+// reporting to it: every violation is counted and logged before the
+// handler runs.
 #pragma once
 
 #include <cstdint>
@@ -35,9 +35,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "common/metrics.hpp"
-#include "common/mutex.hpp"
 #include "common/node_pool.hpp"
 #include "common/trace.hpp"
 
@@ -148,10 +146,7 @@ class PipelineValidator {
   std::uint64_t ring_inflight(unsigned ring) const;
   unsigned tags_in_use(unsigned hw_queue) const;
   std::uint64_t descriptors_outstanding() const;
-  std::uint64_t traces_audited() const {
-    RecursiveMutexLock lock(mu_);
-    return traces_audited_;
-  }
+  std::uint64_t traces_audited() const { return traces_audited_; }
   std::uint64_t corruptions_detected() const;
   std::uint64_t corruptions_resolved() const;
   std::uint64_t journal_intents() const;
@@ -177,33 +172,30 @@ class PipelineValidator {
     unsigned in_use = 0;
     std::vector<char> held;
   };
-  RingState& ring_state(unsigned ring) DK_REQUIRES(mu_);
-  TagState& tag_state(unsigned hw_queue) DK_REQUIRES(mu_);
-  void violation(Violation kind, int line, const std::string& message)
-      DK_REQUIRES(mu_);
+  RingState& ring_state(unsigned ring);
+  TagState& tag_state(unsigned hw_queue);
+  void violation(Violation kind, int line, const std::string& message);
 
-  // Recursive so a failure handler may query this validator re-entrantly.
-  mutable RecursiveMutex mu_;
-  MetricsRegistry* registry_ DK_GUARDED_BY(mu_);
-  std::unordered_map<unsigned, RingState> rings_ DK_GUARDED_BY(mu_);
-  std::unordered_map<unsigned, TagState> tags_ DK_GUARDED_BY(mu_);
-  DescriptorMap descriptors_ DK_GUARDED_BY(mu_);
-  CountMap ios_inflight_ DK_GUARDED_BY(mu_);
-  NodePool<CountMap> count_nodes_ DK_GUARDED_BY(mu_);
-  NodePool<DescriptorMap> descriptor_nodes_ DK_GUARDED_BY(mu_);
-  std::uint64_t descriptors_completed_ DK_GUARDED_BY(mu_) = 0;
-  std::uint64_t ios_resolved_ DK_GUARDED_BY(mu_) = 0;
-  std::uint64_t faults_injected_ DK_GUARDED_BY(mu_) = 0;
-  std::uint64_t corruptions_detected_ DK_GUARDED_BY(mu_) = 0;
-  std::uint64_t corruptions_resolved_ DK_GUARDED_BY(mu_) = 0;
-  std::uint64_t journal_intents_ DK_GUARDED_BY(mu_) = 0;
-  std::uint64_t journal_resolved_ DK_GUARDED_BY(mu_) = 0;
-  std::uint64_t background_scheduled_ DK_GUARDED_BY(mu_) = 0;
-  std::uint64_t background_resolved_ DK_GUARDED_BY(mu_) = 0;
-  std::uint64_t traces_audited_ DK_GUARDED_BY(mu_) = 0;
-  std::uint64_t counts_[kViolationKinds] DK_GUARDED_BY(mu_) = {};
-  std::uint64_t total_ DK_GUARDED_BY(mu_) = 0;
-  std::vector<std::string> log_ DK_GUARDED_BY(mu_);
+  MetricsRegistry* registry_;
+  std::unordered_map<unsigned, RingState> rings_;
+  std::unordered_map<unsigned, TagState> tags_;
+  DescriptorMap descriptors_;
+  CountMap ios_inflight_;
+  NodePool<CountMap> count_nodes_;
+  NodePool<DescriptorMap> descriptor_nodes_;
+  std::uint64_t descriptors_completed_ = 0;
+  std::uint64_t ios_resolved_ = 0;
+  std::uint64_t faults_injected_ = 0;
+  std::uint64_t corruptions_detected_ = 0;
+  std::uint64_t corruptions_resolved_ = 0;
+  std::uint64_t journal_intents_ = 0;
+  std::uint64_t journal_resolved_ = 0;
+  std::uint64_t background_scheduled_ = 0;
+  std::uint64_t background_resolved_ = 0;
+  std::uint64_t traces_audited_ = 0;
+  std::uint64_t counts_[kViolationKinds] = {};
+  std::uint64_t total_ = 0;
+  std::vector<std::string> log_;
 };
 
 }  // namespace dk

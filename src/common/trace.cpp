@@ -1,7 +1,5 @@
 #include "common/trace.hpp"
 
-#include "common/wall_clock.hpp"
-
 namespace dk {
 
 std::string_view stage_name(Stage s) {
@@ -16,8 +14,6 @@ std::string_view stage_name(Stage s) {
   }
   return "unknown";
 }
-
-Nanos trace_wall_now() { return wall_clock_now(); }
 
 void StageTrace::mark(Stage s, Nanos t) {
   Nanos& slot = t_[static_cast<std::size_t>(s)];

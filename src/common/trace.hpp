@@ -3,9 +3,7 @@
 // A StageTrace timestamps each hop of one block I/O as it moves through the
 // stack — SQE submission, SQ drain (enter()/SQ-poll), DMQ entry, driver
 // dispatch (UIFD + payload DMA), RADOS fan-out, last OSD reply, CQE
-// completion. Timestamps are plain Nanos, so the same trace type serves the
-// discrete-event simulation (pass sim.now()) and the live RAM-disk path
-// (pass trace_wall_now()).
+// completion. Timestamps are simulated Nanos (sim.now()).
 //
 // Completed traces are fed to a TraceCollector, which turns adjacent-stage
 // deltas into named latency histograms in a MetricsRegistry — the
@@ -25,7 +23,7 @@ namespace dk {
 /// The hops of one I/O, in pipeline order (see docs/ARCHITECTURE.md).
 enum class Stage : std::uint8_t {
   submit = 0,       // application queues the SQE / enters the legacy syscall
-  sq_dispatch,      // SQ drained (enter() or SQ-poll thread); backend owns it
+  sq_dispatch,      // SQ drained (enter() or SQ-poll); backend owns it
   blk_enter,        // host submission work charged; bio enters the DMQ layer
   driver_dispatch,  // blk-mq handed the request to UIFD (incl. payload DMA)
   rados_issue,      // FPGA stages done; RADOS op(s) put on the wire
@@ -36,11 +34,6 @@ enum class Stage : std::uint8_t {
 inline constexpr std::size_t kStageCount = 7;
 
 std::string_view stage_name(Stage s);
-
-/// Timestamp for live (non-DES) tracing: the wall clock
-/// (common/wall_clock.hpp, the one dklint-allowed wall-clock read). DES code
-/// never uses this — it marks stages with sim.now().
-Nanos trace_wall_now();
 
 class StageTrace {
  public:

@@ -365,17 +365,18 @@ DK_HOT void Framework::submit(IoCtx& ctx) {
     stats_.bytes_read += bytes;
     m_reads_->inc();
     m_bytes_read_->inc(bytes);
-    if (config_.integrity)
-      ctx.dma_checksums.resize((bytes + kChecksumBlockBytes - 1) /
-                               kChecksumBlockBytes);
   } else {
     ++stats_.writes;
     stats_.bytes_written += bytes;
     m_writes_->inc();
     m_bytes_written_->inc(bytes);
-    // Checksum the payload at the API boundary: everything between here and
-    // the RADOS submit (including the H2C DMA) is covered.
-    if (config_.integrity) ctx.dma_checksums = block_checksums(ctx.data);
+  }
+  if (config_.integrity) {
+    ctx.dma_checksums.resize((bytes + kChecksumBlockBytes - 1) /
+                             kChecksumBlockBytes);
+    // Checksum a write's payload at the API boundary: everything between
+    // here and the RADOS submit (including the H2C DMA) is covered.
+    if (!ctx.is_read) block_checksums(ctx.data, ctx.dma_checksums);
   }
 
   IoCtx& c = ctx;
@@ -546,8 +547,12 @@ DK_HOT void Framework::deliver(IoCtx& io, std::int32_t res) {
   std::vector<std::uint8_t> data = std::move(io.data);
   const Status error = std::move(io.read_error);
   const std::uint32_t slot = io.slot;
+  // The checksum cover keeps its capacity for the slot's next I/O.
+  std::vector<std::uint32_t> sums = std::move(io.dma_checksums);
   io = IoCtx{};
   io.slot = slot;
+  sums.clear();
+  io.dma_checksums = std::move(sums);
   free_slots_.push_back(slot);
   if (!is_read) {
     wcb(res);

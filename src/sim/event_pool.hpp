@@ -21,9 +21,9 @@
 // they were instantiated for.
 //
 // Threading: the pool is thread-local (EventPool::local()), matching the
-// single-threaded simulator. A UniqueFn whose capture spilled to the pool
-// must be destroyed on the thread that created it; a completion built on
-// another thread (the SQ-poll thread) keeps its capture inline.
+// single-threaded simulator; src/ starts no thread (dklint DK-T002). A
+// UniqueFn whose capture spilled to the pool must be destroyed on the
+// thread that created it.
 #pragma once
 
 #include <cstddef>
@@ -65,8 +65,7 @@ class EventPool {
   std::uint64_t live() const { return live_; }
   std::size_t slabs() const { return slabs_.size(); }
 
-  /// The calling thread's pool (the simulator is single-threaded; each
-  /// thread that builds UniqueFns gets its own pool, keeping TSAN quiet).
+  /// The calling thread's pool: the single-threaded simulator's one pool.
   static EventPool& local();
 
  private:

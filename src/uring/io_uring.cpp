@@ -1,12 +1,10 @@
 #include "uring/io_uring.hpp"
 
+#include <optional>
+
 #include "common/pipeline_validator.hpp"
 
 namespace dk::uring {
-
-namespace {
-constexpr auto kRelaxed = std::memory_order_relaxed;
-}  // namespace
 
 IoUring::IoUring(UringParams params, Backend& backend)
     : params_(params),
@@ -31,16 +29,12 @@ void IoUring::attach_validator(PipelineValidator& validator,
 }
 
 Status IoUring::prep(const Sqe& sqe) {
-  // The validator hears of the SQE before the tail publishes it: the poll
-  // thread may consume (and report) it the instant it becomes visible.
-  const bool queued = sq_.try_push(sqe, [this] {
-    if (validator_) validator_->on_sqe_queued(ring_id_);
-  });
-  if (!queued) {
-    stats_.sq_full_rejects.fetch_add(1, kRelaxed);
+  if (!sq_.push(sqe)) {
+    ++stats_.sq_full_rejects;
     if (metrics_.sq_full) metrics_.sq_full->inc();
     return Status::Error(Errc::again, "SQ full");
   }
+  if (validator_) validator_->on_sqe_queued(ring_id_);
   return Status::Ok();
 }
 
@@ -107,12 +101,11 @@ void IoUring::post_cqe(const Cqe& cqe) {
   // CQ overflow mirrors the kernel: the CQ is sized 2x SQ so an app that
   // bounds inflight <= sq_entries cannot overflow. A drop is therefore an
   // accounting bug, which the validator records.
-  // Posted is reported before the tail publishes the CQE, so a reaper
-  // racing on another thread never counts it first.
-  const bool posted = cq_.try_push(cqe, [&] {
-    if (validator_) validator_->on_cqe_posted(ring_id_, cqe.user_data);
-  });
-  if (!posted && validator_)
+  const bool posted = cq_.push(cqe);
+  if (!validator_) return;
+  if (posted)
+    validator_->on_cqe_posted(ring_id_, cqe.user_data);
+  else
     validator_->on_cqe_dropped(ring_id_, cqe.user_data);
 }
 
@@ -160,26 +153,26 @@ void IoUring::issue_chain(std::shared_ptr<std::vector<Sqe>> chain,
 
 unsigned IoUring::drain_sq() {
   unsigned n = 0;
-  Sqe sqe;
-  while (sq_.try_pop(sqe)) {
+  while (const std::optional<Sqe> popped = sq_.pop()) {
+    const Sqe& sqe = *popped;
     ++n;
-    stats_.sqes_submitted.fetch_add(1, kRelaxed);
+    ++stats_.sqes_submitted;
     if (validator_) validator_->on_sqe_issued(ring_id_, sqe.user_data);
     if (sqe.flags & kSqeLink) {
       // Collect the full chain: every linked SQE plus the terminator.
       auto chain = std::make_shared<std::vector<Sqe>>();
       chain->push_back(sqe);
       while (chain->back().flags & kSqeLink) {
-        Sqe next;
-        if (!sq_.try_pop(next)) {
+        const std::optional<Sqe> next = sq_.pop();
+        if (!next) {
           // Dangling link: treat the chain as complete (kernel behaviour is
           // to only link against SQEs submitted in the same batch).
           break;
         }
         ++n;
-        stats_.sqes_submitted.fetch_add(1, kRelaxed);
-        if (validator_) validator_->on_sqe_issued(ring_id_, next.user_data);
-        chain->push_back(next);
+        ++stats_.sqes_submitted;
+        if (validator_) validator_->on_sqe_issued(ring_id_, next->user_data);
+        chain->push_back(*next);
       }
       issue_chain(std::move(chain), 0);
       continue;
@@ -195,7 +188,7 @@ unsigned IoUring::drain_sq() {
 
 unsigned IoUring::enter() {
   if (params_.mode == RingMode::kernel_polled) return 0;
-  stats_.enter_calls.fetch_add(1, kRelaxed);
+  ++stats_.enter_calls;
   if (metrics_.enters) metrics_.enters->inc();
   return drain_sq();
 }
@@ -204,7 +197,7 @@ unsigned IoUring::kernel_poll() {
   if (params_.mode != RingMode::kernel_polled) return 0;
   const unsigned n = drain_sq();
   if (n) {
-    stats_.sq_poll_wakeups.fetch_add(1, kRelaxed);
+    ++stats_.sq_poll_wakeups;
     if (metrics_.poll_wakeups) metrics_.poll_wakeups->inc();
   }
   return n;
@@ -212,9 +205,9 @@ unsigned IoUring::kernel_poll() {
 
 unsigned IoUring::peek_cqes(std::span<Cqe> out) {
   const unsigned n =
-      static_cast<unsigned>(cq_.try_pop_batch(out.data(), out.size()));
+      static_cast<unsigned>(cq_.pop_batch(out.data(), out.size()));
   if (n) {
-    stats_.cqes_reaped.fetch_add(n, kRelaxed);
+    stats_.cqes_reaped += n;
     if (metrics_.cqes) {
       metrics_.cqes->inc(n);
       metrics_.outstanding->sub(n);

@@ -1,15 +1,16 @@
 // A from-scratch io_uring-style asynchronous I/O instance.
 //
-// Two lock-free SPSC rings — the Submission Queue (application-produced)
-// and the Completion Queue (backend-produced) — plus a pluggable backend
-// that plays the role of the kernel block layer / UIFD driver underneath.
+// Two rings — the Submission Queue (application-produced) and the
+// Completion Queue (backend-produced) — plus a pluggable backend that plays
+// the role of the kernel block layer / UIFD driver underneath.
 //
 // Faithful to the semantics DeLiBA-K relies on:
 //   * zero-copy communication: SQEs/CQEs move through shared rings; the
 //     data buffer is referenced by address, never copied by the ring;
 //   * batching: any number of queued SQEs are handed to the backend with
 //     ONE enter() call (one "system call");
-//   * kernel-polled mode: a poller drains the SQ without enter() calls;
+//   * kernel-polled mode: the SQ-poll process drains the SQ without
+//     enter() calls (kernel_poll(), which the DES drives);
 //   * multi-instance with per-CPU binding (see UringRegistry).
 //
 // Accounting (syscall count, batch histogram, completion counts) is exposed
@@ -38,8 +39,9 @@ namespace dk::uring {
 using CompleteFn = sim::UniqueFn<void(std::int32_t)>;
 
 /// The "kernel" side: consumes SQEs, performs I/O, posts completions via
-/// the callback. Implementations: simulated block stacks (DES), RAM disk
-/// (live mode), or the DeLiBA-K DMQ/UIFD pipeline.
+/// the callback. Implementations: simulated block stacks (DES), the RAM
+/// disk (tests and CPU-time microbenchmarks), or the DeLiBA-K DMQ/UIFD
+/// pipeline.
 class Backend {
  public:
   virtual ~Backend() = default;
@@ -47,7 +49,7 @@ class Backend {
   /// Start the I/O described by `sqe`; invoke `complete(res)` when done.
   /// `res` is bytes transferred on success or a negative Errc value. The
   /// completion a ring builds captures only (ring, user_data, flags), so it
-  /// stays inline even when the SQ-poll thread builds it.
+  /// fits UniqueFn's inline buffer.
   virtual void submit_io(const Sqe& sqe, CompleteFn complete) = 0;
 };
 
@@ -58,9 +60,7 @@ struct UringParams {
   int bound_cpu = -1;         // CPU this instance's SQ handling is pinned to
 };
 
-/// Snapshot of ring accounting. The live counters are atomics inside
-/// IoUring (the SQ-poll thread and the application update them from
-/// different threads); stats() copies them into this plain struct.
+/// Ring accounting, cumulative over the instance's lifetime.
 struct UringStats {
   std::uint64_t sqes_submitted = 0;
   std::uint64_t cqes_reaped = 0;
@@ -83,23 +83,12 @@ class IoUring {
   IoUring& operator=(const IoUring&) = delete;
 
   const UringParams& params() const { return params_; }
-  UringStats stats() const {
-    UringStats s;
-    s.sqes_submitted = stats_.sqes_submitted.load(std::memory_order_relaxed);
-    s.cqes_reaped = stats_.cqes_reaped.load(std::memory_order_relaxed);
-    s.enter_calls = stats_.enter_calls.load(std::memory_order_relaxed);
-    s.sq_poll_wakeups =
-        stats_.sq_poll_wakeups.load(std::memory_order_relaxed);
-    s.sq_full_rejects =
-        stats_.sq_full_rejects.load(std::memory_order_relaxed);
-    return s;
-  }
+  const UringStats& stats() const { return stats_; }
   unsigned sq_capacity() const { return static_cast<unsigned>(sq_.capacity()); }
   std::size_t sq_pending() const { return sq_.size(); }
   std::size_t cq_ready() const { return cq_.size(); }
   std::uint64_t inflight() const {
-    return stats_.sqes_submitted.load(std::memory_order_relaxed) -
-           stats_.cqes_reaped.load(std::memory_order_relaxed) - cq_.size();
+    return stats_.sqes_submitted - stats_.cqes_reaped - cq_.size();
   }
 
   /// Queue an SQE (application side). Fails with `again` when the SQ is
@@ -135,8 +124,9 @@ class IoUring {
   /// no-op returning 0 (the poller owns the SQ; see kernel_poll()).
   unsigned enter();
 
-  /// Kernel SQ-poll thread iteration: drain queued SQEs without a syscall.
-  /// Only valid in kernel_polled mode.
+  /// One iteration of the kernel's SQ-poll thread, a process the DES
+  /// drives: drain queued SQEs without a syscall. Only valid in
+  /// kernel_polled mode.
   unsigned kernel_poll();
 
   /// Reap up to out.size() completions into `out`; returns the count.
@@ -148,7 +138,7 @@ class IoUring {
   /// Publish ring activity into `registry` under "<prefix>." names
   /// (sqes_submitted, cqes_reaped, enter_calls, sq_poll_wakeups,
   /// sq_full_rejects counters and an unreaped-completions gauge). Handles
-  /// are resolved once here; hot-path updates are lock-free.
+  /// are resolved once here, so hot-path updates do no name lookup.
   void attach_metrics(MetricsRegistry& registry, const std::string& prefix);
 
   /// Report ring lifecycle events (SQE queued/issued, CQE posted/reaped,
@@ -166,21 +156,11 @@ class IoUring {
   void issue(const Sqe& sqe);
   void issue_chain(std::shared_ptr<std::vector<Sqe>> chain, std::size_t at);
 
-  // Live counters behind the UringStats snapshot; each may be written by
-  // the SQ-poll thread while the application thread reads or writes others.
-  struct AtomicStats {
-    std::atomic<std::uint64_t> sqes_submitted{0};
-    std::atomic<std::uint64_t> cqes_reaped{0};
-    std::atomic<std::uint64_t> enter_calls{0};
-    std::atomic<std::uint64_t> sq_poll_wakeups{0};
-    std::atomic<std::uint64_t> sq_full_rejects{0};
-  };
-
   UringParams params_;
   Backend& backend_;
-  SpscRing<Sqe> sq_;
-  SpscRing<Cqe> cq_;
-  AtomicStats stats_;
+  RingBuffer<Sqe> sq_;
+  RingBuffer<Cqe> cq_;
+  UringStats stats_;
   std::vector<std::pair<std::uint64_t, std::uint32_t>> buffers_;
   std::vector<std::int32_t> files_;
 

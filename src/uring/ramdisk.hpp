@@ -1,8 +1,8 @@
 // RAM-disk backend: a real in-memory block device behind the ring API.
 //
-// Used by the live-mode examples and host-side microbenchmarks, where the
-// ring machinery runs on actual CPU time (google-benchmark) rather than in
-// the discrete-event simulation. Supports synchronous completion (inline)
+// Used by the ring tests and the host-side microbenchmark (micro_rings),
+// where the ring machinery runs on actual CPU time (google-benchmark) rather
+// than in the discrete-event simulation. Supports synchronous completion (inline)
 // or deferred completion via an explicit poll() step, which lets tests
 // exercise the asynchronous CQ path deterministically without threads.
 #pragma once

@@ -1,7 +1,7 @@
 // dklint-fixture-as: src/sim/fixture_clean.cpp
 // Fixture: idiomatic hot-path code producing zero findings — the shapes
 // dklint must NOT flag (placement new, seeded engines, sorted iteration,
-// guarded members, tight captures).
+// thread_local pools, tight captures).
 #include <algorithm>
 #include <cstdint>
 #include <random>
@@ -9,19 +9,14 @@
 #include <vector>
 
 #include "common/annotations.hpp"
-#include "common/mutex.hpp"
 
 namespace fixture {
 
 class Ledger {
  public:
-  void add(std::uint64_t id, int delta) {
-    dk::MutexLock lock(mu_);
-    entries_[id] += delta;
-  }
+  void add(std::uint64_t id, int delta) { entries_[id] += delta; }
 
   std::vector<std::uint64_t> ids() const {
-    dk::MutexLock lock(mu_);
     std::vector<std::uint64_t> keys;
     keys.reserve(entries_.size());
     // dklint: allow(DK-D003) — key collection only; sorted before any use
@@ -31,9 +26,15 @@ class Ledger {
   }
 
  private:
-  mutable dk::Mutex mu_;
-  std::unordered_map<std::uint64_t, int> entries_ DK_GUARDED_BY(mu_);
+  std::unordered_map<std::uint64_t, int> entries_;
 };
+
+// One free list per thread, like EventPool::local(): thread_local is
+// storage duration, not a threading primitive.
+std::vector<void*>& free_list() {
+  static thread_local std::vector<void*> list;
+  return list;
+}
 
 struct Slot {
   int v = 0;

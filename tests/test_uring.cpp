@@ -4,6 +4,8 @@
 
 #include <array>
 
+#include "common/metrics.hpp"
+#include "common/pipeline_validator.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "uring/io_uring.hpp"
@@ -75,6 +77,52 @@ TEST(IoUring, KernelPolledModeNeedsNoEnterCalls) {
   EXPECT_EQ(ring.kernel_poll(), 1u);
   EXPECT_EQ(ring.stats().enter_calls, 0u);
   EXPECT_EQ(ring.stats().sq_poll_wakeups, 1u);
+}
+
+// The SQ-poll process drains what is queued when it runs; SQEs queued
+// after that wait for the next pass. Two passes with reaps in between leave
+// the ring idle, the validator quiescent and the counters balanced.
+TEST(IoUring, KernelPollDrainsInStagesThenRingIsIdleAndQuiescent) {
+  RamDisk disk(1 * MiB, /*deferred=*/true);
+  IoUring ring({.sq_entries = 8, .mode = RingMode::kernel_polled}, disk);
+  MetricsRegistry registry;
+  PipelineValidator validator;
+  ring.attach_metrics(registry, "uring");
+  ring.attach_validator(validator, 0);
+  std::array<std::uint8_t, 512> buf{};
+  const auto prep = [&](std::uint64_t ud) {
+    return ring.prep_write(0, reinterpret_cast<std::uint64_t>(buf.data()),
+                           buf.size(), ud * 512, ud);
+  };
+
+  for (std::uint64_t ud = 0; ud < 8; ++ud) ASSERT_TRUE(prep(ud).ok());
+  EXPECT_EQ(prep(8).code(), Errc::again) << "SQ holds sq_entries SQEs";
+  EXPECT_EQ(ring.kernel_poll(), 8u);
+  EXPECT_EQ(disk.poll(5), 5u);  // the device completes 5 of the 8 so far
+  std::array<Cqe, 16> cqes;
+  EXPECT_EQ(ring.peek_cqes(cqes), 5u);
+  EXPECT_EQ(ring.inflight(), 3u);
+
+  // More preps after the first pass, then a second pass drains them.
+  for (std::uint64_t ud = 8; ud < 14; ++ud) ASSERT_TRUE(prep(ud).ok());
+  EXPECT_EQ(ring.sq_pending(), 6u);
+  EXPECT_EQ(ring.kernel_poll(), 6u);
+  EXPECT_EQ(ring.kernel_poll(), 0u) << "an empty pass moves nothing";
+  EXPECT_EQ(disk.poll(), 9u);
+  EXPECT_EQ(ring.peek_cqes(cqes), 9u);
+
+  EXPECT_TRUE(ring.idle());
+  EXPECT_EQ(validator.violations(), 0u);
+  EXPECT_EQ(validator.verify_quiescent(), 0u);
+  const UringStats& stats = ring.stats();
+  EXPECT_EQ(stats.sqes_submitted, 14u);
+  EXPECT_EQ(stats.cqes_reaped, 14u);
+  EXPECT_EQ(stats.sq_poll_wakeups, 2u);
+  EXPECT_EQ(stats.enter_calls, 0u);
+  EXPECT_EQ(stats.sq_full_rejects, 1u);
+  EXPECT_EQ(registry.find_counter("uring.sq_poll_wakeups")->value(), 2u);
+  EXPECT_EQ(registry.find_counter("uring.cqes_reaped")->value(), 14u);
+  EXPECT_EQ(registry.find_gauge("uring.outstanding")->value(), 0);
 }
 
 TEST(IoUring, ErrorsSurfaceAsNegativeRes) {

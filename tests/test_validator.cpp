@@ -108,6 +108,30 @@ TEST_F(ValidatorTest, RingsTrackedIndependently) {
   EXPECT_EQ(validator_.violations(), 0u);
 }
 
+// A DK_CHECK failure handler may query the validator that is reporting to
+// it, and sees the violation being reported already counted and logged.
+TEST_F(ValidatorTest, FailureHandlerMayQueryTheReportingValidator) {
+  validator_.on_sqe_queued(0);
+  validator_.on_sqe_issued(0, 7);
+  std::uint64_t seen_total = 0;
+  std::vector<std::string> seen_log;
+  std::uint64_t seen_inflight = 0;
+  {
+    ScopedCheckFailureHandler inner([&](const CheckContext&) {
+      seen_total = validator_.violations();
+      seen_log = validator_.violation_log();
+      seen_inflight = validator_.ring_inflight(0);
+    });
+    validator_.on_cqe_posted(0, 99);  // nothing in flight under 99
+  }
+  EXPECT_EQ(seen_total, 1u);
+  ASSERT_EQ(seen_log.size(), 1u);
+  EXPECT_EQ(seen_log[0].rfind("double_completion: ", 0), 0u) << seen_log[0];
+  EXPECT_NE(seen_log[0].find("user_data 99"), std::string::npos);
+  EXPECT_EQ(seen_inflight, 1u) << "user_data 7 is still in flight";
+  EXPECT_TRUE(reports_.empty()) << "the inner handler took the report";
+}
+
 // --- blk-mq tag lifecycle ---------------------------------------------------
 
 TEST_F(ValidatorTest, CleanTagLifecycleIsSilent) {

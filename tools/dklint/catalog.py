@@ -21,8 +21,9 @@ D004 = "DK-D004"  # pointer-keyed hashed container in deterministic scopes
 H001 = "DK-H001"  # heap traffic inside a DK_HOT function
 H002 = "DK-H002"  # std::function inside a DK_HOT function
 H003 = "DK-H003"  # risky lambda capture inside a DK_HOT function
-T001 = "DK-T001"  # unguarded data member in a mutex-bearing class
-T002 = "DK-T002"  # raw std synchronization primitive outside the wrappers
+# DK-T001 (unguarded member of a mutex-bearing class) is retired: src/ has
+# no mutex left to guard, and DK-T002 keeps it that way.
+T002 = "DK-T002"  # threading primitive in single-threaded src/
 S001 = "DK-S001"  # suppression comment without a reason
 
 CHECKS: dict[str, str] = {
@@ -40,13 +41,25 @@ CHECKS: dict[str, str] = {
     "template parameter",
     H003: "risky lambda capture inside a DK_HOT function (capture-default, "
     "wide by-value set, *this, or non-trivial init-capture)",
-    T001: "data member of a mutex-bearing class without DK_GUARDED_BY "
-    "(atomics, mutexes, condition variables, and constants exempt)",
-    T002: "raw std synchronization primitive in src/; use dk::Mutex / "
-    "MutexLock from common/mutex.hpp so Clang TSA sees it",
+    T002: "threading primitive in src/ (threads, async, atomics, mutexes "
+    "and locks, condition variables, stop tokens, latches, barriers, "
+    "semaphores); src/ is single-threaded (DESIGN §6)",
     S001: "dklint suppression without a reason; every allow() needs a "
     "—-separated justification",
 }
+
+# std:: names DK-T002 flags in src/. src/ is single-threaded (DESIGN §6):
+# the simulator and everything it drives run on one thread.
+THREADING = frozenset({
+    "thread", "jthread", "async",
+    "atomic", "atomic_ref", "atomic_flag",
+    "mutex", "recursive_mutex", "timed_mutex", "recursive_timed_mutex",
+    "shared_mutex", "shared_timed_mutex",
+    "lock_guard", "unique_lock", "scoped_lock",
+    "condition_variable", "condition_variable_any",
+    "stop_token", "stop_source",
+    "latch", "barrier", "counting_semaphore", "binary_semaphore",
+})
 
 # Scopes (relative path prefixes) where DK-D004 applies. Hashing a pointer is
 # fine in diagnostics; in these subsystems iteration order may feed scheduling

@@ -16,6 +16,7 @@ corpus pins both backends.
 from __future__ import annotations
 
 import os
+import re
 
 import catalog
 from catalog import Finding
@@ -67,16 +68,9 @@ UNORDERED = ("unordered_map", "unordered_set", "unordered_multimap",
              "unordered_multiset")
 MALLOC_FAMILY = {"malloc", "calloc", "realloc", "free", "strdup",
                  "aligned_alloc", "posix_memalign"}
-MUTEX_TYPES = ("dk::Mutex", "dk::RecursiveMutex", "std::mutex",
-               "std::recursive_mutex", "std::shared_mutex",
-               "std::timed_mutex")
-SELF_SYNC_TYPES = ("atomic", "mutex", "Mutex", "RecursiveMutex",
-                   "condition_variable", "once_flag", "stop_source",
-                   "stop_token")
-RAW_SYNC = ("std::mutex", "std::recursive_mutex", "std::timed_mutex",
-            "std::recursive_timed_mutex", "std::shared_mutex",
-            "std::shared_timed_mutex", "std::lock_guard",
-            "std::unique_lock", "std::scoped_lock")
+# Inline ABI namespaces a standard library nests its types in
+# (std::_V2::condition_variable_any, std::__1::thread).
+_INLINE_NS = re.compile(r"::(?:_V\d+|__cxx11|__1)::")
 
 
 def analyze(
@@ -158,8 +152,6 @@ class _Visitor:
             self._check_range_for(cur)
         elif kind in (K.VAR_DECL, K.FIELD_DECL):
             self._check_decl_types(cur)
-        elif kind in (K.CLASS_DECL, K.STRUCT_DECL) and cur.is_definition():
-            self._check_class(cur)
         elif kind in (K.FUNCTION_DECL, K.CXX_METHOD, K.CONSTRUCTOR,
                       K.FUNCTION_TEMPLATE) and cur.is_definition():
             if self._is_hot(cur):
@@ -177,12 +169,14 @@ class _Visitor:
                           "high_resolution_clock"):
                 self._emit(cur, catalog.D001,
                            f"wall-clock read std::chrono::{parent}::now(); "
-                           "route through the simulated clock or "
-                           "wall_clock_now()")
+                           "route through the simulated clock")
         elif name in ("clock_gettime", "gettimeofday"):
             self._emit(cur, catalog.D001,
                        f"wall-clock read {name}(); route through the "
-                       "simulated clock or wall_clock_now()")
+                       "simulated clock")
+        elif name == "async" and self.scope.startswith("src/") and \
+                _in_std(cur.referenced):
+            self._emit_threading(cur, name)
         elif name in ("rand", "srand") and _in_std_or_global(cur.referenced):
             self._emit(cur, catalog.D002,
                        f"{name}() draws from hidden global state; use a "
@@ -208,13 +202,18 @@ class _Visitor:
                                "stable id")
             break
         if self.scope.startswith("src/"):
-            for raw in RAW_SYNC:
-                if t == raw or t.startswith(raw + "<"):
-                    self._emit(cur, catalog.T002,
-                               f"raw {raw}; use dk::Mutex / dk::MutexLock "
-                               "(common/mutex.hpp) so Clang TSA can see "
-                               "the lock")
+            # The spelled type catches aliases (std::binary_semaphore), the
+            # canonical one typedefs of the primitives.
+            for spelled in (cur.type.spelling, t):
+                name = _std_name(spelled)
+                if name in catalog.THREADING:
+                    self._emit_threading(cur, name)
                     break
+
+    def _emit_threading(self, cur, name: str) -> None:
+        self._emit(cur, catalog.T002,
+                   f"threading primitive std::{name}; src/ is "
+                   "single-threaded (DESIGN §6) and starts no thread")
 
     def _check_range_for(self, cur) -> None:
         # Child order of CXXForRangeStmt varies across libclang versions;
@@ -337,31 +336,18 @@ class _Visitor:
                 "(limit 4); the capture likely exceeds EventFn's inline "
                 "buffer"))
 
-    # -- T-family ------------------------------------------------------------
 
-    def _check_class(self, cur) -> None:
-        K = self.ci.CursorKind
-        fields = [c for c in cur.get_children() if c.kind == K.FIELD_DECL]
-        if not any(
-            c.type.get_canonical().spelling.startswith(MUTEX_TYPES)
-            or c.type.spelling.endswith(("Mutex", "RecursiveMutex"))
-            for c in fields
-        ):
-            return
-        for f in fields:
-            t = f.type.get_canonical().spelling
-            if any(s in t for s in SELF_SYNC_TYPES):
-                continue
-            if f.type.is_const_qualified() or "const " in t:
-                continue
-            toks = {tok.spelling for tok in f.get_tokens()}
-            if "DK_GUARDED_BY" in toks or "DK_PT_GUARDED_BY" in toks or \
-                    "guarded_by" in toks:
-                continue
-            self._emit(f, catalog.T001,
-                       f"member '{f.spelling}' of a mutex-bearing class "
-                       "has no DK_GUARDED_BY; annotate it or allow() with "
-                       "the synchronization story")
+def _std_name(type_spelling: str) -> str:
+    """'std::atomic<unsigned long>' -> 'atomic'; '' when not a std:: type."""
+    t = _INLINE_NS.sub("::", type_spelling.removeprefix("const "))
+    if not t.startswith("std::"):
+        return ""
+    return t[len("std::"):].split("<", 1)[0]
+
+
+def _in_std(ref) -> bool:
+    return ref is not None and ref.semantic_parent is not None and \
+        ref.semantic_parent.spelling == "std"
 
 
 def _in_std_or_global(ref) -> bool:

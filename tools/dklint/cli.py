@@ -31,7 +31,7 @@ EXTENSIONS = (".hpp", ".cpp", ".h", ".cc")
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(
         prog="dklint",
-        description="determinism / hot-path / thread-safety linter",
+        description="determinism / hot-path / threading linter",
     )
     p.add_argument("paths", nargs="*", help="files or directories "
                    "(default: src/ under --root)")

@@ -4,9 +4,9 @@ The clang backend (clangast.py) is the reference implementation; this one
 exists because dklint gates local test runs and libclang's Python bindings
 are not part of the base toolchain. It trades type information for a careful
 tokenizer (cpp_source.py) plus scope tracking: DK_HOT body spans are found by
-brace matching, classes by `class/struct ... { }` parsing, and unordered
-containers by a *global* registry of declared names (a member declared
-`std::unordered_map` in the header is recognized when iterated in the .cpp).
+brace matching, and unordered containers by a registry of declared names (a
+member declared `std::unordered_map` in the header is recognized when
+iterated in the .cpp).
 
 Both backends implement the identical catalog and are pinned to the same
 fixture corpus (tests/lint_fixtures), so a finding's (check, file, line) is
@@ -36,48 +36,6 @@ MALLOC_FAMILY = {
     "posix_memalign",
 }
 MAKE_HEAP = {"make_unique", "make_shared"}
-RAW_SYNC = {
-    "mutex",
-    "recursive_mutex",
-    "timed_mutex",
-    "recursive_timed_mutex",
-    "shared_mutex",
-    "shared_timed_mutex",
-    "lock_guard",
-    "unique_lock",
-    "scoped_lock",
-}
-# Annotation macros whose parens never make a declaration a function.
-ANNOTATION_MACROS = {
-    "DK_GUARDED_BY",
-    "DK_PT_GUARDED_BY",
-    "DK_CAPABILITY",
-    "DK_ACQUIRE",
-    "DK_RELEASE",
-    "DK_TRY_ACQUIRE",
-    "DK_REQUIRES",
-    "DK_EXCLUDES",
-    "alignas",
-    "decltype",
-    "DK_HOT",
-}
-# Member types that synchronize themselves (or are immutable) and therefore
-# need no DK_GUARDED_BY.
-EXEMPT_MEMBER_TYPES = {
-    "atomic",
-    "atomic_flag",
-    "Mutex",
-    "RecursiveMutex",
-    "mutex",
-    "recursive_mutex",
-    "shared_mutex",
-    "timed_mutex",
-    "condition_variable",
-    "condition_variable_any",
-    "once_flag",
-    "stop_source",
-    "stop_token",
-}
 
 
 def analyze(files: list[tuple[SourceFile, str]]) -> list[Finding]:
@@ -125,9 +83,8 @@ def _analyze_file(
         out.extend(_check_pointer_keys(src, toks))
     for span in _hot_spans(toks):
         out.extend(_check_hot_body(src, toks, span))
-    out.extend(_check_classes(src, toks))
     if scope.startswith("src/"):
-        out.extend(_check_raw_sync(src, toks))
+        out.extend(_check_threading(src, toks))
     return out
 
 
@@ -150,7 +107,7 @@ def _check_wall_clock(src: SourceFile, toks: list[Token]) -> list[Finding]:
                     t.line,
                     catalog.D001,
                     f"wall-clock read std::chrono::{t.text}::now(); route "
-                    "through the simulated clock or wall_clock_now()",
+                    "through the simulated clock",
                 )
             )
         if t.kind == "ident" and t.text in ("clock_gettime", "gettimeofday"):
@@ -161,7 +118,7 @@ def _check_wall_clock(src: SourceFile, toks: list[Token]) -> list[Finding]:
                         t.line,
                         catalog.D001,
                         f"wall-clock read {t.text}(); route through the "
-                        "simulated clock or wall_clock_now()",
+                        "simulated clock",
                     )
                 )
     return out
@@ -484,206 +441,15 @@ def _check_capture_list(
 
 
 # ---------------------------------------------------------------------------
-# T-family: classes and raw primitives
+# T-family: threading primitives
 
 
-def _check_classes(src: SourceFile, toks: list[Token]) -> list[Finding]:
-    out = []
-    i = 0
-    while i < len(toks):
-        t = toks[i]
-        if (
-            t.kind == "ident"
-            and t.text in ("class", "struct")
-            and _text(toks, i - 1) not in ("enum", "<", ",", "friend")
-        ):
-            body = _class_body(toks, i)
-            if body is not None:
-                open_idx, close_idx = body
-                out.extend(
-                    _check_class_members(src, toks, open_idx, close_idx)
-                )
-                i = close_idx
-        i += 1
-    return out
-
-
-def _class_body(toks: list[Token], i: int) -> tuple[int, int] | None:
-    """From a class/struct keyword, the (open, close) brace token indices of
-    its definition body, or None for forward declarations."""
-    j = i + 1
-    depth = 0
-    while j < len(toks):
-        text = toks[j].text
-        if text in ("(", "<"):
-            depth += 1
-        elif text in (")", ">"):
-            depth -= 1
-        elif text == ">>":
-            depth -= 2
-        elif depth == 0 and text == ";":
-            return None
-        elif depth == 0 and text == "{":
-            close = _match_braces(toks, j)
-            return None if close is None else (j, close)
-        if depth < 0:
-            return None  # `class T` inside a template parameter list
-        j += 1
-    return None
-
-
-def _check_class_members(
-    src: SourceFile, toks: list[Token], open_idx: int, close_idx: int
-) -> list[Finding]:
-    members = _member_declarations(toks, open_idx, close_idx)
-    has_mutex = any(
-        any(t.text in ("Mutex", "RecursiveMutex", "mutex", "recursive_mutex",
-                       "shared_mutex", "timed_mutex") for t in decl)
-        for decl in members
-    )
-    if not has_mutex:
-        return []
-    out = []
-    for decl in members:
-        if any(t.text in ("DK_GUARDED_BY", "DK_PT_GUARDED_BY") for t in decl):
-            continue
-        texts = [t.text for t in decl]
-        if any(t in EXEMPT_MEMBER_TYPES for t in texts):
-            continue
-        if "static" in texts or "constexpr" in texts or "const" in texts:
-            continue
-        name = _member_name(decl)
-        if name is None:
-            continue
-        out.append(
-            Finding(
-                src.path,
-                name.line,
-                catalog.T001,
-                f"member '{name.text}' of a mutex-bearing class has no "
-                "DK_GUARDED_BY; annotate it or allow() with the "
-                "synchronization story",
-            )
-        )
-    return out
-
-
-def _member_declarations(
-    toks: list[Token], open_idx: int, close_idx: int
-) -> list[list[Token]]:
-    """Data-member declarations at class depth (functions and nested types
-    are recognized and skipped)."""
-    decls: list[list[Token]] = []
-    i = open_idx + 1
-    while i < close_idx:
-        t = toks[i]
-        text = t.text
-        if text in ("public", "private", "protected") and _text(
-            toks, i + 1
-        ) == ":":
-            i += 2
-            continue
-        if text in ("class", "struct", "union", "enum"):
-            body = _class_body(toks, i)
-            if body is not None:
-                i = body[1] + 1
-                continue
-        if text in ("using", "typedef", "friend", "static_assert"):
-            while i < close_idx and toks[i].text != ";":
-                i += 1
-            i += 1
-            continue
-        if text == "template":
-            if _text(toks, i + 1) == "<":
-                end = _match_angles(toks, i + 1)
-                i = (end or i) + 1
-                continue
-        decl, i = _one_declaration(toks, i, close_idx)
-        if decl and not _is_function_decl(decl):
-            decls.append(decl)
-    return decls
-
-
-def _one_declaration(
-    toks: list[Token], i: int, limit: int
-) -> tuple[list[Token], int]:
-    decl: list[Token] = []
-    depth = 0
-    saw_eq = False
-    while i < limit:
-        t = toks[i]
-        text = t.text
-        if text in ("(", "["):
-            depth += 1
-        elif text in (")", "]"):
-            depth -= 1
-        elif depth == 0 and text == "=":
-            saw_eq = True
-        elif depth == 0 and text == "{":
-            close = _match_braces(toks, i)
-            if close is None:
-                return decl, limit
-            if saw_eq:  # brace initializer: part of the declaration
-                decl.append(t)
-                i = close + 1
-                continue
-            return decl, close + 1  # function body ends the declaration
-        elif depth == 0 and text == ";":
-            return decl, i + 1
-        decl.append(t)
-        i += 1
-    return decl, i
-
-
-def _is_function_decl(decl: list[Token]) -> bool:
-    if any(t.text == "operator" for t in decl):
-        return True
-    angle = 0
-    for k, t in enumerate(decl):
-        if t.text == "<":
-            angle += 1
-        elif t.text == ">":
-            angle = max(0, angle - 1)
-        elif t.text == ">>":
-            angle = max(0, angle - 2)
-        elif t.text == "=" and angle == 0:
-            return False  # initializer reached before any call-ish paren
-        elif t.text == "(" and angle == 0:
-            prev = decl[k - 1] if k > 0 else None
-            return (
-                prev is not None
-                and prev.kind == "ident"
-                and prev.text not in ANNOTATION_MACROS
-            )
-    return False
-
-
-def _member_name(decl: list[Token]) -> Token | None:
-    angle = 0
-    name: Token | None = None
-    for t in decl:
-        if t.text == "<":
-            angle += 1
-        elif t.text == ">":
-            angle = max(0, angle - 1)
-        elif t.text == ">>":
-            angle = max(0, angle - 2)
-        elif angle == 0:
-            if t.text in ("=", "DK_GUARDED_BY", "DK_PT_GUARDED_BY", "[", "{"):
-                break
-            if t.kind == "ident" and t.text not in (
-                "mutable", "volatile", "inline", "std", "dk",
-            ):
-                name = t
-    return name
-
-
-def _check_raw_sync(src: SourceFile, toks: list[Token]) -> list[Finding]:
+def _check_threading(src: SourceFile, toks: list[Token]) -> list[Finding]:
     out = []
     for i, t in enumerate(toks):
         if (
             t.kind == "ident"
-            and t.text in RAW_SYNC
+            and t.text in catalog.THREADING
             and _text(toks, i - 1) == "::"
             and _text(toks, i - 2) == "std"
         ):
@@ -692,8 +458,8 @@ def _check_raw_sync(src: SourceFile, toks: list[Token]) -> list[Finding]:
                     src.path,
                     t.line,
                     catalog.T002,
-                    f"raw std::{t.text}; use dk::Mutex / dk::MutexLock "
-                    "(common/mutex.hpp) so Clang TSA can see the lock",
+                    f"threading primitive std::{t.text}; src/ is "
+                    "single-threaded (DESIGN §6) and starts no thread",
                 )
             )
     return out
