@@ -73,13 +73,15 @@ std::uint64_t Blockstore::append(const ObjectKey& key, std::uint64_t offset,
   if (!records_.empty()) {
     Record& tail = records_.back();
     if (!tail.torn && tail.key == key && data.size() < config_.coalesce_bytes &&
-        offset == tail.offset + tail.payload.size() &&
-        tail.payload.size() + data.size() <= config_.coalesce_limit) {
-      // Chain the stored CRC over the new bytes: the same value as a fresh
-      // one over the whole payload when the record was intact, and a record
-      // whose CRC had gone bad stays bad instead of being laundered.
-      tail.payload.insert(tail.payload.end(), data.begin(), data.end());
+        offset == tail.offset + tail.length &&
+        tail.length + data.size() <= config_.coalesce_limit) {
+      // Chain both CRCs over the new bytes: they stay equal when the record
+      // was intact, and a record whose stored CRC had gone bad stays bad
+      // instead of being laundered.
+      tail.pending.insert(tail.pending.end(), data.begin(), data.end());
+      tail.length += data.size();
       tail.crc = crc32c(data, tail.crc);
+      tail.payload_crc = crc32c(data, tail.payload_crc);
       tail.stored_bytes += data.size();
       tail.applied = false;  // the new delta is not in the data area yet
       occupancy_ += data.size();
@@ -105,8 +107,11 @@ std::uint64_t Blockstore::append(const ObjectKey& key, std::uint64_t offset,
   r.lsn = next_lsn_++;
   r.key = key;
   r.offset = offset;
-  r.payload.assign(data.begin(), data.end());
+  r.length = data.size();
+  // An unapplied record must stay replayable, so it holds its own copy.
+  r.pending.assign(data.begin(), data.end());
   r.crc = crc32c(data);
+  r.payload_crc = r.crc;
   r.stored_bytes = stored;
   records_.push_back(std::move(r));
   occupancy_ += stored;
@@ -126,6 +131,7 @@ void Blockstore::commit(std::uint64_t lsn, const ObjectKey& key,
       << "commit must target the record just appended";
   backing_.write(key, offset, data, checksums);
   Record& r = records_.back();
+  r.pending = std::vector<std::uint8_t>();  // frees; clear() keeps capacity
   r.applied = true;
   on_intent_resolved(r);
   const std::uint64_t physical = block_rounded(offset, data.size());
@@ -173,10 +179,9 @@ void Blockstore::tear_tail(std::uint64_t keep_bytes) {
   tail.torn = true;
   tail.stored_bytes = keep_bytes;
   // Bytes past the tear never reached the journal device; the stored CRC
-  // (in the header, written first) no longer matches what survives.
-  const std::uint64_t kept_payload =
-      keep_bytes > kJournalHeaderBytes ? keep_bytes - kJournalHeaderBytes : 0;
-  if (kept_payload < tail.payload.size()) tail.payload.resize(kept_payload);
+  // (in the header, written first) no longer matches what survives. A torn
+  // record is never applied, so its bytes are dropped.
+  tail.pending = std::vector<std::uint8_t>();
   occupancy_ -= lost;
   if (metrics_.occupancy != nullptr)
     metrics_.occupancy->sub(static_cast<std::int64_t>(lost));
@@ -192,8 +197,10 @@ void Blockstore::corrupt_crc(std::uint64_t lsn) {
 }
 
 bool Blockstore::intact(const Record& r) const {
-  return !r.torn && r.stored_bytes == kJournalHeaderBytes + r.payload.size() &&
-         crc32c(std::span<const std::uint8_t>(r.payload)) == r.crc;
+  // Only tear_tail() and corrupt_crc() change a journaled record, so the
+  // payload CRC taken at append stands for one recomputed over its bytes.
+  return !r.torn && r.stored_bytes == kJournalHeaderBytes + r.length &&
+         r.crc == r.payload_crc;
 }
 
 std::size_t Blockstore::replay() {
@@ -203,9 +210,12 @@ std::size_t Blockstore::replay() {
     Record& r = records_[upto];
     if (!intact(r)) break;  // the readable log ends at the first bad record
     if (!r.applied) {
-      backing_.write(r.key, r.offset, r.payload, {});
+      // A write coalesced onto an applied record left only its own bytes
+      // pending: they sit at the record's end.
+      backing_.write(r.key, r.offset + r.length - r.pending.size(), r.pending,
+                     {});
       r.applied = true;
-      data_bytes_written_ += block_rounded(r.offset, r.payload.size());
+      data_bytes_written_ += block_rounded(r.offset, r.length);
       ++resolved;
     }
     on_intent_resolved(r);

@@ -2,21 +2,23 @@
 //
 // The in-memory ObjectStore models media with zero write cost and atomic
 // application. This blockstore puts a write-ahead journal plus a modeled
-// data area underneath it (ROADMAP item 3), giving the reproduction the
-// three things the paper's latency story leaves out: write amplification,
-// fsync stalls, and power-loss recovery.
+// data area underneath it, giving the reproduction the three things the
+// paper's latency story leaves out: write amplification, fsync stalls, and
+// power-loss recovery.
 //
 // Layout model. Every durable mutation first lands in the journal as one
-// record — a fixed header (lsn, object key, offset, payload length) plus the
-// payload and a CRC-32C over it — then is committed to the data area (the
-// backing ObjectStore) at 4 kB block granularity. Sub-block writes that
-// extend the tail record of the same object coalesce into it (one header,
-// one fsync batch), vitastor's small-write path. The journal is a capped
-// ring: appends that would exceed `journal_bytes` trim applied records from
-// the head (wraparound), and a watermark policy trims eagerly so sustained
-// load never parks occupancy at the cap. Trimmed bytes accrue compaction
-// debt the OSD charges through its service stations, so journal pressure
-// competes with client I/O.
+// record — a fixed header (lsn, object key, offset, payload length, CRC-32C
+// of the payload) plus the payload — then is committed to the data area (the
+// backing ObjectStore) at 4 kB block granularity. Header plus payload is the
+// modeled on-journal footprint; memory holds a record's payload bytes only
+// until they are applied, since nothing reads them after that. Sub-block
+// writes that extend the tail record of the same object coalesce into it
+// (one header, one fsync batch), vitastor's small-write path. The journal is
+// a capped ring: appends that would exceed `journal_bytes` trim applied
+// records from the head (wraparound), and a watermark policy trims eagerly
+// so sustained load never parks occupancy at the cap. Trimmed bytes accrue
+// compaction debt the OSD charges through its service stations, so journal
+// pressure competes with client I/O.
 //
 // Crash semantics (WAL discipline). The data area is only touched by
 // commit(); a crash mid-append tears the tail record instead
@@ -188,8 +190,15 @@ class Blockstore {
     std::uint64_t lsn = 0;
     ObjectKey key;
     std::uint64_t offset = 0;  // object offset of the payload start
-    std::vector<std::uint8_t> payload;
-    std::uint32_t crc = 0;          // CRC-32C over the payload as journaled
+    std::uint64_t length = 0;  // payload bytes journaled in this record
+    // The record's trailing payload bytes not yet applied to the data area;
+    // freed once they are.
+    std::vector<std::uint8_t> pending;
+    // The payload's CRC-32C as the header stores it (corrupt_crc() flips
+    // it), and as taken over the bytes at append: replay compares the two,
+    // since applied bytes are no longer held.
+    std::uint32_t crc = 0;
+    std::uint32_t payload_crc = 0;
     std::uint64_t stored_bytes = 0; // on-journal footprint (header+payload;
                                     // less after a tear)
     bool applied = false;   // payload landed in the data area

@@ -22,6 +22,9 @@ bool status_retryable(const Status& s) {
 /// unblock latency is dominated by the move itself.
 constexpr Nanos kRecoveryBlockedRetryDelay = us(20);
 
+/// Bit `i` of a `Pending::tried` or `bad_shards` mask.
+constexpr std::uint64_t bit(std::size_t i) { return std::uint64_t{1} << i; }
+
 /// The key of object (pool, oid), or of its EC shard `shard`.
 ObjectKey object_key(int pool, std::uint64_t oid, std::int32_t shard = -1) {
   return ObjectKey{static_cast<std::uint32_t>(pool), oid, shard};
@@ -455,8 +458,8 @@ DK_HOT std::uint64_t RadosClient::read_replicated(int pool, std::uint64_t oid,
     pend.oid = oid;
     pend.offset = offset;
     pend.acting = acting;
-    pend.tried.assign(acting.size(), 0);
-    pend.tried[choice] = 1;
+    DK_CHECK(acting.size() <= 64) << "tried is a 64-bit mask";
+    pend.tried = bit(choice);
     pend.current = choice;
   }
   pending_nodes_.emplace(pending_, op_id, std::move(pend));
@@ -545,9 +548,8 @@ std::uint64_t RadosClient::read_ec(int pool, std::uint64_t oid,
     pend.oid = oid;
     pend.offset = offset;
     pend.acting = acting;
-    pend.tried.assign(k + m, 0);
-    for (unsigned s : shards) pend.tried[s] = 1;
-    pend.bad_shards.assign(k + m, 0);
+    DK_CHECK(acting.size() <= 64) << "tried is a 64-bit mask";
+    for (unsigned s : shards) pend.tried |= bit(s);
   }
   pending_nodes_.emplace(pending_, op_id, std::move(pend));
   op_started();
@@ -704,12 +706,12 @@ unsigned RadosClient::issue_more_shards(std::uint64_t op_id, Pending& pend,
   const std::uint64_t shard_off = pend.offset / pend.k;
   unsigned issued = 0;
   for (unsigned s = 0; s < pend.k + pend.m && issued < want; ++s) {
-    if (pend.tried[s] || cluster_.osd_down(pend.acting[s]) ||
+    if ((pend.tried & bit(s)) != 0 || cluster_.osd_down(pend.acting[s]) ||
         cluster_.object_degraded(
             pend.acting[s],
             object_key(pend.pool, pend.oid, static_cast<std::int32_t>(s))))
       continue;
-    pend.tried[s] = 1;
+    pend.tried |= bit(s);
     ++pend.awaiting;
     ++issued;
     send(pend.acting[s],
@@ -759,7 +761,7 @@ void RadosClient::ec_gather_complete(PendingIt it, std::uint64_t op_id) {
   std::optional<std::vector<ec::Chunk>> coding;
   const std::uint64_t shard_off = pend.offset / k;
   for (unsigned s = 0; s < k + m; ++s) {
-    if (s >= pend.bad_shards.size() || pend.bad_shards[s] == 0) continue;
+    if ((pend.bad_shards & bit(s)) == 0) continue;
     std::vector<std::uint8_t> repaired;
     if (s < k) {
       repaired = data_chunks[s];
@@ -791,7 +793,7 @@ void RadosClient::handle_integrity_read_reply(PendingIt it,
     if (body->error != Errc::ok || !verify_received(*body)) {
       count_checksum_failure();
       note_corruption(pend);
-      if (s < pend.bad_shards.size()) pend.bad_shards[s] = 1;
+      pend.bad_shards |= bit(s);
     } else {
       pend.chunks[s] = std::move(body->data);
     }
@@ -827,8 +829,9 @@ void RadosClient::handle_integrity_read_reply(PendingIt it,
     pend.k = profile.k;
     pend.m = profile.m;
     pend.chunks.assign(pend.k + pend.m, std::nullopt);
-    pend.bad_shards.assign(pend.k + pend.m, 0);
-    pend.tried.assign(pend.k + pend.m, 0);
+    DK_CHECK(pend.acting.size() <= 64) << "tried is a 64-bit mask";
+    pend.bad_shards = 0;
+    pend.tried = 0;
     pend.awaiting = 0;
     if (issue_more_shards(op_id, pend, pend.k) == 0) {
       complete_read(it, Status::Error(Errc::corrupted,
@@ -843,7 +846,7 @@ void RadosClient::handle_integrity_read_reply(PendingIt it,
   const ObjectKey walk_key = object_key(pend.pool, pend.oid);
   std::size_t next = pend.acting.size();
   for (std::size_t i = 0; i < pend.acting.size(); ++i) {
-    if (!pend.tried[i] && !cluster_.osd_down(pend.acting[i]) &&
+    if ((pend.tried & bit(i)) == 0 && !cluster_.osd_down(pend.acting[i]) &&
         !cluster_.object_degraded(pend.acting[i], walk_key)) {
       next = i;
       break;
@@ -854,7 +857,7 @@ void RadosClient::handle_integrity_read_reply(PendingIt it,
                                     "no replica passed verification"));
     return;
   }
-  pend.tried[next] = 1;
+  pend.tried |= bit(next);
   pend.current = next;
   send(pend.acting[next],
        make_op(OpType::client_read, op_id, object_key(pend.pool, pend.oid),

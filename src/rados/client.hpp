@@ -144,10 +144,11 @@ class RadosClient {
     std::uint64_t oid = 0;
     std::uint64_t offset = 0;
     std::vector<int> acting;
-    std::vector<char> tried;        // per acting index: already asked
+    // Bit i stands for acting index i (so acting sets hold at most 64).
+    std::uint64_t tried = 0;        // already asked
     std::size_t current = 0;        // replicated: acting index now serving
     std::vector<int> bad_replicas;  // replicated: acting indices to repair
-    std::vector<char> bad_shards;   // EC: shard indices to rebuild
+    std::uint64_t bad_shards = 0;   // EC: shards to rebuild
   };
   using PendingIt = std::map<std::uint64_t, Pending>::iterator;
 

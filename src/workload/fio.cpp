@@ -142,24 +142,30 @@ void block_pattern_avx2(std::uint64_t offset, std::uint64_t seed,
 
 namespace {
 
-/// Deterministic per-block payload so verify mode can check reads without
-/// storing a shadow copy. The block at `offset` is a run of 8-byte words in
-/// host byte order (the pattern only has to agree with itself inside one
-/// process), drawn from four interleaved xoshiro256** lanes: word w is the
-/// next output of lane w mod 4. A SplitMix64 stream started at
-/// seed ^ (offset * 0x9e3779b97f4a7c15) seeds the lanes in turn, lane l
-/// taking draws 4l to 4l + 3 as its state. A tail shorter than eight bytes
-/// takes the first bytes of one more word. The lanes are independent, so the
-/// AVX2 kernel steps all four in one register.
+/// Fills `out` with the deterministic payload of the block at `offset`, so
+/// verify mode can check reads without storing a shadow copy. The block is a
+/// run of 8-byte words in host byte order (the pattern only has to agree
+/// with itself inside one process), drawn from four interleaved xoshiro256**
+/// lanes: word w is the next output of lane w mod 4. A SplitMix64 stream
+/// started at seed ^ (offset * 0x9e3779b97f4a7c15) seeds the lanes in turn,
+/// lane l taking draws 4l to 4l + 3 as its state. A tail shorter than eight
+/// bytes takes the first bytes of one more word. The lanes are independent,
+/// so the AVX2 kernel steps all four in one register.
+void fill_block_pattern(std::uint64_t offset, std::uint64_t seed,
+                        std::span<std::uint8_t> out) {
+  static const bool avx2 = detail::block_pattern_avx2_available();
+  if (avx2) {
+    detail::block_pattern_avx2(offset, seed, out);
+  } else {
+    detail::block_pattern_portable(offset, seed, out);
+  }
+}
+
+/// The pattern of the `bs`-byte block at `offset`, in a new vector.
 std::vector<std::uint8_t> block_pattern(std::uint64_t offset, std::uint64_t bs,
                                         std::uint64_t seed) {
   std::vector<std::uint8_t> v(bs);
-  static const bool avx2 = detail::block_pattern_avx2_available();
-  if (avx2) {
-    detail::block_pattern_avx2(offset, seed, v);
-  } else {
-    detail::block_pattern_portable(offset, seed, v);
-  }
+  fill_block_pattern(offset, seed, v);
   return v;
 }
 
@@ -193,6 +199,8 @@ FioResult FioEngine::run(const FioJobSpec& spec) {
   const Nanos measure_from = start + spec.ramp;
   const Nanos deadline = start + spec.runtime;
 
+  // Verified reads are compared against this buffer, refilled in place.
+  std::vector<std::uint8_t> expected(spec.verify ? spec.bs : 0);
   std::vector<JobState> jobs(spec.numjobs);
   for (unsigned j = 0; j < spec.numjobs; ++j) {
     jobs[j].id = j;
@@ -241,9 +249,11 @@ FioResult FioEngine::run(const FioJobSpec& spec) {
                [&, j, offset, account](Result<std::vector<std::uint8_t>> r) {
                  if (r.ok()) {
                    account(r->size());
-                   if (spec.verify &&
-                       *r != block_pattern(offset, spec.bs, spec.seed))
-                     ++result.verify_errors;
+                   if (spec.verify) {
+                     fill_block_pattern(offset, spec.seed, expected);
+                     if (!std::ranges::equal(*r, expected))
+                       ++result.verify_errors;
+                   }
                  }
                  issue(j);
                });

@@ -2,12 +2,16 @@
 //
 // The core sweep drives a Blockstore + backing ObjectStore with a random
 // mixed workload (sub-block coalescing writes, sequential extends, random
-// overwrites, cap-pressure trims), crashes it at a randomized point by
-// tearing the tail journal record at a random byte boundary, replays, and
-// checks the two WAL guarantees against a byte-level shadow model:
+// overwrites, cap-pressure trims), crashes it at a randomized point, replays,
+// and checks the two WAL guarantees against a byte-level shadow model:
 //
 //   1. no acknowledged write is lost (every committed byte reads back), and
 //   2. no unacknowledged bytes surface (the torn record is discarded).
+//
+// The crash kind is drawn per seed: either the tail journal record tears at
+// a random byte boundary, or it stays intact but uncommitted, so replay must
+// apply it (half of those extend the applied tail record by coalescing, so
+// only the new suffix is pending).
 //
 // Alongside: the journal-cap/trim-policy regression (sustained writes keep
 // occupancy bounded), the journal_leak validator rule (balanced after
@@ -76,6 +80,8 @@ TEST(BlockstoreCrashSweep, ReplayKeepsExactlyTheAcknowledgedPrefix) {
   std::uint64_t coalesced = 0;
   std::uint64_t trims = 0;
   std::uint64_t compaction_debt = 0;
+  std::uint64_t torn_crashes = 0;
+  std::uint64_t intact_crashes = 0;
 
   for (std::uint64_t i = 0; i < kSeeds; ++i) {
     const std::uint64_t seed = base + i;
@@ -94,30 +100,41 @@ TEST(BlockstoreCrashSweep, ReplayKeepsExactlyTheAcknowledgedPrefix) {
 
     const std::uint64_t ops = 48 + rng.below(48);
     const std::uint64_t crash_at = rng.below(ops);
+    const bool tear = rng.below(2) == 0;
+    (tear ? torn_crashes : intact_crashes) += 1;
     std::map<ObjectKey, std::uint64_t> cursor;  // per-object append cursor
+    ObjectKey last_key{};
 
     for (std::uint64_t op = 0; op <= crash_at; ++op) {
-      const ObjectKey key{1, 1 + rng.below(3), -1};
+      ObjectKey key{1, 1 + rng.below(3), -1};
       // 60% sub-block writes (coalescing candidates), the rest multi-block;
       // half continue the object's append cursor (contiguous -> coalesce),
       // half land at a random offset.
       const bool sub_block = rng.below(100) < 60;
-      const std::uint64_t size =
-          1 + rng.below(sub_block ? 2048 : 12 * 1024);
-      const std::uint64_t offset =
+      std::uint64_t size = 1 + rng.below(sub_block ? 2048 : 12 * 1024);
+      std::uint64_t offset =
           rng.below(100) < 50 ? cursor[key] : rng.below(64 * KiB);
+      if (op == crash_at && !tear && op > 0 && rng.below(2) == 0) {
+        // A sub-block write continuing the last (applied) one coalesces
+        // onto the tail record.
+        key = last_key;
+        size = 1 + rng.below(2048);
+        offset = cursor[key];
+      }
       cursor[key] = offset + size;
+      last_key = key;
       const auto data = pattern(size, seed * 1000 + op);
 
       const std::uint64_t lsn = bs.append(key, offset, data);
-      if (op == crash_at) {
+      if (op == crash_at && tear) {
         // Crash mid-append: the tail record's on-journal footprint is
         // truncated at a random byte boundary strictly inside it. This
         // write was never committed, never acknowledged.
         bs.tear_tail(rng.below(bs.record_bytes(lsn)));
         break;
       }
-      bs.commit(lsn, key, offset, data, {});  // acknowledged
+      // An intact record survives the crash via replay, committed or not.
+      if (op != crash_at) bs.commit(lsn, key, offset, data, {});
       shadow.write(key, offset, data);
     }
     coalesced += bs.coalesced_writes();
@@ -139,8 +156,8 @@ TEST(BlockstoreCrashSweep, ReplayKeepsExactlyTheAcknowledgedPrefix) {
     for (const auto& [key, bytes] : shadow.objects)
       EXPECT_TRUE(store.exists(key)) << "acknowledged object lost";
 
-    // The torn record was discarded and every journaled intent resolved.
-    EXPECT_GE(bs.replays_discarded(), 1u);
+    // Only a torn record is discarded, and every journaled intent resolved.
+    EXPECT_EQ(bs.replays_discarded(), tear ? 1u : 0u);
     EXPECT_EQ(bs.occupancy(), 0u);
     EXPECT_EQ(bs.record_count(), 0u);
     EXPECT_EQ(validator.verify_quiescent(), 0u);
@@ -156,6 +173,8 @@ TEST(BlockstoreCrashSweep, ReplayKeepsExactlyTheAcknowledgedPrefix) {
   EXPECT_GT(coalesced, 0u) << "no crash point landed near a coalesced write";
   EXPECT_GT(trims, 0u) << "the cap/watermark trim policy never ran";
   EXPECT_GT(compaction_debt, 0u) << "trims must accrue compaction debt";
+  EXPECT_GT(torn_crashes, 0u) << "no seed crashed by tearing";
+  EXPECT_GT(intact_crashes, 0u) << "no seed left its last record for replay";
 }
 
 TEST(BlockstoreCrashSweep, AbandonedTornJournalTripsJournalLeak) {
