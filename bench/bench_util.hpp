@@ -57,20 +57,31 @@ inline void print_metrics_json(const core::Framework& fw,
   std::cout << fw.metrics().to_json() << "\n";
 }
 
-/// Run the Fig-6/7/8/9-style sweep: block sizes x rw modes x variants,
-/// printing one table per rw mode. `kiops` selects KIOPS vs MB/s output.
-inline void run_figure_sweep(core::PoolMode pool,
-                             const std::vector<core::VariantKind>& variants,
-                             bool kiops) {
-  using workload::RwMode;
-  for (RwMode rw : {RwMode::seq_read, RwMode::seq_write, RwMode::rand_read,
-                    RwMode::rand_write}) {
-    std::vector<std::string> headers{std::string(workload::rw_name(rw)) +
-                                     (kiops ? " [KIOPS]" : " [MB/s]")};
-    for (auto bs : kBlockSizes) headers.push_back(bs_name(bs));
-    TextTable table(headers);
-    for (core::VariantKind v : variants) {
-      std::vector<std::string> row{std::string(core::variant_short_name(v))};
+/// The Fig-6/7 (replication) or Fig-8/9 (EC) sweep: block sizes x rw modes
+/// x variants at qd 32, each cell run once. Both figures of a pair are
+/// views of the same runs: MB/s and KIOPS.
+struct FigureSweep {
+  struct Cell {
+    double mbps = 0;
+    double iops = 0;
+  };
+  std::vector<core::VariantKind> variants;
+  std::vector<Cell> cells;  // rw mode, then variant, then block size
+  // Per-stage latency appendix: the metrics JSON of the first variant's
+  // 4 kB random-write cell, so the figures can be decomposed by hop.
+  std::string appendix;
+};
+
+inline const std::vector<workload::RwMode> kFigureModes = {
+    workload::RwMode::seq_read, workload::RwMode::seq_write,
+    workload::RwMode::rand_read, workload::RwMode::rand_write};
+
+inline FigureSweep run_figure_sweep(core::PoolMode pool,
+                                    std::vector<core::VariantKind> variants) {
+  FigureSweep sweep;
+  sweep.variants = std::move(variants);
+  for (workload::RwMode rw : kFigureModes) {
+    for (core::VariantKind v : sweep.variants) {
       for (auto bs : kBlockSizes) {
         workload::FioJobSpec spec;
         spec.rw = rw;
@@ -79,31 +90,50 @@ inline void run_figure_sweep(core::PoolMode pool,
         spec.runtime = ms(300);
         spec.ramp = ms(40);
         spec.seed = 11;
-        auto r = run_fio(v, pool, spec, 128 * MiB);
-        row.push_back(TextTable::num(kiops ? r.iops() / 1000.0 : r.mbps(), 1));
+        sim::Simulator sim;
+        core::Framework fw(sim, make_config(v, pool, 128 * MiB));
+        const workload::FioResult r = workload::FioEngine(fw).run(spec);
+        sweep.cells.push_back({r.mbps(), r.iops()});
+        if (v == sweep.variants.front() && rw == workload::RwMode::rand_write &&
+            bs == 4 * KiB)
+          sweep.appendix = fw.metrics().to_json();
       }
+    }
+  }
+  return sweep;
+}
+
+/// Print one view of a sweep: a table per rw mode in MB/s or KIOPS, then
+/// the metrics appendix.
+inline void print_figure(const FigureSweep& sweep, bool kiops) {
+  auto cell = sweep.cells.begin();
+  for (workload::RwMode rw : kFigureModes) {
+    std::vector<std::string> headers{std::string(workload::rw_name(rw)) +
+                                     (kiops ? " [KIOPS]" : " [MB/s]")};
+    for (auto bs : kBlockSizes) headers.push_back(bs_name(bs));
+    TextTable table(headers);
+    for (core::VariantKind v : sweep.variants) {
+      std::vector<std::string> row{std::string(core::variant_short_name(v))};
+      for (std::size_t i = 0; i < kBlockSizes.size(); ++i, ++cell)
+        row.push_back(
+            TextTable::num(kiops ? cell->iops / 1000.0 : cell->mbps, 1));
       table.add_row(std::move(row));
     }
     table.print(std::cout);
     std::cout << "\n";
   }
+  std::cout << "--- metrics JSON: "
+            << core::variant_short_name(sweep.variants.front())
+            << " rand_write 4k qd32 ---\n"
+            << sweep.appendix << "\n";
+}
 
-  // Per-stage latency appendix for one representative cell (first variant,
-  // 4 kB random write) so the sweep's figures can be decomposed by hop.
-  workload::FioJobSpec spec;
-  spec.rw = RwMode::rand_write;
-  spec.bs = 4 * KiB;
-  spec.iodepth = 32;
-  spec.runtime = ms(300);
-  spec.ramp = ms(40);
-  spec.seed = 11;
-  sim::Simulator sim;
-  core::Framework fw(sim, make_config(variants.front(), pool, 128 * MiB));
-  workload::FioEngine engine(fw);
-  engine.run(spec);
-  print_metrics_json(fw, std::string(core::variant_short_name(
-                             variants.front())) +
-                             " rand_write 4k qd32");
+/// Open a new section of bench_output.txt from inside a binary: the blank
+/// line and banner tools/run_benches.sh writes between two binaries, for a
+/// binary that prints two figures from one sweep.
+inline void print_section_banner(const std::string& name) {
+  const std::string rule(64, '#');
+  std::cout << "\n" << rule << "\n### " << name << "\n" << rule << "\n";
 }
 
 }  // namespace dk::bench

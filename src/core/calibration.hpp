@@ -44,14 +44,6 @@ struct Calibration {
   Nanos host_tcp_per_msg = us(4.0); // kernel TCP/IP per-message CPU
   double host_tcp_bps = 1.1e9;      // per-byte protocol/data-touch cost
 
-  // --- OSD blockstore station costs ---------------------------------------
-  // WAL append and compaction drain bandwidths for the journaled blockstore
-  // (rocksdb-WAL-class sequential append; compaction churn). Flow into
-  // BlockstoreConfig when its per-run overrides are left unset, so the
-  // blockstore is calibrated through the same table as every other station.
-  double journal_bps = 1.5e9;
-  double compaction_bps = 1.0e9;
-
   // --- Software CRUSH placement --------------------------------------------
   // Table I reports per-kernel profiled execution times (55/48/... us) from
   // instrumented ceph-kernel runs; the un-instrumented per-op cost is lower

@@ -48,12 +48,6 @@ Framework::Framework(sim::Simulator& sim, FrameworkConfig config)
     : sim_(sim), config_(config), traits_(variant_traits(config.variant)) {
   config_.cluster.seed = config_.seed;
   config_.cluster.integrity = config_.integrity;
-  // Blockstore station bandwidths left unset resolve from the calibration
-  // table, so the blockstore is calibrated like every other station.
-  if (!config_.blockstore.journal_bps)
-    config_.blockstore.journal_bps = config_.calib.journal_bps;
-  if (!config_.blockstore.compaction_bps)
-    config_.blockstore.compaction_bps = config_.calib.compaction_bps;
   config_.cluster.blockstore = config_.blockstore;
   // The placement algorithm selects the host buckets (the OSD level is what
   // the bucket kernels accelerate and what ablations vary).
@@ -137,10 +131,7 @@ Framework::Framework(sim::Simulator& sim, FrameworkConfig config)
     cluster_->arm_faults(*faults_);
     if (fpga_) fpga_->qdma().set_fault_injector(faults_.get());
   }
-  if (config_.retry_policy)
-    client_->set_retry_policy(*config_.retry_policy);
-  else if (config_.fault_plan.enabled())
-    client_->set_retry_policy(rados::RetryPolicy{});
+  if (config_.fault_plan.enabled()) client_->arm_retries();
 
   wire_metrics();
   wire_validator();

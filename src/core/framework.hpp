@@ -63,12 +63,10 @@ struct FrameworkConfig {
   /// Deterministic fault schedule (frame loss/delay, OSD crash/restart,
   /// QDMA descriptor errors). Default-empty == disabled: no injector is
   /// built, no timers armed, and every bench output is byte-identical to a
-  /// faultless build. Enabling it also arms the client RetryPolicy below.
+  /// faultless build. Enabling it also arms the RADOS client's per-op
+  /// deadlines and retries (RadosClient::arm_retries), so injected faults
+  /// are survivable.
   sim::FaultPlan fault_plan;
-  /// Per-op deadline/backoff policy for the RADOS client. Defaults off;
-  /// set explicitly, or left empty with fault_plan enabled, the plan's
-  /// default policy is armed so injected faults are survivable.
-  std::optional<rados::RetryPolicy> retry_policy;
 
   /// End-to-end data integrity: per-4kB CRC32C checksums at client write
   /// submission, stored per-object on the OSDs, verified at OSD read and

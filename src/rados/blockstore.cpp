@@ -21,14 +21,9 @@ std::uint64_t block_rounded(std::uint64_t offset, std::uint64_t len) {
 }  // namespace
 
 Blockstore::Blockstore(const BlockstoreConfig& config, ObjectStore& backing)
-    : config_(config),
-      journal_bps_(config.journal_bps.value_or(kDefaultJournalBps)),
-      compaction_bps_(config.compaction_bps.value_or(kDefaultCompactionBps)),
-      backing_(backing) {
+    : config_(config), backing_(backing) {
   DK_CHECK(config_.journal_bytes > kJournalHeaderBytes)
       << "journal cap smaller than one record header";
-  DK_CHECK(journal_bps_ > 0 && compaction_bps_ > 0)
-      << "blockstore station bandwidths must be positive";
 }
 
 void Blockstore::attach_metrics(MetricsRegistry& registry,
@@ -240,7 +235,7 @@ std::size_t Blockstore::replay() {
 Nanos Blockstore::append_cost(std::uint64_t payload_bytes) {
   const std::uint64_t stored = kJournalHeaderBytes + payload_bytes;
   Nanos cost = config_.journal_append_fixed +
-               transfer_time(stored, journal_bps_);
+               transfer_time(stored, kJournalBps);
   bytes_since_fsync_ += stored;
   if (bytes_since_fsync_ >= config_.fsync_interval_bytes) {
     bytes_since_fsync_ %= config_.fsync_interval_bytes;

@@ -41,7 +41,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -61,12 +60,10 @@ namespace dk::rados {
 /// rounded to a 16-byte-aligned 48.
 inline constexpr std::uint64_t kJournalHeaderBytes = 48;
 
-/// Fallback station bandwidths, used when BlockstoreConfig leaves its
-/// overrides unset. Framework-built clusters resolve these from
-/// core::Calibration instead (journal_bps / compaction_bps), so the
-/// blockstore calibrates through the same table as every other station.
-inline constexpr double kDefaultJournalBps = 1.5e9;
-inline constexpr double kDefaultCompactionBps = 1.0e9;
+/// Station bandwidths: WAL append (rocksdb-WAL-class sequential append)
+/// and the compaction drain back into the data area.
+inline constexpr double kJournalBps = 1.5e9;
+inline constexpr double kCompactionBps = 1.0e9;
 
 struct BlockstoreConfig {
   bool enabled = false;
@@ -76,13 +73,8 @@ struct BlockstoreConfig {
   std::uint64_t coalesce_bytes = 4096;      // sub-block writes may coalesce
   std::uint64_t coalesce_limit = 128 * KiB; // max merged record payload
   Nanos journal_append_fixed = us(3);       // NVMe WAL append latency
-  // Journal device / data-area compaction bandwidths. Unset resolves to the
-  // calibration-table value (Framework) or kDefault* (bare Blockstore) —
-  // both identical today, so direct construction stays byte-for-byte.
-  std::optional<double> journal_bps;
   Nanos fsync_fixed = us(30);               // barrier when a batch closes
   std::uint64_t fsync_interval_bytes = 256 * KiB;  // barrier every N bytes
-  std::optional<double> compaction_bps;
 };
 
 class Blockstore {
@@ -153,7 +145,7 @@ class Blockstore {
   /// Simulated time to compact `bytes` of trimmed journal space back into
   /// the data area.
   Nanos compaction_cost(std::uint64_t bytes) const {
-    return transfer_time(bytes, compaction_bps_);
+    return transfer_time(bytes, kCompactionBps);
   }
 
   /// Bytes trimmed since the last call (compaction debt); the OSD drains
@@ -214,9 +206,6 @@ class Blockstore {
   void update_gauges();
 
   BlockstoreConfig config_;
-  // Resolved station bandwidths (config override or the defaults above).
-  double journal_bps_ = kDefaultJournalBps;
-  double compaction_bps_ = kDefaultCompactionBps;
   ObjectStore& backing_;
   PipelineValidator* validator_ = nullptr;
   std::deque<Record> records_;

@@ -1,10 +1,12 @@
 #include "rados/client.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/annotations.hpp"
 #include "common/check.hpp"
 #include "common/crc32c.hpp"
 #include "common/pipeline_validator.hpp"
-
 
 namespace dk::rados {
 
@@ -22,7 +24,16 @@ bool status_retryable(const Status& s) {
 /// unblock latency is dominated by the move itself.
 constexpr Nanos kRecoveryBlockedRetryDelay = us(20);
 
-/// Bit `i` of a `Pending::tried` or `bad_shards` mask.
+/// Retry policy, armed by arm_retries(): an attempt's deadline starts at
+/// 2 ms and doubles per re-issue up to 50 ms; a re-issue waits 200 us after
+/// a retryable failure, doubling likewise; at most 4 re-issues.
+constexpr unsigned kMaxRetries = 4;
+constexpr Nanos kBaseTimeout = ms(2);
+constexpr Nanos kBaseDelay = us(200);
+constexpr double kBackoff = 2.0;
+constexpr Nanos kMaxTimeout = ms(50);
+
+/// Bit `i` of a `Pending` mask.
 constexpr std::uint64_t bit(std::size_t i) { return std::uint64_t{1} << i; }
 
 /// The key of object (pool, oid), or of its EC shard `shard`.
@@ -30,21 +41,20 @@ ObjectKey object_key(int pool, std::uint64_t oid, std::int32_t shard = -1) {
   return ObjectKey{static_cast<std::uint32_t>(pool), oid, shard};
 }
 
-Nanos scaled_capped(Nanos base, double factor, unsigned attempt, Nanos cap) {
+/// `base` grown by kBackoff per attempt, capped at kMaxTimeout.
+Nanos backed_off(Nanos base, unsigned attempt) {
   double v = static_cast<double>(base);
-  for (unsigned i = 0; i < attempt; ++i) v *= factor;
-  const auto cap_d = static_cast<double>(cap);
-  return static_cast<Nanos>(v < cap_d ? v : cap_d);
+  for (unsigned i = 0; i < attempt; ++i) v *= kBackoff;
+  const auto cap = static_cast<double>(kMaxTimeout);
+  return static_cast<Nanos>(v < cap ? v : cap);
 }
 
 }  // namespace
 
-Nanos RetryPolicy::timeout_for(unsigned attempt) const {
-  return scaled_capped(base_timeout, backoff, attempt, max_timeout);
-}
-
-Nanos RetryPolicy::delay_for(unsigned attempt) const {
-  return scaled_capped(base_delay, backoff, attempt, max_timeout);
+void RadosClient::Pending::record_acting(std::span<const int> set) {
+  DK_CHECK(set.size() <= kMaxActing) << "Pending masks hold 64 positions";
+  std::copy(set.begin(), set.end(), acting.begin());
+  acting_size = set.size();
 }
 
 RadosClient::RadosClient(Cluster& cluster) : cluster_(cluster) {
@@ -61,9 +71,9 @@ void RadosClient::attach_metrics(MetricsRegistry& registry,
   metrics_.inflight = &registry.gauge(prefix + ".inflight");
   // Fixed global names (not prefix-scoped): there is one application-facing
   // I/O path per registry, and dashboards/tests key on these. Registered
-  // only once a RetryPolicy is armed so that fault-free stacks keep their
+  // only once retries are armed so that fault-free stacks keep their
   // metric dumps byte-identical to builds without this subsystem.
-  if (retry_) {
+  if (retries_armed_) {
     metrics_.retries_read = &registry.counter("io.retries.read");
     metrics_.retries_write = &registry.counter("io.retries.write");
     metrics_.timeouts = &registry.counter("io.timeouts");
@@ -131,12 +141,11 @@ void RadosClient::start_write_attempt(std::shared_ptr<WriteAttempt> ctx) {
     return;
   }
   auto attempt_cb = [this, ctx](Status s) {
-    if (s.ok() || !status_retryable(s) ||
-        ctx->attempt >= retry_->max_retries) {
+    if (s.ok() || !status_retryable(s) || ctx->attempt >= kMaxRetries) {
       ctx->cb(std::move(s));
       return;
     }
-    const Nanos delay = retry_->delay_for(ctx->attempt);
+    const Nanos delay = backed_off(kBaseDelay, ctx->attempt);
     ++ctx->attempt;
     count_retry(/*is_read=*/false);
     // Re-issue after backoff with a fresh acting set: after a CRUSH
@@ -144,7 +153,7 @@ void RadosClient::start_write_attempt(std::shared_ptr<WriteAttempt> ctx) {
     cluster_.simulator().schedule_after(
         delay, [this, ctx] { start_write_attempt(ctx); });
   };
-  const Nanos timeout = retry_->timeout_for(ctx->attempt);
+  const Nanos timeout = backed_off(kBaseTimeout, ctx->attempt);
   const std::uint64_t op_id =
       dispatch_write(ctx->pool, ctx->oid, ctx->offset, ctx->data,
                      ctx->strategy, std::move(attempt_cb));
@@ -154,18 +163,17 @@ void RadosClient::start_write_attempt(std::shared_ptr<WriteAttempt> ctx) {
 void RadosClient::start_read_attempt(std::shared_ptr<ReadAttempt> ctx) {
   auto attempt_cb = [this, ctx](Result<std::vector<std::uint8_t>> r) {
     const Status s = r.status();
-    if (r.ok() || !status_retryable(s) ||
-        ctx->attempt >= retry_->max_retries) {
+    if (r.ok() || !status_retryable(s) || ctx->attempt >= kMaxRetries) {
       ctx->cb(std::move(r));
       return;
     }
-    const Nanos delay = retry_->delay_for(ctx->attempt);
+    const Nanos delay = backed_off(kBaseDelay, ctx->attempt);
     ++ctx->attempt;
     count_retry(/*is_read=*/true);
     cluster_.simulator().schedule_after(
         delay, [this, ctx] { start_read_attempt(ctx); });
   };
-  const Nanos timeout = retry_->timeout_for(ctx->attempt);
+  const Nanos timeout = backed_off(kBaseTimeout, ctx->attempt);
   const std::uint64_t op_id =
       dispatch_read(ctx->pool, ctx->oid, ctx->offset, ctx->length,
                     ctx->strategy, std::move(attempt_cb));
@@ -184,22 +192,10 @@ void RadosClient::send(int osd, std::shared_ptr<OpBody> body) {
   cluster_.send_from_client(osd, std::move(body));
 }
 
-const ec::ReedSolomon& RadosClient::codec(unsigned k, unsigned m) {
-  const std::uint64_t key = (static_cast<std::uint64_t>(k) << 32) | m;
-  auto it = codecs_.find(key);
-  if (it == codecs_.end()) {
-    it = codecs_
-             .emplace(key, std::make_unique<ec::ReedSolomon>(ec::Profile{
-                               k, m, ec::GeneratorKind::vandermonde}))
-             .first;
-  }
-  return *it->second;
-}
-
 void RadosClient::write(int pool, std::uint64_t oid, std::uint64_t offset,
                         std::vector<std::uint8_t> data, WriteStrategy strategy,
                         WriteCallback cb) {
-  if (!retry_) {
+  if (!retries_armed_) {
     dispatch_write(pool, oid, offset, std::move(data), strategy,
                    std::move(cb));
     return;
@@ -278,7 +274,7 @@ std::uint64_t RadosClient::write_replicated(int pool, std::uint64_t oid,
   op_started();
   const auto checksums = maybe_checksums(offset, data);
   for (int osd : acting) {
-    auto body = make_op(OpType::shard_write, op_id, object_key(pool, oid),
+    auto body = make_op(OpType::sub_write, op_id, object_key(pool, oid),
                         offset);
     body->data = data;  // full copy per replica, as the QDMA engine emits
     body->checksums = checksums;
@@ -292,8 +288,8 @@ std::uint64_t RadosClient::write_ec(int pool, std::uint64_t oid,
                                     std::vector<std::uint8_t> data,
                                     const std::vector<int>& acting,
                                     WriteStrategy strategy, WriteCallback cb) {
-  const auto& profile = cluster_.pool(pool).ec_profile;
-  const unsigned k = profile.k, m = profile.m;
+  const ec::ReedSolomon& rs = *cluster_.pool(pool).codec;
+  const unsigned k = rs.profile().k;
   if (offset % k != 0) {
     cb(Status::Error(Errc::invalid_argument,
                      "EC write offset must be k-aligned"));
@@ -314,8 +310,7 @@ std::uint64_t RadosClient::write_ec(int pool, std::uint64_t oid,
                         object_key(pool, oid), offset);
     body->data = std::move(data);
     body->replicas = acting;
-    body->ec_k = k;
-    body->ec_m = m;
+    body->codec = &rs;
     send(acting[0], std::move(body));
     return op_id;
   }
@@ -323,7 +318,6 @@ std::uint64_t RadosClient::write_ec(int pool, std::uint64_t oid,
   // client_fanout: encode locally (functionally — the time cost is charged
   // by the framework variant, in software or on the FPGA model), then put
   // each shard on the wire directly.
-  const auto& rs = codec(k, m);
   ec_encoded_ += data.size();
   if (metrics_.ec_bytes_encoded) metrics_.ec_bytes_encoded->inc(data.size());
   auto chunks = rs.split(data);
@@ -336,7 +330,7 @@ std::uint64_t RadosClient::write_ec(int pool, std::uint64_t oid,
   op_started();
   const std::uint64_t shard_off = offset / k;
   for (unsigned s = 0; s < chunks.size(); ++s) {
-    auto body = make_op(OpType::shard_write, op_id, object_key(pool, oid, s),
+    auto body = make_op(OpType::sub_write, op_id, object_key(pool, oid, s),
                         shard_off);
     body->data = std::move(chunks[s]);
     body->checksums = maybe_checksums(shard_off, body->data);
@@ -348,7 +342,7 @@ std::uint64_t RadosClient::write_ec(int pool, std::uint64_t oid,
 void RadosClient::read(int pool, std::uint64_t oid, std::uint64_t offset,
                        std::uint64_t length, ReadStrategy strategy,
                        ReadCallback cb) {
-  if (!retry_) {
+  if (!retries_armed_) {
     dispatch_read(pool, oid, offset, length, strategy, std::move(cb));
     return;
   }
@@ -407,15 +401,7 @@ DK_HOT std::uint64_t RadosClient::read_replicated(int pool, std::uint64_t oid,
   // nor awaiting backfill (a newcomer's copy is missing or stale until its
   // recovery push lands). With a healthy acting set this is the primary,
   // as before.
-  const ObjectKey key = object_key(pool, oid);
-  std::size_t choice = acting.size();
-  for (std::size_t i = 0; i < acting.size(); ++i) {
-    if (!cluster_.osd_down(acting[i]) &&
-        !cluster_.object_degraded(acting[i], key)) {
-      choice = i;
-      break;
-    }
-  }
+  std::size_t choice = choose_replica(acting, object_key(pool, oid), 0);
   if (choice == acting.size()) {
     // Every live replica is still awaiting its recovery copy (a fully
     // displaced PG): block the read until one lands, as Ceph recovers a
@@ -423,22 +409,14 @@ DK_HOT std::uint64_t RadosClient::read_replicated(int pool, std::uint64_t oid,
     // set each poll; the budget bounds pathological cases (recovery
     // permanently cancelled) — once drained, fall through to the first
     // live replica so the op still makes progress.
-    bool any_live = false;
-    for (int o : acting)
-      if (!cluster_.osd_down(o)) {
-        any_live = true;
-        break;
-      }
-    if (any_live && degraded_defers_left > 0) {
+    choice = static_cast<std::size_t>(
+        std::find_if(acting.begin(), acting.end(),
+                     [this](int o) { return !cluster_.osd_down(o); }) -
+        acting.begin());
+    if (choice != acting.size() && degraded_defers_left > 0) {
       defer_read(pool, oid, offset, length, std::move(cb),
                  degraded_defers_left - 1);
       return 0;
-    }
-    for (std::size_t i = 0; i < acting.size(); ++i) {
-      if (!cluster_.osd_down(acting[i])) {
-        choice = i;
-        break;
-      }
     }
   }
   if (choice == acting.size()) {
@@ -450,23 +428,15 @@ DK_HOT std::uint64_t RadosClient::read_replicated(int pool, std::uint64_t oid,
   const std::uint64_t op_id = next_op_id_++;
   Pending pend;
   pend.is_read = true;
-  pend.awaiting = 1;
+  pend.pool = pool;
+  pend.oid = oid;
+  pend.offset = offset;
   pend.length = length;
   pend.rcb = std::move(cb);
-  if (integrity_) {
-    pend.pool = pool;
-    pend.oid = oid;
-    pend.offset = offset;
-    pend.acting = acting;
-    DK_CHECK(acting.size() <= 64) << "tried is a 64-bit mask";
-    pend.tried = bit(choice);
-    pend.current = choice;
-  }
-  pending_nodes_.emplace(pending_, op_id, std::move(pend));
+  pend.record_acting(acting);
+  auto it = pending_nodes_.emplace(pending_, op_id, std::move(pend)).first;
   op_started();
-
-  send(acting[choice], make_op(OpType::client_read, op_id,
-                               object_key(pool, oid), offset, length));
+  read_replica(op_id, it->second, choice);
   return op_id;
 }
 
@@ -474,8 +444,8 @@ std::uint64_t RadosClient::read_ec(int pool, std::uint64_t oid,
                                    std::uint64_t offset, std::uint64_t length,
                                    const std::vector<int>& acting,
                                    ReadStrategy strategy, ReadCallback cb) {
-  const auto& profile = cluster_.pool(pool).ec_profile;
-  const unsigned k = profile.k, m = profile.m;
+  const ec::ReedSolomon& rs = *cluster_.pool(pool).codec;
+  const unsigned k = rs.profile().k;
   if (offset % k != 0) {
     cb(Status::Error(Errc::invalid_argument,
                      "EC read offset must be k-aligned"));
@@ -489,96 +459,109 @@ std::uint64_t RadosClient::read_ec(int pool, std::uint64_t oid,
   if (strategy == ReadStrategy::primary) {
     bool gather_unsafe = cluster_.osd_down(acting[0]);
     for (unsigned s = 0; !gather_unsafe && s < k; ++s)
-      gather_unsafe = cluster_.object_degraded(acting[s], object_key(pool, oid, static_cast<std::int32_t>(s)));
+      gather_unsafe = cluster_.object_degraded(
+          acting[s], object_key(pool, oid, static_cast<std::int32_t>(s)));
     if (gather_unsafe) {
       count_degraded_read();
       strategy = ReadStrategy::direct_shards;
     }
   }
 
-  if (strategy == ReadStrategy::primary) {
-    const std::uint64_t op_id = next_op_id_++;
-    Pending pend;
-    pend.is_read = true;
-    pend.awaiting = 1;
-    pend.length = length;
-    pend.rcb = std::move(cb);
-    if (integrity_) {
-      pend.ec = true;
-      pend.pool = pool;
-      pend.oid = oid;
-      pend.offset = offset;
-      pend.acting = acting;
-    }
-    pending_nodes_.emplace(pending_, op_id, std::move(pend));
-    op_started();
-    auto body = make_op(OpType::ec_primary_read, op_id,
-                        object_key(pool, oid), offset, length);
-    body->replicas = acting;
-    body->ec_k = k;
-    body->ec_m = m;
-    send(acting[0], std::move(body));
-    return op_id;
-  }
-
   // direct_shards: fetch any k alive, fully-recovered shards in parallel;
   // prefer the k data shards so the healthy path needs no decode.
-  std::vector<unsigned> shards;
-  for (unsigned s = 0; s < acting.size() && shards.size() < k; ++s)
-    if (!cluster_.osd_down(acting[s]) &&
-        !cluster_.object_degraded(acting[s], object_key(pool, oid, static_cast<std::int32_t>(s))))
-      shards.push_back(s);
-  if (shards.size() < k) {
-    cb(Status::Error(Errc::io_error, "fewer than k shards available"));
-    return 0;
+  std::uint64_t shards = 0;
+  if (strategy == ReadStrategy::direct_shards) {
+    shards = choose_shards(acting, pool, oid, 0, k);
+    if (std::popcount(shards) < static_cast<int>(k)) {
+      cb(Status::Error(Errc::io_error, "fewer than k shards available"));
+      return 0;
+    }
   }
 
   const std::uint64_t op_id = next_op_id_++;
   Pending pend;
   pend.is_read = true;
-  pend.awaiting = k;
-  pend.k = k;
-  pend.m = m;
+  pend.pool = pool;
+  pend.oid = oid;
+  pend.offset = offset;
   pend.length = length;
-  pend.chunks.resize(k + m);
   pend.rcb = std::move(cb);
-  if (integrity_) {
-    pend.ec = true;
-    pend.pool = pool;
-    pend.oid = oid;
-    pend.offset = offset;
-    pend.acting = acting;
-    DK_CHECK(acting.size() <= 64) << "tried is a 64-bit mask";
-    for (unsigned s : shards) pend.tried |= bit(s);
-  }
-  pending_nodes_.emplace(pending_, op_id, std::move(pend));
+  pend.record_acting(acting);
+  pend.codec = &rs;
+  auto it = pending_nodes_.emplace(pending_, op_id, std::move(pend)).first;
   op_started();
 
-  const std::uint64_t chunk_len = (length + k - 1) / k;
-  const std::uint64_t shard_off = offset / k;
-  for (unsigned s : shards) {
-    send(acting[s], make_op(OpType::shard_read, op_id,
-                            object_key(pool, oid, s), shard_off, chunk_len));
+  if (strategy == ReadStrategy::primary) {
+    auto body = make_op(OpType::ec_primary_read, op_id,
+                        object_key(pool, oid), offset, length);
+    body->replicas = acting;
+    body->codec = &rs;
+    send(acting[0], std::move(body));
+    return op_id;
   }
+  it->second.chunks.resize(rs.profile().total());
+  read_shards(op_id, it->second, shards);
   return op_id;
+}
+
+std::size_t RadosClient::choose_replica(std::span<const int> acting,
+                                        const ObjectKey& key,
+                                        std::uint64_t skip) const {
+  for (std::size_t i = 0; i < acting.size(); ++i)
+    if ((skip & bit(i)) == 0 && !cluster_.osd_down(acting[i]) &&
+        !cluster_.object_degraded(acting[i], key))
+      return i;
+  return acting.size();
+}
+
+std::uint64_t RadosClient::choose_shards(std::span<const int> acting, int pool,
+                                         std::uint64_t oid, std::uint64_t skip,
+                                         unsigned want) const {
+  std::uint64_t chosen = 0;
+  for (std::size_t s = 0; s < acting.size() && want > 0; ++s) {
+    if ((skip & bit(s)) != 0 || cluster_.osd_down(acting[s]) ||
+        cluster_.object_degraded(
+            acting[s], object_key(pool, oid, static_cast<std::int32_t>(s))))
+      continue;
+    chosen |= bit(s);
+    --want;
+  }
+  return chosen;
+}
+
+void RadosClient::read_replica(std::uint64_t op_id, Pending& pend,
+                               std::size_t position) {
+  pend.tried |= bit(position);
+  pend.current = position;
+  send(pend.acting[position],
+       make_op(OpType::read, op_id, object_key(pend.pool, pend.oid),
+               pend.offset, pend.length));
+}
+
+void RadosClient::read_shards(std::uint64_t op_id, Pending& pend,
+                              std::uint64_t shards) {
+  const unsigned k = pend.codec->profile().k;
+  const std::uint64_t chunk_len = (pend.length + k - 1) / k;
+  const std::uint64_t shard_off = pend.offset / k;
+  pend.tried |= shards;
+  for (; shards != 0; shards &= shards - 1) {
+    const auto s = static_cast<std::size_t>(std::countr_zero(shards));
+    ++pend.awaiting;
+    send(pend.acting[s],
+         make_op(OpType::read, op_id,
+                 object_key(pend.pool, pend.oid, static_cast<std::int32_t>(s)),
+                 shard_off, chunk_len));
+  }
 }
 
 void RadosClient::on_reply(std::shared_ptr<OpBody> body) {
   auto it = pending_.find(body->op_id);
   if (it == pending_.end()) return;  // stale/duplicate
-  if (integrity_ && it->second.is_read) {
-    // Every read reply is checksum-verified and may enter read-repair; the
-    // generic path below then only ever sees write acks.
-    handle_integrity_read_reply(it, std::move(body));
+  if (it->second.is_read) {
+    on_read_reply(it, std::move(body));
     return;
   }
   Pending& pend = it->second;
-
-  if (body->type == OpType::shard_data) {
-    const auto shard = static_cast<std::size_t>(body->key.shard);
-    DK_CHECK(shard < pend.chunks.size());
-    pend.chunks[shard] = std::move(body->data);
-  }
   if (--pend.awaiting != 0) return;
 
   ++completed_;
@@ -586,54 +569,11 @@ void RadosClient::on_reply(std::shared_ptr<OpBody> body) {
     metrics_.ops_completed->inc();
     metrics_.inflight->sub();
   }
-  if (!pend.is_read) {
-    cluster_.note_client_write_end(static_cast<std::uint32_t>(pend.pool),
-                                   pend.oid);
-    auto cb = std::move(pend.wcb);
-    pending_nodes_.erase(pending_, it);
-    cb(Status::Ok());
-    return;
-  }
-
-  // Reads: either a direct reply with data, or gathered EC shards.
-  if (body->type == OpType::reply_read) {
-    auto cb = std::move(pend.rcb);
-    auto data = std::move(body->data);
-    pending_nodes_.erase(pending_, it);
-    cb(std::move(data));
-    return;
-  }
-
-  // EC gather completion: decode when any data shard is missing.
-  const unsigned k = pend.k, m = pend.m;
-  bool all_data = true;
-  for (unsigned s = 0; s < k; ++s)
-    if (!pend.chunks[s]) {
-      all_data = false;
-      break;
-    }
-  const auto& rs = codec(k, m);
-  std::vector<std::uint8_t> out;
-  if (all_data) {
-    std::vector<ec::Chunk> data;
-    for (unsigned s = 0; s < k; ++s) data.push_back(std::move(*pend.chunks[s]));
-    out = rs.assemble(data, pend.length);
-  } else {
-    // A data shard was unreachable: this read is being served degraded via
-    // parity reconstruction.
-    count_degraded_read();
-    auto decoded = rs.decode(pend.chunks);
-    if (!decoded.ok()) {
-      auto cb = std::move(pend.rcb);
-      pending_nodes_.erase(pending_, it);
-      cb(decoded.status());
-      return;
-    }
-    out = rs.assemble(*decoded, pend.length);
-  }
-  auto cb = std::move(pend.rcb);
+  cluster_.note_client_write_end(static_cast<std::uint32_t>(pend.pool),
+                                 pend.oid);
+  auto cb = std::move(pend.wcb);
   pending_nodes_.erase(pending_, it);
-  cb(std::move(out));
+  cb(Status::Ok());
 }
 
 std::vector<std::uint32_t> RadosClient::maybe_checksums(
@@ -692,7 +632,7 @@ void RadosClient::send_repair_write(int osd, const ObjectKey& key,
   // Fire-and-forget: the repair is best-effort and its ack is stale by
   // construction (fresh op_id, no pending entry). A failed repair is caught
   // again by the next read or a deep scrub.
-  auto body = make_op(OpType::shard_write, next_op_id_++, key, offset);
+  auto body = make_op(OpType::sub_write, next_op_id_++, key, offset);
   body->data = std::move(data);
   body->checksums = maybe_checksums(offset, body->data);
   ++read_repairs_;
@@ -700,53 +640,37 @@ void RadosClient::send_repair_write(int osd, const ObjectKey& key,
   send(osd, std::move(body));
 }
 
-unsigned RadosClient::issue_more_shards(std::uint64_t op_id, Pending& pend,
-                                        unsigned want) {
-  const std::uint64_t chunk_len = (pend.length + pend.k - 1) / pend.k;
-  const std::uint64_t shard_off = pend.offset / pend.k;
-  unsigned issued = 0;
-  for (unsigned s = 0; s < pend.k + pend.m && issued < want; ++s) {
-    if ((pend.tried & bit(s)) != 0 || cluster_.osd_down(pend.acting[s]) ||
-        cluster_.object_degraded(
-            pend.acting[s],
-            object_key(pend.pool, pend.oid, static_cast<std::int32_t>(s))))
-      continue;
-    pend.tried |= bit(s);
-    ++pend.awaiting;
-    ++issued;
-    send(pend.acting[s],
-         make_op(OpType::shard_read, op_id, object_key(pend.pool, pend.oid, s),
-                 shard_off, chunk_len));
-  }
-  return issued;
-}
-
 void RadosClient::ec_gather_complete(PendingIt it, std::uint64_t op_id) {
   Pending& pend = it->second;
-  unsigned present = 0;
-  for (const auto& c : pend.chunks)
-    if (c) ++present;
-  if (present < pend.k) {
+  const ec::ReedSolomon& rs = *pend.codec;
+  const unsigned k = rs.profile().k;
+  const auto present = static_cast<unsigned>(
+      std::count_if(pend.chunks.begin(), pend.chunks.end(),
+                    [](const auto& c) { return c.has_value(); }));
+  if (present < k) {
     // Corrupted shards left a hole: pull in untried survivors and keep
     // gathering. With nothing left to ask, the object is unrecoverable.
-    if (issue_more_shards(op_id, pend, pend.k - present) > 0) return;
+    const std::uint64_t more = choose_shards(pend.acting_set(), pend.pool,
+                                             pend.oid, pend.tried,
+                                             k - present);
+    if (more != 0) {
+      read_shards(op_id, pend, more);
+      return;
+    }
     complete_read(it, Status::Error(Errc::corrupted,
                                     "fewer than k shards verified clean"));
     return;
   }
 
-  const unsigned k = pend.k, m = pend.m;
-  const auto& rs = codec(k, m);
-  bool all_data = true;
-  for (unsigned s = 0; s < k; ++s)
-    if (!pend.chunks[s]) {
-      all_data = false;
-      break;
-    }
   std::vector<ec::Chunk> data_chunks;
-  if (all_data) {
-    for (unsigned s = 0; s < k; ++s) data_chunks.push_back(*pend.chunks[s]);
+  if (std::all_of(pend.chunks.begin(), pend.chunks.begin() + k,
+                  [](const auto& c) { return c.has_value(); })) {
+    data_chunks.reserve(k);
+    for (unsigned s = 0; s < k; ++s)
+      data_chunks.push_back(std::move(*pend.chunks[s]));
   } else {
+    // A data shard is missing: this read is served degraded, by parity
+    // reconstruction.
     count_degraded_read();
     auto decoded = rs.decode(pend.chunks);
     if (!decoded.ok()) {
@@ -760,8 +684,8 @@ void RadosClient::ec_gather_complete(PendingIt it, std::uint64_t op_id) {
   // decoded data (re-encoding for parity shards).
   std::optional<std::vector<ec::Chunk>> coding;
   const std::uint64_t shard_off = pend.offset / k;
-  for (unsigned s = 0; s < k + m; ++s) {
-    if ((pend.bad_shards & bit(s)) == 0) continue;
+  for (std::uint64_t bad = pend.bad; bad != 0; bad &= bad - 1) {
+    const auto s = static_cast<unsigned>(std::countr_zero(bad));
     std::vector<std::uint8_t> repaired;
     if (s < k) {
       repaired = data_chunks[s];
@@ -782,86 +706,73 @@ void RadosClient::ec_gather_complete(PendingIt it, std::uint64_t op_id) {
   complete_read(it, rs.assemble(data_chunks, pend.length));
 }
 
-void RadosClient::handle_integrity_read_reply(PendingIt it,
-                                              std::shared_ptr<OpBody> body) {
+void RadosClient::on_read_reply(PendingIt it, std::shared_ptr<OpBody> body) {
   const std::uint64_t op_id = body->op_id;
   Pending& pend = it->second;
+  // An error reply carries no bytes; with integrity armed the bytes that
+  // did arrive must match the stored checksums shipped with them.
+  const bool bad =
+      body->error != Errc::ok || (integrity_ && !verify_received(*body));
+  if (bad) {
+    count_checksum_failure();
+    note_corruption(pend);
+  }
 
-  if (body->type == OpType::shard_data) {
+  if (body->key.shard >= 0) {
+    // One shard of a direct-shards gather.
     const auto s = static_cast<std::size_t>(body->key.shard);
     DK_CHECK(s < pend.chunks.size());
-    if (body->error != Errc::ok || !verify_received(*body)) {
-      count_checksum_failure();
-      note_corruption(pend);
-      pend.bad_shards |= bit(s);
-    } else {
+    if (bad)
+      pend.bad |= bit(s);
+    else
       pend.chunks[s] = std::move(body->data);
-    }
-    if (--pend.awaiting != 0) return;
-    ec_gather_complete(it, op_id);
+    if (--pend.awaiting == 0) ec_gather_complete(it, op_id);
     return;
   }
 
-  DK_CHECK(body->type == OpType::reply_read)
-      << "unexpected read reply type " << static_cast<int>(body->type);
-  const bool bad = body->error != Errc::ok || !verify_received(*body);
   if (!bad) {
     // Clean data in hand: overwrite every replica that failed on the way
     // here, then deliver.
-    for (int idx : pend.bad_replicas) {
-      send_repair_write(pend.acting[static_cast<std::size_t>(idx)],
-                        object_key(pend.pool, pend.oid),
-                        pend.offset, body->data);
-    }
+    for (std::uint64_t bad = pend.bad; bad != 0; bad &= bad - 1)
+      send_repair_write(pend.acting[std::countr_zero(bad)],
+                        object_key(pend.pool, pend.oid), pend.offset,
+                        body->data);
     complete_read(it, std::move(body->data));
     return;
   }
 
-  count_checksum_failure();
-  note_corruption(pend);
-
-  if (pend.ec) {
+  if (pend.codec != nullptr) {
     // An EC primary saw a bad shard it cannot decode around (it reports,
     // rather than masks, corruption): regather the shards directly and
     // reconstruct locally.
     count_degraded_read();
-    const auto& profile = cluster_.pool(pend.pool).ec_profile;
-    pend.k = profile.k;
-    pend.m = profile.m;
-    pend.chunks.assign(pend.k + pend.m, std::nullopt);
-    DK_CHECK(pend.acting.size() <= 64) << "tried is a 64-bit mask";
-    pend.bad_shards = 0;
+    const unsigned k = pend.codec->profile().k;
+    pend.chunks.assign(pend.codec->profile().total(), std::nullopt);
+    pend.bad = 0;
     pend.tried = 0;
     pend.awaiting = 0;
-    if (issue_more_shards(op_id, pend, pend.k) == 0) {
+    const std::uint64_t shards =
+        choose_shards(pend.acting_set(), pend.pool, pend.oid, 0, k);
+    if (shards == 0) {
       complete_read(it, Status::Error(Errc::corrupted,
                                       "no shards reachable for regather"));
+      return;
     }
+    read_shards(op_id, pend, shards);
     return;
   }
 
   // Replicated: mark this copy bad and walk to the next untried live
-  // replica under the same op (awaiting stays 1).
-  pend.bad_replicas.push_back(static_cast<int>(pend.current));
-  const ObjectKey walk_key = object_key(pend.pool, pend.oid);
-  std::size_t next = pend.acting.size();
-  for (std::size_t i = 0; i < pend.acting.size(); ++i) {
-    if ((pend.tried & bit(i)) == 0 && !cluster_.osd_down(pend.acting[i]) &&
-        !cluster_.object_degraded(pend.acting[i], walk_key)) {
-      next = i;
-      break;
-    }
-  }
-  if (next == pend.acting.size()) {
+  // replica under the same op.
+  pend.bad |= bit(pend.current);
+  const std::size_t next = choose_replica(
+      pend.acting_set(), object_key(pend.pool, pend.oid), pend.tried);
+  if (next == pend.acting_size) {
     complete_read(it, Status::Error(Errc::corrupted,
                                     "no replica passed verification"));
     return;
   }
-  pend.tried |= bit(next);
-  pend.current = next;
-  send(pend.acting[next],
-       make_op(OpType::client_read, op_id, object_key(pend.pool, pend.oid),
-               pend.offset, pend.length));
+  read_replica(op_id, pend, next);
 }
 
 }  // namespace dk::rados

@@ -17,10 +17,12 @@
 //                     decoding via Reed-Solomon when shards are down.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -41,20 +43,6 @@ enum class ReadStrategy { primary, direct_shards };
 using WriteCallback = sim::UniqueFn<void(Status)>;
 using ReadCallback = sim::UniqueFn<void(Result<std::vector<std::uint8_t>>)>;
 
-/// Per-op deadline + capped exponential-backoff retry. Armed via
-/// set_retry_policy(); without it the client is deadline-free and schedules
-/// no timer events (the seed benches' happy path, bit-identical to before).
-struct RetryPolicy {
-  unsigned max_retries = 4;    // re-issues after the first attempt
-  Nanos base_timeout = ms(2);  // first-attempt deadline
-  double backoff = 2.0;        // timeout/delay multiplier per attempt
-  Nanos max_timeout = ms(50);  // deadline cap
-  Nanos base_delay = us(200);  // backoff pause before a re-issue
-
-  Nanos timeout_for(unsigned attempt) const;
-  Nanos delay_for(unsigned attempt) const;
-};
-
 class RadosClient {
  public:
   explicit RadosClient(Cluster& cluster);
@@ -72,12 +60,13 @@ class RadosClient {
   void read(int pool, std::uint64_t oid, std::uint64_t offset,
             std::uint64_t length, ReadStrategy strategy, ReadCallback cb);
 
-  /// Arm per-op deadlines with exponential backoff + capped retries. Each
-  /// attempt recomputes the acting set, so write re-issues land on the new
-  /// primary after a CRUSH reweight. Retryable errors: timed_out, again,
-  /// io_error; the final failure surfaces to the caller unchanged.
-  void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
-  const std::optional<RetryPolicy>& retry_policy() const { return retry_; }
+  /// Arm per-op deadlines with exponential backoff + capped retries (the
+  /// policy's constants are in client.cpp). Without it the client is
+  /// deadline-free and schedules no timer events. Each attempt recomputes
+  /// the acting set, so write re-issues land on the new primary after a
+  /// CRUSH reweight. Retryable errors: timed_out, again, io_error; the
+  /// final failure surfaces to the caller unchanged.
+  void arm_retries() { retries_armed_ = true; }
 
   std::uint64_t retries() const { return retries_write_ + retries_read_; }
   std::uint64_t timeouts() const { return timeouts_; }
@@ -94,12 +83,13 @@ class RadosClient {
   std::uint64_t recovery_read_delays() const { return recovery_read_delays_; }
 
   /// Arm client-side integrity: per-4kB CRC32C checksums attached to
-  /// block-aligned writes, verification of read replies, and read-repair —
-  /// a corrupted reply (Errc::corrupted from the OSD, or a receive-side
-  /// checksum mismatch) triggers a fetch from another replica / an EC
-  /// reconstruction from surviving shards, and the verified data is written
-  /// back over the bad copy. Only an op with no intact source left fails
-  /// with Errc::corrupted (which is deliberately not retryable).
+  /// block-aligned writes, and receive-side verification of read replies.
+  /// Every read reply takes the same path either way: a corrupted reply
+  /// (Errc::corrupted from the OSD, or, armed, a checksum mismatch) makes
+  /// the read ask another replica / reconstruct an EC read from surviving
+  /// shards, and the verified data is written back over the bad copy. Only
+  /// an op with no intact source left fails with Errc::corrupted (which is
+  /// deliberately not retryable).
   void set_integrity(bool on) { integrity_ = on; }
   bool integrity() const { return integrity_; }
 
@@ -128,27 +118,35 @@ class RadosClient {
   void attach_metrics(MetricsRegistry& registry, const std::string& prefix);
 
  private:
+  // Bit i of a Pending mask stands for acting position i (EC: shard i),
+  // which bounds a recorded acting set.
+  static constexpr std::size_t kMaxActing = 64;
+
   struct Pending {
-    unsigned awaiting = 0;
+    unsigned awaiting = 0;  // replies still due (writes, shard gathers)
     bool is_read = false;
-    // EC read gather state.
-    unsigned k = 0, m = 0;
-    std::uint64_t length = 0;
-    std::vector<std::optional<ec::Chunk>> chunks;
-    WriteCallback wcb;
-    ReadCallback rcb;
-    // Read-repair context (populated only when integrity is armed).
-    bool ec = false;
     bool corrupted_seen = false;
     int pool = 0;
     std::uint64_t oid = 0;
     std::uint64_t offset = 0;
-    std::vector<int> acting;
-    // Bit i stands for acting index i (so acting sets hold at most 64).
-    std::uint64_t tried = 0;        // already asked
-    std::size_t current = 0;        // replicated: acting index now serving
-    std::vector<int> bad_replicas;  // replicated: acting indices to repair
-    std::uint64_t bad_shards = 0;   // EC: shards to rebuild
+    std::uint64_t length = 0;
+    WriteCallback wcb;
+    ReadCallback rcb;
+    // Reads: the acting set the op was issued against, inline so that
+    // recording it allocates nothing.
+    std::array<int, kMaxActing> acting{};
+    std::size_t acting_size = 0;
+    std::uint64_t tried = 0;  // positions already asked
+    std::uint64_t bad = 0;    // positions whose copy failed, to repair
+    std::size_t current = 0;  // replicated: position now serving
+    // EC reads: the pool's codec and the shards gathered so far.
+    const ec::ReedSolomon* codec = nullptr;
+    std::vector<std::optional<ec::Chunk>> chunks;
+
+    void record_acting(std::span<const int> set);
+    std::span<const int> acting_set() const {
+      return {acting.data(), acting_size};
+    }
   };
   using PendingIt = std::map<std::uint64_t, Pending>::iterator;
 
@@ -173,7 +171,6 @@ class RadosClient {
   };
 
   void on_reply(std::shared_ptr<OpBody> body);
-  const ec::ReedSolomon& codec(unsigned k, unsigned m);
   void op_started();
   void send(int osd, std::shared_ptr<OpBody> body);
 
@@ -186,21 +183,34 @@ class RadosClient {
   void count_degraded_read();
   void count_retry(bool is_read);
 
-  // Integrity plumbing. All read replies route through
-  // handle_integrity_read_reply when integrity is armed; it owns the
-  // replicated next-replica walk, the EC shard regather, and repair writes.
+  // The read path. Every read reply enters on_read_reply, armed or not;
+  // `integrity` only decides whether a reply's bytes are checksum-verified.
+  // It owns the replicated next-replica walk, the EC shard gather and
+  // regather, and repair writes.
   std::vector<std::uint32_t> maybe_checksums(
       std::uint64_t offset, const std::vector<std::uint8_t>& data) const;
   bool verify_received(const OpBody& body) const;
   void note_corruption(Pending& pend);
   void count_checksum_failure();
   void complete_read(PendingIt it, Result<std::vector<std::uint8_t>> result);
-  void handle_integrity_read_reply(PendingIt it, std::shared_ptr<OpBody> body);
+  void on_read_reply(PendingIt it, std::shared_ptr<OpBody> body);
   void ec_gather_complete(PendingIt it, std::uint64_t op_id);
-  unsigned issue_more_shards(std::uint64_t op_id, Pending& pend,
-                             unsigned want);
   void send_repair_write(int osd, const ObjectKey& key, std::uint64_t offset,
                          std::vector<std::uint8_t> data);
+
+  /// Replica choice: the first position of `acting` outside `skip` whose
+  /// OSD is up and not awaiting recovery of `key`; acting.size() if none.
+  std::size_t choose_replica(std::span<const int> acting, const ObjectKey& key,
+                             std::uint64_t skip) const;
+  /// Shard choice: up to `want` shard positions outside `skip`, in shard
+  /// order, whose OSDs are up and not awaiting recovery of that shard.
+  std::uint64_t choose_shards(std::span<const int> acting, int pool,
+                              std::uint64_t oid, std::uint64_t skip,
+                              unsigned want) const;
+  /// Ask the replica at `position` for the op's range.
+  void read_replica(std::uint64_t op_id, Pending& pend, std::size_t position);
+  /// Ask each shard in the `shards` mask for its part of the op's range.
+  void read_shards(std::uint64_t op_id, Pending& pend, std::uint64_t shards);
 
   // Inner dispatchers return the issued op_id (0 when the op failed
   // synchronously through `cb` and nothing is in flight).
@@ -240,11 +250,10 @@ class RadosClient {
   std::uint64_t next_op_id_ = 1;
   std::map<std::uint64_t, Pending> pending_;
   NodePool<std::map<std::uint64_t, Pending>> pending_nodes_;
-  std::map<std::uint64_t, std::unique_ptr<ec::ReedSolomon>> codecs_;
   crush::PlacementWork work_;
   std::uint64_t ec_encoded_ = 0;
   std::uint64_t completed_ = 0;
-  std::optional<RetryPolicy> retry_;
+  bool retries_armed_ = false;
   std::uint64_t retries_write_ = 0;
   std::uint64_t retries_read_ = 0;
   std::uint64_t timeouts_ = 0;

@@ -78,6 +78,7 @@ int Cluster::create_ec_pool(std::string name, ec::Profile profile,
   p.name = std::move(name);
   p.mode = PoolConfig::Mode::erasure;
   p.ec_profile = profile;
+  p.codec = std::make_unique<const ec::ReedSolomon>(profile);
   p.pg_num = pg_num;
   p.crush_rule = layout_.ec_rule;
   placement_.emplace_back(p.pg_num);

@@ -38,6 +38,10 @@ struct PoolConfig {
   Mode mode = Mode::replicated;
   unsigned size = 2;          // replica count (replicated pools)
   ec::Profile ec_profile;     // erasure pools
+  // Erasure pools: the pool's one codec, built from ec_profile by
+  // create_ec_pool. The client, the primary OSDs and shard rebuilds all
+  // encode and decode with it.
+  std::unique_ptr<const ec::ReedSolomon> codec;
   unsigned pg_num = 128;
   int crush_rule = -1;
 

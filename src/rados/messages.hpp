@@ -13,6 +13,7 @@
 
 #include "common/node_pool.hpp"
 #include "common/status.hpp"
+#include "ec/reed_solomon.hpp"
 #include "rados/object_store.hpp"
 
 namespace dk::rados {
@@ -22,19 +23,14 @@ namespace dk::rados {
 constexpr std::uint64_t kMsgHeaderBytes = 192;
 
 enum class OpType : std::uint8_t {
-  client_write,     // client -> primary (replicated, primary-copy)
-  client_read,      // client -> primary
-  repl_write,       // primary -> replica
-  repl_ack,         // replica -> primary
-  shard_write,      // client/primary -> shard OSD (EC or client-fanout repl)
-  shard_ack,        // shard OSD -> requester
-  shard_read,       // requester -> shard OSD
-  shard_data,       // shard OSD -> requester
-  ec_primary_write, // client -> primary: encode at primary, fan out shards
-  ec_primary_read,  // client -> primary: gather shards, decode, reply
-  backfill_push,    // osd -> osd: recovery copy (background service class)
-  reply_write,      // primary -> client
-  reply_read,       // primary -> client (with data)
+  client_write,      // client -> primary: persist, fan out sub_writes
+  sub_write,         // requester -> OSD: persist one replica or shard, ack
+  write_ack,         // OSD -> requester (primary or client): write persisted
+  read,              // requester -> OSD: verify and read a replica or shard
+  read_reply,        // OSD -> requester: data, or Errc::corrupted
+  ec_primary_write,  // client -> primary: encode at primary, fan out shards
+  ec_primary_read,   // client -> primary: gather shards, decode, reply
+  backfill_push,     // osd -> osd: recovery copy (background service class)
 };
 
 struct OpBody {
@@ -49,9 +45,9 @@ struct OpBody {
   // Fan-out bookkeeping: replica OSDs (primary-copy) or shard OSDs in shard
   // order (EC primary paths; entry 0 is the primary itself).
   std::vector<int> replicas;
-  // EC geometry for primary-encode/-read ops (0 when not EC).
-  unsigned ec_k = 0;
-  unsigned ec_m = 0;
+  // EC primary ops: the pool's codec (Cluster::create_ec_pool builds one
+  // per pool), so the primary encodes and assembles as the client does.
+  const ec::ReedSolomon* codec = nullptr;
   // Orchestrator completion hook for backfill pushes (recovery manager):
   // true once the push persisted (or, transient, arrived); false when a
   // crashed endpoint or frame loss lost it.

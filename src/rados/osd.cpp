@@ -87,14 +87,12 @@ void Osd::handle(std::shared_ptr<OpBody> body) {
   if (metrics_.ops) metrics_.ops->inc();
   switch (body->type) {
     case OpType::client_write: do_client_write(std::move(body)); break;
-    case OpType::client_read: do_client_read(std::move(body)); break;
-    case OpType::repl_write: do_repl_write(std::move(body)); break;
-    case OpType::repl_ack: do_repl_ack(std::move(body)); break;
-    case OpType::shard_write: do_shard_write(std::move(body)); break;
-    case OpType::shard_read: do_shard_read(std::move(body)); break;
+    case OpType::sub_write: do_sub_write(std::move(body)); break;
+    case OpType::write_ack: do_write_ack(std::move(body)); break;
+    case OpType::read: do_read(std::move(body)); break;
+    case OpType::read_reply: do_read_reply(std::move(body)); break;
     case OpType::ec_primary_write: do_ec_primary_write(std::move(body)); break;
     case OpType::ec_primary_read: do_ec_primary_read(std::move(body)); break;
-    case OpType::shard_data: do_shard_data(std::move(body)); break;
     case OpType::backfill_push: {
       // Recovery push, in the background service class: persist the pushed
       // object/shard (re-sampled from its source at apply time), then
@@ -113,9 +111,6 @@ void Osd::handle(std::shared_ptr<OpBody> body) {
       });
       break;
     }
-    case OpType::shard_ack: do_repl_ack(std::move(body)); break;
-    default:
-      DK_CHECK(false) << "reply types are client-bound";
   }
 }
 
@@ -151,18 +146,6 @@ void Osd::apply_write(const ObjectKey& key, std::uint64_t offset,
     workers_.submit(blockstore_->compaction_cost(debt), [] {});
 }
 
-const ec::ReedSolomon& Osd::codec(unsigned k, unsigned m) {
-  const std::uint64_t key = (static_cast<std::uint64_t>(k) << 32) | m;
-  auto it = codecs_.find(key);
-  if (it == codecs_.end()) {
-    it = codecs_
-             .emplace(key, std::make_unique<ec::ReedSolomon>(ec::Profile{
-                               k, m, ec::GeneratorKind::vandermonde}))
-             .first;
-  }
-  return *it->second;
-}
-
 void Osd::do_client_write(std::shared_ptr<OpBody> body) {
   // Primary-copy protocol: the local persist and the replica fan-out run in
   // PARALLEL (as in Ceph: the primary queues the transaction and ships
@@ -170,14 +153,14 @@ void Osd::do_client_write(std::shared_ptr<OpBody> body) {
   // every replica ack have landed.
   PendingWrite pw;
   pw.awaiting = 1 + static_cast<unsigned>(body->replicas.size());
-  auto reply = make_op(OpType::reply_write, body->op_id, body->key);
+  auto reply = make_op(OpType::write_ack, body->op_id, body->key);
   pw.reply = reply;
   const std::uint64_t op_id = body->op_id;
   pending_nodes_.emplace(pending_, op_id, std::move(pw));
 
   for (int replica : body->replicas) {
     auto sub = make_op(*body);
-    sub->type = OpType::repl_write;
+    sub->type = OpType::sub_write;
     sub->target_osd = replica;
     sub->reply_osd = id_;
     sub->replicas.clear();
@@ -188,41 +171,22 @@ void Osd::do_client_write(std::shared_ptr<OpBody> body) {
                                  body->key, body->offset);
   workers_.submit(svc, [this, op_id, body = std::move(body)] {
     apply_write(body->key, body->offset, body->data, body->checksums);
-    auto self_ack = make_op(OpType::repl_ack, op_id);
-    do_repl_ack(std::move(self_ack));
+    do_write_ack(make_op(OpType::write_ack, op_id));
   });
 }
 
-void Osd::do_client_read(std::shared_ptr<OpBody> body) {
-  const Nanos svc = service_time(body->length, /*is_write=*/false, body->key,
-                                 body->offset);
-  workers_.submit(svc, [this, body = std::move(body)] {
-    auto reply = make_op(OpType::reply_read, body->op_id, body->key);
-    if (!store_.verify(body->key, body->offset, body->length)) {
-      // Block checksum mismatch: reply the error instead of known-bad
-      // bytes; the client's read-repair fetches another replica.
-      reply->error = Errc::corrupted;
-    } else {
-      reply->data = store_.read(body->key, body->offset, body->length);
-      reply->checksums =
-          store_.checksums_for(body->key, body->offset, body->length);
-    }
-    send_(-1, std::move(reply));
-  });
-}
-
-void Osd::do_repl_write(std::shared_ptr<OpBody> body) {
+void Osd::do_sub_write(std::shared_ptr<OpBody> body) {
   const Nanos svc = service_time(body->data.size(), /*is_write=*/true,
                                  body->key, body->offset);
   workers_.submit(svc, [this, body = std::move(body)] {
     apply_write(body->key, body->offset, body->data, body->checksums);
-    auto ack = make_op(OpType::repl_ack, body->op_id, body->key);
+    auto ack = make_op(OpType::write_ack, body->op_id, body->key);
     ack->target_osd = body->reply_osd;
     send_(body->reply_osd, std::move(ack));
   });
 }
 
-void Osd::do_repl_ack(std::shared_ptr<OpBody> body) {
+void Osd::do_write_ack(std::shared_ptr<OpBody> body) {
   auto it = pending_.find(body->op_id);
   if (it == pending_.end()) return;  // stale ack
   if (--it->second.awaiting == 0) {
@@ -231,14 +195,22 @@ void Osd::do_repl_ack(std::shared_ptr<OpBody> body) {
   }
 }
 
-void Osd::do_shard_write(std::shared_ptr<OpBody> body) {
-  const Nanos svc = service_time(body->data.size(), /*is_write=*/true,
-                                 body->key, body->offset);
+void Osd::do_read(std::shared_ptr<OpBody> body) {
+  const Nanos svc = service_time(body->length, /*is_write=*/false, body->key,
+                                 body->offset);
   workers_.submit(svc, [this, body = std::move(body)] {
-    apply_write(body->key, body->offset, body->data, body->checksums);
-    auto ack = make_op(OpType::shard_ack, body->op_id, body->key);
-    ack->target_osd = body->reply_osd;
-    send_(body->reply_osd, std::move(ack));
+    auto reply = make_op(OpType::read_reply, body->op_id, body->key);
+    if (!store_.verify(body->key, body->offset, body->length)) {
+      // Block checksum mismatch: reply the error instead of known-bad
+      // bytes; the requester reads another replica or decodes around it.
+      reply->error = Errc::corrupted;
+    } else {
+      reply->data = store_.read(body->key, body->offset, body->length);
+      reply->checksums =
+          store_.checksums_for(body->key, body->offset, body->length);
+    }
+    reply->target_osd = body->reply_osd;
+    send_(body->reply_osd, std::move(reply));
   });
 }
 
@@ -246,9 +218,10 @@ void Osd::do_ec_primary_write(std::shared_ptr<OpBody> body) {
   // Software-Ceph EC write path: the primary pays the jerasure encode cost
   // in CPU time, stores its own shard, and fans the rest out. `replicas`
   // holds the full acting set in shard order (entry 0 == this OSD).
-  const unsigned k = body->ec_k, m = body->ec_m;
-  DK_CHECK(k >= 1 && m >= 1 && body->replicas.size() == k + m);
-  const auto& rs = codec(k, m);
+  DK_CHECK(body->codec != nullptr &&
+           body->replicas.size() == body->codec->profile().total());
+  const ec::ReedSolomon& rs = *body->codec;
+  const unsigned k = rs.profile().k;
   const Nanos encode_cost =
       transfer_time(rs.encode_ops(body->data.size()), config_.ec_encode_bps);
   ObjectKey own_key = body->key;
@@ -257,15 +230,14 @@ void Osd::do_ec_primary_write(std::shared_ptr<OpBody> body) {
                                  own_key, body->offset / k) +
                     encode_cost;
   workers_.submit(svc, [this, body = std::move(body)] {
-    const unsigned k = body->ec_k, m = body->ec_m;
-    const auto& rs = codec(k, m);
+    const ec::ReedSolomon& rs = *body->codec;
     auto data_chunks = rs.split(body->data);
     auto coding = rs.encode(data_chunks);
     DK_CHECK(coding.ok());
     std::vector<ec::Chunk> shards = std::move(data_chunks);
     for (auto& c : *coding) shards.push_back(std::move(c));
 
-    const std::uint64_t shard_off = body->offset / k;
+    const std::uint64_t shard_off = body->offset / rs.profile().k;
 
     // Store our own shard (shard 0).
     ObjectKey own = body->key;
@@ -274,7 +246,7 @@ void Osd::do_ec_primary_write(std::shared_ptr<OpBody> body) {
 
     PendingWrite pw;
     pw.awaiting = static_cast<unsigned>(shards.size() - 1);
-    auto reply = make_op(OpType::reply_write, body->op_id, body->key);
+    auto reply = make_op(OpType::write_ack, body->op_id, body->key);
     pw.reply = reply;
     if (pw.awaiting == 0) {
       send_(-1, reply);
@@ -282,7 +254,7 @@ void Osd::do_ec_primary_write(std::shared_ptr<OpBody> body) {
     }
     pending_nodes_.emplace(pending_, body->op_id, std::move(pw));
     for (unsigned s = 1; s < shards.size(); ++s) {
-      auto sub = make_op(OpType::shard_write, body->op_id, body->key);
+      auto sub = make_op(OpType::sub_write, body->op_id, body->key);
       sub->key.shard = static_cast<std::int32_t>(s);
       sub->offset = shard_off;
       sub->data = std::move(shards[s]);
@@ -295,8 +267,9 @@ void Osd::do_ec_primary_write(std::shared_ptr<OpBody> body) {
 void Osd::do_ec_primary_read(std::shared_ptr<OpBody> body) {
   // Software-Ceph EC read path: the primary reads its own shard, gathers
   // the other k-1 data shards, reassembles, and replies to the client.
-  const unsigned k = body->ec_k, m = body->ec_m;
-  DK_CHECK(k >= 1 && body->replicas.size() == k + m);
+  DK_CHECK(body->codec != nullptr &&
+           body->replicas.size() == body->codec->profile().total());
+  const unsigned k = body->codec->profile().k;
   const std::uint64_t chunk_len = (body->length + k - 1) / k;
   const std::uint64_t shard_off = body->offset / k;
   ObjectKey own_key = body->key;
@@ -304,37 +277,37 @@ void Osd::do_ec_primary_read(std::shared_ptr<OpBody> body) {
   const Nanos svc =
       service_time(chunk_len, /*is_write=*/false, own_key, shard_off);
   workers_.submit(svc, [this, body = std::move(body), chunk_len, shard_off] {
-    const unsigned k = body->ec_k, m = body->ec_m;
+    const ec::ReedSolomon& rs = *body->codec;
+    const unsigned k = rs.profile().k;
     ObjectKey own = body->key;
     own.shard = 0;
     if (!store_.verify(own, shard_off, chunk_len)) {
       // The primary's own shard is bad: it cannot serve this gather-and-
       // decode path. Reply the error; the client falls back to a
       // direct_shards read, which reconstructs from parity and repairs.
-      auto reply = make_op(OpType::reply_read, body->op_id, body->key);
+      auto reply = make_op(OpType::read_reply, body->op_id, body->key);
       reply->error = Errc::corrupted;
       send_(-1, std::move(reply));
       return;
     }
     PendingRead pr;
-    pr.k = k;
-    pr.m = m;
+    pr.codec = &rs;
     pr.length = body->length;
     pr.awaiting = k - 1;
-    pr.chunks.resize(k + m);
+    pr.chunks.resize(rs.profile().total());
     pr.chunks[0] = store_.read(own, shard_off, chunk_len);
 
-    auto reply = make_op(OpType::reply_read, body->op_id, body->key);
+    auto reply = make_op(OpType::read_reply, body->op_id, body->key);
     pr.reply = reply;
 
     if (pr.awaiting == 0) {
-      reply->data = codec(k, m).assemble({*pr.chunks[0]}, body->length);
+      reply->data = rs.assemble({*pr.chunks[0]}, body->length);
       send_(-1, reply);
       return;
     }
     read_nodes_.emplace(pending_reads_, body->op_id, std::move(pr));
     for (unsigned s = 1; s < k; ++s) {
-      auto sub = make_op(OpType::shard_read, body->op_id, body->key);
+      auto sub = make_op(OpType::read, body->op_id, body->key);
       sub->key.shard = static_cast<std::int32_t>(s);
       sub->offset = shard_off;
       sub->length = chunk_len;
@@ -344,7 +317,7 @@ void Osd::do_ec_primary_read(std::shared_ptr<OpBody> body) {
   });
 }
 
-void Osd::do_shard_data(std::shared_ptr<OpBody> body) {
+void Osd::do_read_reply(std::shared_ptr<OpBody> body) {
   auto it = pending_reads_.find(body->op_id);
   if (it == pending_reads_.end()) return;  // stale
   PendingRead& pr = it->second;
@@ -363,28 +336,12 @@ void Osd::do_shard_data(std::shared_ptr<OpBody> body) {
   if (--pr.awaiting != 0) return;
   // All k data shards present: concatenate (no decode needed on the
   // healthy path — the chunks are systematic data shards).
+  const unsigned k = pr.codec->profile().k;
   std::vector<ec::Chunk> data;
-  for (unsigned s = 0; s < pr.k; ++s) data.push_back(std::move(*pr.chunks[s]));
-  pr.reply->data = codec(pr.k, pr.m).assemble(data, pr.length);
+  for (unsigned s = 0; s < k; ++s) data.push_back(std::move(*pr.chunks[s]));
+  pr.reply->data = pr.codec->assemble(data, pr.length);
   send_(-1, std::move(pr.reply));
   read_nodes_.erase(pending_reads_, it);
-}
-
-void Osd::do_shard_read(std::shared_ptr<OpBody> body) {
-  const Nanos svc = service_time(body->length, /*is_write=*/false, body->key,
-                                 body->offset);
-  workers_.submit(svc, [this, body = std::move(body)] {
-    auto reply = make_op(OpType::shard_data, body->op_id, body->key);
-    if (!store_.verify(body->key, body->offset, body->length)) {
-      reply->error = Errc::corrupted;
-    } else {
-      reply->data = store_.read(body->key, body->offset, body->length);
-      reply->checksums =
-          store_.checksums_for(body->key, body->offset, body->length);
-    }
-    reply->target_osd = body->reply_osd;
-    send_(body->reply_osd, std::move(reply));
-  });
 }
 
 }  // namespace dk::rados

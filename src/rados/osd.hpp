@@ -158,16 +158,14 @@ class Osd {
                    std::span<const std::uint32_t> checksums);
 
   void do_client_write(std::shared_ptr<OpBody> body);
-  void do_client_read(std::shared_ptr<OpBody> body);
-  void do_repl_write(std::shared_ptr<OpBody> body);
-  void do_repl_ack(std::shared_ptr<OpBody> body);
-  void do_shard_write(std::shared_ptr<OpBody> body);
-  void do_shard_read(std::shared_ptr<OpBody> body);
+  /// Persist one replica or shard, then ack the requester.
+  void do_sub_write(std::shared_ptr<OpBody> body);
+  void do_write_ack(std::shared_ptr<OpBody> body);
+  /// Verify and read a replica or shard, then reply to the requester.
+  void do_read(std::shared_ptr<OpBody> body);
+  void do_read_reply(std::shared_ptr<OpBody> body);
   void do_ec_primary_write(std::shared_ptr<OpBody> body);
   void do_ec_primary_read(std::shared_ptr<OpBody> body);
-  void do_shard_data(std::shared_ptr<OpBody> body);
-
-  const ec::ReedSolomon& codec(unsigned k, unsigned m);
 
   // Pending primary-copy / EC writes awaiting acks: op_id -> remaining.
   struct PendingWrite {
@@ -177,7 +175,7 @@ class Osd {
   // Pending EC primary reads gathering shard data.
   struct PendingRead {
     unsigned awaiting = 0;
-    unsigned k = 0, m = 0;
+    const ec::ReedSolomon* codec = nullptr;
     std::uint64_t length = 0;  // original (unsharded) read length
     std::vector<std::optional<ec::Chunk>> chunks;
     std::shared_ptr<OpBody> reply;
@@ -197,7 +195,6 @@ class Osd {
   std::map<std::uint64_t, PendingRead> pending_reads_;
   NodePool<std::map<std::uint64_t, PendingWrite>> pending_nodes_;
   NodePool<std::map<std::uint64_t, PendingRead>> read_nodes_;
-  std::map<std::uint64_t, std::unique_ptr<ec::ReedSolomon>> codecs_;
   std::uint64_t ops_served_ = 0;
   bool crashed_ = false;
   bool torn_armed_ = false;

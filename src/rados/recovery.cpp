@@ -100,10 +100,10 @@ std::optional<RecoveryMove> plan_move(Cluster& cluster, int pool,
 /// was planned) or the decode fails, so a wrong shard is never persisted.
 std::vector<std::uint8_t> rebuild_shard(Cluster& cluster,
                                         const RecoveryMove& move) {
-  const auto& pcfg = cluster.pool(static_cast<int>(move.key.pool));
-  const unsigned k = pcfg.ec_profile.k, m = pcfg.ec_profile.m;
-  ec::ReedSolomon rs({k, m, pcfg.ec_profile.generator});
-  std::vector<std::optional<ec::Chunk>> chunks(k + m);
+  const ec::ReedSolomon& rs =
+      *cluster.pool(static_cast<int>(move.key.pool)).codec;
+  const unsigned k = rs.profile().k;
+  std::vector<std::optional<ec::Chunk>> chunks(rs.profile().total());
   std::uint64_t chunk_size = 0;
   for (const auto& [holder, sibling] : move.sources) {
     if (!copy_verifies(cluster, holder, sibling)) return {};

@@ -162,12 +162,13 @@ TEST_F(AllocBudget, FourKilobyteWriteStaysAtItsCount) {
 }
 
 TEST_F(AllocBudget, IntegrityArmedFourKilobyteReadStaysAtItsCount) {
-  // 4.875 (8.875 while the C2H cover and the host re-verify each built a
+  // 3.875 (8.875 while the C2H cover and the host re-verify each built a
   // checksum vector, 6.875 while each I/O allocated its checksum cover,
-  // 5.875 while the RADOS read kept its tried replicas in a vector; they
-  // are a bit mask now).
+  // 5.875 while the RADOS read kept its tried replicas in a vector, 4.875
+  // while it copied its acting set into one; the masks and the acting set
+  // are inline now).
   build(PoolMode::replicated, 4 * KiB, 4000, /*integrity=*/true);
-  EXPECT_LE(allocations_per_io(/*writes=*/false), 4.88);
+  EXPECT_LE(allocations_per_io(/*writes=*/false), 3.88);
 }
 
 TEST_F(AllocBudget, IntegrityArmedFourKilobyteWriteStaysAtItsCount) {

@@ -12,8 +12,10 @@ equals the expectations, in both directions: a missed finding and a spurious
 finding are equally fatal. A second invocation pins the baseline machinery
 (tests/lint_fixtures/baseline.json grandfathers baseline_case.cpp).
 
-Backend selection follows DKLINT_BACKEND (default: auto). Both backends must
-produce identical results on this corpus; CI runs it under each.
+Backend selection follows DKLINT_BACKEND (default: auto). Both backends are
+meant to produce identical results on this corpus, but only the textual
+backend gates: CI runs the clang backend with continue-on-error, so a
+divergence there is reported, not enforced.
 """
 
 from __future__ import annotations

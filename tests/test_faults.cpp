@@ -729,7 +729,7 @@ TEST(FaultRecovery, WriteRetryLandsOnNewPrimaryAfterReweight) {
   rados::Cluster cluster(sim);
   const int pool = cluster.create_replicated_pool("p", 2);
   rados::RadosClient client(cluster);
-  client.set_retry_policy(rados::RetryPolicy{});
+  client.arm_retries();
 
   const std::uint64_t oid = 7;
   const std::vector<int> before = cluster.acting_set(pool, oid);

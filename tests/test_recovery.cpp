@@ -277,7 +277,8 @@ TEST_F(IntegrityFixture, RepairRestoresEveryCorruptedLocation) {
     EXPECT_EQ(*got, pattern(8192, oid)) << "replica " << r;
   }
 
-  const ec::Profile profiles[] = {{2, 1}, {3, 2}, {4, 2}};
+  const ec::Profile profiles[] = {
+      {2, 1}, {3, 2}, {4, 2}, {4, 2, ec::GeneratorKind::cauchy}};
   for (const auto& prof : profiles) {
     const std::string name =
         "ec" + std::to_string(prof.k) + std::to_string(prof.m);

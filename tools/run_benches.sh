@@ -24,9 +24,7 @@ benches=(
   fig3_sw_baseline_replication
   fig4_sw_baseline_ec
   fig6_hw_replication_throughput
-  fig7_hw_replication_kiops
   fig8_hw_ec_throughput
-  fig9_hw_ec_kiops
   realworld_olap_oltp
   ablation_uring
   ablation_dmq_bypass
