@@ -34,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <set>
 #include <string>

@@ -452,15 +452,18 @@ std::uint64_t RadosClient::read_ec(int pool, std::uint64_t oid,
     return 0;
   }
 
-  // A down primary cannot gather shards — and a primary gather returns the
-  // data shards verbatim, so any data-shard holder still awaiting recovery
-  // would contribute missing bytes. Either way, fall back to reading the
-  // shards directly (decoding around the hole locally) instead of failing.
+  // The primary gathers the k data shards verbatim, so it needs every data
+  // shard's holder: a down primary cannot gather, a down holder never
+  // answers its gather, and one still awaiting recovery would contribute
+  // missing bytes. In each case fall back to reading the shards directly
+  // (decoding around the hole locally) instead of failing.
   if (strategy == ReadStrategy::primary) {
-    bool gather_unsafe = cluster_.osd_down(acting[0]);
+    bool gather_unsafe = false;
     for (unsigned s = 0; !gather_unsafe && s < k; ++s)
-      gather_unsafe = cluster_.object_degraded(
-          acting[s], object_key(pool, oid, static_cast<std::int32_t>(s)));
+      gather_unsafe =
+          cluster_.osd_down(acting[s]) ||
+          cluster_.object_degraded(
+              acting[s], object_key(pool, oid, static_cast<std::int32_t>(s)));
     if (gather_unsafe) {
       count_degraded_read();
       strategy = ReadStrategy::direct_shards;

@@ -226,7 +226,7 @@ void Cluster::send_from_client(int dst_osd, std::shared_ptr<OpBody> body) {
 
 void Cluster::drop_message(const OpBody& body) {
   if (faults_ != nullptr) faults_->count_crash_dropped_message();
-  // A lost recovery push settles its move as not landed.
+  // A lost recovery leg reports that its push never arrived.
   if (body.on_done) body.on_done(false);
 }
 
@@ -245,8 +245,8 @@ void Cluster::send_from_osd(int src_osd, int dst,
     return;
   }
   body->target_osd = dst;
-  // Frame loss drops a message silently; a recovery push it drops still
-  // settles its move as not landed (frames_dropped already counted it).
+  // Frame loss drops a message silently; a recovery leg it drops still
+  // reports that its push never arrived (frames_dropped already counted it).
   const std::shared_ptr<OpBody> push = body->on_done ? body : nullptr;
   if (!net_.send(net::Message{node_of_osd(src_osd), node_of_osd(dst), bytes,
                               0, std::move(body)}) &&
@@ -254,103 +254,19 @@ void Cluster::send_from_osd(int src_osd, int dst,
     push->on_done(false);
 }
 
-void Cluster::backfill(int from_osd, int to_osd, const ObjectKey& key,
-                       std::function<void(bool)> done) {
-  Osd& src = osd(from_osd);
-  const std::uint64_t size = src.store().object_size(key);
-  auto data = src.store().read(key, 0, size);
+void Cluster::push(int holder, int to_osd, const ObjectKey& key,
+                   std::uint64_t bytes, sim::UniqueFn<void(bool)> arrived) {
+  Osd& src = osd(holder);
   const Nanos read_svc =
-      src.service_time(size, /*is_write=*/false, key, /*offset=*/0);
-  auto push = [this, from_osd, to_osd, key, data = std::move(data),
-               done = std::move(done)]() mutable {
-    auto body = make_op();
-    body->type = OpType::backfill_push;
+      src.service_time(bytes, /*is_write=*/false, key, /*offset=*/0);
+  src.submit_background(read_svc, [this, holder, to_osd, key, bytes,
+                                   arrived = std::move(arrived)]() mutable {
+    auto body = make_op(OpType::backfill_push);
     body->key = key;
-    body->offset = 0;
-    body->data = std::move(data);
-    body->reply_osd = from_osd;
-    // The source stays in the acting set and keeps absorbing client
-    // writes while this push queues; re-sampling at apply time makes the
-    // copy land with the latest content instead of the grant-time snapshot
-    // (which would roll back concurrent writes). The source's stored CRCs
-    // travel with its bytes, so a block that rotted on the source lands
-    // failing verify instead of under a fresh checksum.
-    body->refresh_payload = [this, from_osd, key](OpBody& b) {
-      const ObjectStore& store = osd(from_osd).store();
-      const std::uint64_t size = store.object_size(key);
-      b.data = store.read(key, 0, size);
-      b.checksums = store.checksums_for(key, 0, size);
-    };
-    body->on_done = std::move(done);
-    send_from_osd(from_osd, to_osd, std::move(body));
-  };
-  src.submit_background(read_svc, std::move(push));
-}
-
-void Cluster::reconstruct_shard(
-    const std::vector<std::pair<int, ObjectKey>>& sources, int to_osd,
-    const ObjectKey& target_key,
-    std::function<std::vector<std::uint8_t>()> rebuild,
-    std::function<void(bool)> done) {
-  DK_CHECK(!sources.empty()) << "reconstruction needs sibling shards";
-  struct Gather {
-    std::size_t awaiting;
-    bool lost = false;
-    std::function<void(bool)> done;
-  };
-  auto gather = std::make_shared<Gather>();
-  gather->awaiting = sources.size();
-  gather->done = std::move(done);
-
-  const std::uint64_t rebuilt_bytes = rebuild().size();
-  auto finish = [this, to_osd, target_key, rebuilt_bytes,
-                 rebuild = std::move(rebuild), gather]() mutable {
-    // All sibling shards arrived: the decode + local write occupy the
-    // target's op threads (contending with client ops), then the shard is
-    // re-derived from the siblings' current content and persisted through
-    // the WAL like any client write.
-    Osd& dst = osd(to_osd);
-    const Nanos decode = transfer_time(
-        rebuilt_bytes * 4 /* ~k GF ops per byte */, config_.osd.ec_encode_bps);
-    const Nanos write_svc = dst.service_time(rebuilt_bytes, /*is_write=*/true,
-                                             target_key, /*offset=*/0);
-    dst.submit_background(decode + write_svc, [this, to_osd, target_key,
-                                               rebuild = std::move(rebuild),
-                                               gather] {
-      // An empty rebuild (a sibling failed verify, or the decode failed)
-      // is never persisted, and the move did not land.
-      const std::vector<std::uint8_t> shard = rebuild();
-      Osd& target = osd(to_osd);
-      if (!shard.empty()) target.apply_durable(target_key, 0, shard, {});
-      gather->done(!shard.empty() && !target.crashed());
-    });
-  };
-
-  for (const auto& [holder, sibling_key] : sources) {
-    Osd& src = osd(holder);
-    const std::uint64_t size = src.store().object_size(sibling_key);
-    const Nanos read_svc =
-        src.service_time(size, /*is_write=*/false, sibling_key, 0);
-    auto push = [this, holder, to_osd, sibling_key, size, gather,
-                 finish]() mutable {
-      auto body = make_op();
-      body->type = OpType::backfill_push;
-      body->key = sibling_key;
-      body->data = osd(holder).store().read(sibling_key, 0, size);
-      body->transient = true;
-      body->reply_osd = holder;
-      body->on_done = [gather, finish](bool arrived) mutable {
-        gather->lost |= !arrived;
-        if (--gather->awaiting != 0) return;
-        if (gather->lost)
-          gather->done(false);
-        else
-          finish();
-      };
-      send_from_osd(holder, to_osd, std::move(body));
-    };
-    src.submit_background(read_svc, std::move(push));
-  }
+    body->data = osd(holder).store().read(key, 0, bytes);
+    body->on_done = std::move(arrived);
+    send_from_osd(holder, to_osd, std::move(body));
+  });
 }
 
 std::uint64_t Cluster::total_ops_served() const {

@@ -1,15 +1,16 @@
 // Simulated Ceph-like cluster: a client node plus server nodes hosting OSDs,
 // wired over the simulated 10 GbE fabric, with CRUSH-driven placement. It
-// also owns OSD crash/restart (restart replays the OSD's WAL) and the data
-// path of recovery — backfill copies and EC shard reconstruction, both in
-// the OSDs' background service class — that RecoveryManager drives.
+// also owns OSD crash/restart (restart replays the OSD's WAL) and the wire
+// leg of recovery, push(): a background-class read at the holder, a
+// backfill_push, and a background-class write service at the target.
+// RecoveryManager sends every move's legs through it and persists the move
+// itself.
 //
 // Mirrors the paper's industrial testbed: 1 client, 2 servers x 16 OSDs
 // (32 OSDs total), replicated and erasure-coded pools.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -158,29 +159,15 @@ class Cluster {
   /// Aggregate ops served across all OSDs.
   std::uint64_t total_ops_served() const;
 
-  /// Recovery copy: read `key` on `from_osd`, push it over the network to
-  /// `to_osd`, persist there, then fire `done(true)` — or `done(false)`
-  /// when a crash or frame loss lost the push. Both ends ride the OSDs'
-  /// background service class, so the copy queues with — and yields to —
-  /// client I/O; the persisted bytes are re-read from the source at apply
-  /// time, so a copy that waited behind client writes lands current. The
-  /// source's stored checksums ride along, so corrupt source blocks stay
-  /// detectable on the copy.
-  void backfill(int from_osd, int to_osd, const ObjectKey& key,
-                std::function<void(bool landed)> done);
-
-  /// EC shard reconstruction: stream k sibling shards from their holders to
-  /// `to_osd` (transient pushes), charge the decode there, then persist
-  /// `rebuild()` under `target_key`. Every leg rides the background service
-  /// class, like backfill(), and `done` reports whether the shard landed.
-  /// `rebuild` runs once at launch (to size the decode and write) and again
-  /// at persist time, so the shard lands with the siblings' latest content;
-  /// an empty rebuild at persist time is not persisted and reports false.
-  void reconstruct_shard(
-      const std::vector<std::pair<int, ObjectKey>>& sources, int to_osd,
-      const ObjectKey& target_key,
-      std::function<std::vector<std::uint8_t>()> rebuild,
-      std::function<void(bool landed)> done);
+  /// One leg of a recovery move: charge a background-class read of `bytes`
+  /// of `key` at `holder`, send them to `to_osd` as a backfill_push, charge
+  /// their write service there in the background class, then call
+  /// `arrived(true)` — or `arrived(false)` when a crashed endpoint or frame
+  /// loss lost the push. Both ends queue with, and yield to, client I/O.
+  /// Nothing is persisted: the move re-derives and writes its bytes after
+  /// its last leg (RecoveryManager::execute).
+  void push(int holder, int to_osd, const ObjectKey& key, std::uint64_t bytes,
+            sim::UniqueFn<void(bool arrived)> arrived);
 
   /// Attach the background scheduler (scrub + paced recovery). The cluster
   /// notifies it when an OSD is marked out, so a CRUSH reweight triggers

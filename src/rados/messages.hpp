@@ -3,11 +3,13 @@
 // Message bodies ride the network layer's shared_ptr<void>; payload byte
 // counts charged to the fabric are header + data length. Bodies come from
 // make_op(), whose recycled blocks make a steady op stream allocation-free
-// apart from payload bytes.
+// apart from payload bytes. A backfill_push is one leg of a recovery move
+// (Cluster::push): its bytes size the wire and service charges, and the
+// move itself decides what lands, so the message carries no recovery logic
+// beyond its arrival hook.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "common/status.hpp"
 #include "ec/reed_solomon.hpp"
 #include "rados/object_store.hpp"
+#include "sim/event_pool.hpp"
 
 namespace dk::rados {
 
@@ -30,7 +33,7 @@ enum class OpType : std::uint8_t {
   read_reply,        // OSD -> requester: data, or Errc::corrupted
   ec_primary_write,  // client -> primary: encode at primary, fan out shards
   ec_primary_read,   // client -> primary: gather shards, decode, reply
-  backfill_push,     // osd -> osd: recovery copy (background service class)
+  backfill_push,     // osd -> osd: recovery leg (background service class)
 };
 
 struct OpBody {
@@ -48,20 +51,9 @@ struct OpBody {
   // EC primary ops: the pool's codec (Cluster::create_ec_pool builds one
   // per pool), so the primary encodes and assembles as the client does.
   const ec::ReedSolomon* codec = nullptr;
-  // Orchestrator completion hook for backfill pushes (recovery manager):
-  // true once the push persisted (or, transient, arrived); false when a
-  // crashed endpoint or frame loss lost it.
-  std::function<void(bool landed)> on_done;
-  // Transient pushes (EC reconstruction gathers) are not persisted at the
-  // destination; they only charge transfer + service time.
-  bool transient = false;
-  // Backfill pushes re-sample the source object at destination-apply time:
-  // a recovery copy can spend a long while queued behind client traffic,
-  // and persisting the grant-time snapshot would clobber any client write
-  // that landed in between. The refresh fills `data` and `checksums` from
-  // the source's current bytes and stored CRCs together. The wire/service
-  // costs still use the grant-time size.
-  std::function<void(OpBody&)> refresh_payload;
+  // Recovery legs (backfill_push): true once the target has served the
+  // push, false when a crashed endpoint or frame loss lost it.
+  sim::UniqueFn<void(bool arrived)> on_done;
   // Integrity mode: per-4kB-block CRC-32C of `data`. On writes the client
   // attaches them so the OSD can store what the client computed; on read
   // replies the OSD attaches the stored checksums so the client can verify
@@ -74,7 +66,7 @@ struct OpBody {
 
 /// A new message body with its control block, from a recycled block.
 /// `args` initialize OpBody's leading members in order (type, op_id, key,
-/// offset, length, ...), or copy another body.
+/// offset, length, ...).
 template <typename... Args>
 std::shared_ptr<OpBody> make_op(Args&&... args) {
   return std::allocate_shared<OpBody>(RecyclingAllocator<OpBody>(),

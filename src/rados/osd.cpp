@@ -94,21 +94,15 @@ void Osd::handle(std::shared_ptr<OpBody> body) {
     case OpType::ec_primary_write: do_ec_primary_write(std::move(body)); break;
     case OpType::ec_primary_read: do_ec_primary_read(std::move(body)); break;
     case OpType::backfill_push: {
-      // Recovery push, in the background service class: persist the pushed
-      // object/shard (re-sampled from its source at apply time), then
-      // notify the recovery orchestrator directly (the ack path is not
-      // modeled on the wire; its 6 us would be invisible under the
-      // multi-ms copy times). A process that crashed meanwhile never
-      // acknowledges: the move counts as not landed.
+      // A recovery leg, in the background service class: charge the pushed
+      // bytes' write service, then report the arrival to the recovery move
+      // directly (the ack is not modeled on the wire; its 6 us would be
+      // invisible under the multi-ms copy times). The move persists what it
+      // re-derives once its last leg is in (RecoveryManager::execute).
       const Nanos svc = service_time(body->data.size(), /*is_write=*/true,
                                      body->key, body->offset);
-      workers_.submit_background(svc, [this, body = std::move(body)] {
-        if (!body->transient) {
-          if (body->refresh_payload) body->refresh_payload(*body);
-          apply_write(body->key, body->offset, body->data, body->checksums);
-        }
-        body->on_done(!crashed_);
-      });
+      workers_.submit_background(
+          svc, [arrived = std::move(body->on_done)] { arrived(true); });
       break;
     }
   }
@@ -159,12 +153,11 @@ void Osd::do_client_write(std::shared_ptr<OpBody> body) {
   pending_nodes_.emplace(pending_, op_id, std::move(pw));
 
   for (int replica : body->replicas) {
-    auto sub = make_op(*body);
-    sub->type = OpType::sub_write;
-    sub->target_osd = replica;
+    auto sub = make_op(OpType::sub_write, op_id, body->key, body->offset,
+                       body->length, body->data);
     sub->reply_osd = id_;
-    sub->replicas.clear();
-    send_(replica, sub);
+    sub->checksums = body->checksums;
+    send_(replica, std::move(sub));
   }
 
   const Nanos svc = service_time(body->data.size(), /*is_write=*/true,

@@ -4,7 +4,8 @@
 // and a media model (fixed access time + bandwidth term). It speaks the
 // OpBody protocol: serving client reads/writes, acting as replication
 // primary (fan-out to replica OSDs), serving EC shard reads/writes, and
-// persisting recovery pushes in the background service class.
+// charging recovery pushes in the background service class. A recovery
+// move persists through apply_durable(), the same WAL choke point.
 //
 // Crash consistency has one path: when integrity or the blockstore is armed
 // every store mutation goes through the Blockstore WAL (append, then
@@ -108,8 +109,9 @@ class Osd {
   /// torn tail). Returns the number of records resolved; 0 without a WAL.
   std::size_t replay_journal();
 
-  /// Public durable-apply entry: routes a write through the same WAL choke
-  /// point as client ops, so it is crash-consistent too.
+  /// Public durable-apply entry (recovery's persist step): routes a write
+  /// through the same WAL choke point as client ops, so it is
+  /// crash-consistent too.
   void apply_durable(const ObjectKey& key, std::uint64_t offset,
                      std::span<const std::uint8_t> data,
                      std::span<const std::uint32_t> checksums) {

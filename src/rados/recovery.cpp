@@ -4,7 +4,9 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 
+#include "common/check.hpp"
 #include "common/pipeline_validator.hpp"
 #include "ec/reed_solomon.hpp"
 
@@ -169,24 +171,35 @@ RecoveryPlan RecoveryManager::plan_repairs(
   return out;
 }
 
+struct RecoveryManager::Run {
+  /// A launched move's legs: how many are still out, whether one was lost
+  /// (for a rebuild, also: reached a crashed target), and the shard size a
+  /// rebuild's decode-and-write job charges.
+  struct Gather {
+    std::size_t awaiting = 0;
+    bool lost = false;
+    std::uint64_t rebuilt_bytes = 0;
+  };
+
+  RecoveryPlan plan;
+  ExecuteOptions options;
+  sim::UniqueFn<void()> done;
+  std::vector<Gather> gathers;  // one per move
+  std::size_t next = 0;         // next move to grant
+  std::size_t settled = 0;
+};
+
 void RecoveryManager::execute(RecoveryPlan plan, const ExecuteOptions& options,
-                              std::function<void()> done) {
+                              sim::UniqueFn<void()> done) {
   if (plan.moves.empty()) {
     cluster_.simulator().schedule_after(0, std::move(done));
     return;
   }
-  struct State {
-    RecoveryPlan plan;
-    ExecuteOptions options;
-    std::size_t next = 0;
-    std::size_t completed = 0;
-    std::function<void()> done;
-    std::function<void()> pump;
-  };
-  auto state = std::make_shared<State>();
-  state->plan = std::move(plan);
-  state->options = options;
-  state->done = std::move(done);
+  auto run = std::make_shared<Run>();
+  run->plan = std::move(plan);
+  run->options = options;
+  run->done = std::move(done);
+  run->gathers.resize(run->plan.moves.size());
 
   // Every planned destination is degraded until its copy lands: client
   // reads route around it (Cluster::object_degraded) instead of being
@@ -195,106 +208,144 @@ void RecoveryManager::execute(RecoveryPlan plan, const ExecuteOptions& options,
   // at planning, so a write slipping in before the copy lands could reach
   // only the destination (or mutate a sibling shard mid-stripe) and be
   // clobbered by the push.
-  for (const RecoveryMove& move : state->plan.moves) {
+  for (const RecoveryMove& move : run->plan.moves) {
     cluster_.mark_object_degraded(move.to_osd, move.key);
     cluster_.note_recovery_begin(move.key);
   }
-
-  // Bounded-parallel pump: each settled move starts the next. The pump
-  // lives inside the State it drives, so it holds only a weak
-  // self-reference — owning it would form a shared_ptr cycle and leak the
-  // whole chain. Pending callbacks keep the State alive. Ahead of each
-  // launch sits a token grant: a move waits until the recovery bucket
-  // (filled at max_bps) has its bytes, clipped at pace_cap so an
-  // over-subscribed budget can delay recovery but never park it.
-  state->pump = [this, weak = std::weak_ptr<State>(state)] {
-    auto state = weak.lock();
-    if (!state || state->next >= state->plan.moves.size()) return;
-    const RecoveryMove move = state->plan.moves[state->next++];
-
-    sim::Simulator& sim = cluster_.simulator();
-    const Nanos now = sim.now();
-    Nanos earliest = std::max(now, next_grant_);
-    if (state->options.pace_cap > 0 &&
-        earliest - now > state->options.pace_cap)
-      earliest = now + state->options.pace_cap;
-    if (earliest > now) ++throttle_waits_;
-    next_grant_ =
-        earliest + (state->options.max_bps > 0
-                        ? transfer_time(move.bytes, state->options.max_bps)
-                        : 0);
-    if (validator_ != nullptr) validator_->on_background_scheduled();
-
-    auto settle = [this, state, move](bool landed) {
-      cluster_.note_recovery_end(move.key);
-      if (landed) {
-        if (move.repair) {
-          ++scrub_repairs_;
-        } else {
-          ++recovered_;
-          bytes_ += move.bytes;
-        }
-        cluster_.clear_object_degraded(move.to_osd, move.key);
-      } else {
-        // The copy never landed (an endpoint crashed before launch, or a
-        // crash or frame loss lost the push): the destination stays
-        // degraded until a later round completes the move.
-        ++moves_cancelled_;
-      }
-      if (validator_ != nullptr) validator_->on_background_resolved();
-      if (++state->completed == state->plan.moves.size()) {
-        state->done();
-        return;
-      }
-      state->pump();
-    };
-    // The launch re-arms itself while a client write to this object is in
-    // flight: a copy snapshotted mid-fan-out could persist a version one
-    // member has already superseded. Once launched, the object's write
-    // lock (note_recovery_begin) holds until the move settles.
-    auto launch = [this, move, settle](auto&& self) -> void {
-      sim::Simulator& sim = cluster_.simulator();
-      if (cluster_.client_write_inflight(move.key)) {
-        ++write_blocked_defers_;
-        sim.schedule_after(kWriteDrainRecheck,
-                           [s = self]() mutable { s(s); });
-        return;
-      }
-      // A crash since planning cancels the move (a later re-plan picks
-      // it up); launching anyway would push into a dead OSD and the
-      // copy would never resolve.
-      const bool source_dead =
-          move.reconstruct
-              ? std::any_of(move.sources.begin(), move.sources.end(),
-                            [this](const std::pair<int, ObjectKey>& s) {
-                              return cluster_.osd(s.first).crashed();
-                            })
-              : cluster_.osd(move.from_osd).crashed();
-      if (source_dead || cluster_.osd(move.to_osd).crashed()) {
-        settle(false);
-        return;
-      }
-      auto on_done = [settle = settle](bool landed) mutable {
-        settle(landed);
-      };
-      if (move.reconstruct) {
-        cluster_.reconstruct_shard(
-            move.sources, move.to_osd, move.key,
-            [this, move] { return rebuild_shard(cluster_, move); },
-            std::move(on_done));
-      } else {
-        cluster_.backfill(move.from_osd, move.to_osd, move.key,
-                          std::move(on_done));
-      }
-    };
-    sim.schedule_at(earliest, [launch = std::move(launch)]() mutable {
-      launch(launch);
-    });
-  };
+  // Bounded parallelism: each settled move pumps the next one.
   const std::size_t starters = std::min<std::size_t>(
       options.max_parallel ? options.max_parallel : 1,
-      state->plan.moves.size());
-  for (std::size_t i = 0; i < starters; ++i) state->pump();
+      run->plan.moves.size());
+  for (std::size_t i = 0; i < starters; ++i) pump(run);
+}
+
+void RecoveryManager::pump(const RunPtr& run) {
+  if (run->next >= run->plan.moves.size()) return;
+  const std::size_t i = run->next++;
+  // A token grant sits ahead of each launch: the move waits until the
+  // recovery bucket (filled at max_bps) has its bytes, clipped at pace_cap
+  // so an over-subscribed budget can delay recovery but never park it.
+  sim::Simulator& sim = cluster_.simulator();
+  const Nanos now = sim.now();
+  Nanos earliest = std::max(now, next_grant_);
+  if (run->options.pace_cap > 0 && earliest - now > run->options.pace_cap)
+    earliest = now + run->options.pace_cap;
+  if (earliest > now) ++throttle_waits_;
+  next_grant_ = earliest + (run->options.max_bps > 0
+                                ? transfer_time(run->plan.moves[i].bytes,
+                                                run->options.max_bps)
+                                : 0);
+  if (validator_ != nullptr) validator_->on_background_scheduled();
+  sim.schedule_at(earliest, [this, run, i] { launch(run, i); });
+}
+
+void RecoveryManager::launch(const RunPtr& run, std::size_t i) {
+  const RecoveryMove& move = run->plan.moves[i];
+  // A launch waits while a client write to this object is in flight: a
+  // copy snapshotted mid-fan-out could persist a version one member has
+  // already superseded. Once launched, the object's write lock
+  // (note_recovery_begin) holds until the move settles.
+  if (cluster_.client_write_inflight(move.key)) {
+    ++write_blocked_defers_;
+    cluster_.simulator().schedule_after(kWriteDrainRecheck,
+                                        [this, run, i] { launch(run, i); });
+    return;
+  }
+  // The legs: the one source of a copy, or the k siblings of a rebuild.
+  const std::pair<int, ObjectKey> copy_leg{move.from_osd, move.key};
+  const std::span<const std::pair<int, ObjectKey>> legs =
+      move.reconstruct ? std::span(move.sources) : std::span(&copy_leg, 1);
+  // A crash since planning cancels the move (a later re-plan picks it up);
+  // launching anyway would push into a dead OSD.
+  const bool source_dead =
+      std::any_of(legs.begin(), legs.end(),
+                  [this](const std::pair<int, ObjectKey>& leg) {
+                    return cluster_.osd(leg.first).crashed();
+                  });
+  if (source_dead || cluster_.osd(move.to_osd).crashed()) {
+    settle(run, i, false);
+    return;
+  }
+  DK_CHECK(!legs.empty()) << "a rebuild needs sibling shards";
+  Run::Gather& gather = run->gathers[i];
+  gather.awaiting = legs.size();
+  for (const auto& [holder, key] : legs) {
+    const std::uint64_t bytes = cluster_.osd(holder).store().object_size(key);
+    // A rebuilt shard is as long as its longest sibling (shorter ones
+    // decode zero-filled).
+    gather.rebuilt_bytes = std::max(gather.rebuilt_bytes, bytes);
+    cluster_.push(holder, move.to_osd, key, bytes,
+                  [this, run, i](bool arrived) { arrive(run, i, arrived); });
+  }
+}
+
+void RecoveryManager::arrive(const RunPtr& run, std::size_t i, bool arrived) {
+  const RecoveryMove& move = run->plan.moves[i];
+  Osd& target = cluster_.osd(move.to_osd);
+  Run::Gather& gather = run->gathers[i];
+  // A rebuild whose target crashed as a leg was served is dropped: its
+  // decode would run on a dead process.
+  gather.lost |= !arrived || (move.reconstruct && target.crashed());
+  if (--gather.awaiting != 0) return;
+  if (gather.lost) {
+    settle(run, i, false);
+    return;
+  }
+  // The persist step. A copy writes its source's current bytes, so nothing
+  // that landed on the source while the push queued is rolled back, with
+  // the source's stored CRCs, so a block that rotted there lands failing
+  // verify instead of under a fresh checksum. Like a queued client
+  // sub-write it persists even on a target that crashed meanwhile, but
+  // does not count as landed there.
+  if (!move.reconstruct) {
+    const ObjectStore& source = cluster_.osd(move.from_osd).store();
+    const std::uint64_t size = source.object_size(move.key);
+    target.apply_durable(move.key, 0, source.read(move.key, 0, size),
+                         source.checksums_for(move.key, 0, size));
+    settle(run, i, !target.crashed());
+    return;
+  }
+  // A rebuild's decode and local write first occupy the target's op
+  // threads (contending with client ops); then the shard is decoded from
+  // the siblings' current content and persisted through the WAL.
+  const Nanos decode = transfer_time(
+      gather.rebuilt_bytes * 4 /* ~k GF ops per byte */,
+      target.config().ec_encode_bps);
+  const Nanos write_svc = target.service_time(
+      gather.rebuilt_bytes, /*is_write=*/true, move.key, /*offset=*/0);
+  target.submit_background(decode + write_svc, [this, run, i] {
+    const RecoveryMove& move = run->plan.moves[i];
+    Osd& target = cluster_.osd(move.to_osd);
+    // An empty rebuild (a sibling failed verify, or the decode failed) is
+    // never persisted, and the move did not land.
+    const std::vector<std::uint8_t> shard = rebuild_shard(cluster_, move);
+    if (!shard.empty()) target.apply_durable(move.key, 0, shard, {});
+    settle(run, i, !shard.empty() && !target.crashed());
+  });
+}
+
+void RecoveryManager::settle(const RunPtr& run, std::size_t i, bool landed) {
+  const RecoveryMove& move = run->plan.moves[i];
+  cluster_.note_recovery_end(move.key);
+  if (landed) {
+    if (move.repair) {
+      ++scrub_repairs_;
+    } else {
+      ++recovered_;
+      bytes_ += move.bytes;
+    }
+    cluster_.clear_object_degraded(move.to_osd, move.key);
+  } else {
+    // The move never landed: the destination stays degraded until a later
+    // round completes it.
+    ++moves_cancelled_;
+  }
+  if (validator_ != nullptr) validator_->on_background_resolved();
+  if (++run->settled == run->plan.moves.size()) {
+    run->done();
+    return;
+  }
+  pump(run);
 }
 
 ScrubReport RecoveryManager::scrub(int pool) const {

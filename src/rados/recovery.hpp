@@ -7,16 +7,22 @@
 // scrub pass that verifies replica/shard consistency — the background
 // machinery a Ceph cluster runs continuously.
 //
-// Every copy runs through one executor, execute(): bounded parallelism, an
-// optional token-bucket throttle, the OSDs' background service class, the
-// object write lock (Ceph's recovery_blocked), and a source re-read at
-// apply time. A scrub repair is an ordinary move onto the convicted holder
-// — the whole object from a verified replica, or rebuilt from k verified
-// EC siblings, as Ceph repairs — planned by the same helper as backfill.
+// Every move runs through one executor, execute(), and one data path. A
+// move has legs — its one source for a copy, its k verified siblings for
+// an EC rebuild — and each leg goes out through Cluster::push. After the
+// last leg one persist step re-derives the bytes and writes them with
+// Osd::apply_durable: a copy re-reads its source's current bytes and
+// stored CRCs, a rebuild runs its decode-and-write job and then decodes.
+// Around that path: bounded parallelism, an optional token-bucket
+// throttle, the OSDs' background service class, and the object write lock
+// (Ceph's recovery_blocked). A scrub repair is an ordinary move onto the
+// convicted holder — the whole object from a verified replica, or rebuilt
+// from k verified EC siblings, as Ceph repairs — planned by the same
+// helper as backfill.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <vector>
 
 #include "rados/cluster.hpp"
@@ -94,13 +100,16 @@ class RecoveryManager {
 
   /// Execute a plan; `done` fires when the last move settled. At most
   /// `max_parallel` moves run at once, launches are granted by a token
-  /// bucket at `max_bps`, and every copy rides the OSDs' background service
-  /// class, so it queues with — and yields to — client I/O. Moves whose
-  /// source or target crashed by grant time, or whose push a crash or frame
-  /// loss lost, are cancelled (counted in moves_cancelled()), not retried;
-  /// a later re-plan picks them up.
+  /// bucket at `max_bps`, and every leg rides the OSDs' background service
+  /// class, so it queues with — and yields to — client I/O. A move is
+  /// cancelled (counted in moves_cancelled()), not retried, when a source
+  /// or its target crashed by grant time, when a crash or frame loss lost
+  /// one of its legs, or — a rebuild — when its target had crashed as a
+  /// leg was served; a later re-plan picks it up. A copy whose target
+  /// crashed after its push was served still persists, as a queued client
+  /// sub-write does, but does not count as landed.
   void execute(RecoveryPlan plan, const ExecuteOptions& options,
-               std::function<void()> done);
+               sim::UniqueFn<void()> done);
 
   std::uint64_t throttle_waits() const { return throttle_waits_; }
   std::uint64_t moves_cancelled() const { return moves_cancelled_; }
@@ -128,6 +137,23 @@ class RecoveryManager {
   std::uint64_t scrub_repairs() const { return scrub_repairs_; }
 
  private:
+  /// One execute() call: its plan, progress and per-move leg gathers.
+  struct Run;
+  using RunPtr = std::shared_ptr<Run>;
+
+  /// Grant move run->next its tokens and schedule its launch.
+  void pump(const RunPtr& run);
+  /// Launch move `i`: wait out an in-flight client write on its object,
+  /// cancel it if an endpoint crashed, else send its legs out.
+  void launch(const RunPtr& run, std::size_t i);
+  /// One leg of move `i` was served at the target (or lost on the way);
+  /// after the last one, the persist step re-derives the move's bytes and
+  /// writes them.
+  void arrive(const RunPtr& run, std::size_t i, bool arrived);
+  /// Account move `i` as landed or cancelled, then pump the next one or
+  /// finish the run.
+  void settle(const RunPtr& run, std::size_t i, bool landed);
+
   Cluster& cluster_;
   PipelineValidator* validator_ = nullptr;
   std::uint64_t recovered_ = 0;

@@ -5,4 +5,5 @@
 #include "blk/bad_completion.hpp"
 #include "good.hpp"
 #include "pair.hpp"
+#include "rados/bad_recovery.hpp"
 #include "sim/bad_event.hpp"

@@ -36,6 +36,7 @@
 #include "common/rng.hpp"
 #include "rados/client.hpp"
 #include "rados/cluster.hpp"
+#include "rados/recovery.hpp"
 
 namespace dk::rados {
 namespace {
@@ -438,10 +439,17 @@ TEST_F(BlockstoreClusterFixture, BackfillAndRepairWritesAreJournaled) {
     }
   }
   ASSERT_GE(target, 0);
+  RecoveryMove move;
+  move.key = key;
+  move.from_osd = acting[0];
+  move.to_osd = target;
+  move.bytes = cluster_->osd(acting[0]).store().object_size(key);
+  RecoveryPlan plan;
+  plan.pool = pool_;
+  plan.moves.push_back(move);
+  RecoveryManager rec(*cluster_);
   bool done = false;
-  cluster_->backfill(acting[0], target, key, [&](bool landed) {
-    done = landed;
-  });
+  rec.execute(plan, {}, [&] { done = rec.objects_recovered() == 1; });
   sim_.run();
   ASSERT_TRUE(done);
 

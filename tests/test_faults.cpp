@@ -633,17 +633,32 @@ TEST(ChaosSweep, AllArmsCombinedKeepEveryAcknowledgedByte) {
 // --- Bit-exact replay -------------------------------------------------------
 
 TEST(ChaosDeterminism, SameSeedAndPlanReplaysBitExactly) {
-  const ChaosOutcome a = chaos_run(FaultKind::frame_loss, base_seed() + 3);
-  const ChaosOutcome b = chaos_run(FaultKind::frame_loss, base_seed() + 3);
-  EXPECT_EQ(a.submitted, b.submitted);
-  EXPECT_EQ(a.completed_ok, b.completed_ok);
-  EXPECT_EQ(a.errored, b.errored);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.timeouts, b.timeouts);
-  EXPECT_EQ(a.degraded_reads, b.degraded_reads);
-  EXPECT_EQ(a.faults.frames_dropped, b.faults.frames_dropped);
-  EXPECT_EQ(a.faults.frames_delayed, b.faults.frames_delayed);
-  EXPECT_EQ(a.faults.total(), b.faults.total());
+  // Two inputs: frame loss, and the background storm at an odd seed (an EC
+  // pool), whose crash and mark-out drive paced rebuilds under scrub.
+  const std::uint64_t storm_seed = base_seed() | 1;
+  auto run = [&](bool storm) {
+    return storm ? chaos_run_with(background_chaos_config(storm_seed),
+                                  storm_seed)
+                 : chaos_run(FaultKind::frame_loss, base_seed() + 3);
+  };
+  for (const bool storm : {false, true}) {
+    SCOPED_TRACE(storm ? "background storm" : "frame loss");
+    const ChaosOutcome a = run(storm);
+    const ChaosOutcome b = run(storm);
+    EXPECT_EQ(a.submitted, b.submitted);
+    EXPECT_EQ(a.completed_ok, b.completed_ok);
+    EXPECT_EQ(a.errored, b.errored);
+    EXPECT_EQ(a.retries, b.retries);
+    EXPECT_EQ(a.timeouts, b.timeouts);
+    EXPECT_EQ(a.degraded_reads, b.degraded_reads);
+    EXPECT_EQ(a.faults.frames_dropped, b.faults.frames_dropped);
+    EXPECT_EQ(a.faults.frames_delayed, b.faults.frames_delayed);
+    EXPECT_EQ(a.faults.total(), b.faults.total());
+    EXPECT_EQ(a.backfill_bytes, b.backfill_bytes);
+    EXPECT_EQ(a.scrub_repairs, b.scrub_repairs);
+    EXPECT_EQ(a.throttle_waits, b.throttle_waits);
+    EXPECT_EQ(a.ttfr, b.ttfr);
+  }
 }
 
 // --- EC degraded-read property ----------------------------------------------
@@ -712,6 +727,20 @@ TEST_P(EcDegradedReads, EverySubsetUpToMShardsDownDecodes) {
   sim.run();
   ASSERT_TRUE(fb.ok()) << fb.status().to_string();
   EXPECT_EQ(*fb, data);
+  cluster.set_osd_down(acting[0], false);
+
+  // So does a crashed (not yet marked out) data-shard holder, which would
+  // never answer the primary's gather.
+  for (unsigned s = 1; s < k; ++s) {
+    cluster.crash_osd(acting[s]);
+    Result<std::vector<std::uint8_t>> r = Status::Error(Errc::timed_out);
+    client.read(pool, oid, 0, data.size(), rados::ReadStrategy::primary,
+                [&](Result<std::vector<std::uint8_t>> x) { r = std::move(x); });
+    sim.run();
+    ASSERT_TRUE(r.ok()) << "shard " << s << ": " << r.status().to_string();
+    EXPECT_EQ(*r, data) << "shard " << s;
+    cluster.restart_osd(acting[s]);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(BenchProfiles, EcDegradedReads,

@@ -187,6 +187,44 @@ TEST_F(RecoveryFixture, MoveLostToMidFlightCrashSettlesCancelled) {
         << "oid " << move.key.oid << " kept its recovery write lock";
 }
 
+TEST_F(RecoveryFixture, RebuildLegLostToSiblingCrashSettlesCancelled) {
+  // The rebuild half of the gather: an EC rebuild whose sibling holder
+  // crashes after launch, before its push leaves, loses that leg. The move
+  // must settle as cancelled without persisting a shard, and release the
+  // object's recovery write lock and its background accounting.
+  cluster_->set_osd_out(7, true);
+  cluster_->set_osd_down(7, true);
+  PipelineValidator validator;
+  RecoveryManager rec(*cluster_);
+  rec.set_validator(&validator);
+  const RecoveryPlan plan = rec.plan(ec_pool_);
+  const auto rebuild =
+      std::find_if(plan.moves.begin(), plan.moves.end(),
+                   [](const RecoveryMove& m) { return m.reconstruct; });
+  ASSERT_NE(rebuild, plan.moves.end());
+  RecoveryPlan one;
+  one.pool = ec_pool_;
+  one.moves.push_back(*rebuild);
+  const RecoveryMove& move = one.moves.front();
+  ASSERT_FALSE(cluster_->osd(move.to_osd).store().exists(move.key));
+
+  bool finished = false;
+  rec.execute(one, {}, [&] { finished = true; });
+  sim_.run_until(sim_.now() + us(5));  // launched; no sibling read served
+  ASSERT_FALSE(finished);
+  cluster_->crash_osd(move.sources.back().first);
+  sim_.run();
+
+  ASSERT_TRUE(finished);
+  EXPECT_EQ(rec.moves_cancelled(), 1u);
+  EXPECT_EQ(rec.objects_recovered(), 0u);
+  EXPECT_FALSE(cluster_->osd(move.to_osd).store().exists(move.key))
+      << "a rebuild that lost a leg persisted a shard";
+  EXPECT_FALSE(cluster_->object_recovering(move.key.pool, move.key.oid))
+      << "the object kept its recovery write lock";
+  EXPECT_EQ(validator.verify_quiescent(), 0u);
+}
+
 // --- Integrity mode: checksum scrub, repair, read-repair --------------------
 
 class IntegrityFixture : public ::testing::Test {
@@ -389,11 +427,12 @@ TEST_F(IntegrityFixture, EcPrimaryReadFallsBackOnCorruptPrimaryShard) {
 }
 
 TEST_F(IntegrityFixture, BackfillFromSourceCorruptedAfterPlanningStaysDetectable) {
-  // A push re-samples its source at apply time. A source block that rots
-  // after the copy was granted must land failing verify on the destination
-  // too, because its stored CRC travels with the bytes; a fresh CRC would
-  // hide it from every later scrub. One object of whole blocks, and one
-  // whose corrupt block is its partial tail.
+  // A copy persists its source's bytes as they are when its push has been
+  // served. A source block that rots after the copy was granted must land
+  // failing verify on the destination too, because its stored CRC travels
+  // with the bytes; a fresh CRC would hide it from every later scrub. One
+  // object of whole blocks, and one whose corrupt block is its partial
+  // tail.
   const std::uint64_t partial_oid = 20;
   client_->write(pool_, partial_oid, 0, pattern(6000, partial_oid),
                  WriteStrategy::primary_copy, [](Status) {});
@@ -407,8 +446,17 @@ TEST_F(IntegrityFixture, BackfillFromSourceCorruptedAfterPlanningStaysDetectable
     int dest = 0;
     while (std::find(acting.begin(), acting.end(), dest) != acting.end())
       ++dest;
+    RecoveryMove move;
+    move.key = key;
+    move.from_osd = acting[0];
+    move.to_osd = dest;
+    move.bytes = cluster_->osd(acting[0]).store().object_size(key);
+    RecoveryPlan plan;
+    plan.pool = pool_;
+    plan.moves.push_back(move);
+    RecoveryManager rec(*cluster_);
     bool landed = false;
-    cluster_->backfill(acting[0], dest, key, [&](bool ok) { landed = ok; });
+    rec.execute(plan, {}, [&] { landed = rec.objects_recovered() == 1; });
     cluster_->osd(acting[0]).store().raw_bytes(key)[flip_at] ^= 0x40;
     sim_.run();
 

@@ -18,10 +18,11 @@ Checks that clang-tidy cannot express:
                         signatures: attach_metrics(MetricsRegistry&, ...)
                         and attach_validator(PipelineValidator&, ...), so
                         every layer wires up the same way.
-  6. no-std-function-event: no `std::function` in src/sim/ or on the
+  6. no-std-function-event: no `std::function` in src/sim/, on the
                         per-I/O path (src/blk/, src/uring/, src/host/,
-                        src/net/, src/fpga/qdma.*, src/core/framework.*,
-                        src/rados/client.*) — events and completions must be
+                        src/net/, src/fpga/qdma.*, src/core/framework.*) or
+                        anywhere in src/rados/ (client, OSD, cluster and
+                        the recovery path) — events and completions must be
                         dk::sim::UniqueFn (EventFn is its void() case;
                         zero-alloc, move-only; see docs/PERFORMANCE.md).
                         std::function's 16-byte inline buffer heap-allocates
@@ -65,7 +66,7 @@ ATTACH_DECL = re.compile(r"\battach_(metrics|validator)\s*\(([^)]*)")
 STD_FUNCTION = re.compile(r"\bstd\s*::\s*function\s*<")
 # Paths under src/ whose callbacks must be UniqueFn (rule 6).
 UNIQUE_FN_PATHS = ("sim/", "blk/", "uring/", "host/", "net/", "fpga/qdma.",
-                   "core/framework.", "rados/client.")
+                   "core/framework.", "rados/")
 # Directories whose includes make a src/ header reached (rule 7); tests/ is
 # left out on purpose.
 REACHING_DIRS = ("src", "bench", "examples", "perfbench")
@@ -215,8 +216,8 @@ class Linter:
         for lineno, line in enumerate(code.splitlines(), 1):
             if STD_FUNCTION.search(line):
                 self.report(path, lineno, "no-std-function-event",
-                            "std::function in src/sim/ or on the per-I/O "
-                            "path: callbacks must be dk::sim::UniqueFn "
+                            "std::function in src/sim/, src/rados/ or on the "
+                            "per-I/O path: callbacks must be dk::sim::UniqueFn "
                             "(event_pool.hpp) to stay zero-alloc")
 
     def check_reached_headers(self) -> None:
