@@ -66,14 +66,13 @@ int main() {
 
   std::cout << "\nRM recommendation guidance (§IV.C):\n";
   std::cout << "  homogeneous devices        -> "
-            << fpga::kernel_name(fpga::DfxManager::recommend_rm(true, false, 32))
+            << fpga::kernel_name(fpga::DfxManager::recommend_rm(true, false))
             << "\n";
   std::cout << "  frequently growing cluster -> "
-            << fpga::kernel_name(fpga::DfxManager::recommend_rm(false, true, 32))
+            << fpga::kernel_name(fpga::DfxManager::recommend_rm(false, true))
             << "\n";
   std::cout << "  large/nested cluster       -> "
-            << fpga::kernel_name(
-                   fpga::DfxManager::recommend_rm(false, false, 500))
+            << fpga::kernel_name(fpga::DfxManager::recommend_rm(false, false))
             << "\n";
   return 0;
 }

@@ -20,7 +20,7 @@ int main() {
     sim::Simulator sim;
     rados::Cluster cluster(sim);
     rados::RadosClient client(cluster);
-    const int pool = cluster.create_replicated_pool("rbd", 2);
+    const int pool = cluster.create_replicated_pool(2);
     // 200 x 512 kB objects.
     for (std::uint64_t oid = 0; oid < 200; ++oid) {
       client.write(pool, oid, 0, std::vector<std::uint8_t>(512 * 1024, 0x5a),

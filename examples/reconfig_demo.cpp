@@ -40,7 +40,7 @@ int main() {
                "Uniform Bucket RM.\n";
   std::cout << "  recommended RM: "
             << fpga::kernel_name(fpga::DfxManager::recommend_rm(
-                   /*uniform=*/true, /*growing=*/false, 32))
+                   /*uniform=*/true, /*growing=*/false))
             << "\n";
   status(dfx);
 
@@ -63,8 +63,7 @@ int main() {
   std::cout << "\nScenario change: new disks arrive weekly -> cluster is "
                "grow-mostly; swap to the List Bucket RM.\n";
   std::cout << "  recommended RM: "
-            << fpga::kernel_name(
-                   fpga::DfxManager::recommend_rm(false, true, 48))
+            << fpga::kernel_name(fpga::DfxManager::recommend_rm(false, true))
             << "\n";
   (void)dfx.load_rm(fpga::KernelKind::list, [] {});
   // I/O issued during the swap falls back to host CRUSH transparently.

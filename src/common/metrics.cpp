@@ -69,14 +69,10 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return *it->second;
 }
 
-HistogramMetric& MetricsRegistry::histogram(const std::string& name,
-                                            unsigned sub_buckets_per_octave) {
+HistogramMetric& MetricsRegistry::histogram(const std::string& name) {
   auto it = histograms_.find(name);
   if (it == histograms_.end())
-    it = histograms_
-             .emplace(name,
-                      std::make_unique<HistogramMetric>(sub_buckets_per_octave))
-             .first;
+    it = histograms_.emplace(name, std::make_unique<HistogramMetric>()).first;
   return *it->second;
 }
 

@@ -49,12 +49,9 @@ class Gauge {
   std::int64_t v_ = 0;
 };
 
-/// A registered LatencyHistogram.
+/// A registered LatencyHistogram (32 sub-buckets per octave).
 class HistogramMetric {
  public:
-  explicit HistogramMetric(unsigned sub_buckets_per_octave = 32)
-      : hist_(sub_buckets_per_octave) {}
-
   void record(Nanos value) { hist_.record(value); }
   void record_n(Nanos value, std::uint64_t n) { hist_.record_n(value, n); }
   void merge(const LatencyHistogram& other) { hist_.merge(other); }
@@ -78,8 +75,7 @@ class MetricsRegistry {
   /// update it without a lookup afterwards.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  HistogramMetric& histogram(const std::string& name,
-                             unsigned sub_buckets_per_octave = 32);
+  HistogramMetric& histogram(const std::string& name);
 
   /// Lookup without creating; nullptr when absent.
   const Counter* find_counter(const std::string& name) const;

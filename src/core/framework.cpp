@@ -44,15 +44,20 @@ class Framework::PipelineDriver final : public blk::Driver {
 
 // ---------------------------------------------------------------------------
 
+namespace {
+// Seed of every Framework's cluster (the OSDs' service-time jitter).
+constexpr std::uint64_t kClusterSeed = 42;
+}  // namespace
+
 Framework::Framework(sim::Simulator& sim, FrameworkConfig config)
     : sim_(sim), config_(config), traits_(variant_traits(config.variant)) {
-  config_.cluster.seed = config_.seed;
-  config_.cluster.integrity = config_.integrity;
-  config_.cluster.blockstore = config_.blockstore;
   // The placement algorithm selects the host buckets (the OSD level is what
   // the bucket kernels accelerate and what ablations vary).
-  config_.cluster.crush.host_alg = config_.placement_alg;
-  cluster_ = std::make_unique<rados::Cluster>(sim_, config_.cluster);
+  cluster_ = std::make_unique<rados::Cluster>(
+      sim_, rados::ClusterConfig{.crush = {.host_alg = config_.placement_alg},
+                                 .seed = kClusterSeed,
+                                 .integrity = config_.integrity,
+                                 .blockstore = config_.blockstore});
   client_ = std::make_unique<rados::RadosClient>(*cluster_);
   if (config_.integrity) {
     client_->set_integrity(true);
@@ -62,12 +67,11 @@ Framework::Framework(sim::Simulator& sim, FrameworkConfig config)
   cluster_->set_validator(&validator_);
 
   pool_ = config_.pool_mode == PoolMode::replicated
-              ? cluster_->create_replicated_pool("rbd", config_.replica_size)
-              : cluster_->create_ec_pool("rbd-ec", config_.ec_profile);
+              ? cluster_->create_replicated_pool(config_.replica_size)
+              : cluster_->create_ec_pool(config_.ec_profile);
 
   image_ = std::make_unique<host::RbdDevice>(
-      *client_, host::RbdImageSpec{.name = "bench",
-                                   .size_bytes = config_.image_size,
+      *client_, host::RbdImageSpec{.size_bytes = config_.image_size,
                                    .object_size = config_.object_size,
                                    .pool = pool_});
 
@@ -208,68 +212,63 @@ rados::ReadStrategy Framework::read_strategy() const {
 Nanos Framework::sw_crush_time() const {
   const Nanos profiled =
       fpga::kernel_spec(kernel_for_alg(config_.placement_alg)).sw_exec_time;
-  return static_cast<Nanos>(static_cast<double>(profiled) *
-                            config_.calib.sw_crush_scale);
+  return static_cast<Nanos>(static_cast<double>(profiled) * kSwCrushScale);
 }
 
 Nanos Framework::host_submit_cost(bool is_write, std::uint64_t bytes) const {
-  const Calibration& c = config_.calib;
   Nanos t = 0;
   switch (config_.variant) {
-    case VariantKind::deliba1: t += c.residual_d1; break;
-    case VariantKind::deliba2: t += c.residual_d2; break;
-    case VariantKind::delibak: t += c.residual_d3; break;
-    default: t += c.residual_sw; break;
+    case VariantKind::deliba1: t += kResidualD1; break;
+    case VariantKind::deliba2: t += kResidualD2; break;
+    case VariantKind::delibak: t += kResidualD3; break;
+    default: t += kResidualSw; break;
   }
 
   if (traits_.uses_uring) {
-    t += c.uring_submit;
-    if (config_.ring_mode != uring::RingMode::kernel_polled) t += c.syscall;
+    t += kUringSubmit;
+    if (config_.ring_mode != uring::RingMode::kernel_polled) t += kSyscall;
   } else {
     // read()/write() through the NBD device + user-space librbd daemon.
-    t += c.syscall + c.nbd_loop + c.librbd;
+    t += kSyscall + kNbdLoop + kLibrbd;
   }
-  t += traits_.context_switches * c.context_switch;
-  t += traits_.memory_copies * transfer_time(bytes, c.copy_bps);
+  t += traits_.context_switches * kContextSwitch;
+  t += traits_.memory_copies * transfer_time(bytes, kCopyBps);
 
-  t += c.blk_layer;
+  t += kBlkLayer;
   if (!config_.dmq_bypass_override.value_or(traits_.dmq_bypass))
-    t += c.mq_scheduler;
-  if (traits_.uses_uring) t += c.uifd;
+    t += kMqScheduler;
+  if (traits_.uses_uring) t += kUifd;
 
   if (!traits_.fpga_tcp) {
-    t += c.host_tcp_per_msg;
-    if (is_write) t += transfer_time(bytes, c.host_tcp_bps);
+    t += kHostTcpPerMsg;
+    if (is_write) t += transfer_time(bytes, kHostTcpBps);
   }
   if (!traits_.fpga_crush) t += sw_crush_time();
   return t;
 }
 
 Nanos Framework::host_complete_cost(bool is_write, std::uint64_t bytes) const {
-  const Calibration& c = config_.calib;
   Nanos t = 0;
   if (traits_.uses_uring) {
-    t += c.uring_complete;
-    if (config_.ring_mode == uring::RingMode::interrupt)
-      t += c.irq_completion;
+    t += kUringComplete;
+    if (config_.ring_mode == uring::RingMode::interrupt) t += kIrqCompletion;
   } else {
-    t += us(1) + c.irq_completion;  // socket wakeup into the NBD daemon
+    t += us(1) + kIrqCompletion;  // socket wakeup into the NBD daemon
   }
   if (!traits_.fpga_tcp && !is_write) {
-    t += c.host_tcp_per_msg + transfer_time(bytes, c.host_tcp_bps);
+    t += kHostTcpPerMsg + transfer_time(bytes, kHostTcpBps);
   }
   return t;
 }
 
 Nanos Framework::host_occupancy_extra(std::uint64_t bytes) const {
-  const Calibration& c = config_.calib;
   switch (config_.variant) {
-    case VariantKind::deliba1: return c.occupancy_extra_d1;
-    case VariantKind::deliba2: return c.occupancy_extra_d2;
+    case VariantKind::deliba1: return kOccupancyExtraD1;
+    case VariantKind::deliba2: return kOccupancyExtraD2;
     case VariantKind::delibak:
-      return c.occupancy_extra_d3 + transfer_time(bytes, c.occupancy_bps_d3);
-    case VariantKind::sw_delibak: return c.occupancy_extra_d3;
-    case VariantKind::sw_ceph_d2: return c.occupancy_extra_sw;
+      return kOccupancyExtraD3 + transfer_time(bytes, kOccupancyBpsD3);
+    case VariantKind::sw_delibak: return kOccupancyExtraD3;
+    case VariantKind::sw_ceph_d2: return kOccupancyExtraSw;
   }
   return 0;
 }

@@ -53,12 +53,8 @@ struct FrameworkConfig {
 
   crush::BucketAlg placement_alg = crush::BucketAlg::straw2;
 
-  rados::ClusterConfig cluster;
   std::uint64_t image_size = 256 * MiB;
   std::uint64_t object_size = 4 * MiB;
-
-  Calibration calib;
-  std::uint64_t seed = 42;
 
   /// Deterministic fault schedule (frame loss/delay, OSD crash/restart,
   /// QDMA descriptor errors). Default-empty == disabled: no injector is

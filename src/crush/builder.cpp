@@ -7,19 +7,19 @@ ClusterLayout build_cluster(const ClusterSpec& spec) {
   CrushMap& map = out.map;
 
   out.root = map.add_bucket(kTypeRoot, spec.root_alg);
-  const Weight osd_w = weight_from_double(spec.osd_weight);
+  const Weight osd_w = weight_from_double(kOsdWeight);
 
   ItemId next_dev = 0;
   for (unsigned h = 0; h < spec.hosts; ++h) {
     const ItemId host = map.add_bucket(kTypeHost, spec.host_alg);
     out.hosts.push_back(host);
-    for (unsigned d = 0; d < spec.osds_per_host; ++d) {
+    for (unsigned d = 0; d < kOsdsPerHost; ++d) {
       const ItemId dev = next_dev++;
       out.osds.push_back(dev);
       (void)map.link(host, dev, osd_w);
     }
     (void)map.link(out.root, host,
-                   static_cast<Weight>(osd_w * spec.osds_per_host));
+                   static_cast<Weight>(osd_w * kOsdsPerHost));
   }
 
   // Replicated pools place one replica per host (failure-domain = host).

@@ -1,5 +1,5 @@
 // Convenience builders for the cluster topologies used in the paper's
-// evaluation: a root bucket over `hosts` host buckets with `osds_per_host`
+// evaluation: a root bucket over `hosts` host buckets with kOsdsPerHost
 // devices each (the industrial testbed is 2 hosts x 16 OSDs = 32 OSDs).
 #pragma once
 
@@ -18,12 +18,15 @@ struct ClusterLayout {
   int ec_rule = -1;                // choose across devices (small clusters)
 };
 
+/// Devices per host bucket, each of CRUSH weight kOsdWeight (the testbed's
+/// identical drives).
+constexpr unsigned kOsdsPerHost = 16;
+constexpr double kOsdWeight = 1.0;
+
 struct ClusterSpec {
   unsigned hosts = 2;
-  unsigned osds_per_host = 16;
   BucketAlg host_alg = BucketAlg::straw2;
   BucketAlg root_alg = BucketAlg::straw2;
-  double osd_weight = 1.0;
 };
 
 /// Build the hierarchy root -> hosts -> OSDs with both placement rules.

@@ -2,22 +2,20 @@
 //
 // DeLiBA-K re-implements six kernels in Verilog (paper Table I): the five
 // CRUSH bucket-selection kernels (Straw, Straw2, List, Tree, Uniform) and a
-// Reed-Solomon erasure-coding encoder. Each kernel here is a *functional*
-// engine (it really computes CRUSH selections / RS parity, reusing dk_crush
-// and dk_ec) paired with a *cycle* model at the published 235 MHz fabric
-// clock. Per-kernel cycle counts, software profile times, HW end-to-end
-// times, SLOC counts (Table I) and resource footprints (Table III) are
-// carried as specs so the benchmarks can regenerate both tables.
+// Reed-Solomon erasure-coding encoder. Each kernel here is a *cycle* model
+// at the published 235 MHz fabric clock: it charges time, while placement
+// and parity come from the same dk_crush and dk_ec code the client runs,
+// since the offload is bit-exact by design. Per-kernel cycle counts,
+// software profile times, HW end-to-end times, SLOC counts (Table I) and
+// resource footprints (Table III) are carried as specs so the benchmarks
+// can regenerate both tables.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <string_view>
 
 #include "common/units.hpp"
-#include "crush/bucket.hpp"
-#include "ec/reed_solomon.hpp"
 #include "fpga/u280.hpp"
 
 namespace dk::fpga {
@@ -39,6 +37,8 @@ constexpr std::array<KernelKind, 6> kAllKernels = {
 std::string_view kernel_name(KernelKind kind);
 
 /// Everything Table I / Table III report per kernel.
+// conventions: allow(set-config-field) — a positional table of the paper's
+// Table I/III values, one row per kernel
 struct KernelSpec {
   KernelKind kind;
   // Table I columns.
@@ -65,7 +65,7 @@ constexpr Nanos cycles_to_time(std::uint64_t cycles) {
                             kSecond);
 }
 
-/// One instantiated accelerator engine: functional compute + cycle charge.
+/// One instantiated accelerator engine: its cycle charge and op count.
 class AccelKernel {
  public:
   explicit AccelKernel(KernelKind kind) : spec_(&kernel_spec(kind)) {}
@@ -84,19 +84,6 @@ class AccelKernel {
 
   Nanos op_latency(std::uint64_t work = 1) const {
     return cycles_to_time(op_cycles(work));
-  }
-
-  /// Functional CRUSH selection on the accelerator (bucket kernels only):
-  /// identical math to the host library — the offload must be bit-exact.
-  crush::ItemId choose(const crush::Bucket& bucket, std::uint32_t x,
-                       std::uint32_t r) const {
-    return bucket.choose(x, r);
-  }
-
-  /// Functional RS parity generation (rs_encoder only).
-  Result<std::vector<ec::Chunk>> encode(const ec::ReedSolomon& rs,
-                                        const std::vector<ec::Chunk>& data) const {
-    return rs.encode(data);
   }
 
   /// Cycle cost of RS-encoding `bytes` through the 256-bit (32 B/beat)

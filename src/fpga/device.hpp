@@ -18,21 +18,9 @@
 
 namespace dk::fpga {
 
-struct DeviceConfig {
-  QdmaConfig qdma;
-  DfxConfig dfx;
-  TcpIpConfig tcpip;
-  PowerModel power;
-};
-
 class FpgaDevice {
  public:
-  explicit FpgaDevice(sim::Simulator& sim, DeviceConfig config = {})
-      : sim_(sim),
-        qdma_(sim, config.qdma),
-        dfx_(sim, config.dfx),
-        tcpip_(config.tcpip),
-        power_(config.power) {
+  explicit FpgaDevice(sim::Simulator& sim) : sim_(sim), qdma_(sim), dfx_(sim) {
     for (std::size_t i = 0; i < kAllKernels.size(); ++i)
       kernels_[i] = std::make_unique<AccelKernel>(kAllKernels[i]);
   }

@@ -2,9 +2,6 @@
 
 namespace dk::fpga {
 
-DfxManager::DfxManager(sim::Simulator& sim, DfxConfig config)
-    : sim_(sim), config_(config) {}
-
 bool DfxManager::kernel_available(KernelKind kind) const {
   const KernelSpec& spec = kernel_spec(kind);
   if (!spec.reconfigurable) return true;  // static region
@@ -12,9 +9,8 @@ bool DfxManager::kernel_available(KernelKind kind) const {
 }
 
 Nanos DfxManager::reconfig_time() const {
-  return config_.decouple_latency +
-         transfer_time(config_.partial_bitstream_bytes,
-                       config_.mcap_bytes_per_sec);
+  return kDecoupleLatency +
+         transfer_time(kPartialBitstreamBytes, kMcapBytesPerSec);
 }
 
 Status DfxManager::load_rm(KernelKind kind, sim::EventFn done) {
@@ -65,12 +61,10 @@ std::vector<VerifyEntry> DfxManager::pr_verify() const {
 }
 
 KernelKind DfxManager::recommend_rm(bool uniform_devices,
-                                    bool frequently_growing,
-                                    std::size_t device_count) {
+                                    bool frequently_growing) {
   if (uniform_devices) return KernelKind::uniform;
   if (frequently_growing) return KernelKind::list;
-  (void)device_count;  // tree handles large/nested hierarchies best
-  return KernelKind::tree;
+  return KernelKind::tree;  // large/nested hierarchies
 }
 
 }  // namespace dk::fpga

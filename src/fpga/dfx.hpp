@@ -28,14 +28,12 @@ namespace dk::fpga {
 
 enum class RpState : std::uint8_t { vacant, loading, active };
 
-struct DfxConfig {
-  // MCAP over PCIe sustains ~400 MB/s (XAPP1338 fast-PR flow).
-  double mcap_bytes_per_sec = 400e6;
-  // Partial bitstream covering the SLR0 RP.
-  std::uint64_t partial_bitstream_bytes = 25 * MiB;
-  // Decoupling + reset sequencing around the swap.
-  Nanos decouple_latency = us(50);
-};
+/// MCAP over PCIe sustains ~400 MB/s (XAPP1338 fast-PR flow).
+constexpr double kMcapBytesPerSec = 400e6;
+/// Partial bitstream covering the SLR0 RP.
+constexpr std::uint64_t kPartialBitstreamBytes = 25 * MiB;
+/// Decoupling + reset sequencing around the swap.
+constexpr Nanos kDecoupleLatency = us(50);
 
 struct DfxStats {
   std::uint64_t reconfigurations = 0;
@@ -52,7 +50,7 @@ struct VerifyEntry {
 
 class DfxManager {
  public:
-  explicit DfxManager(sim::Simulator& sim, DfxConfig config = {});
+  explicit DfxManager(sim::Simulator& sim) : sim_(sim) {}
 
   const DfxStats& stats() const { return stats_; }
   RpState state() const { return state_; }
@@ -74,15 +72,13 @@ class DfxManager {
   std::vector<VerifyEntry> pr_verify() const;
 
   /// The paper's deployment guidance: pick the RM matching cluster shape.
-  static KernelKind recommend_rm(bool uniform_devices, bool frequently_growing,
-                                 std::size_t device_count);
+  static KernelKind recommend_rm(bool uniform_devices, bool frequently_growing);
 
   /// Resource capacity of the RP (all of SLR0 is reserved for it).
   static constexpr Resources rp_capacity() { return U280::slr(0); }
 
  private:
   sim::Simulator& sim_;
-  DfxConfig config_;
   DfxStats stats_;
   RpState state_ = RpState::vacant;
   std::optional<KernelKind> active_;

@@ -12,29 +12,22 @@
 #pragma once
 
 #include <initializer_list>
-#include <vector>
 
 #include "fpga/accel.hpp"
 
 namespace dk::fpga {
 
-struct PowerModel {
-  // Calibrated against the two published measurements (see above).
-  double base_watts = 101.6;          // shell + HBM + CMAC + QDMA + PCIe
-  double watts_per_lut = 2.2e-4;      // full-load dynamic + static per LUT
+// Calibrated against the two published measurements (see above).
+constexpr double kBaseWatts = 101.6;     // shell + HBM + CMAC + QDMA + PCIe
+constexpr double kWattsPerLut = 2.2e-4;  // full-load dynamic + static per LUT
 
+struct PowerModel {
   /// Power with the given set of kernels resident.
   double watts(std::initializer_list<KernelKind> resident) const {
-    double total = base_watts;
+    double total = kBaseWatts;
     for (KernelKind k : resident)
-      total += watts_per_lut * static_cast<double>(kernel_spec(k).footprint.luts);
-    return total;
-  }
-
-  double watts(const std::vector<KernelKind>& resident) const {
-    double total = base_watts;
-    for (KernelKind k : resident)
-      total += watts_per_lut * static_cast<double>(kernel_spec(k).footprint.luts);
+      total +=
+          kWattsPerLut * static_cast<double>(kernel_spec(k).footprint.luts);
     return total;
   }
 

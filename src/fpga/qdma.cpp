@@ -8,9 +8,9 @@ namespace dk::fpga {
 QdmaEngine::QdmaEngine(sim::Simulator& sim, QdmaConfig config)
     : sim_(sim),
       config_(config),
-      pcie_(sim, config.pcie_bytes_per_sec, /*latency=*/0, "pcie"),
-      h2c_engine_(sim, config.h2c_max_concurrent, "h2c"),
-      c2h_engine_(sim, config.h2c_max_concurrent, "c2h") {}
+      pcie_(sim, kPcieBytesPerSec, /*latency=*/0, "pcie"),
+      h2c_engine_(sim, kH2cMaxConcurrent, "h2c"),
+      c2h_engine_(sim, kH2cMaxConcurrent, "c2h") {}
 
 Result<unsigned> QdmaEngine::alloc_queue_set(QueueClass cls, unsigned vf) {
   if (active_sets_ >= config_.max_queue_sets)
@@ -49,9 +49,9 @@ std::vector<unsigned> QdmaEngine::queue_sets_of_vf(unsigned vf) const {
 }
 
 Nanos QdmaEngine::idle_latency(std::uint64_t bytes) const {
-  return config_.doorbell_latency +
-         transfer_time(bytes + kDescriptorBytes, config_.pcie_bytes_per_sec) +
-         config_.completion_latency;
+  return kDoorbellLatency +
+         transfer_time(bytes + kDescriptorBytes, kPcieBytesPerSec) +
+         kCompletionLatency;
 }
 
 void QdmaEngine::attach_metrics(MetricsRegistry& registry,
@@ -140,7 +140,7 @@ Status QdmaEngine::dma(unsigned id, std::uint64_t bytes, bool h2c_dir,
 
   // Doorbell + descriptor fetch (RQ + DE), then PCIe serialization of the
   // descriptor + payload, then the H2C/C2H engine slot, then CE writeback.
-  sim_.schedule_after(config_.doorbell_latency, [this, op] {
+  sim_.schedule_after(kDoorbellLatency, [this, op] {
     const InFlight& f = ops_[op];
     ++stats_.descriptors_fetched;
     if (validator_) validator_->on_descriptor_fetched(f.seq);
@@ -148,7 +148,7 @@ Status QdmaEngine::dma(unsigned id, std::uint64_t bytes, bool h2c_dir,
       // DE abort: the payload never crosses PCIe; the CE writes back an
       // error status after its usual writeback latency. The descriptor
       // still retires cleanly so quiescence accounting holds.
-      sim_.schedule_after(config_.completion_latency, [this, op] {
+      sim_.schedule_after(kCompletionLatency, [this, op] {
         const InFlight& f = ops_[op];
         complete_descriptor(f.id, f.h2c_dir, f.seq);
         finish(op, Status::Error(Errc::io_error,
@@ -158,7 +158,7 @@ Status QdmaEngine::dma(unsigned id, std::uint64_t bytes, bool h2c_dir,
     }
     pcie_.transfer(f.bytes + kDescriptorBytes, [this, op] {
       auto& engine = ops_[op].h2c_dir ? h2c_engine_ : c2h_engine_;
-      engine.submit(config_.completion_latency, [this, op] {
+      engine.submit(kCompletionLatency, [this, op] {
         const InFlight& f = ops_[op];
         complete_descriptor(f.id, f.h2c_dir, f.seq);
         // Completion error: the DMA ran full-length but the CE flags it bad

@@ -61,13 +61,14 @@ constexpr std::uint64_t kDescriptorRamBytes = 64 * 1024;
 constexpr std::uint64_t kMaxOutstandingDescriptors =
     kDescriptorRamBytes / kDescriptorBytes;  // 512
 
+constexpr unsigned kH2cMaxConcurrent = 256;  // concurrent in-flight I/Os
+constexpr double kPcieBytesPerSec = 12.0e9;  // PCIe Gen3 x16 effective payload
+constexpr Nanos kDoorbellLatency = us(0.8);  // MMIO doorbell + RQ/DE fetch
+constexpr Nanos kCompletionLatency = us(0.6);  // CE writeback + status update
+
 struct QdmaConfig {
   unsigned max_queue_sets = 2048;
   unsigned ring_entries = 64;            // per descriptor ring
-  unsigned h2c_max_concurrent = 256;     // concurrent in-flight I/Os
-  double pcie_bytes_per_sec = 12.0e9;    // PCIe Gen3 x16 effective payload
-  Nanos doorbell_latency = us(0.8);      // MMIO doorbell + RQ/DE fetch
-  Nanos completion_latency = us(0.6);    // CE writeback + status update
 };
 
 struct QdmaStats {

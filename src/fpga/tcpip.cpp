@@ -48,9 +48,9 @@ Result<std::vector<std::uint8_t>> TcpIpOffload::reassemble(
 Nanos TcpIpOffload::packet_latency(std::uint64_t frame_bytes) const {
   if (frame_bytes < kMinPacketBytes) frame_bytes = kMinPacketBytes;
   const std::uint64_t beats =
-      (frame_bytes + config_.datapath_bytes - 1) / config_.datapath_bytes;
-  const double cycles = static_cast<double>(config_.header_cycles + beats);
-  return static_cast<Nanos>(cycles / config_.cmac_clock_hz * kSecond);
+      (frame_bytes + kDatapathBytes - 1) / kDatapathBytes;
+  const double cycles = static_cast<double>(kHeaderCycles + beats);
+  return static_cast<Nanos>(cycles / kCmacClockHz * kSecond);
 }
 
 Nanos TcpIpOffload::message_latency(std::uint64_t payload_bytes) const {

@@ -21,10 +21,11 @@
 
 namespace dk::fpga {
 
+constexpr double kCmacClockHz = 260e6;  // §IV.D
+constexpr unsigned kDatapathBytes = 64;  // 512-bit AXI-stream beats
+constexpr unsigned kHeaderCycles = 42;   // parse/build Ethernet+IP+TCP headers
+
 struct TcpIpConfig {
-  double cmac_clock_hz = 260e6;   // §IV.D
-  unsigned datapath_bytes = 64;   // 512-bit AXI-stream beats
-  unsigned header_cycles = 42;    // parse/build Ethernet+IP+TCP headers
   unsigned max_frame_bytes = 9018;  // jumbo (1518 for standard Ethernet)
 };
 

@@ -21,11 +21,8 @@ Nanos MemoryBackingDevice::write_block(std::uint64_t offset,
   return access_cost_;
 }
 
-IoApis::IoApis(BackingDevice& device, std::size_t cache_pages,
-               core::Calibration calib)
-    : device_(device),
-      capacity_pages_(cache_pages ? cache_pages : 1),
-      calib_(calib) {}
+IoApis::IoApis(BackingDevice& device, std::size_t cache_pages)
+    : device_(device), capacity_pages_(cache_pages ? cache_pages : 1) {}
 
 std::size_t IoApis::dirty_pages() const {
   std::size_t n = 0;
@@ -77,7 +74,7 @@ IoApis::Page& IoApis::fault_in(std::uint64_t page_index, Nanos& cost) {
 }
 
 Nanos IoApis::read(std::uint64_t offset, std::span<std::uint8_t> out) {
-  Nanos cost = calib_.syscall;
+  Nanos cost = core::kSyscall;
   ++stats_.syscalls;
   std::size_t done = 0;
   while (done < out.size()) {
@@ -90,12 +87,12 @@ Nanos IoApis::read(std::uint64_t offset, std::span<std::uint8_t> out) {
     std::memcpy(out.data() + done, page.bytes.data() + in_page, n);
     done += n;
   }
-  cost += transfer_time(out.size(), calib_.copy_bps);  // kernel -> user copy
+  cost += transfer_time(out.size(), core::kCopyBps);  // kernel -> user copy
   return cost;
 }
 
 Nanos IoApis::write(std::uint64_t offset, std::span<const std::uint8_t> data) {
-  Nanos cost = calib_.syscall;
+  Nanos cost = core::kSyscall;
   ++stats_.syscalls;
   std::size_t done = 0;
   while (done < data.size()) {
@@ -109,12 +106,12 @@ Nanos IoApis::write(std::uint64_t offset, std::span<const std::uint8_t> data) {
     page.dirty = true;
     done += n;
   }
-  cost += transfer_time(data.size(), calib_.copy_bps);  // user -> kernel copy
+  cost += transfer_time(data.size(), core::kCopyBps);  // user -> kernel copy
   return cost;
 }
 
 Nanos IoApis::fsync() {
-  Nanos cost = calib_.syscall;
+  Nanos cost = core::kSyscall;
   ++stats_.syscalls;
   for (auto& [idx, page] : pages_) {
     if (!page.dirty) continue;
@@ -141,7 +138,7 @@ Nanos IoApis::mmap_access(std::uint64_t offset, std::span<std::uint8_t> out,
     const bool resident = pages_.count(page_index) > 0;
     if (!resident) {
       ++stats_.page_faults;
-      cost += calib_.context_switch;  // fault entry/exit
+      cost += core::kContextSwitch;  // fault entry/exit
     }
     Page& page = fault_in(page_index, cost);
     if (write_access) {
@@ -161,7 +158,7 @@ Result<Nanos> IoApis::direct_read(std::uint64_t offset,
     return Status::Error(Errc::invalid_argument,
                          "O_DIRECT requires page-aligned offset and length");
   ++stats_.syscalls;
-  return calib_.syscall + device_.read_block(offset, out);
+  return core::kSyscall + device_.read_block(offset, out);
 }
 
 Nanos IoApis::aio_submit(bool direct, bool is_write, std::uint64_t offset,
@@ -174,7 +171,7 @@ Nanos IoApis::aio_submit(bool direct, bool is_write, std::uint64_t offset,
       (void)device_.write_block(offset, buffer);
     else
       (void)device_.read_block(offset, buffer);
-    return calib_.syscall + calib_.uring_complete;
+    return core::kSyscall + core::kUringComplete;
   }
   // Buffered AIO degrades to synchronous (§II: libaio only supports async
   // for O_DIRECT): the submitter eats the whole buffered path.

@@ -15,7 +15,7 @@
 //
 // Functional: the page cache really caches (reads after writes return the
 // written bytes; eviction is LRU). Timed: every operation returns the cost
-// it would add to the calling thread, built from the same Calibration
+// it would add to the calling thread, built from the same calibration
 // constants the framework variants use.
 #pragma once
 
@@ -71,8 +71,7 @@ class IoApis {
  public:
   static constexpr std::uint64_t kPageBytes = 4096;
 
-  IoApis(BackingDevice& device, std::size_t cache_pages,
-         core::Calibration calib = {});
+  IoApis(BackingDevice& device, std::size_t cache_pages);
 
   const PageCacheStats& stats() const { return stats_; }
   std::size_t cached_pages() const { return pages_.size(); }
@@ -117,7 +116,6 @@ class IoApis {
 
   BackingDevice& device_;
   std::size_t capacity_pages_;
-  core::Calibration calib_;
   std::map<std::uint64_t, Page> pages_;
   std::list<std::uint64_t> lru_;  // front == most recent
   PageCacheStats stats_;

@@ -18,7 +18,6 @@
 namespace dk::host {
 
 struct RbdImageSpec {
-  std::string name = "image0";
   std::uint64_t size_bytes = 1 * GiB;
   std::uint64_t object_size = 4 * MiB;  // RBD default object size
   int pool = 0;

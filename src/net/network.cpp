@@ -22,11 +22,11 @@ NodeId Network::add_node(std::string name, DeliveryFn on_delivery) {
   auto node = std::make_unique<Node>();
   node->name = std::move(name);
   node->deliver = std::move(on_delivery);
-  const double bytes_per_sec = config_.nic.link_bits_per_sec / 8.0;
-  node->tx = std::make_unique<sim::BandwidthChannel>(
-      sim_, bytes_per_sec, config_.nic.nic_latency, "tx");
-  node->rx = std::make_unique<sim::BandwidthChannel>(
-      sim_, bytes_per_sec, config_.nic.nic_latency, "rx");
+  const double bytes_per_sec = kLinkBitsPerSec / 8.0;
+  node->tx = std::make_unique<sim::BandwidthChannel>(sim_, bytes_per_sec,
+                                                     kNicLatency, "tx");
+  node->rx = std::make_unique<sim::BandwidthChannel>(sim_, bytes_per_sec,
+                                                     kNicLatency, "rx");
   nodes_.push_back(std::move(node));
   return static_cast<NodeId>(nodes_.size() - 1);
 }
@@ -39,7 +39,7 @@ bool Network::send(Message msg) {
   if (msg.src == msg.dst) {
     // Loopback: no serialization, only local processing latency.
     dst.rx_payload += msg.payload_bytes;
-    sim_.schedule_after(config_.nic.nic_latency,
+    sim_.schedule_after(kNicLatency,
                         [&dst, m = std::move(msg)] { dst.deliver(m); });
     return true;
   }
@@ -65,8 +65,8 @@ bool Network::send(Message msg) {
   }
   const std::uint32_t slot = idle_.back();
   idle_.pop_back();
-  in_flight_[slot] = InFlight{std::move(msg), wire,
-                              config_.switch_latency + extra_delay};
+  in_flight_[slot] =
+      InFlight{std::move(msg), wire, kSwitchLatency + extra_delay};
   // TX serialization (+ NIC latency folded into the channel) ...
   src.tx->transfer(wire, [this, slot] {
     // ... switch forwarding (+ injected congestion delay) ...

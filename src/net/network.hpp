@@ -25,15 +25,16 @@ namespace dk::net {
 
 using NodeId = std::uint32_t;
 
+constexpr double kLinkBitsPerSec = 10e9;  // 10 GbE
+constexpr Nanos kNicLatency = us(2.5);     // per-NIC fixed processing delay
+constexpr Nanos kSwitchLatency = us(1.0);  // cut-through forwarding delay
+
 struct NicConfig {
-  double link_bits_per_sec = 10e9;  // 10 GbE
-  unsigned mtu = 9000;              // jumbo frames (testbed default)
-  Nanos nic_latency = us(2.5);      // per-NIC fixed processing delay
+  unsigned mtu = 9000;  // jumbo frames (testbed default)
 };
 
 struct FabricConfig {
   NicConfig nic;
-  Nanos switch_latency = us(1.0);  // cut-through forwarding delay
 };
 
 /// Per-frame overhead on the wire: preamble+SFD(8) + Ethernet header(14) +

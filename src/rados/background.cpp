@@ -28,13 +28,9 @@ void BackgroundScheduler::attach_metrics(MetricsRegistry& registry,
 
 void BackgroundScheduler::start() {
   scrub_.assign(cluster_.osd_count(), OsdScrub{});
-  for (std::size_t i = 0; i < cluster_.osd_count(); ++i)
-    cluster_.osd(static_cast<int>(i))
-        .set_background_starve_limit(config_.starve_limit);
   if (config_.scrub_interval <= 0) return;  // recovery-only arming
   for (std::size_t i = 0; i < cluster_.osd_count(); ++i)
-    arm_tick(static_cast<int>(i),
-             config_.scrub_stagger * static_cast<Nanos>(i + 1));
+    arm_tick(static_cast<int>(i), kScrubStagger * static_cast<Nanos>(i + 1));
 }
 
 // --- deep scrub --------------------------------------------------------------
@@ -59,11 +55,9 @@ void BackgroundScheduler::scrub_tick(int osd_id) {
   st.cursor = 0;
   for (const ObjectKey& key : osd.store().keys()) {
     const std::uint64_t size = osd.store().object_size(key);
-    for (std::uint64_t off = 0; off < size;
-         off += config_.scrub_chunk_bytes) {
+    for (std::uint64_t off = 0; off < size; off += kScrubChunkBytes) {
       st.chunks.push_back(Chunk{
-          key, off, std::min<std::uint64_t>(config_.scrub_chunk_bytes,
-                                            size - off)});
+          key, off, std::min<std::uint64_t>(kScrubChunkBytes, size - off)});
     }
   }
   if (st.chunks.empty()) {
@@ -143,8 +137,7 @@ void BackgroundScheduler::repair(int osd_id, const ObjectKey& key) {
 
 RecoveryManager::ExecuteOptions BackgroundScheduler::recovery_options()
     const {
-  return {config_.recovery_max_bps, config_.recovery_parallel,
-          config_.pace_cap};
+  return {.max_bps = config_.recovery_max_bps, .pace_cap = config_.pace_cap};
 }
 
 // --- paced recovery ----------------------------------------------------------

@@ -44,15 +44,17 @@
 
 namespace dk::rados {
 
+/// Per-OSD initial scrub offset: OSD i first ticks at (i + 1) * kScrubStagger.
+constexpr Nanos kScrubStagger = us(500);
+/// Deep scrub reads each object in chunks of this many bytes.
+constexpr std::uint64_t kScrubChunkBytes = 128 * KiB;
+
 struct BackgroundConfig {
   bool enabled = false;
 
   // --- deep scrub ---------------------------------------------------------
   // Pass cadence per OSD (0 disables scrub, leaving recovery-only arming).
   Nanos scrub_interval = ms(50);
-  // Per-OSD initial offset: OSD i first ticks at (i + 1) * scrub_stagger.
-  Nanos scrub_stagger = us(500);
-  std::uint64_t scrub_chunk_bytes = 128 * KiB;
   // IO-impact budget: scrub reads per OSD are paced to this byte rate.
   double scrub_bps = 100.0e6;
   // No scrub timer re-arms at/after this sim time; without it a periodic
@@ -61,15 +63,12 @@ struct BackgroundConfig {
 
   // --- paced recovery -----------------------------------------------------
   // Backfill throttle: moves are granted at this byte rate (0 = unpaced).
+  // At most RecoveryManager::ExecuteOptions' default of 4 moves run at once.
   double recovery_max_bps = 200.0e6;
-  unsigned recovery_parallel = 4;
   // Starvation guard on pacing: no single move waits longer than this for
   // its token grant, so backfill always makes forward progress even under
   // an over-subscribed budget.
   Nanos pace_cap = ms(5);
-  // Station starvation guard: consecutive client dispatches tolerated while
-  // background work waits before one background job is admitted.
-  unsigned starve_limit = 8;
 };
 
 /// One scheduled scrub chunk (the determinism test compares two runs'
@@ -102,8 +101,8 @@ class BackgroundScheduler {
   /// time_to_full_redundancy_ms gauge). Only called when armed.
   void attach_metrics(MetricsRegistry& registry, const std::string& prefix);
 
-  /// Arm the per-OSD scrub timers (staggered) and the station starvation
-  /// guards. Call once, after pools are created and before traffic.
+  /// Arm the per-OSD scrub timers (staggered). Call once, after pools are
+  /// created and before traffic.
   void start();
 
   /// Cluster hook: placement changed (an OSD was marked out). Plans and

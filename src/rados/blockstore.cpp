@@ -67,9 +67,9 @@ std::uint64_t Blockstore::append(const ObjectKey& key, std::uint64_t offset,
   // in the fsync batch — instead of opening a new one.
   if (!records_.empty()) {
     Record& tail = records_.back();
-    if (!tail.torn && tail.key == key && data.size() < config_.coalesce_bytes &&
+    if (!tail.torn && tail.key == key && data.size() < kCoalesceBytes &&
         offset == tail.offset + tail.length &&
-        tail.length + data.size() <= config_.coalesce_limit) {
+        tail.length + data.size() <= kCoalesceLimit) {
       // Chain both CRCs over the new bytes: they stay equal when the record
       // was intact, and a record whose stored CRC had gone bad stays bad
       // instead of being laundered.
@@ -139,7 +139,7 @@ void Blockstore::commit(std::uint64_t lsn, const ObjectKey& key,
       config_.trim_watermark * static_cast<double>(config_.journal_bytes));
   if (occupancy_ > mark) {
     trim_to(static_cast<std::uint64_t>(
-        config_.trim_target * static_cast<double>(config_.journal_bytes)));
+        kTrimTarget * static_cast<double>(config_.journal_bytes)));
   }
   update_gauges();
 }
@@ -234,12 +234,11 @@ std::size_t Blockstore::replay() {
 
 Nanos Blockstore::append_cost(std::uint64_t payload_bytes) {
   const std::uint64_t stored = kJournalHeaderBytes + payload_bytes;
-  Nanos cost = config_.journal_append_fixed +
-               transfer_time(stored, kJournalBps);
+  Nanos cost = kJournalAppendFixed + transfer_time(stored, kJournalBps);
   bytes_since_fsync_ += stored;
   if (bytes_since_fsync_ >= config_.fsync_interval_bytes) {
     bytes_since_fsync_ %= config_.fsync_interval_bytes;
-    cost += config_.fsync_fixed;
+    cost += kFsyncFixed;
   }
   return cost;
 }

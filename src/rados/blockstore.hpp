@@ -65,15 +65,19 @@ inline constexpr std::uint64_t kJournalHeaderBytes = 48;
 inline constexpr double kJournalBps = 1.5e9;
 inline constexpr double kCompactionBps = 1.0e9;
 
+/// A watermark trim drains the journal down to this fraction of its cap.
+inline constexpr double kTrimTarget = 0.25;
+/// Writes below this size may coalesce into the tail record...
+inline constexpr std::uint64_t kCoalesceBytes = 4096;
+/// ...up to this merged record payload.
+inline constexpr std::uint64_t kCoalesceLimit = 128 * KiB;
+inline constexpr Nanos kJournalAppendFixed = us(3);  // NVMe WAL append latency
+inline constexpr Nanos kFsyncFixed = us(30);  // barrier when a batch closes
+
 struct BlockstoreConfig {
   bool enabled = false;
   std::uint64_t journal_bytes = 8 * MiB;  // ring capacity (hard cap)
   double trim_watermark = 0.75;  // trim when occupancy exceeds this fraction
-  double trim_target = 0.25;     // ...down to this fraction
-  std::uint64_t coalesce_bytes = 4096;      // sub-block writes may coalesce
-  std::uint64_t coalesce_limit = 128 * KiB; // max merged record payload
-  Nanos journal_append_fixed = us(3);       // NVMe WAL append latency
-  Nanos fsync_fixed = us(30);               // barrier when a batch closes
   std::uint64_t fsync_interval_bytes = 256 * KiB;  // barrier every N bytes
 };
 

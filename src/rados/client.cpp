@@ -268,18 +268,24 @@ std::uint64_t RadosClient::write_replicated(int pool, std::uint64_t oid,
     return op_id;
   }
 
-  // client_fanout: one direct copy per replica, acked independently.
+  // client_fanout: one direct copy per replica, acked independently. The
+  // last replica's message takes the payload itself, so a write makes one
+  // copy per extra replica.
   pend.awaiting = static_cast<unsigned>(acting.size());
   pending_nodes_.emplace(pending_, op_id, std::move(pend));
   op_started();
-  const auto checksums = maybe_checksums(offset, data);
-  for (int osd : acting) {
+  auto checksums = maybe_checksums(offset, data);
+  for (std::size_t i = 0; i + 1 < acting.size(); ++i) {
     auto body = make_op(OpType::sub_write, op_id, object_key(pool, oid),
                         offset);
-    body->data = data;  // full copy per replica, as the QDMA engine emits
+    body->data = data;
     body->checksums = checksums;
-    send(osd, std::move(body));
+    send(acting[i], std::move(body));
   }
+  auto body = make_op(OpType::sub_write, op_id, object_key(pool, oid), offset);
+  body->data = std::move(data);
+  body->checksums = std::move(checksums);
+  send(acting.back(), std::move(body));
   return op_id;
 }
 

@@ -11,7 +11,7 @@ namespace dk::rados {
 Cluster::Cluster(sim::Simulator& sim, ClusterConfig config)
     : sim_(sim),
       config_(config),
-      net_(sim, config.fabric),
+      net_(sim),
       layout_(crush::build_cluster(config.crush)) {
   // Client node 0.
   client_node_ = net_.add_node("client", [this](const net::Message& m) {
@@ -39,11 +39,11 @@ Cluster::Cluster(sim::Simulator& sim, ClusterConfig config)
         }));
   }
 
-  // OSDs, 16 per host by default, pinned to their host's network node.
-  const unsigned total = config_.crush.hosts * config_.crush.osds_per_host;
+  // OSDs, 16 per host, pinned to their host's network node.
+  const unsigned total = config_.crush.hosts * crush::kOsdsPerHost;
   down_.assign(total, false);
   for (unsigned i = 0; i < total; ++i) {
-    auto osd = std::make_unique<Osd>(sim_, static_cast<int>(i), config_.osd,
+    auto osd = std::make_unique<Osd>(sim_, static_cast<int>(i),
                                      config_.seed * 7919 + i);
     const int id = static_cast<int>(i);
     osd->set_integrity(config_.integrity);
@@ -55,47 +55,40 @@ Cluster::Cluster(sim::Simulator& sim, ClusterConfig config)
       send_from_osd(id, dst, std::move(body));
     });
     osds_.push_back(std::move(osd));
-    osd_nodes_.push_back(server_nodes_[i / config_.crush.osds_per_host]);
+    osd_nodes_.push_back(server_nodes_[i / crush::kOsdsPerHost]);
   }
 }
 
-int Cluster::create_replicated_pool(std::string name, unsigned size,
-                                    unsigned pg_num) {
+int Cluster::create_replicated_pool(unsigned size) {
   PoolConfig p;
-  p.name = std::move(name);
   p.mode = PoolConfig::Mode::replicated;
   p.size = size;
-  p.pg_num = pg_num;
   p.crush_rule = layout_.replicated_rule;
-  placement_.emplace_back(p.pg_num);
+  placement_.emplace_back(kPgNum);
   pools_.push_back(std::move(p));
   return static_cast<int>(pools_.size() - 1);
 }
 
-int Cluster::create_ec_pool(std::string name, ec::Profile profile,
-                            unsigned pg_num) {
+int Cluster::create_ec_pool(ec::Profile profile) {
   PoolConfig p;
-  p.name = std::move(name);
   p.mode = PoolConfig::Mode::erasure;
   p.ec_profile = profile;
   p.codec = std::make_unique<const ec::ReedSolomon>(profile);
-  p.pg_num = pg_num;
   p.crush_rule = layout_.ec_rule;
-  placement_.emplace_back(p.pg_num);
+  placement_.emplace_back(kPgNum);
   pools_.push_back(std::move(p));
   return static_cast<int>(pools_.size() - 1);
 }
 
-std::uint32_t Cluster::pg_of(int pool, std::uint64_t oid) const {
-  const auto& p = pools_[static_cast<std::size_t>(pool)];
+std::uint32_t Cluster::pg_of(std::uint64_t oid) const {
   const std::uint32_t h = crush::hash32_2(static_cast<std::uint32_t>(oid),
                                           static_cast<std::uint32_t>(oid >> 32));
-  return h % p.pg_num;
+  return h % kPgNum;
 }
 
 DK_HOT const std::vector<int>& Cluster::acting_set(
     int pool, std::uint64_t oid, crush::PlacementWork* work) const {
-  const std::uint32_t pg = pg_of(pool, oid);
+  const std::uint32_t pg = pg_of(oid);
   PlacementSlot& slot = placement_[static_cast<std::size_t>(pool)][pg];
   if (slot.epoch != epoch_) place_pg(pool, pg, slot);
   if (work != nullptr) *work += slot.work;

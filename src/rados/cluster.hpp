@@ -32,10 +32,12 @@ namespace dk::rados {
 
 class BackgroundScheduler;
 
+/// Placement groups per pool (Ceph's pg_num), the same for every pool.
+constexpr unsigned kPgNum = 128;
+
 struct PoolConfig {
   enum class Mode { replicated, erasure };
 
-  std::string name;
   Mode mode = Mode::replicated;
   unsigned size = 2;          // replica count (replicated pools)
   ec::Profile ec_profile;     // erasure pools
@@ -43,7 +45,6 @@ struct PoolConfig {
   // create_ec_pool. The client, the primary OSDs and shard rebuilds all
   // encode and decode with it.
   std::unique_ptr<const ec::ReedSolomon> codec;
-  unsigned pg_num = 128;
   int crush_rule = -1;
 
   unsigned fanout() const {
@@ -53,8 +54,6 @@ struct PoolConfig {
 
 struct ClusterConfig {
   crush::ClusterSpec crush;  // default: 2 hosts x 16 OSDs
-  OsdConfig osd;
-  net::FabricConfig fabric;
   std::uint64_t seed = 1;
   // Arm OSD-side integrity: per-block checksums in every object store,
   // checksum verification before read replies, and an uncharged WAL under
@@ -84,17 +83,16 @@ class Cluster {
     return osd_nodes_[static_cast<std::size_t>(id)];
   }
 
-  int create_replicated_pool(std::string name, unsigned size,
-                             unsigned pg_num = 128);
-  int create_ec_pool(std::string name, ec::Profile profile,
-                     unsigned pg_num = 128);
+  int create_replicated_pool(unsigned size);
+  int create_ec_pool(ec::Profile profile);
   const PoolConfig& pool(int id) const {
     return pools_[static_cast<std::size_t>(id)];
   }
   std::size_t pool_count() const { return pools_.size(); }
 
-  /// Placement group for an object, and the CRUSH input x for that PG.
-  std::uint32_t pg_of(int pool, std::uint64_t oid) const;
+  /// Placement group for an object (every pool has kPgNum), and the CRUSH
+  /// input x for that PG.
+  std::uint32_t pg_of(std::uint64_t oid) const;
 
   /// Ordered acting set (OSD ids) for an object, computed once per (pool,
   /// PG) per epoch like Ceph's OSDMapMapping. `work` accumulates one CRUSH
@@ -248,7 +246,7 @@ class Cluster {
   std::vector<bool> down_;
   std::vector<PoolConfig> pools_;
   std::uint64_t epoch_ = 1;
-  // pg_num slots per pool, filled lazily by the const acting_set().
+  // kPgNum slots per pool, filled lazily by the const acting_set().
   mutable std::vector<std::vector<PlacementSlot>> placement_;
   sim::UniqueFn<void(std::shared_ptr<OpBody>)> client_handler_;
   sim::FaultInjector* faults_ = nullptr;

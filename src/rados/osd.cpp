@@ -7,12 +7,11 @@
 
 namespace dk::rados {
 
-Osd::Osd(sim::Simulator& sim, int id, OsdConfig config, std::uint64_t seed)
+Osd::Osd(sim::Simulator& sim, int id, std::uint64_t seed)
     : sim_(sim),
       id_(id),
-      config_(config),
       rng_(seed),
-      workers_(sim, config.op_threads, "osd-workers") {}
+      workers_(sim, kOpThreads, "osd-workers") {}
 
 void Osd::attach_metrics(MetricsRegistry& registry, const std::string& prefix) {
   metrics_.ops = &registry.counter(prefix + ".ops");
@@ -57,9 +56,7 @@ Nanos Osd::service_time(std::uint64_t bytes, bool is_write,
   // Contiguous reads were prefetched by readahead; contiguous writes join
   // the open WAL batch. Both skip the per-access media fixed cost.
   const Nanos media_fixed =
-      contiguous ? 0
-                 : (is_write ? config_.media_write_fixed
-                             : config_.media_read_fixed);
+      contiguous ? 0 : (is_write ? kMediaWriteFixed : kMediaReadFixed);
   // Blockstore-armed writes pay the WAL on top of the media model: journal
   // append (header + payload over the journal device) and the periodic
   // fsync barrier. Charged here — the single service-time choke point — so
@@ -68,10 +65,10 @@ Nanos Osd::service_time(std::uint64_t bytes, bool is_write,
   const Nanos wal = is_write && blockstore_ && blockstore_->charged()
                         ? blockstore_->append_cost(bytes)
                         : 0;
-  const Nanos base = config_.op_fixed + media_fixed + wal +
-                     transfer_time(bytes, config_.media_bps);
+  const Nanos base =
+      kOpFixed + media_fixed + wal + transfer_time(bytes, kMediaBps);
   const Nanos jitter = static_cast<Nanos>(
-      rng_.exponential(config_.jitter_frac * static_cast<double>(base)));
+      rng_.exponential(kJitterFrac * static_cast<double>(base)));
   const Nanos total = base + jitter;
   // service_time() is the single choke point every op's media/CPU cost
   // passes through, so it doubles as the OSD-side trace point.
@@ -216,7 +213,7 @@ void Osd::do_ec_primary_write(std::shared_ptr<OpBody> body) {
   const ec::ReedSolomon& rs = *body->codec;
   const unsigned k = rs.profile().k;
   const Nanos encode_cost =
-      transfer_time(rs.encode_ops(body->data.size()), config_.ec_encode_bps);
+      transfer_time(rs.encode_ops(body->data.size()), kEcEncodeBps);
   ObjectKey own_key = body->key;
   own_key.shard = 0;
   const Nanos svc = service_time(body->data.size() / k, /*is_write=*/true,

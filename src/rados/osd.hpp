@@ -38,15 +38,16 @@ class FaultInjector;
 
 namespace dk::rados {
 
-struct OsdConfig {
-  unsigned op_threads = 2;      // parallel op worker shards
-  Nanos op_fixed = us(10);      // per-op CPU + BlueStore metadata cost
-  Nanos media_read_fixed = us(20);  // cold read access (cache miss)
-  Nanos media_write_fixed = us(5);  // WAL commit (writes are deferred)
-  double media_bps = 2.0e9;     // media streaming bandwidth, bytes/s
-  double jitter_frac = 0.10;    // exponential jitter, fraction of base time
-  double ec_encode_bps = 1.2e9; // software jerasure encode/decode bandwidth
-};
+// The OSD service model, one value each for the paper's testbed.
+constexpr unsigned kOpThreads = 2;  // parallel op worker shards
+constexpr Nanos kOpFixed = us(10);  // per-op CPU + BlueStore metadata cost
+constexpr Nanos kMediaReadFixed = us(20);  // cold read access (cache miss)
+constexpr Nanos kMediaWriteFixed = us(5);  // WAL commit (writes are deferred)
+constexpr double kMediaBps = 2.0e9;  // media streaming bandwidth, bytes/s
+// exponential jitter, fraction of base time
+constexpr double kJitterFrac = 0.10;
+// software jerasure encode/decode bandwidth
+constexpr double kEcEncodeBps = 1.2e9;
 
 /// Callback the OSD uses to send protocol messages (bound to its node's NIC
 /// by the cluster).
@@ -55,12 +56,11 @@ using SendFn =
 
 class Osd {
  public:
-  Osd(sim::Simulator& sim, int id, OsdConfig config, std::uint64_t seed);
+  Osd(sim::Simulator& sim, int id, std::uint64_t seed);
 
   int id() const { return id_; }
   ObjectStore& store() { return store_; }
   const ObjectStore& store() const { return store_; }
-  const OsdConfig& config() const { return config_; }
   std::uint64_t ops_served() const { return ops_served_; }
 
   /// Wire up the messenger. `send(dst, body)` with dst == -1 targets the
@@ -131,11 +131,6 @@ class Osd {
   /// preemptions()).
   const sim::FifoServer& workers() const { return workers_; }
 
-  /// Tune the station's starvation guard (see FifoServer::set_starve_limit).
-  void set_background_starve_limit(unsigned n) {
-    workers_.set_starve_limit(n);
-  }
-
   /// Sampled service time for an op of `bytes` at (key, offset); queueing
   /// not included. Models two cache effects of the real backend:
   ///   * readahead — a read contiguous with the previous read of the same
@@ -185,7 +180,6 @@ class Osd {
 
   sim::Simulator& sim_;
   int id_;
-  OsdConfig config_;
   Rng rng_;
   ObjectStore store_;
   sim::FifoServer workers_;

@@ -309,8 +309,7 @@ void RecoveryManager::arrive(const RunPtr& run, std::size_t i, bool arrived) {
   // threads (contending with client ops); then the shard is decoded from
   // the siblings' current content and persisted through the WAL.
   const Nanos decode = transfer_time(
-      gather.rebuilt_bytes * 4 /* ~k GF ops per byte */,
-      target.config().ec_encode_bps);
+      gather.rebuilt_bytes * 4 /* ~k GF ops per byte */, kEcEncodeBps);
   const Nanos write_svc = target.service_time(
       gather.rebuilt_bytes, /*is_write=*/true, move.key, /*offset=*/0);
   target.submit_background(decode + write_svc, [this, run, i] {

@@ -10,7 +10,7 @@ IoUring::IoUring(UringParams params, Backend& backend)
     : params_(params),
       backend_(backend),
       sq_(params.sq_entries),
-      cq_(params.cq_entries ? params.cq_entries : 2 * params.sq_entries) {}
+      cq_(2 * params.sq_entries) {}
 
 void IoUring::attach_metrics(MetricsRegistry& registry,
                              const std::string& prefix) {

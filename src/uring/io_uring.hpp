@@ -54,8 +54,8 @@ class Backend {
 };
 
 struct UringParams {
-  unsigned sq_entries = 256;  // rounded up to a power of two
-  unsigned cq_entries = 0;    // 0 -> 2 * sq_entries, like the kernel default
+  unsigned sq_entries = 256;  // rounded up to a power of two; the CQ holds
+                              // twice as many, like the kernel default
   RingMode mode = RingMode::kernel_polled;
   int bound_cpu = -1;         // CPU this instance's SQ handling is pinned to
 };

@@ -22,13 +22,13 @@
 
 namespace dk::workload {
 
+constexpr std::uint64_t kScanBlock = 512 * KiB;  // full-scan read size
+// predicate evaluation per block (~430 MB/s per-core scan rate)
+constexpr Nanos kCpuPerBlock = us(1200);
+constexpr unsigned kScanParallelism = 4;  // outstanding scan reads
+
 struct OlapSpec {
   std::uint64_t table_bytes = 64 * MiB;
-  std::uint64_t scan_block = 512 * KiB;   // full-scan read size
-  Nanos cpu_per_block = us(1200);         // predicate evaluation per block
-                                          // (~430 MB/s per-core scan rate)
-  unsigned scan_parallelism = 4;          // outstanding scan reads
-  bool bulk_load_first = true;            // write the table, then scan it
 };
 
 struct OlapResult {
@@ -38,17 +38,18 @@ struct OlapResult {
   double scan_mbps = 0;
 };
 
-/// Run bulk load + full table scan; returns wall times.
+/// Write the table (bulk load), then scan it; returns wall times.
 OlapResult run_olap(core::Framework& framework, const OlapSpec& spec);
+
+constexpr unsigned kReadsPerTxn = 3;            // index + row lookups
+constexpr unsigned kWritesPerTxn = 1;           // redo log / row update
+constexpr std::uint64_t kTxnIoBytes = 8 * KiB;  // page size
+constexpr Nanos kThinkTime = us(250);           // txn logic CPU
+constexpr std::uint64_t kOltpSeed = 99;         // page picks
 
 struct OltpSpec {
   unsigned transactions = 500;
-  unsigned reads_per_txn = 3;             // index + row lookups
-  unsigned writes_per_txn = 1;            // redo log / row update
-  std::uint64_t io_bytes = 8 * KiB;       // page size
-  Nanos think_time = us(250);             // txn logic CPU
   unsigned clients = 4;                   // concurrent connections
-  std::uint64_t seed = 99;
 };
 
 struct OltpResult {

@@ -154,11 +154,12 @@ TEST_F(AllocBudget, FourKilobyteReadCostsAtMostFiveAllocations) {
 }
 
 TEST_F(AllocBudget, FourKilobyteWriteStaysAtItsCount) {
-  // 4.0005 when the path became allocation-free (25 before): the RADOS
-  // copy of the payload, one wire copy per replica, and amortized growth
-  // of the FIFO stations' queues.
+  // 3.0005 (4.0005 while every replica took a wire copy; 25 before the
+  // path became allocation-free): the RADOS copy of the payload, one wire
+  // copy per extra replica (the last takes the payload itself), and
+  // amortized growth of the FIFO stations' queues.
   build(PoolMode::replicated, 4 * KiB, 4000);
-  EXPECT_LE(allocations_per_io(/*writes=*/true), 4.01);
+  EXPECT_LE(allocations_per_io(/*writes=*/true), 3.01);
 }
 
 TEST_F(AllocBudget, IntegrityArmedFourKilobyteReadStaysAtItsCount) {
@@ -172,11 +173,12 @@ TEST_F(AllocBudget, IntegrityArmedFourKilobyteReadStaysAtItsCount) {
 }
 
 TEST_F(AllocBudget, IntegrityArmedFourKilobyteWriteStaysAtItsCount) {
-  // 9.402 (11.402 while the H2C check built a checksum vector to compare,
-  // 10.402 while each write's cover was a fresh vector; the cover is now
-  // filled in place in the slot's recycled one).
+  // 7.402 (9.402 while every replica took a copy of the payload and of
+  // its checksum vector, 11.402 while the H2C check built a checksum
+  // vector to compare, 10.402 while each write's cover was a fresh vector;
+  // the cover is now filled in place in the slot's recycled one).
   build(PoolMode::replicated, 4 * KiB, 4000, /*integrity=*/true);
-  EXPECT_LE(allocations_per_io(/*writes=*/true), 9.41);
+  EXPECT_LE(allocations_per_io(/*writes=*/true), 7.41);
 }
 
 TEST_F(AllocBudget, EcClientWriteOf128KilobytesStaysAtItsCount) {

@@ -45,8 +45,8 @@ class BackgroundFixture : public ::testing::Test {
     cluster_ = std::make_unique<Cluster>(sim_, cc);
     client_ = std::make_unique<RadosClient>(*cluster_);
     client_->set_integrity(cc.integrity);
-    pool_ = cluster_->create_replicated_pool("rbd", 2);
-    ec_pool_ = cluster_->create_ec_pool("ec", ec::Profile{4, 2});
+    pool_ = cluster_->create_replicated_pool(2);
+    ec_pool_ = cluster_->create_ec_pool(ec::Profile{4, 2});
     for (std::uint64_t oid = 0; oid < 30; ++oid) {
       client_->write(pool_, oid, 0, pattern(8192, oid),
                      WriteStrategy::primary_copy, [](Status) {});
@@ -127,7 +127,7 @@ std::vector<ScrubChunkRecord> scrub_timeline_run(std::uint64_t seed) {
   cc.seed = seed;
   Cluster cluster(sim, cc);
   RadosClient client(cluster);
-  const int pool = cluster.create_replicated_pool("rbd", 2);
+  const int pool = cluster.create_replicated_pool(2);
   for (std::uint64_t oid = 0; oid < 20; ++oid) {
     client.write(pool, oid, 0, pattern(8192, oid),
                  WriteStrategy::primary_copy, [](Status) {});
@@ -307,8 +307,8 @@ RecoveryOutcome paced_recovery_run(double recovery_max_bps, Nanos pace_cap) {
   sim::Simulator sim;
   Cluster cluster(sim);
   RadosClient client(cluster);
-  const int pool = cluster.create_replicated_pool("rbd", 2);
-  const int ec_pool = cluster.create_ec_pool("ec", ec::Profile{4, 2});
+  const int pool = cluster.create_replicated_pool(2);
+  const int ec_pool = cluster.create_ec_pool(ec::Profile{4, 2});
   for (std::uint64_t oid = 0; oid < 30; ++oid) {
     client.write(pool, oid, 0, pattern(8192, oid),
                  WriteStrategy::primary_copy, [](Status) {});

@@ -287,12 +287,12 @@ TEST(BlockstoreCost, FsyncBarrierChargedEveryIntervalBytes) {
   Blockstore bs(cfg, store);
 
   const Nanos base = bs.append_cost(1024);  // first append: no barrier yet
-  EXPECT_GE(base, cfg.journal_append_fixed);
+  EXPECT_GE(base, kJournalAppendFixed);
   int barriers = 0;
   for (int i = 0; i < 16; ++i) {
     const Nanos cost = bs.append_cost(1024);
     if (cost != base) {
-      EXPECT_EQ(cost, base + cfg.fsync_fixed)
+      EXPECT_EQ(cost, base + kFsyncFixed)
           << "the only cost step allowed is one fsync barrier";
       ++barriers;
     }
@@ -319,7 +319,7 @@ class BlockstoreClusterFixture : public ::testing::Test {
     cluster_->set_validator(&validator_);
     client_ = std::make_unique<RadosClient>(*cluster_);
     client_->set_integrity(cc.integrity);
-    pool_ = cluster_->create_replicated_pool("rbd", 2);
+    pool_ = cluster_->create_replicated_pool(2);
     for (std::uint64_t oid = 0; oid < 8; ++oid) {
       client_->write(pool_, oid, 0, pattern(8192, oid),
                      WriteStrategy::primary_copy, [](Status) {});
@@ -401,7 +401,7 @@ TEST(IntegrityWal, ArmingChargesNoSimulatedTime) {
               cc.integrity || cc.blockstore.enabled);
     RadosClient client(cluster);
     client.set_integrity(cc.integrity);
-    const int pool = cluster.create_replicated_pool("rbd", 2);
+    const int pool = cluster.create_replicated_pool(2);
     for (std::uint64_t i = 0; i < 64; ++i) {
       client.write(pool, i % 8, (i / 8) * 4096, pattern(4096, i),
                    WriteStrategy::primary_copy, [](Status s) {

@@ -6,8 +6,9 @@
 // add integrity, the blockstore, background recovery, and all of them at
 // once. Also: the EC degraded-read property (every subset of <= m shards
 // down decodes to the original; > m down returns an error Status, never
-// garbage), write re-issue to the new primary after a CRUSH reweight, and
-// bit-exact replay of a (seed, plan) pair.
+// garbage), write re-issue to the new primary after a CRUSH reweight,
+// bit-exact replay of a (seed, plan) pair, and one digest pinning the
+// outcomes of every armed leg.
 #include "sim/faults.hpp"
 
 #include <gtest/gtest.h>
@@ -18,7 +19,9 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -118,6 +121,8 @@ struct ChaosOutcome {
   std::uint64_t scrub_repairs = 0;      // background runs: repair moves
   Nanos ttfr = 0;                       // time-to-full-redundancy
   sim::FaultStats faults;
+  Nanos sim_end = 0;                    // simulated time at the last drain
+  std::uint64_t sim_events = 0;         // events the simulator executed
 };
 
 /// Closed-loop chaos driver over the full delibak stack: random 4 kB reads
@@ -251,17 +256,23 @@ ChaosOutcome chaos_run_with(const core::FrameworkConfig& cfg,
     out.ttfr = bg->time_to_full_redundancy();
   }
   out.faults = fw.faults()->stats();
+  out.sim_end = sim.now();
+  out.sim_events = sim.executed_events();
   return out;
 }
 
-ChaosOutcome chaos_run(FaultKind kind, std::uint64_t seed) {
+core::FrameworkConfig chaos_config(FaultKind kind, std::uint64_t seed) {
   core::FrameworkConfig cfg;
   cfg.variant = core::VariantKind::delibak;
   cfg.pool_mode = seed % 2 == 0 ? core::PoolMode::replicated
                                 : core::PoolMode::erasure;
   cfg.image_size = 32 * MiB;
   cfg.fault_plan = plan_for(kind, seed);
-  return chaos_run_with(cfg, seed);
+  return cfg;
+}
+
+ChaosOutcome chaos_run(FaultKind kind, std::uint64_t seed) {
+  return chaos_run_with(chaos_config(kind, seed), seed);
 }
 
 constexpr std::uint64_t kSeeds = 32;
@@ -661,6 +672,78 @@ TEST(ChaosDeterminism, SameSeedAndPlanReplaysBitExactly) {
   }
 }
 
+// --- Outcome pin: every armed path, folded into one digest ------------------
+
+/// FNV-1a over little-endian 64-bit words.
+std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (word >> (8 * byte)) & 0xff;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// Every ChaosOutcome field, the fault counters included, in a fixed order.
+std::vector<std::uint64_t> outcome_words(const ChaosOutcome& o) {
+  const sim::FaultStats& f = o.faults;
+  return {o.submitted, o.completed_ok, o.errored, o.verify_mismatches,
+          o.leaks, o.retries, o.timeouts, o.degraded_reads, o.qdma_retries,
+          o.checksum_failures, o.read_repairs, o.torn_replayed,
+          o.journal_trims, o.journal_occupancy, o.scrub_bytes,
+          o.backfill_bytes, o.throttle_waits, o.scrub_repairs,
+          static_cast<std::uint64_t>(o.ttfr), f.frames_dropped,
+          f.frames_delayed, f.osd_crashes, f.osd_restarts,
+          f.crash_dropped_msgs, f.qdma_fetch_errors,
+          f.qdma_completion_errors, f.media_corruptions, f.dma_corruptions,
+          f.torn_writes, static_cast<std::uint64_t>(o.sim_end),
+          o.sim_events};
+}
+
+TEST(ChaosDigest, OutcomesMatchThePin) {
+  // The sweeps above assert properties; this pins the outcomes themselves,
+  // so a change that moves any armed path's result (a count, a byte total,
+  // the final simulated time, the number of events) fails here. A change
+  // that does so on purpose updates kPin and says why in CHANGES.md.
+  constexpr std::uint64_t kPin = 0x469e10d3d8a22218ULL;
+  using ConfigFn = core::FrameworkConfig (*)(std::uint64_t);
+  const std::pair<const char*, ConfigFn> legs[] = {
+      {"frame-loss",
+       [](std::uint64_t s) { return chaos_config(FaultKind::frame_loss, s); }},
+      {"osd-crash",
+       [](std::uint64_t s) { return chaos_config(FaultKind::osd_crash, s); }},
+      {"qdma-error",
+       [](std::uint64_t s) { return chaos_config(FaultKind::qdma_error, s); }},
+      {"integrity", integrity_chaos_config},
+      {"blockstore", blockstore_chaos_config},
+      {"background", background_chaos_config},
+      {"all-arms", all_arms_config},
+  };
+  // Seeds 1 and 3 run an EC pool, seed 2 a replicated one.
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::ostringstream rows;
+  unsigned runs = 0;
+  for (const auto& [leg, config_for] : legs)
+    for (const core::VariantKind variant :
+         {core::VariantKind::delibak, core::VariantKind::sw_ceph_d2})
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        core::FrameworkConfig cfg = config_for(seed);
+        cfg.variant = variant;
+        const ChaosOutcome out = chaos_run_with(cfg, seed);
+        rows << leg << ' ' << core::variant_short_name(variant)
+             << " seed=" << seed << ':';
+        for (const std::uint64_t word : outcome_words(out)) {
+          digest = fnv1a(digest, word);
+          rows << ' ' << word;
+        }
+        rows << '\n';
+        ++runs;
+      }
+  EXPECT_EQ(runs, 42u);
+  EXPECT_EQ(digest, kPin) << "armed outcomes moved; one row per run (fields "
+                             "in outcome_words order):\n"
+                          << rows.str();
+}
+
 // --- EC degraded-read property ----------------------------------------------
 
 struct EcCase {
@@ -674,7 +757,7 @@ TEST_P(EcDegradedReads, EverySubsetUpToMShardsDownDecodes) {
   sim::Simulator sim;
   rados::Cluster cluster(sim);
   const int pool = cluster.create_ec_pool(
-      "ec", ec::Profile{k, m, ec::GeneratorKind::vandermonde});
+      ec::Profile{k, m, ec::GeneratorKind::vandermonde});
   rados::RadosClient client(cluster);
 
   const std::uint64_t oid = 3;
@@ -756,7 +839,7 @@ INSTANTIATE_TEST_SUITE_P(BenchProfiles, EcDegradedReads,
 TEST(FaultRecovery, WriteRetryLandsOnNewPrimaryAfterReweight) {
   sim::Simulator sim;
   rados::Cluster cluster(sim);
-  const int pool = cluster.create_replicated_pool("p", 2);
+  const int pool = cluster.create_replicated_pool(2);
   rados::RadosClient client(cluster);
   client.arm_retries();
 

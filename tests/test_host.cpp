@@ -113,9 +113,9 @@ class RbdFixture : public ::testing::Test {
   void SetUp() override {
     cluster_ = std::make_unique<rados::Cluster>(sim_);
     client_ = std::make_unique<rados::RadosClient>(*cluster_);
-    pool_ = cluster_->create_replicated_pool("rbd", 2);
+    pool_ = cluster_->create_replicated_pool(2);
     image_ = std::make_unique<RbdDevice>(
-        *client_, RbdImageSpec{.name = "img", .size_bytes = 64 * MiB,
+        *client_, RbdImageSpec{.size_bytes = 64 * MiB,
                                .object_size = 4 * MiB, .pool = pool_});
   }
 
@@ -200,8 +200,7 @@ TEST_F(RbdFixture, RangeCheckDoesNotWrapAroundTheAddressSpace) {
 }
 
 TEST_F(RbdFixture, TwoImagesDoNotCollide) {
-  RbdDevice other(*client_, RbdImageSpec{.name = "img2",
-                                         .size_bytes = 64 * MiB,
+  RbdDevice other(*client_, RbdImageSpec{.size_bytes = 64 * MiB,
                                          .object_size = 4 * MiB,
                                          .pool = pool_,
                                          .image_id = 1});

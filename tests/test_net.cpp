@@ -48,7 +48,7 @@ TEST(Network, LoopbackSkipsFabric) {
   NodeId a = net.add_node("a", [&](const Message&) { at = sim.now(); });
   net.send(Message{a, a, 1 * MiB, 0, nullptr});
   sim.run();
-  EXPECT_EQ(at, net.config().nic.nic_latency);
+  EXPECT_EQ(at, kNicLatency);
 }
 
 TEST(Network, MessageBodyIsCarried) {

@@ -71,8 +71,8 @@ class ClusterFixture : public ::testing::Test {
   void SetUp() override {
     cluster_ = std::make_unique<Cluster>(sim_);
     client_ = std::make_unique<RadosClient>(*cluster_);
-    repl_pool_ = cluster_->create_replicated_pool("rbd", 2);
-    ec_pool_ = cluster_->create_ec_pool("ec", ec::Profile{4, 2});
+    repl_pool_ = cluster_->create_replicated_pool(2);
+    ec_pool_ = cluster_->create_ec_pool(ec::Profile{4, 2});
   }
 
   // Synchronous helpers (drive the simulation until completion).
@@ -272,14 +272,13 @@ TEST_F(ClusterFixture, LatencyIsMicrosecondScale) {
 
 class PlacementCache : public ClusterFixture {
  protected:
-  /// One object id per PG of `pool`, so a sweep over them looks up every PG.
-  std::vector<std::uint64_t> oid_per_pg(int pool) const {
-    const unsigned pg_num = cluster_->pool(pool).pg_num;
-    std::vector<std::uint64_t> oids(pg_num);
-    std::vector<bool> seen(pg_num, false);
+  /// One object id per PG, so a sweep over them looks up every PG of a pool.
+  std::vector<std::uint64_t> oid_per_pg() const {
+    std::vector<std::uint64_t> oids(kPgNum);
+    std::vector<bool> seen(kPgNum, false);
     unsigned found = 0;
-    for (std::uint64_t oid = 0; found < pg_num; ++oid) {
-      const std::uint32_t pg = cluster_->pg_of(pool, oid);
+    for (std::uint64_t oid = 0; found < kPgNum; ++oid) {
+      const std::uint32_t pg = cluster_->pg_of(oid);
       if (seen[pg]) continue;
       seen[pg] = true;
       oids[pg] = oid;
@@ -293,7 +292,7 @@ class PlacementCache : public ClusterFixture {
                             crush::PlacementWork* work = nullptr) const {
     const PoolConfig& p = cluster_->pool(pool);
     const std::uint32_t x = crush::hash32_2(
-        static_cast<std::uint32_t>(pool) + 1, cluster_->pg_of(pool, oid));
+        static_cast<std::uint32_t>(pool) + 1, cluster_->pg_of(oid));
     const auto items =
         cluster_->layout().map.do_rule(p.crush_rule, x, p.fanout(), work);
     return std::vector<int>(items.begin(), items.end());
@@ -302,8 +301,8 @@ class PlacementCache : public ClusterFixture {
 
 TEST_F(PlacementCache, EveryPgMatchesUncachedCrushAcrossMapChanges) {
   const std::vector<int> pools{repl_pool_, ec_pool_};
-  std::vector<std::vector<std::uint64_t>> oids;
-  for (int pool : pools) oids.push_back(oid_per_pg(pool));
+  const std::vector<std::vector<std::uint64_t>> oids(pools.size(),
+                                                     oid_per_pg());
   auto expect_current = [&](int step) {
     for (std::size_t i = 0; i < pools.size(); ++i)
       for (std::uint64_t oid : oids[i])

@@ -28,8 +28,8 @@ class RecoveryFixture : public ::testing::Test {
   void SetUp() override {
     cluster_ = std::make_unique<Cluster>(sim_);
     client_ = std::make_unique<RadosClient>(*cluster_);
-    pool_ = cluster_->create_replicated_pool("rbd", 2);
-    ec_pool_ = cluster_->create_ec_pool("ec", ec::Profile{4, 2});
+    pool_ = cluster_->create_replicated_pool(2);
+    ec_pool_ = cluster_->create_ec_pool(ec::Profile{4, 2});
     // Populate the replicated pool with 30 objects.
     for (std::uint64_t oid = 0; oid < 30; ++oid) {
       client_->write(pool_, oid, 0, pattern(8192, oid),
@@ -236,7 +236,7 @@ class IntegrityFixture : public ::testing::Test {
     client_ = std::make_unique<RadosClient>(*cluster_);
     client_->set_integrity(true);
     client_->set_validator(&validator_);
-    pool_ = cluster_->create_replicated_pool("rbd", 2);
+    pool_ = cluster_->create_replicated_pool(2);
     for (std::uint64_t oid = 0; oid < 8; ++oid) {
       client_->write(pool_, oid, 0, pattern(8192, oid),
                      WriteStrategy::primary_copy, [](Status) {});
@@ -320,7 +320,7 @@ TEST_F(IntegrityFixture, RepairRestoresEveryCorruptedLocation) {
   for (const auto& prof : profiles) {
     const std::string name =
         "ec" + std::to_string(prof.k) + std::to_string(prof.m);
-    const int pool = cluster_->create_ec_pool(name, prof);
+    const int pool = cluster_->create_ec_pool(prof);
     const std::uint64_t oid = 1;
     const auto data = pattern(prof.k * 2048, 500 + prof.k);
     Status wres = Status::Error(Errc::timed_out);
@@ -383,7 +383,7 @@ TEST_F(IntegrityFixture, ReadWithAllReplicasCorruptedErrors) {
 }
 
 TEST_F(IntegrityFixture, EcReadRepairsCorruptShard) {
-  const int pool = cluster_->create_ec_pool("ec", ec::Profile{4, 2});
+  const int pool = cluster_->create_ec_pool(ec::Profile{4, 2});
   const std::uint64_t oid = 9;
   const auto data = pattern(16384, 900);
   client_->write(pool, oid, 0, data, WriteStrategy::client_fanout,
@@ -407,7 +407,7 @@ TEST_F(IntegrityFixture, EcReadRepairsCorruptShard) {
 }
 
 TEST_F(IntegrityFixture, EcPrimaryReadFallsBackOnCorruptPrimaryShard) {
-  const int pool = cluster_->create_ec_pool("ec", ec::Profile{4, 2});
+  const int pool = cluster_->create_ec_pool(ec::Profile{4, 2});
   const std::uint64_t oid = 11;
   const auto data = pattern(16384, 1100);
   client_->write(pool, oid, 0, data, WriteStrategy::client_fanout,
@@ -476,7 +476,7 @@ TEST_F(IntegrityFixture, EcRebuildFromSiblingCorruptedAfterPlanningDoesNotLand) 
   // sibling that rots before the rebuild runs must fail the move; decoding
   // it would persist a wrong shard under fresh CRCs, which every later
   // verify and direct_shards read would then trust.
-  const int pool = cluster_->create_ec_pool("ec", ec::Profile{4, 2});
+  const int pool = cluster_->create_ec_pool(ec::Profile{4, 2});
   for (std::uint64_t oid = 0; oid < 10; ++oid)
     client_->write(pool, oid, 0, pattern(8192, 100 + oid),
                    WriteStrategy::client_fanout, [](Status) {});

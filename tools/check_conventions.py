@@ -35,6 +35,21 @@ Checks that clang-tidy cannot express:
                         `// conventions: allow(reached-header) — <reason>`;
                         a marker without a dash-led reason is itself a
                         violation.
+  8. set-config-field:  every field of a struct in src/ whose name ends in
+                        Config, Params or Spec is assigned by name somewhere
+                        in src/, bench/, examples/, perfbench/ or tests/,
+                        outside its own declaration: `x.f =`, a designated
+                        initializer `.f =`, or `x.f.g =`. A value nothing
+                        sets is one configuration no run exercises: make
+                        it a constexpr constant beside its reader, or
+                        delete it. A struct opts out with
+                        `// conventions: allow(set-config-field) — <reason>`
+                        in the comment block above it (a positional table
+                        such as fpga::KernelSpec). Known limit: the match is
+                        by field name, not by struct, so a field that shares
+                        its name with a set field of another struct passes
+                        (FrameworkConfig::seed did, beside ClusterConfig::seed,
+                        until it became a constant).
 
 Exit status: 0 clean, 1 violations found. Run from anywhere:
 
@@ -73,6 +88,15 @@ REACHING_DIRS = ("src", "bench", "examples", "perfbench")
 # The opt-out marker; group 1 is the dash-led reason, None when missing.
 ALLOW_UNREACHED = re.compile(
     r"//\s*conventions:\s*allow\(reached-header\)(\s*(?:—|-{1,2})\s*\S)?")
+# Rule 8: a settable struct, its opt-out marker, and the assignment forms
+# that count as setting a field (every name in the `.a.b.c =` chain).
+CONFIG_STRUCT = re.compile(r"\bstruct\s+(\w+(?:Config|Params|Spec))\s*\{")
+ALLOW_UNSET = re.compile(
+    r"//\s*conventions:\s*allow\(set-config-field\)(\s*(?:—|-{1,2})\s*\S)?")
+FIELD_ASSIGN = re.compile(r"((?:\.\s*\w+\s*)+)=(?!=)")
+SETTING_DIRS = ("src", "bench", "examples", "perfbench", "tests")
+NOT_A_FIELD = ("static", "using", "friend", "enum", "struct", "class",
+               "union", "template", "typedef")
 
 ATTACH_FIRST_PARAM = {
     "metrics": "MetricsRegistry&",
@@ -251,6 +275,94 @@ class Linter:
                             f'perfbench/ but its own .cpp includes "{rel}": '
                             "wire it in or delete it")
 
+    def config_fields(self, path: Path, raw: str, code: str):
+        """Yield (struct, field, line) for every data member of each
+        *Config/*Params/*Spec struct in `code` that carries no opt-out."""
+        raw_lines = raw.splitlines()
+        for m in CONFIG_STRUCT.finditer(code):
+            line = code.count("\n", 0, m.start()) + 1
+            # The opt-out sits in the comment block directly above.
+            above = line - 2
+            marker = None
+            while above >= 0 and raw_lines[above].lstrip().startswith("//"):
+                if found := ALLOW_UNSET.search(raw_lines[above]):
+                    marker = (above + 1, found)
+                above -= 1
+            if marker is not None:
+                if marker[1].group(1) is None:
+                    self.report(path, marker[0], "set-config-field",
+                                "allow(set-config-field) needs a reason "
+                                "after a dash")
+                continue
+            # Walk the body at depth 1; nested braces (initializers, member
+            # function bodies, nested enums) collapse to "{}", and a block
+            # after a ')' or a nested type ends its statement.
+            i, depth = m.end(), 1
+            stmt, stmt_start = "", i
+            while i < len(code) and depth > 0:
+                ch = code[i]
+                if ch == "{":
+                    j, d = i + 1, 1
+                    while j < len(code) and d:
+                        d += {"{": 1, "}": -1}.get(code[j], 0)
+                        j += 1
+                    head = stmt.strip()
+                    stmt += "{}"
+                    i = j
+                    if ")" in head or head.split(" ")[0] in NOT_A_FIELD:
+                        stmt, stmt_start = "", i
+                    continue
+                if ch == "}":
+                    depth -= 1
+                elif ch == ";":
+                    yield from self.field_of(m.group(1), stmt,
+                                             code.count("\n", 0, stmt_start))
+                    stmt, stmt_start = "", i + 1
+                else:
+                    stmt += ch
+                i += 1
+
+    @staticmethod
+    def field_of(struct: str, stmt: str, newlines_before: int):
+        text = re.sub(r"^\s*(?:public|private|protected)\s*:", "", stmt)
+        lead = len(text) - len(text.lstrip())
+        text = text.strip()
+        if not text or text.split()[0] in NOT_A_FIELD or "operator" in text:
+            return
+        decl = re.split(r"[={\[]", text, maxsplit=1)[0]
+        while (bare := re.sub(r"<[^<>]*>", "", decl)) != decl:
+            decl = bare  # drop template arguments, innermost first
+        if "(" in decl:
+            return  # a member function
+        name = re.findall(r"\w+", decl)
+        if name:
+            line = newlines_before + stmt[:lead].count("\n") + 1
+            yield struct, name[-1], line
+
+    def check_set_config_fields(self) -> None:
+        assigned: set[str] = set()
+        for top in SETTING_DIRS:
+            for path in sorted((self.root / top).rglob("*")):
+                if path.suffix not in HEADER_SUFFIXES | SOURCE_SUFFIXES or \
+                        "lint_fixtures" in path.relative_to(self.root).parts:
+                    continue
+                code = strip_comments(
+                    path.read_text(encoding="utf-8", errors="replace"))
+                for m in FIELD_ASSIGN.finditer(code):
+                    assigned.update(re.findall(r"\w+", m.group(1)))
+        for path in sorted((self.root / "src").rglob("*")):
+            if path.suffix not in HEADER_SUFFIXES | SOURCE_SUFFIXES:
+                continue
+            raw = path.read_text(encoding="utf-8", errors="replace")
+            for struct, field, line in self.config_fields(
+                    path, raw, strip_comments(raw)):
+                if field not in assigned:
+                    self.report(path, line, "set-config-field",
+                                f"{struct}::{field} is never assigned by "
+                                "name in src/, bench/, examples/, perfbench/ "
+                                "or tests/: make it a constexpr constant "
+                                "beside its reader, or delete it")
+
     # --- driver --------------------------------------------------------------
 
     def lint(self) -> int:
@@ -271,6 +383,7 @@ class Linter:
                 self.check_own_header_first(path, raw, code)
                 self.check_include_order(path, raw, code, skip_first=True)
         self.check_reached_headers()
+        self.check_set_config_fields()
         return len(self.violations)
 
 
