@@ -1,0 +1,203 @@
+#include "common/page.hpp"
+
+#include <cstring>
+
+#include "common/check.hpp"
+
+namespace dk {
+
+namespace {
+
+/// This thread's page pool: the pages no reference holds. A stack of
+/// pointers rather than a list threaded through the pages, so taking or
+/// returning one touches no cold page.
+struct PagePool {
+  std::vector<Page*> free;
+  std::uint64_t live = 0;
+
+  ~PagePool() {
+    for (Page* page : free) delete page;
+  }
+};
+
+PagePool& pool() {
+  static thread_local PagePool p;
+  return p;
+}
+
+/// The zero page: read-only, so a stray write through it faults.
+constexpr std::array<std::uint8_t, kPageBytes> kZeroPage{};
+
+}  // namespace
+
+std::uint64_t live_pages() { return pool().live; }
+
+PageRef PageRef::allocate() {
+  PagePool& p = pool();
+  Page* page = nullptr;
+  if (p.free.empty()) {
+    page = new Page;
+  } else {
+    page = p.free.back();
+    p.free.pop_back();
+  }
+  page->refs = 1;
+  ++p.live;
+  return PageRef(page);
+}
+
+void PageRef::release(Page* page) {
+  PagePool& p = pool();
+  p.free.push_back(page);
+  --p.live;
+}
+
+const std::uint8_t* PageRef::data() const {
+  return page_ != nullptr ? page_->bytes.data() : kZeroPage.data();
+}
+
+std::uint8_t* PageRef::writable() {
+  if (page_ == nullptr || page_->refs > 1) {
+    PageRef copy = allocate();
+    std::memcpy(copy.page_->bytes.data(), data(), kPageBytes);
+    *this = std::move(copy);
+  }
+  return page_->bytes.data();
+}
+
+Payload::Payload(Payload&& other) noexcept
+    : size_(std::exchange(other.size_, 0)),
+      head_(std::exchange(other.head_, 0)),
+      count_(std::exchange(other.count_, 0)),
+      inline_(std::move(other.inline_)),
+      spill_(std::move(other.spill_)) {}
+
+Payload& Payload::operator=(Payload other) noexcept {
+  std::swap(size_, other.size_);
+  std::swap(head_, other.head_);
+  std::swap(count_, other.count_);
+  std::swap(inline_, other.inline_);
+  std::swap(spill_, other.spill_);
+  return *this;
+}
+
+void Payload::push_page(PageRef page) {
+  if (count_ == kInlinePages) {
+    spill_.reserve(2 * kInlinePages);
+    for (PageRef& p : inline_) spill_.push_back(std::move(p));
+  }
+  if (count_ >= kInlinePages)
+    spill_.push_back(std::move(page));
+  else
+    inline_[count_] = std::move(page);
+  ++count_;
+}
+
+Payload Payload::zeros(std::uint64_t offset, std::uint64_t length) {
+  Payload out;
+  out.head_ = static_cast<std::uint32_t>(offset % kPageBytes);
+  out.size_ = length;
+  const std::uint64_t count =
+      length == 0 ? 0 : (out.head_ + length + kPageBytes - 1) / kPageBytes;
+  if (count > kInlinePages) out.spill_.resize(count);
+  out.count_ = static_cast<std::uint32_t>(count);
+  return out;
+}
+
+Payload Payload::copy_of(std::span<const std::uint8_t> bytes,
+                         std::uint64_t offset) {
+  Payload out = zeros(offset, bytes.size());
+  // Take every page and start loading it before copying into any: a
+  // recycled page is usually cold, and the copies then overlap their
+  // misses instead of waiting out one page at a time.
+  for (std::size_t i = 0; i < out.count_; ++i) {
+    PageRef page = PageRef::allocate();
+    page.prefetch(kPageBytes);
+    out.set_page(i, std::move(page));
+  }
+  std::uint64_t pos = 0;
+  for (std::size_t i = 0; i < out.count_; ++i) {
+    std::uint8_t* dst = out.pages()[i].writable();
+    const std::uint64_t start = i == 0 ? out.head_ : 0;
+    const std::uint64_t n = std::min(bytes.size() - pos, kPageBytes - start);
+    std::memset(dst, 0, start);
+    std::memcpy(dst + start, bytes.data() + pos, n);
+    std::memset(dst + start + n, 0, kPageBytes - start - n);
+    pos += n;
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> Payload::to_vector() const {
+  std::vector<std::uint8_t> out;
+  out.reserve(size_);
+  for_each_segment([&](std::span<const std::uint8_t> seg) {
+    out.insert(out.end(), seg.begin(), seg.end());
+  });
+  return out;
+}
+
+std::uint8_t Payload::operator[](std::uint64_t i) const {
+  DK_CHECK(i < size_) << "byte " << i << " past the payload's end";
+  const std::uint64_t pos = head_ + i;
+  return page(pos / kPageBytes).data()[pos % kPageBytes];
+}
+
+std::uint32_t Payload::crc32c(std::uint32_t crc) const {
+  for_each_segment(
+      [&](std::span<const std::uint8_t> seg) { crc = dk::crc32c(seg, crc); });
+  return crc;
+}
+
+void Payload::append(const Payload& next) {
+  if (next.empty()) return;
+  if (empty()) {
+    *this = next;
+    return;
+  }
+  DK_CHECK((head_ + size_) % kPageBytes == next.head_)
+      << "appended payload does not continue this one";
+  std::size_t first = 0;
+  if (next.head_ != 0) {
+    // Both payloads reach into one block: merge next's part into a private
+    // copy of this payload's last page.
+    const std::uint64_t n =
+        std::min<std::uint64_t>(next.size_, kPageBytes - next.head_);
+    std::memcpy(pages()[count_ - 1].writable() + next.head_,
+                next.page(0).data() + next.head_, n);
+    first = 1;
+  }
+  for (std::size_t i = first; i < next.count_; ++i) push_page(next.page(i));
+  size_ += next.size_;
+}
+
+bool operator==(const Payload& a, const Payload& b) {
+  if (a.size_ != b.size_) return false;
+  if (a.head_ == b.head_ &&
+      std::equal(a.pages(), a.pages() + a.count_, b.pages()))
+    return true;  // the same pages
+  std::uint64_t pos = 0;
+  bool equal = true;
+  a.for_each_segment([&](std::span<const std::uint8_t> seg) {
+    std::uint64_t done = 0;
+    b.for_each_segment(pos, seg.size(), [&](std::span<const std::uint8_t> s) {
+      equal = equal && std::memcmp(s.data(), seg.data() + done, s.size()) == 0;
+      done += s.size();
+    });
+    pos += seg.size();
+  });
+  return equal;
+}
+
+bool operator==(const Payload& a, std::span<const std::uint8_t> b) {
+  if (a.size_ != b.size()) return false;
+  std::uint64_t pos = 0;
+  bool equal = true;
+  a.for_each_segment([&](std::span<const std::uint8_t> seg) {
+    equal = equal && std::memcmp(seg.data(), b.data() + pos, seg.size()) == 0;
+    pos += seg.size();
+  });
+  return equal;
+}
+
+}  // namespace dk

@@ -36,23 +36,37 @@ ReedSolomon::ReedSolomon(Profile profile) : profile_(profile) {
                    : gf::Matrix::systematic_vandermonde(profile_.k, profile_.m);
 }
 
-std::vector<Chunk> ReedSolomon::split(
-    std::span<const std::uint8_t> object) const {
+template <typename Append>
+std::vector<Chunk> ReedSolomon::split(std::size_t size, Append append) const {
   const unsigned k = profile_.k;
-  const std::size_t chunk_size = (object.size() + k - 1) / k;
+  const std::size_t chunk_size = (size + k - 1) / k;
   std::vector<Chunk> chunks;
   chunks.reserve(profile_.total());
   for (unsigned i = 0; i < k; ++i) {
     const std::size_t off =
-        std::min(object.size(), static_cast<std::size_t>(i) * chunk_size);
-    const auto part =
-        object.subspan(off, std::min(chunk_size, object.size() - off));
+        std::min(size, static_cast<std::size_t>(i) * chunk_size);
     Chunk& chunk = chunks.emplace_back();
     chunk.reserve(chunk_size);
-    chunk.assign(part.begin(), part.end());
+    append(off, std::min(chunk_size, size - off), chunk);
     chunk.resize(chunk_size);  // zero padding past the object's end
   }
   return chunks;
+}
+
+std::vector<Chunk> ReedSolomon::split(
+    std::span<const std::uint8_t> object) const {
+  return split(object.size(), [&](std::size_t off, std::size_t n, Chunk& out) {
+    out.insert(out.end(), object.begin() + static_cast<long>(off),
+               object.begin() + static_cast<long>(off + n));
+  });
+}
+
+std::vector<Chunk> ReedSolomon::split(const Payload& object) const {
+  return split(object.size(), [&](std::size_t off, std::size_t n, Chunk& out) {
+    object.for_each_segment(off, n, [&](std::span<const std::uint8_t> seg) {
+      out.insert(out.end(), seg.begin(), seg.end());
+    });
+  });
 }
 
 Result<std::vector<Chunk>> ReedSolomon::encode(

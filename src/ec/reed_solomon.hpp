@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "common/page.hpp"
 #include "common/status.hpp"
 #include "gf/matrix.hpp"
 
@@ -43,6 +44,8 @@ class ReedSolomon {
   /// so a caller that appends them to ship all k+m shards does not
   /// reallocate.
   std::vector<Chunk> split(std::span<const std::uint8_t> object) const;
+  /// The same for an object held in pages, read in place.
+  std::vector<Chunk> split(const Payload& object) const;
 
   /// Compute the m coding chunks for the given k data chunks.
   Result<std::vector<Chunk>> encode(const std::vector<Chunk>& data) const;
@@ -62,6 +65,11 @@ class ReedSolomon {
   std::uint64_t encode_ops(std::size_t object_bytes) const;
 
  private:
+  /// split() over `size` bytes; `append(off, n, chunk)` appends object
+  /// bytes [off, off + n) to `chunk`.
+  template <typename Append>
+  std::vector<Chunk> split(std::size_t size, Append append) const;
+
   Profile profile_;
   gf::Matrix generator_;  // (k+m) x k systematic generator
 };

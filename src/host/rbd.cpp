@@ -76,8 +76,7 @@ void RbdDevice::aio_write(std::uint64_t offset,
                                   std::uint64_t pos, std::uint64_t len) {
     const auto part = data.subspan(pos, len);
     const auto n = static_cast<std::int32_t>(len);
-    client_.write(spec_.pool, oid, obj_off, {part.begin(), part.end()},
-                  strategy,
+    client_.write(spec_.pool, oid, obj_off, part, strategy,
                   [n, gather, cb = gather ? nullptr : std::move(cb)](Status s) {
                     const std::int32_t res =
                         s.ok() ? n : -static_cast<std::int32_t>(s.code());

@@ -56,8 +56,15 @@ void Blockstore::update_gauges() {
         static_cast<std::int64_t>(metrics_.physical->value() * 1000 / logical));
 }
 
+void Blockstore::drop_unapplied(std::uint64_t lsn) {
+  auto it = unapplied_.find(lsn);
+  if (it == unapplied_.end()) return;
+  it->second = Payload();  // a spare node must not keep the pages
+  unapplied_nodes_.erase(unapplied_, it);
+}
+
 std::uint64_t Blockstore::append(const ObjectKey& key, std::uint64_t offset,
-                                 std::span<const std::uint8_t> data) {
+                                 const Payload& data) {
   DK_CHECK(!data.empty()) << "journal records carry a payload";
   logical_bytes_ += data.size();
   if (metrics_.logical != nullptr) metrics_.logical->inc(data.size());
@@ -73,10 +80,13 @@ std::uint64_t Blockstore::append(const ObjectKey& key, std::uint64_t offset,
       // Chain both CRCs over the new bytes: they stay equal when the record
       // was intact, and a record whose stored CRC had gone bad stays bad
       // instead of being laundered.
-      tail.pending.insert(tail.pending.end(), data.begin(), data.end());
+      if (auto it = unapplied_.find(tail.lsn); it != unapplied_.end())
+        it->second.append(data);
+      else
+        unapplied_nodes_.emplace(unapplied_, tail.lsn, data);
       tail.length += data.size();
-      tail.crc = crc32c(data, tail.crc);
-      tail.payload_crc = crc32c(data, tail.payload_crc);
+      tail.crc = data.crc32c(tail.crc);
+      tail.payload_crc = data.crc32c(tail.payload_crc);
       tail.stored_bytes += data.size();
       tail.applied = false;  // the new delta is not in the data area yet
       occupancy_ += data.size();
@@ -103,9 +113,9 @@ std::uint64_t Blockstore::append(const ObjectKey& key, std::uint64_t offset,
   r.key = key;
   r.offset = offset;
   r.length = data.size();
-  // An unapplied record must stay replayable, so it holds its own copy.
-  r.pending.assign(data.begin(), data.end());
-  r.crc = crc32c(data);
+  // An unapplied record must stay replayable, so it keeps the write's pages.
+  unapplied_nodes_.emplace(unapplied_, r.lsn, data);
+  r.crc = data.crc32c();
   r.payload_crc = r.crc;
   r.stored_bytes = stored;
   records_.push_back(std::move(r));
@@ -119,14 +129,13 @@ std::uint64_t Blockstore::append(const ObjectKey& key, std::uint64_t offset,
 }
 
 void Blockstore::commit(std::uint64_t lsn, const ObjectKey& key,
-                        std::uint64_t offset,
-                        std::span<const std::uint8_t> data,
+                        std::uint64_t offset, const Payload& data,
                         std::span<const std::uint32_t> checksums) {
   DK_CHECK(!records_.empty() && records_.back().lsn == lsn)
       << "commit must target the record just appended";
   backing_.write(key, offset, data, checksums);
   Record& r = records_.back();
-  r.pending = std::vector<std::uint8_t>();  // frees; clear() keeps capacity
+  drop_unapplied(lsn);
   r.applied = true;
   on_intent_resolved(r);
   const std::uint64_t physical = block_rounded(offset, data.size());
@@ -176,7 +185,7 @@ void Blockstore::tear_tail(std::uint64_t keep_bytes) {
   // Bytes past the tear never reached the journal device; the stored CRC
   // (in the header, written first) no longer matches what survives. A torn
   // record is never applied, so its bytes are dropped.
-  tail.pending = std::vector<std::uint8_t>();
+  drop_unapplied(tail.lsn);
   occupancy_ -= lost;
   if (metrics_.occupancy != nullptr)
     metrics_.occupancy->sub(static_cast<std::int64_t>(lost));
@@ -206,9 +215,12 @@ std::size_t Blockstore::replay() {
     if (!intact(r)) break;  // the readable log ends at the first bad record
     if (!r.applied) {
       // A write coalesced onto an applied record left only its own bytes
-      // pending: they sit at the record's end.
-      backing_.write(r.key, r.offset + r.length - r.pending.size(), r.pending,
-                     {});
+      // unapplied: they sit at the record's end.
+      auto it = unapplied_.find(r.lsn);
+      DK_CHECK(it != unapplied_.end()) << "unapplied record " << r.lsn
+                                       << " lost its payload";
+      const Payload& pending = it->second;
+      backing_.write(r.key, r.offset + r.length - pending.size(), pending, {});
       r.applied = true;
       data_bytes_written_ += block_rounded(r.offset, r.length);
       ++resolved;
@@ -226,6 +238,7 @@ std::size_t Blockstore::replay() {
   if (metrics_.occupancy != nullptr)
     metrics_.occupancy->sub(static_cast<std::int64_t>(occupancy_));
   records_.clear();
+  unapplied_.clear();
   occupancy_ = 0;
   bytes_since_fsync_ = 0;
   update_gauges();

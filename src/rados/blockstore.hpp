@@ -10,8 +10,9 @@
 // record — a fixed header (lsn, object key, offset, payload length, CRC-32C
 // of the payload) plus the payload — then is committed to the data area (the
 // backing ObjectStore) at 4 kB block granularity. Header plus payload is the
-// modeled on-journal footprint; memory holds a record's payload bytes only
-// until they are applied, since nothing reads them after that. Sub-block
+// modeled on-journal footprint; memory holds a record's payload only until
+// it is applied, since nothing reads it after that, and holds it as
+// references to the write's pages (common/page.hpp), not a copy. Sub-block
 // writes that extend the tail record of the same object coalesce into it
 // (one header, one fsync batch), vitastor's small-write path. The journal is
 // a capped ring: appends that would exceed `journal_bytes` trim applied
@@ -41,11 +42,13 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "common/metrics.hpp"
+#include "common/node_pool.hpp"
+#include "common/page.hpp"
 #include "common/units.hpp"
 #include "rados/object_store.hpp"
 
@@ -107,7 +110,7 @@ class Blockstore {
   /// trim applied head records (ring wraparound). Returns the lsn of the
   /// record now holding the write.
   std::uint64_t append(const ObjectKey& key, std::uint64_t offset,
-                       std::span<const std::uint8_t> data);
+                       const Payload& data);
 
   /// Commit the journaled write to the data area: the backing store is
   /// mutated (block checksums refreshed when integrity is armed via
@@ -115,8 +118,7 @@ class Blockstore {
   /// policy runs. Physical data-area traffic is charged at 4 kB block
   /// granularity (sub-block writes rewrite their whole block).
   void commit(std::uint64_t lsn, const ObjectKey& key, std::uint64_t offset,
-              std::span<const std::uint8_t> data,
-              std::span<const std::uint32_t> checksums);
+              const Payload& data, std::span<const std::uint32_t> checksums);
 
   // --- crash path ---------------------------------------------------------
 
@@ -187,9 +189,6 @@ class Blockstore {
     ObjectKey key;
     std::uint64_t offset = 0;  // object offset of the payload start
     std::uint64_t length = 0;  // payload bytes journaled in this record
-    // The record's trailing payload bytes not yet applied to the data area;
-    // freed once they are.
-    std::vector<std::uint8_t> pending;
     // The payload's CRC-32C as the header stores it (corrupt_crc() flips
     // it), and as taken over the bytes at append: replay compares the two,
     // since applied bytes are no longer held.
@@ -203,6 +202,8 @@ class Blockstore {
   };
 
   bool intact(const Record& r) const;
+  /// Release record `lsn`'s unapplied payload, if it holds one.
+  void drop_unapplied(std::uint64_t lsn);
   void trim_front();          // drop the oldest applied record
   void trim_to(std::uint64_t target_occupancy);
   void on_intent();
@@ -213,6 +214,11 @@ class Blockstore {
   ObjectStore& backing_;
   PipelineValidator* validator_ = nullptr;
   std::deque<Record> records_;
+  // Each unapplied record's trailing payload bytes not yet in the data
+  // area, by lsn; an entry goes once its bytes are applied or dropped.
+  using Unapplied = std::map<std::uint64_t, Payload>;
+  Unapplied unapplied_;
+  NodePool<Unapplied> unapplied_nodes_;
   std::uint64_t next_lsn_ = 1;
   std::uint64_t occupancy_ = 0;
   std::uint64_t bytes_since_fsync_ = 0;

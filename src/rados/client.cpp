@@ -193,18 +193,17 @@ void RadosClient::send(int osd, std::shared_ptr<OpBody> body) {
 }
 
 void RadosClient::write(int pool, std::uint64_t oid, std::uint64_t offset,
-                        std::vector<std::uint8_t> data, WriteStrategy strategy,
-                        WriteCallback cb) {
+                        std::span<const std::uint8_t> data,
+                        WriteStrategy strategy, WriteCallback cb) {
   if (!retries_armed_) {
-    dispatch_write(pool, oid, offset, std::move(data), strategy,
-                   std::move(cb));
+    dispatch_write(pool, oid, offset, data, strategy, std::move(cb));
     return;
   }
   auto ctx = std::make_shared<WriteAttempt>();
   ctx->pool = pool;
   ctx->oid = oid;
   ctx->offset = offset;
-  ctx->data = std::move(data);
+  ctx->data.assign(data.begin(), data.end());
   ctx->strategy = strategy;
   ctx->cb = std::move(cb);
   start_write_attempt(std::move(ctx));
@@ -212,7 +211,7 @@ void RadosClient::write(int pool, std::uint64_t oid, std::uint64_t offset,
 
 std::uint64_t RadosClient::dispatch_write(int pool, std::uint64_t oid,
                                           std::uint64_t offset,
-                                          std::vector<std::uint8_t> data,
+                                          std::span<const std::uint8_t> data,
                                           WriteStrategy strategy,
                                           WriteCallback cb) {
   if (cluster_.object_recovering(static_cast<std::uint32_t>(pool), oid)) {
@@ -221,10 +220,10 @@ std::uint64_t RadosClient::dispatch_write(int pool, std::uint64_t oid,
     ++recovery_write_delays_;
     cluster_.simulator().schedule_after(
         kRecoveryBlockedRetryDelay,
-        [this, pool, oid, offset, data = std::move(data), strategy,
-         cb = std::move(cb)]() mutable {
-          dispatch_write(pool, oid, offset, std::move(data), strategy,
-                         std::move(cb));
+        [this, pool, oid, offset,
+         bytes = std::vector<std::uint8_t>(data.begin(), data.end()),
+         strategy, cb = std::move(cb)]() mutable {
+          dispatch_write(pool, oid, offset, bytes, strategy, std::move(cb));
         });
     return 0;
   }
@@ -235,25 +234,24 @@ std::uint64_t RadosClient::dispatch_write(int pool, std::uint64_t oid,
     return 0;
   }
   if (p.mode == PoolConfig::Mode::replicated) {
-    return write_replicated(pool, oid, offset, std::move(data), acting,
-                            strategy, std::move(cb));
+    return write_replicated(pool, oid, offset, data, acting, strategy,
+                            std::move(cb));
   }
-  return write_ec(pool, oid, offset, std::move(data), acting, strategy,
-                  std::move(cb));
+  return write_ec(pool, oid, offset, data, acting, strategy, std::move(cb));
 }
 
-std::uint64_t RadosClient::write_replicated(int pool, std::uint64_t oid,
-                                            std::uint64_t offset,
-                                            std::vector<std::uint8_t> data,
-                                            const std::vector<int>& acting,
-                                            WriteStrategy strategy,
-                                            WriteCallback cb) {
+std::uint64_t RadosClient::write_replicated(
+    int pool, std::uint64_t oid, std::uint64_t offset,
+    std::span<const std::uint8_t> bytes, const std::vector<int>& acting,
+    WriteStrategy strategy, WriteCallback cb) {
   const std::uint64_t op_id = next_op_id_++;
   Pending pend;
   pend.pool = pool;
   pend.oid = oid;
   pend.wcb = std::move(cb);
   cluster_.note_client_write_begin(static_cast<std::uint32_t>(pool), oid);
+  // The one copy of the payload: every message below shares these pages.
+  Payload data = Payload::copy_of(bytes, offset);
 
   if (strategy == WriteStrategy::primary_copy) {
     pend.awaiting = 1;
@@ -268,30 +266,25 @@ std::uint64_t RadosClient::write_replicated(int pool, std::uint64_t oid,
     return op_id;
   }
 
-  // client_fanout: one direct copy per replica, acked independently. The
-  // last replica's message takes the payload itself, so a write makes one
-  // copy per extra replica.
+  // client_fanout: one direct message per replica, acked independently;
+  // every message shares the payload's pages.
   pend.awaiting = static_cast<unsigned>(acting.size());
   pending_nodes_.emplace(pending_, op_id, std::move(pend));
   op_started();
-  auto checksums = maybe_checksums(offset, data);
-  for (std::size_t i = 0; i + 1 < acting.size(); ++i) {
+  const auto checksums = maybe_checksums(offset, data);
+  for (const int osd : acting) {
     auto body = make_op(OpType::sub_write, op_id, object_key(pool, oid),
                         offset);
     body->data = data;
     body->checksums = checksums;
-    send(acting[i], std::move(body));
+    send(osd, std::move(body));
   }
-  auto body = make_op(OpType::sub_write, op_id, object_key(pool, oid), offset);
-  body->data = std::move(data);
-  body->checksums = std::move(checksums);
-  send(acting.back(), std::move(body));
   return op_id;
 }
 
 std::uint64_t RadosClient::write_ec(int pool, std::uint64_t oid,
                                     std::uint64_t offset,
-                                    std::vector<std::uint8_t> data,
+                                    std::span<const std::uint8_t> data,
                                     const std::vector<int>& acting,
                                     WriteStrategy strategy, WriteCallback cb) {
   const ec::ReedSolomon& rs = *cluster_.pool(pool).codec;
@@ -314,7 +307,7 @@ std::uint64_t RadosClient::write_ec(int pool, std::uint64_t oid,
     op_started();
     auto body = make_op(OpType::ec_primary_write, op_id,
                         object_key(pool, oid), offset);
-    body->data = std::move(data);
+    body->data = Payload::copy_of(data, offset);
     body->replicas = acting;
     body->codec = &rs;
     send(acting[0], std::move(body));
@@ -323,7 +316,8 @@ std::uint64_t RadosClient::write_ec(int pool, std::uint64_t oid,
 
   // client_fanout: encode locally (functionally — the time cost is charged
   // by the framework variant, in software or on the FPGA model), then put
-  // each shard on the wire directly.
+  // each shard on the wire directly. The split reads the caller's bytes;
+  // each shard is copied into pages once, for its store to adopt.
   ec_encoded_ += data.size();
   if (metrics_.ec_bytes_encoded) metrics_.ec_bytes_encoded->inc(data.size());
   auto chunks = rs.split(data);
@@ -338,7 +332,7 @@ std::uint64_t RadosClient::write_ec(int pool, std::uint64_t oid,
   for (unsigned s = 0; s < chunks.size(); ++s) {
     auto body = make_op(OpType::sub_write, op_id, object_key(pool, oid, s),
                         shard_off);
-    body->data = std::move(chunks[s]);
+    body->data = Payload::copy_of(chunks[s], shard_off);
     body->checksums = maybe_checksums(shard_off, body->data);
     send(acting[s], std::move(body));
   }
@@ -586,24 +580,29 @@ void RadosClient::on_reply(std::shared_ptr<OpBody> body) {
 }
 
 std::vector<std::uint32_t> RadosClient::maybe_checksums(
-    std::uint64_t offset, const std::vector<std::uint8_t>& data) const {
+    std::uint64_t offset, const Payload& data) const {
   // Checksums describe whole store blocks, so they are only meaningful for
   // block-aligned writes; the OSD recomputes everything else from the
-  // stored bytes.
-  if (!integrity_ || offset % kChecksumBlockBytes != 0) return {};
-  return block_checksums(data);
+  // stored bytes. Such a payload holds block i in page i.
+  std::vector<std::uint32_t> out;
+  if (!integrity_ || offset % kChecksumBlockBytes != 0) return out;
+  out.reserve(data.page_count());
+  data.for_each_segment([&](std::span<const std::uint8_t> block) {
+    out.push_back(crc32c(block));
+  });
+  return out;
 }
 
 bool RadosClient::verify_received(const OpBody& body) const {
   // The OSD ships checksums only for the leading fully-stored blocks of a
-  // block-aligned read; verify exactly those against the received bytes.
+  // block-aligned read, which hold block i in page i; verify exactly those
+  // against the received bytes.
   const auto& data = body.data;
   for (std::size_t i = 0; i < body.checksums.size(); ++i) {
-    const std::size_t begin = i * kChecksumBlockBytes;
-    if (begin + kChecksumBlockBytes > data.size()) break;
-    const std::span<const std::uint8_t> block(data.data() + begin,
-                                              kChecksumBlockBytes);
-    if (crc32c(block) != body.checksums[i]) return false;
+    if ((i + 1) * kChecksumBlockBytes > data.size()) break;
+    if (crc32c({data.page(i).data(), kChecksumBlockBytes}) !=
+        body.checksums[i])
+      return false;
   }
   return true;
 }
@@ -636,8 +635,7 @@ void RadosClient::complete_read(PendingIt it,
 }
 
 void RadosClient::send_repair_write(int osd, const ObjectKey& key,
-                                    std::uint64_t offset,
-                                    std::vector<std::uint8_t> data) {
+                                    std::uint64_t offset, Payload data) {
   // Fire-and-forget: the repair is best-effort and its ack is stale by
   // construction (fresh op_id, no pending entry). A failed repair is caught
   // again by the next read or a deep scrub.
@@ -695,21 +693,16 @@ void RadosClient::ec_gather_complete(PendingIt it, std::uint64_t op_id) {
   const std::uint64_t shard_off = pend.offset / k;
   for (std::uint64_t bad = pend.bad; bad != 0; bad &= bad - 1) {
     const auto s = static_cast<unsigned>(std::countr_zero(bad));
-    std::vector<std::uint8_t> repaired;
-    if (s < k) {
-      repaired = data_chunks[s];
-    } else {
-      if (!coding) {
-        auto encoded = rs.encode(data_chunks);
-        DK_CHECK(encoded.ok());
-        coding = std::move(*encoded);
-      }
-      repaired = (*coding)[s - k];
+    if (s >= k && !coding) {
+      auto encoded = rs.encode(data_chunks);
+      DK_CHECK(encoded.ok());
+      coding = std::move(*encoded);
     }
+    const ec::Chunk& repaired = s < k ? data_chunks[s] : (*coding)[s - k];
     send_repair_write(pend.acting[s],
                       object_key(pend.pool, pend.oid,
                                  static_cast<std::int32_t>(s)),
-                      shard_off, std::move(repaired));
+                      shard_off, Payload::copy_of(repaired, shard_off));
   }
 
   complete_read(it, rs.assemble(data_chunks, pend.length));
@@ -734,7 +727,7 @@ void RadosClient::on_read_reply(PendingIt it, std::shared_ptr<OpBody> body) {
     if (bad)
       pend.bad |= bit(s);
     else
-      pend.chunks[s] = std::move(body->data);
+      pend.chunks[s] = body->data.to_vector();
     if (--pend.awaiting == 0) ec_gather_complete(it, op_id);
     return;
   }
@@ -746,7 +739,7 @@ void RadosClient::on_read_reply(PendingIt it, std::shared_ptr<OpBody> body) {
       send_repair_write(pend.acting[std::countr_zero(bad)],
                         object_key(pend.pool, pend.oid), pend.offset,
                         body->data);
-    complete_read(it, std::move(body->data));
+    complete_read(it, body->data.to_vector());
     return;
   }
 

@@ -50,10 +50,12 @@ class RadosClient {
   RadosClient(const RadosClient&) = delete;
   RadosClient& operator=(const RadosClient&) = delete;
 
-  /// Asynchronously write `data` at `offset` of object (pool, oid).
+  /// Asynchronously write `data` at `offset` of object (pool, oid). The
+  /// bytes are copied before this returns: into pages once, which every
+  /// replica's message shares, or split into EC chunks.
   /// For EC pools, `offset` must be a multiple of the profile's k.
   void write(int pool, std::uint64_t oid, std::uint64_t offset,
-             std::vector<std::uint8_t> data, WriteStrategy strategy,
+             std::span<const std::uint8_t> data, WriteStrategy strategy,
              WriteCallback cb);
 
   /// Asynchronously read `length` bytes at `offset`.
@@ -187,8 +189,8 @@ class RadosClient {
   // `integrity` only decides whether a reply's bytes are checksum-verified.
   // It owns the replicated next-replica walk, the EC shard gather and
   // regather, and repair writes.
-  std::vector<std::uint32_t> maybe_checksums(
-      std::uint64_t offset, const std::vector<std::uint8_t>& data) const;
+  std::vector<std::uint32_t> maybe_checksums(std::uint64_t offset,
+                                             const Payload& data) const;
   bool verify_received(const OpBody& body) const;
   void note_corruption(Pending& pend);
   void count_checksum_failure();
@@ -196,7 +198,7 @@ class RadosClient {
   void on_read_reply(PendingIt it, std::shared_ptr<OpBody> body);
   void ec_gather_complete(PendingIt it, std::uint64_t op_id);
   void send_repair_write(int osd, const ObjectKey& key, std::uint64_t offset,
-                         std::vector<std::uint8_t> data);
+                         Payload data);
 
   /// Replica choice: the first position of `acting` outside `skip` whose
   /// OSD is up and not awaiting recovery of `key`; acting.size() if none.
@@ -216,11 +218,11 @@ class RadosClient {
   // synchronously through `cb` and nothing is in flight).
   std::uint64_t write_replicated(int pool, std::uint64_t oid,
                                  std::uint64_t offset,
-                                 std::vector<std::uint8_t> data,
+                                 std::span<const std::uint8_t> bytes,
                                  const std::vector<int>& acting,
                                  WriteStrategy strategy, WriteCallback cb);
   std::uint64_t write_ec(int pool, std::uint64_t oid, std::uint64_t offset,
-                         std::vector<std::uint8_t> data,
+                         std::span<const std::uint8_t> data,
                          const std::vector<int>& acting,
                          WriteStrategy strategy, WriteCallback cb);
   // `degraded_defers_left` bounds how long a read blocks behind recovery
@@ -240,7 +242,7 @@ class RadosClient {
                         ReadStrategy strategy, ReadCallback cb);
   std::uint64_t dispatch_write(int pool, std::uint64_t oid,
                                std::uint64_t offset,
-                               std::vector<std::uint8_t> data,
+                               std::span<const std::uint8_t> data,
                                WriteStrategy strategy, WriteCallback cb);
   std::uint64_t dispatch_read(int pool, std::uint64_t oid,
                               std::uint64_t offset, std::uint64_t length,

@@ -203,7 +203,8 @@ void Cluster::arm_faults(sim::FaultInjector& faults) {
       auto bytes = osd(target).store().raw_bytes(key);
       if (bytes.empty()) return;
       // Flip bits behind the checksum metadata's back: only a verify can
-      // tell this copy went bad.
+      // tell this copy went bad. Each flipped block is first copied into a
+      // page of this OSD's own, so no other replica sharing it changes.
       faults_->corrupt_bytes(bytes, ev.bit_flips);
       faults_->count_media_corruption();
     });

@@ -2,11 +2,13 @@
 //
 // Message bodies ride the network layer's shared_ptr<void>; payload byte
 // counts charged to the fabric are header + data length. Bodies come from
-// make_op(), whose recycled blocks make a steady op stream allocation-free
-// apart from payload bytes. A backfill_push is one leg of a recovery move
-// (Cluster::push): its bytes size the wire and service charges, and the
-// move itself decides what lands, so the message carries no recovery logic
-// beyond its arrival hook.
+// make_op(), whose recycled blocks make a steady op stream allocation-free.
+// A body's data is page references (common/page.hpp): every replica's
+// message, the journal records and the stores share the client's one copy
+// of a write, and a read reply references the serving store's pages. A
+// backfill_push is one leg of a recovery move (Cluster::push): its bytes
+// size the wire and service charges, and the move itself decides what
+// lands, so the message carries no recovery logic beyond its arrival hook.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "common/node_pool.hpp"
+#include "common/page.hpp"
 #include "common/status.hpp"
 #include "ec/reed_solomon.hpp"
 #include "rados/object_store.hpp"
@@ -42,7 +45,7 @@ struct OpBody {
   ObjectKey key;
   std::uint64_t offset = 0;
   std::uint64_t length = 0;
-  std::vector<std::uint8_t> data;
+  Payload data;  // laid out for `offset`
   int target_osd = -1;           // OSD index on the destination node
   int reply_osd = -1;            // OSD index to route the reply back to (-1 = client)
   // Fan-out bookkeeping: replica OSDs (primary-copy) or shard OSDs in shard

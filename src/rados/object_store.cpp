@@ -1,97 +1,107 @@
 #include "rados/object_store.hpp"
 
 #include <algorithm>
+#include <cstring>
 
+#include "common/check.hpp"
 #include "common/crc32c.hpp"
 
 namespace dk::rados {
 
 namespace {
 constexpr std::uint64_t kBlock = kChecksumBlockBytes;
+static_assert(kBlock == kPageBytes, "a block slot holds one page");
+constexpr std::uint64_t blocks_for(std::uint64_t bytes) {
+  return (bytes + kBlock - 1) / kBlock;
+}
 }  // namespace
 
-void ObjectStore::store_bytes(const ObjectKey& key, std::uint64_t offset,
-                              std::span<const std::uint8_t> data) {
-  auto& obj = objects_[key];
-  const std::uint64_t end = offset + data.size();
-  if (obj.size() < end) obj.resize(end, 0);
-  std::copy(data.begin(), data.end(),
-            obj.begin() + static_cast<std::ptrdiff_t>(offset));
-}
-
-void ObjectStore::refresh_checksums(const ObjectKey& key, std::uint64_t first,
-                                    std::uint64_t offset, std::uint64_t length,
-                                    std::span<const std::uint32_t> provided) {
-  auto it = objects_.find(key);
-  if (it == objects_.end() || it->second.empty()) return;
-  const auto& obj = it->second;
-  auto& cs = checksums_[key];
-  cs.resize((obj.size() + kBlock - 1) / kBlock, 0);
-  const std::uint64_t last = (offset + length - 1) / kBlock;
-  for (std::uint64_t b = first; b <= last && b < cs.size(); ++b) {
-    const std::uint64_t block_start = b * kBlock;
-    const std::uint64_t block_len =
-        std::min<std::uint64_t>(kBlock, obj.size() - block_start);
-    // A client-provided checksum is only usable when this write fully
-    // covers the block (and the write was block-aligned, so indices map).
-    const bool aligned = offset % kBlock == 0;
-    const std::uint64_t j = aligned && b >= offset / kBlock
-                                ? b - offset / kBlock
-                                : provided.size();
-    const bool fully_covered = block_start >= offset &&
-                               block_start + block_len <= offset + length;
-    if (fully_covered && j < provided.size()) {
-      cs[b] = provided[j];
-    } else {
-      cs[b] = crc32c(std::span<const std::uint8_t>(obj).subspan(
-          block_start, block_len));
-    }
-  }
+bool ObjectStore::block_verifies(const Object& obj, std::uint64_t b,
+                                 std::uint64_t size) {
+  // Stored bytes with no recorded checksum are treated as corrupt: absence
+  // of metadata for present data is itself suspect.
+  if (b >= obj.crcs.size()) return false;
+  const std::uint64_t len = std::min(kBlock, size - b * kBlock);
+  return crc32c({obj.blocks[b].data(), len}) == obj.crcs[b];
 }
 
 void ObjectStore::write(const ObjectKey& key, std::uint64_t offset,
-                        std::span<const std::uint8_t> data,
+                        const Payload& data,
                         std::span<const std::uint32_t> checksums) {
   if (data.empty()) return;
-  if (!integrity_) {
-    store_bytes(key, offset, data);
-    return;
-  }
-  // Re-checksum from the write start or, when the write grows the object
-  // past its end, from the first block zero-extension touches: a formerly
-  // partial tail block, else the first new block.
-  const std::uint64_t old_size = object_size(key);
-  const std::uint64_t old_blocks = (old_size + kBlock - 1) / kBlock;
-  const std::uint64_t first = std::min(offset, old_size) / kBlock;
-  // Pre-existing blocks re-checksummed without being fully rewritten keep
-  // old bytes. One that fails verification now must keep failing, or the
-  // fresh CRC would launder latent corruption.
+  DK_CHECK(data.head() == offset % kBlock)
+      << "payload not laid out for offset " << offset;
+  Object& obj = objects_[key];
   const std::uint64_t end = offset + data.size();
-  std::vector<std::uint64_t> stale;
-  for (std::uint64_t b = first; b < old_blocks && b * kBlock < end; ++b) {
+  const std::uint64_t old_size = obj.size;
+  obj.size = std::max(old_size, end);
+  obj.blocks.resize(blocks_for(obj.size));
+
+  // Integrity mode re-checksums from the write start or, when the write
+  // grows the object past its end, from the first block zero-extension
+  // touches: a formerly partial tail block, else the first new block.
+  // Staleness is judged against the checksums as they were.
+  const std::uint64_t old_checksummed = obj.crcs.size();
+  if (integrity_) obj.crcs.resize(obj.blocks.size());
+  const std::uint64_t first_written = offset / kBlock;
+  const std::uint64_t first =
+      integrity_ ? std::min(offset, old_size) / kBlock : first_written;
+  const std::uint64_t last = (end - 1) / kBlock;
+  // Replacing a block drops a reference to its old page: start those misses
+  // together rather than one per block.
+  for (std::uint64_t b = first_written; b <= last; ++b)
+    obj.blocks[b].prefetch();
+  for (std::uint64_t b = first; b <= last; ++b) {
     const std::uint64_t start = b * kBlock;
+    // A pre-existing block re-checksummed without being fully rewritten
+    // keeps old bytes. One that fails verification now must keep failing,
+    // or the fresh CRC would launder latent corruption.
     const bool rewritten =
-        start >= offset &&
-        std::min(start + kBlock, std::max(old_size, end)) <= end;
-    if (!rewritten && !verify(key, start, 1)) stale.push_back(b);
+        start >= offset && std::min(start + kBlock, obj.size) <= end;
+    const bool stale = integrity_ && start < old_size && !rewritten &&
+                       (b >= old_checksummed ||
+                        !block_verifies(obj, b, old_size));
+
+    PageRef& block = obj.blocks[b];
+    if (b >= first_written) {
+      const PageRef& page = data.page(b - first_written);
+      const std::uint64_t lo = std::max(offset, start);
+      const std::uint64_t hi = std::min(end, start + kBlock);
+      if (hi - lo == kBlock) {
+        block = page;  // covered whole: share the payload's page
+      } else {
+        std::memcpy(block.writable() + lo % kBlock, page.data() + lo % kBlock,
+                    hi - lo);
+      }
+    }
+    if (!integrity_) continue;
+    // A client-provided checksum is only usable when this write fully
+    // covers the block (and the write was block-aligned, so indices map).
+    const std::uint64_t len = std::min(kBlock, obj.size - start);
+    const std::uint64_t j = offset % kBlock == 0 && b >= first_written
+                                ? b - first_written
+                                : checksums.size();
+    const bool fully_covered = start >= offset && start + len <= end;
+    std::uint32_t& crc = obj.crcs[b];
+    crc = fully_covered && j < checksums.size() ? checksums[j]
+                                                : crc32c({block.data(), len});
+    if (stale) crc = ~crc;
   }
-  store_bytes(key, offset, data);
-  refresh_checksums(key, first, offset, data.size(), checksums);
-  std::vector<std::uint32_t>& cs = checksums_[key];
-  for (const std::uint64_t b : stale) cs[b] = ~cs[b];
 }
 
-std::vector<std::uint8_t> ObjectStore::read(const ObjectKey& key,
-                                            std::uint64_t offset,
-                                            std::uint64_t length) const {
-  std::vector<std::uint8_t> out(length, 0);
+Payload ObjectStore::read(const ObjectKey& key, std::uint64_t offset,
+                          std::uint64_t length) const {
+  Payload out = Payload::zeros(offset, length);
   auto it = objects_.find(key);
   if (it == objects_.end()) return out;
-  const auto& obj = it->second;
-  if (offset >= obj.size()) return out;
-  const std::uint64_t n = std::min<std::uint64_t>(length, obj.size() - offset);
-  std::copy_n(obj.begin() + static_cast<std::ptrdiff_t>(offset), n,
-              out.begin());
+  const std::vector<PageRef>& blocks = it->second.blocks;
+  for (std::size_t i = 0; i < out.page_count(); ++i) {
+    const std::uint64_t b = offset / kBlock + i;
+    if (b >= blocks.size()) break;
+    // The reader copies these bytes next.
+    blocks[b].prefetch(kBlock);
+    out.set_page(i, blocks[b]);
+  }
   return out;
 }
 
@@ -101,13 +111,10 @@ bool ObjectStore::exists(const ObjectKey& key) const {
 
 std::uint64_t ObjectStore::object_size(const ObjectKey& key) const {
   auto it = objects_.find(key);
-  return it == objects_.end() ? 0 : it->second.size();
+  return it == objects_.end() ? 0 : it->second.size;
 }
 
-void ObjectStore::remove(const ObjectKey& key) {
-  objects_.erase(key);
-  checksums_.erase(key);
-}
+void ObjectStore::remove(const ObjectKey& key) { objects_.erase(key); }
 
 std::vector<ObjectKey> ObjectStore::keys() const {
   std::vector<ObjectKey> out;
@@ -125,7 +132,7 @@ std::vector<ObjectKey> ObjectStore::keys_of_pool(std::uint32_t pool) const {
 
 std::uint64_t ObjectStore::bytes_stored() const {
   std::uint64_t total = 0;
-  for (const auto& [k, v] : objects_) total += v.size();
+  for (const auto& [k, v] : objects_) total += v.size;
   return total;
 }
 
@@ -136,25 +143,11 @@ bool ObjectStore::verify(const ObjectKey& key, std::uint64_t offset,
   if (!integrity_ || length == 0) return true;
   auto it = objects_.find(key);
   if (it == objects_.end()) return true;
-  const auto& obj = it->second;
-  if (offset >= obj.size()) return true;
-  auto cit = checksums_.find(key);
-  const std::span<const std::uint32_t> cs =
-      cit == checksums_.end() ? std::span<const std::uint32_t>{}
-                              : std::span<const std::uint32_t>(cit->second);
-  const std::uint64_t check_end =
-      std::min<std::uint64_t>(offset + length, obj.size());
-  for (std::uint64_t b = offset / kBlock; b * kBlock < check_end; ++b) {
-    const std::uint64_t block_start = b * kBlock;
-    const std::uint64_t block_len =
-        std::min<std::uint64_t>(kBlock, obj.size() - block_start);
-    // Stored bytes with no recorded checksum are treated as corrupt:
-    // absence of metadata for present data is itself suspect.
-    if (b >= cs.size()) return false;
-    const std::uint32_t actual = crc32c(
-        std::span<const std::uint8_t>(obj).subspan(block_start, block_len));
-    if (actual != cs[b]) return false;
-  }
+  const Object& obj = it->second;
+  if (offset >= obj.size) return true;
+  const std::uint64_t check_end = std::min(offset + length, obj.size);
+  for (std::uint64_t b = offset / kBlock; b * kBlock < check_end; ++b)
+    if (!block_verifies(obj, b, obj.size)) return false;
   return true;
 }
 
@@ -163,29 +156,33 @@ std::vector<std::uint32_t> ObjectStore::checksums_for(
   std::vector<std::uint32_t> out;
   if (!integrity_ || length == 0 || offset % kBlock != 0) return out;
   auto it = objects_.find(key);
-  auto cit = checksums_.find(key);
-  if (it == objects_.end() || cit == checksums_.end()) return out;
-  const auto& obj = it->second;
-  const auto& cs = cit->second;
+  if (it == objects_.end()) return out;
+  const Object& obj = it->second;
   // Only leading blocks the reader sees exactly as stored: every full
   // block, and the partial tail block when the range ends at the object's
   // end. Past the end the reader sees zero fill the stored CRC does not
   // cover, so shipping it would flag a false mismatch.
   const std::uint64_t end = offset + length;
   const std::uint64_t covered =
-      end == obj.size() ? end : std::min<std::uint64_t>(end, obj.size()) /
-                                    kBlock * kBlock;
-  for (std::uint64_t b = offset / kBlock; b * kBlock < covered && b < cs.size();
-       ++b) {
-    out.push_back(cs[b]);
-  }
+      end == obj.size ? end : std::min(end, obj.size) / kBlock * kBlock;
+  for (std::uint64_t b = offset / kBlock;
+       b * kBlock < covered && b < obj.crcs.size(); ++b)
+    out.push_back(obj.crcs[b]);
   return out;
 }
 
-std::span<std::uint8_t> ObjectStore::raw_bytes(const ObjectKey& key) {
+ObjectStore::RawBytes ObjectStore::raw_bytes(const ObjectKey& key) {
   auto it = objects_.find(key);
-  if (it == objects_.end()) return {};
-  return std::span<std::uint8_t>(it->second);
+  return RawBytes(it == objects_.end() ? nullptr : &it->second);
+}
+
+std::uint64_t ObjectStore::RawBytes::size() const {
+  return object_ == nullptr ? 0 : object_->size;
+}
+
+std::uint8_t& ObjectStore::RawBytes::operator[](std::uint64_t i) {
+  DK_CHECK(i < size()) << "byte " << i << " past the object's end";
+  return object_->blocks[i / kBlock].writable()[i % kBlock];
 }
 
 }  // namespace dk::rados

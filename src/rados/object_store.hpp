@@ -4,10 +4,20 @@
 // be read back (end-to-end data-integrity tests depend on this); sparse
 // writes extend objects with zero fill, like a POSIX file.
 //
+// Block-granular: an object is a run of 4 kB block slots, each a page
+// reference (common/page.hpp), with the blocks' CRCs beside them. An
+// unwritten block is a hole that reads from the shared zero page. A write
+// adopts every block its payload covers whole by reference, so replicas,
+// messages and journal records hold one copy of the bytes; only a partly
+// covered head or tail block is merged into a page private to this store.
+// Reads hand out references to the stored pages, which stay valid however
+// the object changes afterwards. Bytes past the object's end in its tail
+// block are zero.
+//
 // Integrity mode (set_integrity(true), off by default) adds BlueStore-style
-// per-object block checksums: every kChecksumBlockBytes block of a stored
-// object carries a CRC-32C, refreshed on write and checked by verify().
-// Mutation through raw_bytes() leaves them stale — that is the point: stale
+// block checksums: every kChecksumBlockBytes block of a stored object
+// carries a CRC-32C, refreshed on write and checked by verify(). Mutation
+// through raw_bytes() leaves them stale — that is the point: stale
 // checksums are how silent media corruption becomes detectable.
 //
 // The store itself applies every write atomically. Crash consistency lives
@@ -19,6 +29,8 @@
 #include <map>
 #include <span>
 #include <vector>
+
+#include "common/page.hpp"
 
 namespace dk::rados {
 
@@ -32,20 +44,28 @@ struct ObjectKey {
 };
 
 class ObjectStore {
+  struct Object;
+
  public:
-  /// Write `data` at `offset`, extending the object as needed. In integrity
-  /// mode the affected block checksums are refreshed; `checksums` (optional,
-  /// from the client) supplies precomputed CRCs for blocks this write fully
-  /// covers — partially covered blocks are always recomputed from the
-  /// stored bytes.
+  /// Write `data` (laid out for `offset`, see common/page.hpp) at `offset`,
+  /// extending the object as needed. In integrity mode the affected block
+  /// checksums are refreshed; `checksums` (optional, from the client)
+  /// supplies precomputed CRCs for blocks this write fully covers —
+  /// partially covered blocks are always recomputed from the stored bytes.
+  void write(const ObjectKey& key, std::uint64_t offset, const Payload& data,
+             std::span<const std::uint32_t> checksums = {});
+  /// The same for bytes not yet in pages: copies them into pages once.
   void write(const ObjectKey& key, std::uint64_t offset,
              std::span<const std::uint8_t> data,
-             std::span<const std::uint32_t> checksums = {});
+             std::span<const std::uint32_t> checksums = {}) {
+    write(key, offset, Payload::copy_of(data, offset), checksums);
+  }
 
-  /// Read `length` bytes at `offset`; short objects are zero-filled, like
-  /// reading a hole in a sparse file.
-  std::vector<std::uint8_t> read(const ObjectKey& key, std::uint64_t offset,
-                                 std::uint64_t length) const;
+  /// Read `length` bytes at `offset` as references to the stored pages;
+  /// holes and bytes past the object's end read as zeros, like reading a
+  /// sparse file.
+  Payload read(const ObjectKey& key, std::uint64_t offset,
+               std::uint64_t length) const;
 
   bool exists(const ObjectKey& key) const;
   std::uint64_t object_size(const ObjectKey& key) const;
@@ -84,25 +104,44 @@ class ObjectStore {
                                            std::uint64_t offset,
                                            std::uint64_t length) const;
 
-  /// Mutable view of the raw stored bytes — the media-corruption injection
-  /// point. Mutating through it deliberately bypasses checksum maintenance.
-  /// Empty span when the object is absent.
-  std::span<std::uint8_t> raw_bytes(const ObjectKey& key);
+  /// Mutable view of an object's stored bytes — the media-corruption
+  /// injection point. Indexing a byte first gives its block a page private
+  /// to this store (copy-on-write), so the change reaches no other holder
+  /// of the page; it deliberately bypasses checksum maintenance.
+  class RawBytes {
+   public:
+    std::uint64_t size() const;
+    bool empty() const { return size() == 0; }
+    std::uint8_t& operator[](std::uint64_t i);
+
+   private:
+    friend class ObjectStore;
+    explicit RawBytes(Object* object) : object_(object) {}
+    Object* object_ = nullptr;
+  };
+  /// Empty when the object is absent.
+  RawBytes raw_bytes(const ObjectKey& key);
 
  private:
-  void store_bytes(const ObjectKey& key, std::uint64_t offset,
-                   std::span<const std::uint8_t> data);
-  /// Recompute (or take from `provided`) the checksums of blocks `first`
-  /// through the end of the [offset, offset + length) write.
-  void refresh_checksums(const ObjectKey& key, std::uint64_t first,
-                         std::uint64_t offset, std::uint64_t length,
-                         std::span<const std::uint32_t> provided);
+  struct Object {
+    std::uint64_t size = 0;
+    // One slot per block: its page, null for a hole, which reads from the
+    // zero page.
+    std::vector<PageRef> blocks;
+    // Integrity mode: the CRC of each leading block that has one. An
+    // integrity-mode write extends it over the whole object; entries it
+    // adds for blocks it does not refresh read 0, which no stored block's
+    // CRC matches in practice.
+    std::vector<std::uint32_t> crcs;
+  };
+
+  /// Whether block `b` of `obj` matches its checksum, for an object of
+  /// `size` bytes.
+  static bool block_verifies(const Object& obj, std::uint64_t b,
+                             std::uint64_t size);
 
   bool integrity_ = false;
-  std::map<ObjectKey, std::vector<std::uint8_t>> objects_;
-  // Per-object, per-block CRC-32C (index = block number). Only maintained
-  // in integrity mode.
-  std::map<ObjectKey, std::vector<std::uint32_t>> checksums_;
+  std::map<ObjectKey, Object> objects_;
 };
 
 }  // namespace dk::rados

@@ -106,7 +106,7 @@ void Osd::handle(std::shared_ptr<OpBody> body) {
 }
 
 void Osd::apply_write(const ObjectKey& key, std::uint64_t offset,
-                      std::span<const std::uint8_t> data,
+                      const Payload& data,
                       std::span<const std::uint32_t> checksums) {
   if (data.empty()) return;
   if (!blockstore_) {
@@ -232,7 +232,7 @@ void Osd::do_ec_primary_write(std::shared_ptr<OpBody> body) {
     // Store our own shard (shard 0).
     ObjectKey own = body->key;
     own.shard = 0;
-    apply_write(own, shard_off, shards[0], {});
+    apply_write(own, shard_off, Payload::copy_of(shards[0], shard_off), {});
 
     PendingWrite pw;
     pw.awaiting = static_cast<unsigned>(shards.size() - 1);
@@ -247,7 +247,7 @@ void Osd::do_ec_primary_write(std::shared_ptr<OpBody> body) {
       auto sub = make_op(OpType::sub_write, body->op_id, body->key);
       sub->key.shard = static_cast<std::int32_t>(s);
       sub->offset = shard_off;
-      sub->data = std::move(shards[s]);
+      sub->data = Payload::copy_of(shards[s], shard_off);
       sub->reply_osd = id_;
       send_(body->replicas[s], std::move(sub));
     }
@@ -282,16 +282,18 @@ void Osd::do_ec_primary_read(std::shared_ptr<OpBody> body) {
     }
     PendingRead pr;
     pr.codec = &rs;
+    pr.offset = body->offset;
     pr.length = body->length;
     pr.awaiting = k - 1;
     pr.chunks.resize(rs.profile().total());
-    pr.chunks[0] = store_.read(own, shard_off, chunk_len);
+    pr.chunks[0] = store_.read(own, shard_off, chunk_len).to_vector();
 
     auto reply = make_op(OpType::read_reply, body->op_id, body->key);
     pr.reply = reply;
 
     if (pr.awaiting == 0) {
-      reply->data = rs.assemble({*pr.chunks[0]}, body->length);
+      reply->data = Payload::copy_of(
+          rs.assemble({*pr.chunks[0]}, body->length), body->offset);
       send_(-1, reply);
       return;
     }
@@ -322,14 +324,15 @@ void Osd::do_read_reply(std::shared_ptr<OpBody> body) {
   }
   const auto shard = static_cast<std::size_t>(body->key.shard);
   DK_CHECK(shard < pr.chunks.size());
-  pr.chunks[shard] = std::move(body->data);
+  pr.chunks[shard] = body->data.to_vector();
   if (--pr.awaiting != 0) return;
   // All k data shards present: concatenate (no decode needed on the
   // healthy path — the chunks are systematic data shards).
   const unsigned k = pr.codec->profile().k;
   std::vector<ec::Chunk> data;
   for (unsigned s = 0; s < k; ++s) data.push_back(std::move(*pr.chunks[s]));
-  pr.reply->data = pr.codec->assemble(data, pr.length);
+  pr.reply->data =
+      Payload::copy_of(pr.codec->assemble(data, pr.length), pr.offset);
   send_(-1, std::move(pr.reply));
   read_nodes_.erase(pending_reads_, it);
 }

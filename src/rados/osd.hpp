@@ -113,7 +113,7 @@ class Osd {
   /// through the same WAL choke point as client ops, so it is
   /// crash-consistent too.
   void apply_durable(const ObjectKey& key, std::uint64_t offset,
-                     std::span<const std::uint8_t> data,
+                     const Payload& data,
                      std::span<const std::uint32_t> checksums) {
     apply_write(key, offset, data, checksums);
   }
@@ -151,7 +151,7 @@ class Osd {
   /// torn and left for replay to discard; without one the store applies
   /// the write directly.
   void apply_write(const ObjectKey& key, std::uint64_t offset,
-                   std::span<const std::uint8_t> data,
+                   const Payload& data,
                    std::span<const std::uint32_t> checksums);
 
   void do_client_write(std::shared_ptr<OpBody> body);
@@ -173,7 +173,8 @@ class Osd {
   struct PendingRead {
     unsigned awaiting = 0;
     const ec::ReedSolomon* codec = nullptr;
-    std::uint64_t length = 0;  // original (unsharded) read length
+    std::uint64_t offset = 0;  // original (unsharded) read extent
+    std::uint64_t length = 0;
     std::vector<std::optional<ec::Chunk>> chunks;
     std::shared_ptr<OpBody> reply;
   };

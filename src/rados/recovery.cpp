@@ -115,7 +115,7 @@ std::vector<std::uint8_t> rebuild_shard(Cluster& cluster,
   for (const auto& [holder, sibling] : move.sources) {
     const auto& store = cluster.osd(holder).store();
     chunks[static_cast<std::size_t>(sibling.shard)] =
-        store.read(sibling, 0, chunk_size);
+        store.read(sibling, 0, chunk_size).to_vector();
   }
   const auto shard = static_cast<std::size_t>(move.key.shard);
   auto decoded = rs.decode(chunks);
@@ -291,7 +291,7 @@ void RecoveryManager::arrive(const RunPtr& run, std::size_t i, bool arrived) {
     settle(run, i, false);
     return;
   }
-  // The persist step. A copy writes its source's current bytes, so nothing
+  // The persist step. A copy writes its source's current pages, so nothing
   // that landed on the source while the push queued is rolled back, with
   // the source's stored CRCs, so a block that rotted there lands failing
   // verify instead of under a fresh checksum. Like a queued client
@@ -318,7 +318,8 @@ void RecoveryManager::arrive(const RunPtr& run, std::size_t i, bool arrived) {
     // An empty rebuild (a sibling failed verify, or the decode failed) is
     // never persisted, and the move did not land.
     const std::vector<std::uint8_t> shard = rebuild_shard(cluster_, move);
-    if (!shard.empty()) target.apply_durable(move.key, 0, shard, {});
+    if (!shard.empty())
+      target.apply_durable(move.key, 0, Payload::copy_of(shard, 0), {});
     settle(run, i, !shard.empty() && !target.crashed());
   });
 }

@@ -101,16 +101,6 @@ bool FaultInjector::maybe_corrupt_dma(std::span<std::uint8_t> payload) {
   return false;
 }
 
-void FaultInjector::corrupt_bytes(std::span<std::uint8_t> bytes,
-                                  unsigned bit_flips) {
-  DK_CHECK(!bytes.empty());
-  for (unsigned i = 0; i < bit_flips; ++i) {
-    const std::uint64_t byte = corrupt_rng_.below(bytes.size());
-    const auto bit = static_cast<std::uint8_t>(corrupt_rng_.below(8));
-    bytes[byte] ^= static_cast<std::uint8_t>(1u << bit);
-  }
-}
-
 void FaultInjector::count_media_corruption() {
   injected(metrics_.media_corruptions, stats_.media_corruptions);
 }

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -173,7 +174,17 @@ class FaultInjector {
   // --- corruption hooks (rados::Cluster / rados::Osd drive these) --------
   /// Flip `bit_flips` random bits of `bytes` in place (no counting — the
   /// caller resolves which OSD/object is hit and counts the event kind).
-  void corrupt_bytes(std::span<std::uint8_t> bytes, unsigned bit_flips);
+  /// `bytes` is a host buffer's span or an object store's raw view; each
+  /// flip draws a byte below bytes.size(), then a bit.
+  template <typename Bytes>
+  void corrupt_bytes(Bytes&& bytes, unsigned bit_flips) {
+    DK_CHECK(bytes.size() != 0);
+    for (unsigned i = 0; i < bit_flips; ++i) {
+      const std::uint64_t byte = corrupt_rng_.below(bytes.size());
+      const auto bit = static_cast<std::uint8_t>(corrupt_rng_.below(8));
+      bytes[byte] ^= static_cast<std::uint8_t>(1u << bit);
+    }
+  }
   void count_media_corruption();
   void count_torn_write();
   /// How many bytes of a torn write land (uniform in [1, size - 1]).

@@ -145,21 +145,23 @@ class AllocBudget : public ::testing::Test {
   std::size_t ops_ = 0;
 };
 
-TEST_F(AllocBudget, FourKilobyteReadCostsAtMostFiveAllocations) {
-  // 2.875 (21.8 before): the destination buffer, the OSD reply's payload,
-  // and amortized growth of the FIFO stations' queues; everything else is
-  // recycled.
+TEST_F(AllocBudget, FourKilobyteReadStaysAtItsCount) {
+  // 2.875 (21.8 before): the destination buffer, the vector the client
+  // hands the reply's pages over in (the OSD's read copied into it before
+  // the store kept pages), and amortized growth of the FIFO stations'
+  // queues; everything else is recycled.
   build(PoolMode::replicated, 4 * KiB, 4000);
-  EXPECT_LE(allocations_per_io(/*writes=*/false), 5.0);
+  EXPECT_LE(allocations_per_io(/*writes=*/false), 2.88);
 }
 
 TEST_F(AllocBudget, FourKilobyteWriteStaysAtItsCount) {
-  // 3.0005 (4.0005 while every replica took a wire copy; 25 before the
-  // path became allocation-free): the RADOS copy of the payload, one wire
-  // copy per extra replica (the last takes the payload itself), and
-  // amortized growth of the FIFO stations' queues.
+  // 1.001 (3.0005 while RBD copied the payload into a RADOS vector and an
+  // extra replica's message took a wire copy, 4.0005 while every replica
+  // did; 25 before the path became allocation-free): the payload is laid
+  // into recycled pages that every message and store shares, so what
+  // remains is amortized growth of the FIFO stations' queues.
   build(PoolMode::replicated, 4 * KiB, 4000);
-  EXPECT_LE(allocations_per_io(/*writes=*/true), 3.01);
+  EXPECT_LE(allocations_per_io(/*writes=*/true), 1.01);
 }
 
 TEST_F(AllocBudget, IntegrityArmedFourKilobyteReadStaysAtItsCount) {
@@ -173,34 +175,40 @@ TEST_F(AllocBudget, IntegrityArmedFourKilobyteReadStaysAtItsCount) {
 }
 
 TEST_F(AllocBudget, IntegrityArmedFourKilobyteWriteStaysAtItsCount) {
-  // 7.402 (9.402 while every replica took a copy of the payload and of
-  // its checksum vector, 11.402 while the H2C check built a checksum
-  // vector to compare, 10.402 while each write's cover was a fresh vector;
-  // the cover is now filled in place in the slot's recycled one).
+  // 4.288 (7.402 while RBD copied the payload into a RADOS vector, an
+  // extra replica's message took a wire copy and each replica's journal
+  // record a copy of its own; 9.402 while every replica took a copy of the
+  // payload and of its checksum vector, 11.402 while the H2C check built a
+  // checksum vector to compare, 10.402 while each write's cover was a
+  // fresh vector). The client's checksum vector and each replica's copy
+  // of it are 3 of them.
   build(PoolMode::replicated, 4 * KiB, 4000, /*integrity=*/true);
-  EXPECT_LE(allocations_per_io(/*writes=*/true), 7.41);
+  EXPECT_LE(allocations_per_io(/*writes=*/true), 4.29);
 }
 
 TEST_F(AllocBudget, EcClientWriteOf128KilobytesStaysAtItsCount) {
-  // 10.5 (13.5 with zeroed prototypes in split and encode, and a
+  // 9.5 (10.5 while RBD copied the payload into a RADOS vector before the
+  // split; 13.5 with zeroed prototypes in split and encode, and a
   // reallocation to append the parity): the four data and two parity
-  // chunks and the two vectors that hold them are 8 of them. The region
-  // kernel allocates nothing.
+  // chunks and the two vectors that hold them are 8 of them. Each shard
+  // is laid into recycled pages, and the region kernel allocates nothing.
   build(PoolMode::erasure, 128 * KiB, 256);
-  EXPECT_LE(allocations_per_io(/*writes=*/true), 10.51);
+  EXPECT_LE(allocations_per_io(/*writes=*/true), 9.51);
 }
 
 TEST(JournalLiveHeap, AnAppliedRecordKeepsOnlyItsHeader) {
   // A bare journal below its trim watermark keeps every record; once a
   // record is applied its payload is in the data area, so the record may
-  // hold only its header fields, not a copy of its 4 kB. The object is
-  // grown first so the data area does not reallocate in the counted loop.
+  // hold only its header fields, not its 4 kB page. The object is grown
+  // first so the data area does not grow in the counted loop; each write
+  // shares one page, and the pages it replaces go back to the page pool.
   constexpr std::size_t kRecords = 300;
   const rados::ObjectKey key{1, 1, -1};
   rados::ObjectStore store;
   store.write(key, 0, std::vector<std::uint8_t>(kRecords * 4 * KiB));
   rados::Blockstore journal(rados::BlockstoreConfig{}, store);
-  const std::vector<std::uint8_t> payload(4 * KiB, 0x5a);
+  const Payload payload =
+      Payload::copy_of(std::vector<std::uint8_t>(4 * KiB, 0x5a), 0);
 
   const std::int64_t before = t_live_bytes;
   for (std::size_t i = 0; i < kRecords; ++i) {

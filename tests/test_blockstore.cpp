@@ -125,8 +125,9 @@ TEST(BlockstoreCrashSweep, ReplayKeepsExactlyTheAcknowledgedPrefix) {
       cursor[key] = offset + size;
       last_key = key;
       const auto data = pattern(size, seed * 1000 + op);
+      const Payload pages = Payload::copy_of(data, offset);
 
-      const std::uint64_t lsn = bs.append(key, offset, data);
+      const std::uint64_t lsn = bs.append(key, offset, pages);
       if (op == crash_at && tear) {
         // Crash mid-append: the tail record's on-journal footprint is
         // truncated at a random byte boundary strictly inside it. This
@@ -135,7 +136,7 @@ TEST(BlockstoreCrashSweep, ReplayKeepsExactlyTheAcknowledgedPrefix) {
         break;
       }
       // An intact record survives the crash via replay, committed or not.
-      if (op != crash_at) bs.commit(lsn, key, offset, data, {});
+      if (op != crash_at) bs.commit(lsn, key, offset, pages, {});
       shadow.write(key, offset, data);
     }
     coalesced += bs.coalesced_writes();
@@ -191,8 +192,8 @@ TEST(BlockstoreCrashSweep, AbandonedTornJournalTripsJournalLeak) {
   bs.set_validator(&validator);
 
   const ObjectKey key{1, 7, -1};
-  const auto data = pattern(4096, 9);
-  const std::uint64_t lsn = bs.append(key, 0, data);
+  const std::uint64_t lsn =
+      bs.append(key, 0, Payload::copy_of(pattern(4096, 9), 0));
   bs.tear_tail(bs.record_bytes(lsn) / 2);
 
   EXPECT_EQ(validator.verify_quiescent(), 1u);
@@ -216,7 +217,8 @@ TEST(BlockstoreJournalCap, SustainedWritesKeepOccupancyBounded) {
     const ObjectKey key{1, rng.below(4), -1};
     const std::uint64_t size = 512 + rng.below(7 * 1024);
     const std::uint64_t offset = rng.below(256 * KiB);
-    const auto data = pattern(size, 100 + static_cast<std::uint64_t>(i));
+    const Payload data = Payload::copy_of(
+        pattern(size, 100 + static_cast<std::uint64_t>(i)), offset);
     const std::uint64_t lsn = bs.append(key, offset, data);
     bs.commit(lsn, key, offset, data, {});
     ASSERT_LE(bs.occupancy(), cfg.journal_bytes)
@@ -240,10 +242,11 @@ TEST(BlockstoreMetrics, CountersAndGaugesTrackTheStore) {
   bs.attach_metrics(registry, "blockstore");
 
   const ObjectKey key{1, 1, -1};
-  const auto first = pattern(1024, 1);
+  const Payload first = Payload::copy_of(pattern(1024, 1), 0);
   std::uint64_t lsn = bs.append(key, 0, first);
   bs.commit(lsn, key, 0, first, {});
-  const auto second = pattern(1024, 2);  // contiguous sub-block: coalesces
+  // A contiguous sub-block write: coalesces.
+  const Payload second = Payload::copy_of(pattern(1024, 2), 1024);
   lsn = bs.append(key, 1024, second);
   bs.commit(lsn, key, 1024, second, {});
 
@@ -348,7 +351,7 @@ TEST_F(BlockstoreClusterFixture, TornCrashRestartKeepsAcknowledgedData) {
 
     // An acknowledged overwrite lands through the journal.
     const auto acked = pattern(4096, 5000);
-    osd.apply_durable(key, 0, acked, {});
+    osd.apply_durable(key, 0, Payload::copy_of(acked, 0), {});
     EXPECT_EQ(osd.store().read(key, 0, acked.size()), acked);
 
     // Crash; the write in flight at crash time tears the tail record, so
@@ -356,7 +359,7 @@ TEST_F(BlockstoreClusterFixture, TornCrashRestartKeepsAcknowledgedData) {
     cluster_->crash_osd(acting[0]);
     osd.arm_torn_write();
     const auto unacked = pattern(4096, 6000);
-    osd.apply_durable(key, 0, unacked, {});
+    osd.apply_durable(key, 0, Payload::copy_of(unacked, 0), {});
     EXPECT_EQ(osd.store().read(key, 0, acked.size()), acked)
         << "WAL discipline: a torn append must not touch the data area";
 

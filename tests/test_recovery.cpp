@@ -551,9 +551,10 @@ TEST(BlockstoreJournal, TornEntryTruncatedAtEveryByteBoundary) {
     BlockstoreConfig cfg;
     cfg.enabled = true;
     Blockstore bs(cfg, store);
-    const std::uint64_t la = bs.append(key, 0, a);
-    bs.commit(la, key, 0, a, {});
-    const std::uint64_t lb = bs.append(key, 4096, b);
+    const Payload pa = Payload::copy_of(a, 0);
+    const std::uint64_t la = bs.append(key, 0, pa);
+    bs.commit(la, key, 0, pa, {});
+    const std::uint64_t lb = bs.append(key, 4096, Payload::copy_of(b, 4096));
     ASSERT_EQ(bs.record_bytes(lb), footprint);
 
     bs.tear_tail(keep);
@@ -584,9 +585,9 @@ TEST(BlockstoreJournal, CrcRejectedEntryStopsReplay) {
   const auto p1 = pattern(1000, 1);
   const auto p2 = pattern(1000, 2);
   const auto p3 = pattern(1000, 3);
-  bs.append(key, 0, p1);
-  const std::uint64_t l2 = bs.append(key, 8192, p2);
-  bs.append(key, 16384, p3);
+  bs.append(key, 0, Payload::copy_of(p1, 0));
+  const std::uint64_t l2 = bs.append(key, 8192, Payload::copy_of(p2, 8192));
+  bs.append(key, 16384, Payload::copy_of(p3, 16384));
   bs.corrupt_crc(l2);
 
   EXPECT_EQ(bs.replay(), 3u) << "1 applied + 2 discarded";
@@ -607,9 +608,10 @@ TEST(BlockstoreJournal, CoalescedWriteDoesNotLaunderACorruptRecord) {
   const ObjectKey key{0, 1, -1};
   const auto p1 = pattern(1000, 1);
   const auto p2 = pattern(1000, 2);
-  const std::uint64_t lsn = bs.append(key, 0, p1);
+  const std::uint64_t lsn = bs.append(key, 0, Payload::copy_of(p1, 0));
   bs.corrupt_crc(lsn);
-  ASSERT_EQ(bs.append(key, p1.size(), p2), lsn) << "the write must coalesce";
+  ASSERT_EQ(bs.append(key, p1.size(), Payload::copy_of(p2, p1.size())), lsn)
+      << "the write must coalesce";
   ASSERT_EQ(bs.coalesced_writes(), 1u);
 
   EXPECT_EQ(bs.replay(), 1u);
@@ -633,7 +635,7 @@ TEST(BlockstoreJournal, AppendWrapsAroundAtTheCap) {
 
   std::uint64_t last = 0;
   for (std::uint64_t i = 0; i < 8; ++i) {
-    const auto data = pattern(2048, 10 + i);
+    const Payload data = Payload::copy_of(pattern(2048, 10 + i), i * 8192);
     last = bs.append(key, i * 8192, data);
     bs.commit(last, key, i * 8192, data, {});
     ASSERT_LE(bs.occupancy(), cfg.journal_bytes) << "write " << i;
@@ -662,7 +664,8 @@ TEST(BlockstoreJournal, ReplayIsDeterministic) {
     for (int i = 0; i < 20; ++i) {
       const std::uint64_t size = 1 + rng.below(3000);
       const std::uint64_t offset = rng.below(32 * 1024);
-      const auto data = pattern(size, 200 + static_cast<std::uint64_t>(i));
+      const Payload data = Payload::copy_of(
+          pattern(size, 200 + static_cast<std::uint64_t>(i)), offset);
       const std::uint64_t lsn = bs.append(key, offset, data);
       if (i < 17) bs.commit(lsn, key, offset, data, {});
     }
