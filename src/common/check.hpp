@@ -40,6 +40,7 @@ struct CheckContext {
   bool fatal;              // true in debug builds (default handler aborts)
 };
 
+// dklint: allow(DK-C006) — copyable, capturing, set by tests, off event paths
 using CheckFailureHandler = std::function<void(const CheckContext&)>;
 
 /// Install a process-wide failure handler; nullptr restores the default.

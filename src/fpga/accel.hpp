@@ -37,8 +37,7 @@ constexpr std::array<KernelKind, 6> kAllKernels = {
 std::string_view kernel_name(KernelKind kind);
 
 /// Everything Table I / Table III report per kernel.
-// conventions: allow(set-config-field) — a positional table of the paper's
-// Table I/III values, one row per kernel
+// dklint: allow(DK-C008) — a positional table of Table I/III, row per kernel
 struct KernelSpec {
   KernelKind kind;
   // Table I columns.

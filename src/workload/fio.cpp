@@ -174,9 +174,68 @@ std::vector<std::uint8_t> block_pattern(std::uint64_t offset, std::uint64_t bs,
 }
 
 struct JobState {
-  unsigned id = 0;
   std::uint64_t next_seq_block = 0;
   Rng rng{1};
+};
+
+/// One run's closed loop: each completion immediately issues the next I/O
+/// for its job slot until the deadline passes.
+struct FioLoop {
+  core::Framework& fw;
+  const FioJobSpec& spec;
+  const std::uint64_t blocks;
+  const Nanos measure_from, deadline;
+  FioResult& result;
+  std::vector<JobState> jobs;
+  std::vector<std::uint8_t> expected;  // verified reads' pattern, reused
+
+  void issue(unsigned j) {
+    const Nanos issued_at = fw.simulator().now();
+    if (issued_at >= deadline) return;
+    JobState& job = jobs[j];
+    std::uint64_t block;
+    if (is_random(spec.rw)) {
+      block = job.rng.below(blocks);
+    } else {
+      block = job.next_seq_block;
+      job.next_seq_block = (job.next_seq_block + 1) % blocks;
+    }
+    const std::uint64_t offset = block * spec.bs;
+    const bool write_op =
+        spec.rw == RwMode::rand_rw
+            ? !job.rng.chance(spec.rwmix_read / 100.0)
+            : is_write(spec.rw);
+    if (write_op) {
+      fw.write(j, offset, block_pattern(offset, spec.bs, spec.seed),
+               [this, j, issued_at](std::int32_t res) {
+                 if (res > 0) account(issued_at, res);
+                 issue(j);
+               });
+    } else {
+      fw.read(j, offset, spec.bs,
+              [this, j, offset,
+               issued_at](Result<std::vector<std::uint8_t>> r) {
+                if (r.ok()) {
+                  account(issued_at, r->size());
+                  if (spec.verify) {
+                    fill_block_pattern(offset, spec.seed, expected);
+                    if (!std::ranges::equal(*r, expected))
+                      ++result.verify_errors;
+                  }
+                }
+                issue(j);
+              });
+    }
+  }
+
+  void account(Nanos issued_at, std::uint64_t bytes_done) {
+    const Nanos now = fw.simulator().now();
+    if (issued_at >= measure_from && now <= deadline) {
+      ++result.ops;
+      result.bytes += bytes_done;
+      result.latency.record(now - issued_at);
+    }
+  }
 };
 
 }  // namespace
@@ -199,76 +258,19 @@ FioResult FioEngine::run(const FioJobSpec& spec) {
     }
   }
 
-  const Nanos start = sim.now();
-  const Nanos measure_from = start + spec.ramp;
-  const Nanos deadline = start + spec.runtime;
-
-  // Verified reads are compared against this buffer, refilled in place.
-  std::vector<std::uint8_t> expected(spec.verify ? spec.bs : 0);
-  std::vector<JobState> jobs(spec.numjobs);
+  FioLoop loop{fw_, spec, blocks, sim.now() + spec.ramp,
+               sim.now() + spec.runtime, result,
+               std::vector<JobState>(spec.numjobs),
+               std::vector<std::uint8_t>(spec.verify ? spec.bs : 0)};
   for (unsigned j = 0; j < spec.numjobs; ++j) {
-    jobs[j].id = j;
     // Stagger sequential streams so jobs do not overlap block ranges.
-    jobs[j].next_seq_block = blocks / spec.numjobs * j;
-    jobs[j].rng.reseed(spec.seed * 1315423911ULL + j);
+    loop.jobs[j].next_seq_block = blocks / spec.numjobs * j;
+    loop.jobs[j].rng.reseed(spec.seed * 1315423911ULL + j);
+    for (unsigned d = 0; d < spec.iodepth; ++d) loop.issue(j);
   }
 
-  // Closed-loop issue function: each completion immediately issues the
-  // next I/O for its job slot until the deadline passes.
-  std::function<void(unsigned)> issue = [&](unsigned j) {
-    if (sim.now() >= deadline) return;
-    JobState& job = jobs[j];
-    std::uint64_t block;
-    if (is_random(spec.rw)) {
-      block = job.rng.below(blocks);
-    } else {
-      block = job.next_seq_block;
-      job.next_seq_block = (job.next_seq_block + 1) % blocks;
-    }
-    const std::uint64_t offset = block * spec.bs;
-    const Nanos issued_at = sim.now();
-    const bool write_op =
-        spec.rw == RwMode::rand_rw
-            ? !job.rng.chance(spec.rwmix_read / 100.0)
-            : is_write(spec.rw);
-
-    auto account = [&result, &sim, &spec, measure_from, deadline, issued_at](
-                       std::uint64_t bytes_done) {
-      const Nanos now = sim.now();
-      if (issued_at >= measure_from && now <= deadline) {
-        ++result.ops;
-        result.bytes += bytes_done;
-        result.latency.record(now - issued_at);
-      }
-    };
-
-    if (write_op) {
-      fw_.write(j, offset, block_pattern(offset, spec.bs, spec.seed),
-                [&, j, account](std::int32_t res) {
-                  if (res > 0) account(static_cast<std::uint64_t>(res));
-                  issue(j);
-                });
-    } else {
-      fw_.read(j, offset, spec.bs,
-               [&, j, offset, account](Result<std::vector<std::uint8_t>> r) {
-                 if (r.ok()) {
-                   account(r->size());
-                   if (spec.verify) {
-                     fill_block_pattern(offset, spec.seed, expected);
-                     if (!std::ranges::equal(*r, expected))
-                       ++result.verify_errors;
-                   }
-                 }
-                 issue(j);
-               });
-    }
-  };
-
-  for (unsigned j = 0; j < spec.numjobs; ++j)
-    for (unsigned d = 0; d < spec.iodepth; ++d) issue(j);
-
   sim.run();  // drains: no new issues after the deadline
-  result.measured_window = deadline - measure_from;
+  result.measured_window = loop.deadline - loop.measure_from;
   return result;
 }
 

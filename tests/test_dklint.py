@@ -1,21 +1,18 @@
 #!/usr/bin/env python3
 """Fixture runner pinning dklint's findings exactly.
 
-Every fixture in tests/lint_fixtures/ encodes its expected findings inline:
+tests/lint_fixtures/ is a miniature repository (src/, bench/) in which each
+fixture sits at the path its checks' scope needs, and encodes its expected
+findings inline:
 
     ... violating code ...        // expect: DK-D001
     ... suppressed violation ...  // expect-suppressed: DK-D002
 
-The runner executes dklint over the whole corpus in --fixture-mode and
-asserts the emitted (path, line, check) multiset — active and suppressed —
-equals the expectations, in both directions: a missed finding and a spurious
-finding are equally fatal. A second invocation pins the baseline machinery
-(tests/lint_fixtures/baseline.json grandfathers baseline_case.cpp).
-
-Backend selection follows DKLINT_BACKEND (default: auto). Both backends are
-meant to produce identical results on this corpus, but only the textual
-backend gates: CI runs the clang backend with continue-on-error, so a
-divergence there is reported, not enforced.
+The runner executes dklint with the corpus as its --root and asserts the
+emitted (path, line, check) set — active and suppressed — equals the
+expectations, in both directions: a missed finding and a spurious finding
+are equally fatal. It also fails when an expectation names a check that is
+not live, or when a live check has no `expect:` line anywhere in the corpus.
 """
 
 from __future__ import annotations
@@ -29,25 +26,18 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(ROOT, "tests", "lint_fixtures")
 DKLINT = os.path.join(ROOT, "tools", "dklint")
-BACKEND = os.environ.get("DKLINT_BACKEND", "auto")
+
+sys.path.insert(0, DKLINT)
+from catalog import CHECKS  # noqa: E402
 
 EXPECT = re.compile(
     r"(?://|\()\s*expect(-suppressed)?:\s*([A-Z0-9][A-Z0-9\-, ]*)"
 )
 
 
-def run_dklint(*extra: str) -> tuple[int, dict]:
-    cmd = [
-        sys.executable,
-        DKLINT,
-        "--root", ROOT,
-        "--backend", BACKEND,
-        "--format", "json",
-        "--fixture-mode",
-        "--show-suppressed",
-        *extra,
-        "tests/lint_fixtures",
-    ]
+def run_dklint() -> tuple[int, dict]:
+    cmd = [sys.executable, DKLINT, "--root", FIXTURES, "--format", "json",
+           "--show-suppressed", "src", "bench"]
     proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
     if proc.returncode == 2:
         raise SystemExit(f"dklint errored:\n{proc.stderr}")
@@ -56,20 +46,20 @@ def run_dklint(*extra: str) -> tuple[int, dict]:
 
 def expectations() -> tuple[set, set]:
     active, suppressed = set(), set()
-    for name in sorted(os.listdir(FIXTURES)):
-        if not name.endswith((".cpp", ".hpp")):
-            continue
-        rel = f"tests/lint_fixtures/{name}"
-        with open(os.path.join(FIXTURES, name), encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                m = EXPECT.search(line)
-                if m is None:
-                    continue
-                dest = suppressed if m.group(1) else active
-                for check in m.group(2).split(","):
-                    check = check.strip()
-                    if check:
-                        dest.add((rel, lineno, check))
+    for dirpath, dirnames, filenames in os.walk(FIXTURES):
+        dirnames.sort()
+        for name in sorted(filenames):
+            path = os.path.join(dirpath, name)
+            rel = os.path.relpath(path, FIXTURES).replace(os.sep, "/")
+            with open(path, encoding="utf-8") as f:
+                for lineno, line in enumerate(f, start=1):
+                    m = EXPECT.search(line)
+                    if m is None:
+                        continue
+                    dest = suppressed if m.group(1) else active
+                    for check in m.group(2).split(","):
+                        if check.strip():
+                            dest.add((rel, lineno, check.strip()))
     return active, suppressed
 
 
@@ -80,7 +70,7 @@ def main() -> int:
     got_active = {
         (f["path"], f["line"], f["check"])
         for f in report["findings"]
-        if not f["suppressed"] and not f["baselined"]
+        if not f["suppressed"]
     }
     got_suppressed = {
         (f["path"], f["line"], f["check"])
@@ -89,6 +79,12 @@ def main() -> int:
     }
     want_active, want_suppressed = expectations()
 
+    for where in sorted(want_active | want_suppressed):
+        if where[2] not in CHECKS:
+            failures.append(f"expectation names a retired or unknown "
+                            f"check: {where}")
+    for check in sorted(set(CHECKS) - {c for _, _, c in want_active}):
+        failures.append(f"live check {check} has no expect: line")
     for missing in sorted(want_active - got_active):
         failures.append(f"MISSING finding: {missing}")
     for spurious in sorted(got_active - want_active):
@@ -100,36 +96,15 @@ def main() -> int:
     if want_active and exit_code != 1:
         failures.append(f"exit code {exit_code}, want 1 (active findings)")
 
-    # Baseline machinery: with the fixture baseline, baseline_case.cpp's
-    # DK-D002 must be tagged baselined (and not active).
-    exit_code_b, report_b = run_dklint(
-        "--baseline", os.path.join(FIXTURES, "baseline.json")
-    )
-    base_path = "tests/lint_fixtures/baseline_case.cpp"
-    baselined = {
-        (f["path"], f["check"])
-        for f in report_b["findings"]
-        if f["baselined"]
-    }
-    if (base_path, "DK-D002") not in baselined:
-        failures.append("baseline.json did not grandfather baseline_case")
-    still_active = {
-        (f["path"], f["check"])
-        for f in report_b["findings"]
-        if not f["suppressed"] and not f["baselined"]
-    }
-    if (base_path, "DK-D002") in still_active:
-        failures.append("grandfathered finding still reported active")
-
     if failures:
-        print(f"test_dklint [{report['backend']}]: FAIL", file=sys.stderr)
+        print("test_dklint: FAIL", file=sys.stderr)
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 1
     n = len(got_active) + len(got_suppressed)
-    print(f"test_dklint [{report['backend']}]: OK — {len(got_active)} "
-          f"active + {len(got_suppressed)} suppressed findings matched "
-          f"({n} total)")
+    print(f"test_dklint: OK — {len(got_active)} active + "
+          f"{len(got_suppressed)} suppressed findings matched ({n} total) "
+          f"covering {len(CHECKS)} live checks")
     return 0
 
 

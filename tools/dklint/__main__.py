@@ -1,8 +1,7 @@
 """Entry point: ``python3 tools/dklint [args...]``.
 
 Running the directory puts it on sys.path, so the sibling modules import by
-bare name; no package install step and no dependency outside the stdlib
-(the clang backend needs python3-clang + libclang, probed at runtime).
+bare name; no package install step and no dependency outside the stdlib.
 """
 
 import sys

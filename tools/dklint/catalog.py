@@ -2,8 +2,8 @@
 
 Every check has a stable ``DK-<family><number>`` ID. IDs are never reused or
 renumbered; retired checks keep their slot. The catalog is the single source
-of truth shared by both analysis backends, the baseline machinery, and the
-fixture runner — docs/STATIC_ANALYSIS.md is generated prose over this table.
+of truth for the checks, the suppression parser and the fixture runner —
+docs/STATIC_ANALYSIS.md is generated prose over this table.
 """
 
 from __future__ import annotations
@@ -19,11 +19,20 @@ D002 = "DK-D002"  # ambient randomness
 D003 = "DK-D003"  # iteration over unordered containers
 D004 = "DK-D004"  # pointer-keyed hashed container in deterministic scopes
 H001 = "DK-H001"  # heap traffic inside a DK_HOT function
-H002 = "DK-H002"  # std::function inside a DK_HOT function
+# DK-H002 (std::function inside a DK_HOT function) is retired: every DK_HOT
+# function is in src/, where DK-C006 bans std::function outright.
 H003 = "DK-H003"  # risky lambda capture inside a DK_HOT function
 # DK-T001 (unguarded member of a mutex-bearing class) is retired: src/ has
 # no mutex left to guard, and DK-T002 keeps it that way.
 T002 = "DK-T002"  # threading primitive in single-threaded src/
+C001 = "DK-C001"  # naked assert() or <cassert>
+C002 = "DK-C002"  # header whose first directive is not #pragma once
+C003 = "DK-C003"  # .cpp whose first include is not its own header
+C004 = "DK-C004"  # unsorted project includes
+C005 = "DK-C005"  # attach_* point with a non-canonical first parameter
+C006 = "DK-C006"  # std::function in src/
+C007 = "DK-C007"  # header nothing but its own .cpp includes
+C008 = "DK-C008"  # config field nothing assigns by name
 S001 = "DK-S001"  # suppression comment without a reason
 
 CHECKS: dict[str, str] = {
@@ -37,15 +46,28 @@ CHECKS: dict[str, str] = {
     "(src/sim, src/rados, src/net); ASLR leaks into iteration order",
     H001: "heap allocation inside a DK_HOT function (new/malloc/"
     "make_unique/make_shared); placement new is exempt",
-    H002: "std::function inside a DK_HOT function; use EventFn or a "
-    "template parameter",
     H003: "risky lambda capture inside a DK_HOT function (capture-default, "
     "wide by-value set, *this, or non-trivial init-capture)",
     T002: "threading primitive in src/ (threads, async, atomics, mutexes "
     "and locks, condition variables, stop tokens, latches, barriers, "
     "semaphores); src/ is single-threaded (DESIGN §6)",
-    S001: "dklint suppression without a reason; every allow() needs a "
-    "—-separated justification",
+    C001: "assert() or <cassert> in src/; use DK_CHECK (DK_DCHECK on hot "
+    "paths) so release builds count violations",
+    C002: "header in src/ whose first preprocessor directive is not "
+    "#pragma once",
+    C003: ".cpp in src/ whose first project include is not its own header",
+    C004: "project (\"...\") includes of a src/ file not alphabetically "
+    "sorted (a .cpp's own header first)",
+    C005: "attach_metrics/attach_validator declared without "
+    "MetricsRegistry& / PipelineValidator& as its first parameter",
+    C006: "std::function in src/; callbacks are dk::sim::UniqueFn "
+    "(zero-alloc, move-only)",
+    C007: "header in src/ that no file in src/, bench/, examples/ or "
+    "perfbench/ includes but its own .cpp; wire it in or delete it",
+    C008: "field of a src/ *Config/*Params/*Spec struct that nothing in "
+    "src/, bench/, examples/, perfbench/ or tests/ assigns by name",
+    S001: "dklint suppression without a reason, or naming an unknown or "
+    "retired check; every allow() needs a —-separated justification",
 }
 
 # std:: names DK-T002 flags in src/. src/ is single-threaded (DESIGN §6):
@@ -66,7 +88,7 @@ THREADING = frozenset({
 # or wire order, where ASLR would break bit-reproducibility.
 D004_SCOPES = ("src/sim", "src/rados", "src/net")
 
-# Suppression comment grammar (shared by both backends):
+# Suppression comment grammar:
 #   // dklint: allow(DK-XXXX[, DK-YYYY]) — reason
 #   // dklint: allow-file(DK-XXXX[, DK-YYYY]) — reason
 # A suppression covers its own line and the statement that follows it
@@ -84,11 +106,6 @@ class Finding:
     check: str  # a key of CHECKS
     message: str
     suppressed: bool = False  # matched an allow() — reported only in audits
-    baselined: bool = False  # matched the checked-in baseline
-
-    def key(self) -> tuple[str, str]:
-        """Identity used for expectation matching and dedup."""
-        return (self.check, f"{self.path}:{self.line}")
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: {self.check}: {self.message}"

@@ -1,185 +1,123 @@
-"""Lexical model of a C++ translation unit, shared by both backends.
+"""Lexical model of a C++ translation unit and of the tree it lives in.
 
-The clang backend uses this module only for suppression comments and the
-``dklint-fixture-as`` directive; the textual backend also consumes the token
-stream. The tokenizer understands comments, string/char literals (including
-raw strings), and preprocessor lines well enough that no check ever fires on
-text inside a literal or a comment — the classic failure mode of grep-based
-linting.
+The tokenizer understands comments, string/char literals (including raw
+strings), digit separators and preprocessor lines well enough that no check
+ever fires on text inside a literal or a comment — the classic failure mode
+of grep-based linting.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import re
+from typing import NamedTuple
 
 from catalog import ALLOW_FILE_WINDOW, S001, Finding, validate_check_id
+
+EXTENSIONS = (".hpp", ".cpp", ".h", ".cc")
 
 # ---------------------------------------------------------------------------
 # Tokenizer
 
 
-@dataclasses.dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "punct" | "number" | "string" | "char"
     text: str
     line: int  # 1-based
 
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER = re.compile(r"(?:\d|\.\d)[\w.]*(?:[eEpP][+-]?[\w.]*)?")
-# Longest-match punctuation; "::" must be a single token so qualified names
-# reassemble cleanly.
-_PUNCTS = (
-    "<<=", ">>=", "...", "->*", "::", "->", "<<", ">>", "<=", ">=", "==",
-    "!=", "&&", "||", "++", "--", "+=", "-=", "*=", "/=", "%=", "&=", "|=",
-    "^=", ".*",
+# One alternative per lexeme; whitespace matches none, so finditer skips it.
+# A pp-number takes the C++14 digit separator (50'000) as one token; an
+# apostrophe anywhere else opens a character literal. String and character
+# literals left open stop at the end of their line. A '#' only ever starts a
+# directive in valid C++, which runs to the end of its line (continuations
+# included) and stops before a comment so the comment is recorded.
+_TOKEN = re.compile(
+    r"""
+    (?P<comment>//[^\n]*|/\*.*?(?:\*/|\Z))
+  | (?P<raw>(?:u8|[uUL])?R"(?P<delim>[^()\\ \t\n]{0,16})\(
+            .*?(?:\)(?P=delim)"|\Z))
+  | (?P<string>(?:u8|[uUL])?"(?:\\.|[^"\\\n])*"?)
+  | (?P<char>'(?:\\.|[^'\\\n])*'?)
+  | (?P<number>\.?[0-9](?:[eEpP][+-]|'\w|[\w.])*)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<directive>\#(?:"(?:\\.|[^"\\\n])*"?|\\.|/(?![/*])|[^\n\\/"])*)
+  | (?P<punct><<=|>>=|\.\.\.|->\*|::|->|<<|>>|<=|>=|==|!=|&&|\|\||\+\+|--
+              |\+=|-=|\*=|/=|%=|&=|\|=|\^=|\.\*|\S)
+    """,
+    re.DOTALL | re.VERBOSE,
 )
+_QUOTED_INCLUDE = re.compile(r'include\s*"([^"]+)"')
 
 
 class SourceFile:
-    """Tokens, comments, and suppression state for one file."""
+    """Tokens, comments and preprocessor directives of one file."""
 
     def __init__(self, path: str, text: str) -> None:
-        self.path = path
-        self.text = text
+        self.path = path  # repo-relative, forward slashes
         self.tokens: list[Token] = []
-        # line -> list of comment texts beginning on that line
+        # line -> comment texts beginning on that line
         self.comments: dict[int, list[str]] = {}
-        self.preprocessor_lines: set[int] = set()
-        self._lex()
-
-    # -- lexing -------------------------------------------------------------
-
-    def _lex(self) -> None:  # noqa: C901 - a lexer is one big switch
-        text = self.text
-        i, n, line = 0, len(text), 1
-        at_line_start = True
-        while i < n:
-            c = text[i]
-            if c == "\n":
-                line += 1
-                i += 1
-                at_line_start = True
-                continue
-            if c in " \t\r\f\v":
-                i += 1
-                continue
-            if c == "#" and at_line_start:
-                # Preprocessor directive: consume to end of line, honoring
-                # backslash continuations. Includes and pragmas are not
-                # statements; checks skip these lines wholesale.
-                start = i
-                while i < n:
-                    if text[i] == "\n":
-                        if i > start and text[i - 1] == "\\":
-                            self.preprocessor_lines.add(line)
-                            line += 1
-                            i += 1
-                            continue
-                        break
-                    i += 1
-                self.preprocessor_lines.add(line)
-                continue
-            at_line_start = False
-            if c == "/" and i + 1 < n and text[i + 1] == "/":
-                end = text.find("\n", i)
-                end = n if end == -1 else end
-                self.comments.setdefault(line, []).append(text[i:end])
-                i = end
-                continue
-            if c == "/" and i + 1 < n and text[i + 1] == "*":
-                end = text.find("*/", i + 2)
-                end = n - 2 if end == -1 else end
-                body = text[i : end + 2]
-                self.comments.setdefault(line, []).append(body)
-                line += body.count("\n")
-                i = end + 2
-                continue
-            m = _raw_string_at(text, i)
-            if m is not None:
+        # (line, text after the '#') of every directive, comments removed
+        self.directives: list[tuple[int, str]] = []
+        pos, line = 0, 1
+        for m in _TOKEN.finditer(text):
+            start = m.start()
+            line += text.count("\n", pos, start)
+            pos = start
+            kind = m.lastgroup
+            if kind == "comment":
+                self.comments.setdefault(line, []).append(m.group())
+            elif kind == "directive":
+                self.directives.append((line, m.group()[1:].strip()))
+            elif kind == "raw":
                 self.tokens.append(Token("string", "<raw>", line))
-                line += text.count("\n", i, m)
-                i = m
-                continue
-            if c == '"' or (
-                c in "uUL"
-                and text[i : i + 2] in ('u"', 'U"', 'L"')
-                or text[i : i + 3] == 'u8"'
-            ):
-                j = text.find('"', i) + 1
-                j = _scan_quoted(text, j - 1, '"')
-                self.tokens.append(Token("string", text[i:j], line))
-                line += text.count("\n", i, j)
-                i = j
-                continue
-            if c == "'":
-                j = _scan_quoted(text, i, "'")
-                self.tokens.append(Token("char", text[i:j], line))
-                i = j
-                continue
-            m2 = _IDENT.match(text, i)
-            if m2:
-                self.tokens.append(Token("ident", m2.group(), line))
-                i = m2.end()
-                continue
-            if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-                m3 = _NUMBER.match(text, i)
-                assert m3 is not None
-                self.tokens.append(Token("number", m3.group(), line))
-                i = m3.end()
-                continue
-            for p in _PUNCTS:
-                if text.startswith(p, i):
-                    self.tokens.append(Token("punct", p, line))
-                    i += len(p)
-                    break
             else:
-                self.tokens.append(Token("punct", c, line))
-                i += 1
+                self.tokens.append(Token(kind, m.group(), line))
 
-    # -- comment-driven directives -------------------------------------------
-
-    def fixture_virtual_path(self) -> str | None:
-        """First-line ``// dklint-fixture-as: <path>`` directive, if any."""
-        for text in self.comments.get(1, []):
-            m = _FIXTURE_AS.search(text)
-            if m:
-                return m.group(1).strip()
-        return None
+    def quoted_includes(self) -> list[tuple[int, str]]:
+        """(line, path) of every ``#include "path"``, in file order."""
+        return [(line, m.group(1)) for line, text in self.directives
+                if (m := _QUOTED_INCLUDE.match(text))]
 
 
-def _scan_quoted(text: str, start: int, quote: str) -> int:
-    """Index one past the closing quote, honoring backslash escapes."""
-    i = start + 1
-    n = len(text)
-    while i < n:
-        if text[i] == "\\":
-            i += 2
-            continue
-        if text[i] == quote:
-            return i + 1
-        if text[i] == "\n":  # unterminated (or a stray quote); stop at EOL
-            return i
-        i += 1
-    return n
+class SourceTree:
+    """The C++ files under a repository root, each read and lexed once."""
 
+    def __init__(self, root: str) -> None:
+        self.root = root
+        self._files: dict[str, SourceFile] = {}
 
-_RAW_PREFIX = re.compile(r'(?:u8|[uUL])?R"([^()\\ \t\n]{0,16})\(')
+    def file(self, path: str) -> SourceFile:
+        """`path` absolute, or relative to the root."""
+        ap = path if os.path.isabs(path) else os.path.join(self.root, path)
+        rel = os.path.relpath(ap, self.root).replace(os.sep, "/")
+        src = self._files.get(rel)
+        if src is None:
+            with open(ap, encoding="utf-8", errors="replace") as f:
+                src = SourceFile(rel, f.read())
+            self._files[rel] = src
+        return src
 
-
-def _raw_string_at(text: str, i: int) -> int | None:
-    m = _RAW_PREFIX.match(text, i)
-    if m is None:
-        return None
-    end = text.find(f"){m.group(1)}\"", m.end())
-    return len(text) if end == -1 else end + len(m.group(1)) + 2
+    def walk(self, path: str) -> list[SourceFile]:
+        """Every C++ file under `path` (a file, or a directory walked in
+        sorted order); a missing directory yields nothing."""
+        ap = path if os.path.isabs(path) else os.path.join(self.root, path)
+        if os.path.isfile(ap):
+            return [self.file(ap)]
+        out = []
+        for dirpath, dirnames, filenames in os.walk(ap):
+            dirnames.sort()
+            out.extend(self.file(os.path.join(dirpath, name))
+                       for name in sorted(filenames)
+                       if name.endswith(EXTENSIONS))
+        return out
 
 
 # ---------------------------------------------------------------------------
 # Suppressions
 
-_FIXTURE_AS = re.compile(r"dklint-fixture-as:\s*(\S+)")
 _ALLOW = re.compile(
     r"dklint:\s*(allow|allow-file)\(([^)]*)\)\s*(.*)", re.DOTALL
 )
@@ -196,16 +134,10 @@ class Suppressions:
     line_allows: dict[str, set[int]]
     file_allows: set[str]
     malformed: list[Finding]  # DK-S001 findings
-    used: set[tuple[str, int]] = dataclasses.field(default_factory=set)
 
     def covers(self, check: str, line: int) -> bool:
-        if check in self.file_allows:
-            return True
-        lines = self.line_allows.get(check)
-        if lines is not None and line in lines:
-            self.used.add((check, line))
-            return True
-        return False
+        return check in self.file_allows or line in self.line_allows.get(
+            check, ())
 
 
 def parse_suppressions(src: SourceFile) -> Suppressions:
@@ -239,7 +171,7 @@ def parse_suppressions(src: SourceFile) -> Suppressions:
                         src.path,
                         start_line,
                         S001,
-                        f"suppression names unknown check '{c}'",
+                        f"suppression names unknown or retired check '{c}'",
                     )
                 )
             checks = [c for c in checks if validate_check_id(c)]

@@ -1,16 +1,11 @@
-"""Token-stream backend: the whole check catalog without a compiler.
+"""Token-stream checks: the determinism, hot-path and threading families.
 
-The clang backend (clangast.py) is the reference implementation; this one
-exists because dklint gates local test runs and libclang's Python bindings
-are not part of the base toolchain. It trades type information for a careful
-tokenizer (cpp_source.py) plus scope tracking: DK_HOT body spans are found by
-brace matching, and unordered containers by a registry of declared names (a
-member declared `std::unordered_map` in the header is recognized when
-iterated in the .cpp).
-
-Both backends implement the identical catalog and are pinned to the same
-fixture corpus (tests/lint_fixtures), so a finding's (check, file, line) is
-backend-independent for every construct the fixtures cover.
+There is no compiler in the loop: a careful tokenizer (cpp_source.py) plus
+scope tracking stands in for type information. DK_HOT body spans are found
+by brace matching, and unordered containers by a registry of declared names
+(a member declared `std::unordered_map` in the header is recognized when
+iterated in the .cpp). The fixture corpus (tests/lint_fixtures) pins each
+finding's (check, file, line).
 """
 
 from __future__ import annotations
@@ -38,23 +33,21 @@ MALLOC_FAMILY = {
 MAKE_HEAP = {"make_unique", "make_shared"}
 
 
-def analyze(files: list[tuple[SourceFile, str]]) -> list[Finding]:
-    """files: (source, scope_path) pairs; scope_path is the repo-relative
-    path used for scope-sensitive checks (fixtures remap it via the
-    ``dklint-fixture-as`` directive)."""
+def analyze(files: list[SourceFile]) -> list[Finding]:
+    """Findings for `files`; scope-sensitive checks go by each file's
+    repo-relative path."""
     # Unordered-container names are resolved per translation unit: a file
     # sees the names it declares plus those of its companion header/source
     # (foo.cpp <-> foo.hpp), which is where data members live. A global
     # registry would make `rings_` (an unordered_map in one subsystem)
     # taint every other subsystem's `rings_` vector.
-    declared = {src.path: _declared_unordered_names(src) for src, _ in files}
+    declared = {src.path: _declared_unordered_names(src) for src in files}
     findings: list[Finding] = []
-    for src, scope in files:
+    for src in files:
         names = set(declared.get(src.path, set()))
         for companion in _companions(src.path):
             names |= declared.get(companion, set())
-        findings.extend(_analyze_file(src, scope, names))
-    findings.sort()
+        findings.extend(_analyze_file(src, names))
     return findings
 
 
@@ -71,19 +64,17 @@ def _companions(path: str) -> list[str]:
 # Per-file driver
 
 
-def _analyze_file(
-    src: SourceFile, scope: str, unordered_names: set[str]
-) -> list[Finding]:
+def _analyze_file(src: SourceFile, unordered_names: set[str]) -> list[Finding]:
     toks = src.tokens
     out: list[Finding] = []
     out.extend(_check_wall_clock(src, toks))
     out.extend(_check_randomness(src, toks))
     out.extend(_check_unordered_iteration(src, toks, unordered_names))
-    if scope.startswith(catalog.D004_SCOPES):
+    if src.path.startswith(catalog.D004_SCOPES):
         out.extend(_check_pointer_keys(src, toks))
     for span in _hot_spans(toks):
         out.extend(_check_hot_body(src, toks, span))
-    if scope.startswith("src/"):
+    if src.path.startswith("src/"):
         out.extend(_check_threading(src, toks))
     return out
 
@@ -98,8 +89,8 @@ def _check_wall_clock(src: SourceFile, toks: list[Token]) -> list[Finding]:
         if (
             t.kind == "ident"
             and t.text in CLOCKS
-            and _text(toks, i + 1) == "::"
-            and _text(toks, i + 2) == "now"
+            and token_text(toks, i + 1) == "::"
+            and token_text(toks, i + 2) == "now"
         ):
             out.append(
                 Finding(
@@ -111,7 +102,7 @@ def _check_wall_clock(src: SourceFile, toks: list[Token]) -> list[Finding]:
                 )
             )
         if t.kind == "ident" and t.text in ("clock_gettime", "gettimeofday"):
-            if _text(toks, i + 1) == "(":
+            if token_text(toks, i + 1) == "(":
                 out.append(
                     Finding(
                         src.path,
@@ -129,7 +120,7 @@ def _check_randomness(src: SourceFile, toks: list[Token]) -> list[Finding]:
     for i, t in enumerate(toks):
         if t.kind != "ident":
             continue
-        prev = _text(toks, i - 1)
+        prev = token_text(toks, i - 1)
         if t.text == "random_device" and prev != "include":
             out.append(
                 Finding(
@@ -140,10 +131,10 @@ def _check_randomness(src: SourceFile, toks: list[Token]) -> list[Finding]:
                     "engine from the caller",
                 )
             )
-        if t.text in ("rand", "srand") and _text(toks, i + 1) == "(":
+        if t.text in ("rand", "srand") and token_text(toks, i + 1) == "(":
             if prev in (".", "->"):
                 continue  # member call on some object; not libc rand
-            if prev == "::" and _text(toks, i - 2) != "std":
+            if prev == "::" and token_text(toks, i - 2) != "std":
                 continue  # qualified by something other than std
             prev_tok = toks[i - 1] if i > 0 else None
             if (
@@ -172,7 +163,7 @@ def _declared_unordered_names(src: SourceFile) -> set[str]:
     for i, t in enumerate(toks):
         if t.kind != "ident" or t.text not in UNORDERED:
             continue
-        if _text(toks, i + 1) != "<":
+        if token_text(toks, i + 1) != "<":
             continue
         j = _match_angles(toks, i + 1)
         if j is None:
@@ -180,7 +171,7 @@ def _declared_unordered_names(src: SourceFile) -> set[str]:
         nxt = toks[j + 1] if j + 1 < len(toks) else None
         if nxt is not None and nxt.kind == "ident":
             # `... > name` — a declaration unless `name(` opens a function.
-            if _text(toks, j + 2) != "(":
+            if token_text(toks, j + 2) != "(":
                 names.add(nxt.text)
     return names
 
@@ -192,7 +183,7 @@ def _check_unordered_iteration(
     for i, t in enumerate(toks):
         if t.kind != "ident" or t.text != "for":
             continue
-        if _text(toks, i + 1) != "(":
+        if token_text(toks, i + 1) != "(":
             continue
         close = _match_parens(toks, i + 1)
         if close is None:
@@ -230,7 +221,7 @@ def _check_pointer_keys(src: SourceFile, toks: list[Token]) -> list[Finding]:
     for i, t in enumerate(toks):
         if t.kind != "ident" or t.text not in UNORDERED:
             continue
-        if _text(toks, i + 1) != "<":
+        if token_text(toks, i + 1) != "<":
             continue
         depth = 0
         for j in range(i + 1, len(toks)):
@@ -296,7 +287,7 @@ def _hot_spans(toks: list[Token]) -> list[tuple[int, int]]:
             k += 1
         if body_open is None:
             continue
-        body_close = _match_braces(toks, body_open)
+        body_close = match_braces(toks, body_open)
         if body_close is not None:
             spans.append((body_open, body_close))
     return spans
@@ -310,8 +301,8 @@ def _check_hot_body(
     i = lo
     while i <= hi:
         t = toks[i]
-        nxt = _text(toks, i + 1)
-        prev = _text(toks, i - 1)
+        nxt = token_text(toks, i + 1)
+        prev = token_text(toks, i - 1)
         if t.kind == "ident" and t.text == "new":
             if prev == "operator":
                 out.append(_h001(src, t, "operator new allocates"))
@@ -329,21 +320,6 @@ def _check_hot_body(
             out.append(_h001(src, t, f"{t.text}() allocates"))
         elif t.kind == "ident" and t.text in MAKE_HEAP:
             out.append(_h001(src, t, f"std::{t.text} allocates"))
-        elif (
-            t.kind == "ident"
-            and t.text == "function"
-            and prev == "::"
-            and _text(toks, i - 2) == "std"
-        ):
-            out.append(
-                Finding(
-                    src.path,
-                    t.line,
-                    catalog.H002,
-                    "std::function in a DK_HOT function; use EventFn or a "
-                    "template parameter",
-                )
-            )
         elif t.text == "[" and _is_lambda_intro(toks, i):
             close = _match_brackets(toks, i)
             if close is not None:
@@ -365,7 +341,8 @@ def _h001(src: SourceFile, t: Token, why: str) -> Finding:
 
 def _is_lambda_intro(toks: list[Token], i: int) -> bool:
     prev = toks[i - 1] if i > 0 else None
-    if _text(toks, i + 1) == "[" or (prev is not None and prev.text == "["):
+    if token_text(toks, i + 1) == "[" or (
+            prev is not None and prev.text == "["):
         return False  # [[attribute]]
     if prev is None:
         return True
@@ -450,8 +427,8 @@ def _check_threading(src: SourceFile, toks: list[Token]) -> list[Finding]:
         if (
             t.kind == "ident"
             and t.text in catalog.THREADING
-            and _text(toks, i - 1) == "::"
-            and _text(toks, i - 2) == "std"
+            and token_text(toks, i - 1) == "::"
+            and token_text(toks, i - 2) == "std"
         ):
             out.append(
                 Finding(
@@ -469,7 +446,7 @@ def _check_threading(src: SourceFile, toks: list[Token]) -> list[Finding]:
 # Token-stream helpers
 
 
-def _text(toks: list[Token], i: int) -> str:
+def token_text(toks: list[Token], i: int) -> str:
     return toks[i].text if 0 <= i < len(toks) else ""
 
 
@@ -477,7 +454,7 @@ def _match_parens(toks: list[Token], i: int) -> int | None:
     return _match(toks, i, "(", ")")
 
 
-def _match_braces(toks: list[Token], i: int) -> int | None:
+def match_braces(toks: list[Token], i: int) -> int | None:
     return _match(toks, i, "{", "}")
 
 
