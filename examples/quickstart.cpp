@@ -48,7 +48,7 @@ int main() {
   Nanos read_latency = 0;
   bool verified = false;
   const Nanos r0 = sim.now();
-  fw.read(0, 7 * 4096, 4096, [&](Result<std::vector<std::uint8_t>> r) {
+  fw.read(0, 7 * 4096, 4096, [&](Result<Payload> r) {
     read_latency = sim.now() - r0;
     verified = r.ok() && *r == payload;
   });

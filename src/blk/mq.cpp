@@ -111,6 +111,9 @@ Status MqBlockLayer::split(unsigned cpu, Request request) {
     frag.len = chunk;
     if (!request.data.empty())
       frag.data = request.data.subspan(off - request.offset, chunk);
+    if (request.pages != nullptr)
+      frag.pages =
+          request.pages + (off - request.offset) / config_.max_io_bytes;
     frag.user_data = request.user_data;
     frag.complete = [state, chunk](std::int32_t res) {
       if (res < 0 && state->first_error == 0) state->first_error = res;
@@ -133,8 +136,10 @@ bool MqBlockLayer::try_merge(unsigned hwq, Request& request) {
   // Back-merge only (the common sequential-I/O case): the new bio starts
   // exactly where a queued request of the same op ends, on the device and
   // in the payload buffer, and the combined size respects the device limit.
+  // A read that names its own pages keeps its own request.
+  if (request.pages != nullptr) return false;
   for (auto& queued : pending_[hwq]) {
-    if (queued.op != request.op) continue;
+    if (queued.op != request.op || queued.pages != nullptr) continue;
     if (queued.offset + queued.len != request.offset) continue;
     if (queued.len + request.len > config_.max_io_bytes) continue;
     const bool payload_continues =

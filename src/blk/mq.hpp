@@ -15,7 +15,9 @@
 // (scheduler mode only); tags exhaust and re-pump on completion. Like a Linux
 // bio, a request carries a view of its payload: a split fragment views its
 // slice of the parent's buffer, and a merge happens only where the buffers
-// continue each other, so the driver always sees one contiguous view.
+// continue each other, so the driver always sees one contiguous view. A read
+// may instead name the payload its fetched pages land in; each fragment gets
+// its own, and two such reads never merge.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "common/metrics.hpp"
+#include "common/page.hpp"
 #include "common/status.hpp"
 #include "sim/event_pool.hpp"
 
@@ -45,6 +48,11 @@ struct Request {
   // Payload: exactly `len` bytes of the submitter's buffer, or empty for
   // timing-only submitters. Must outlive the completion.
   std::span<std::uint8_t> data;
+  // Reads: where the driver leaves the pages it fetched, which the C2H DMA
+  // then moves; null for timing-only submitters. A read the layer splits
+  // hands fragment i `pages + i`, so its submitter provides one payload per
+  // max_io_bytes of the read. Must outlive the completion.
+  Payload* pages = nullptr;
   std::uint64_t user_data = 0;
   unsigned tag = ~0u;         // assigned at dispatch
   unsigned hw_queue = 0;      // assigned at submission

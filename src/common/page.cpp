@@ -4,9 +4,31 @@
 
 #include "common/check.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace dk {
 
 namespace {
+
+/// A page on the free list is poisoned under AddressSanitizer: no reference
+/// holds it, so any access through a stale view is a bug.
+void poison(Page* page) {
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_POISON_MEMORY_REGION(page, sizeof(Page));
+#else
+  (void)page;
+#endif
+}
+
+void unpoison(Page* page) {
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_UNPOISON_MEMORY_REGION(page, sizeof(Page));
+#else
+  (void)page;
+#endif
+}
 
 /// This thread's page pool: the pages no reference holds. A stack of
 /// pointers rather than a list threaded through the pages, so taking or
@@ -16,7 +38,10 @@ struct PagePool {
   std::uint64_t live = 0;
 
   ~PagePool() {
-    for (Page* page : free) delete page;
+    for (Page* page : free) {
+      unpoison(page);
+      delete page;
+    }
   }
 };
 
@@ -40,6 +65,7 @@ PageRef PageRef::allocate() {
   } else {
     page = p.free.back();
     p.free.pop_back();
+    unpoison(page);
   }
   page->refs = 1;
   ++p.live;
@@ -48,6 +74,7 @@ PageRef PageRef::allocate() {
 
 void PageRef::release(Page* page) {
   PagePool& p = pool();
+  poison(page);
   p.free.push_back(page);
   --p.live;
 }
@@ -106,26 +133,10 @@ Payload Payload::zeros(std::uint64_t offset, std::uint64_t length) {
 
 Payload Payload::copy_of(std::span<const std::uint8_t> bytes,
                          std::uint64_t offset) {
-  Payload out = zeros(offset, bytes.size());
-  // Take every page and start loading it before copying into any: a
-  // recycled page is usually cold, and the copies then overlap their
-  // misses instead of waiting out one page at a time.
-  for (std::size_t i = 0; i < out.count_; ++i) {
-    PageRef page = PageRef::allocate();
-    page.prefetch(kPageBytes);
-    out.set_page(i, std::move(page));
-  }
-  std::uint64_t pos = 0;
-  for (std::size_t i = 0; i < out.count_; ++i) {
-    std::uint8_t* dst = out.pages()[i].writable();
-    const std::uint64_t start = i == 0 ? out.head_ : 0;
-    const std::uint64_t n = std::min(bytes.size() - pos, kPageBytes - start);
-    std::memset(dst, 0, start);
-    std::memcpy(dst + start, bytes.data() + pos, n);
-    std::memset(dst + start + n, 0, kPageBytes - start - n);
-    pos += n;
-  }
-  return out;
+  return filled(offset, bytes.size(),
+                [&](std::span<std::uint8_t> dst, std::uint64_t pos) {
+                  std::memcpy(dst.data(), bytes.data() + pos, dst.size());
+                });
 }
 
 std::vector<std::uint8_t> Payload::to_vector() const {
@@ -141,6 +152,12 @@ std::uint8_t Payload::operator[](std::uint64_t i) const {
   DK_CHECK(i < size_) << "byte " << i << " past the payload's end";
   const std::uint64_t pos = head_ + i;
   return page(pos / kPageBytes).data()[pos % kPageBytes];
+}
+
+std::uint8_t& Payload::writable_byte(std::uint64_t i) {
+  DK_CHECK(i < size_) << "byte " << i << " past the payload's end";
+  const std::uint64_t pos = head_ + i;
+  return pages()[pos / kPageBytes].writable()[pos % kPageBytes];
 }
 
 std::uint32_t Payload::crc32c(std::uint32_t crc) const {
@@ -169,6 +186,35 @@ void Payload::append(const Payload& next) {
   }
   for (std::size_t i = first; i < next.count_; ++i) push_page(next.page(i));
   size_ += next.size_;
+}
+
+namespace {
+
+/// CRC-32C of the payload's chunk `i` of kChecksumBlockBytes.
+std::uint32_t block_crc(const Payload& data, std::size_t i) {
+  const std::uint64_t from = i * kChecksumBlockBytes;
+  std::uint32_t crc = 0;
+  data.for_each_segment(from, std::min(kChecksumBlockBytes, data.size() - from),
+                        [&](std::span<const std::uint8_t> seg) {
+                          crc = dk::crc32c(seg, crc);
+                        });
+  return crc;
+}
+
+}  // namespace
+
+void block_checksums(const Payload& data, std::span<std::uint32_t> out) {
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = block_crc(data, i);
+}
+
+bool block_checksums_match(const Payload& data,
+                           std::span<const std::uint32_t> sums) {
+  if (sums.size() !=
+      (data.size() + kChecksumBlockBytes - 1) / kChecksumBlockBytes)
+    return false;
+  for (std::size_t i = 0; i < sums.size(); ++i)
+    if (block_crc(data, i) != sums[i]) return false;
+  return true;
 }
 
 bool operator==(const Payload& a, const Payload& b) {

@@ -19,6 +19,13 @@
 // goes is kept on a free list and handed out again, so a steady stream of
 // payloads allocates nothing once the pool has reached its peak. The pool
 // keeps its spares across stacks and frees them when its thread exits.
+// Under AddressSanitizer a page on the free list is poisoned, so a view a
+// layer keeps past its page's last reference faults instead of reading
+// whatever the page holds next.
+//
+// A read hands its caller the stored pages themselves: the object store's,
+// through the OSD reply, RBD and the framework, to the workload. Nothing
+// on that path copies a replicated read's bytes.
 #pragma once
 
 #include <algorithm>
@@ -108,6 +115,34 @@ class Payload {
   /// `offset`. Page bytes outside the range are zero.
   static Payload copy_of(std::span<const std::uint8_t> bytes,
                          std::uint64_t offset);
+  /// `length` bytes at object offset `offset` in fresh pages, written by
+  /// `fill(std::span<std::uint8_t> dst, std::uint64_t pos)` once per page,
+  /// in order, where `dst` takes payload bytes [pos, pos + dst.size()).
+  /// Page bytes outside the range are zero.
+  template <typename Fill>
+  static Payload filled(std::uint64_t offset, std::uint64_t length,
+                        Fill&& fill) {
+    Payload out = zeros(offset, length);
+    // Take every page and start loading it before writing any: a recycled
+    // page is usually cold, and the writes then overlap their misses
+    // instead of waiting out one page at a time.
+    for (std::size_t i = 0; i < out.count_; ++i) {
+      PageRef page = PageRef::allocate();
+      page.prefetch(kPageBytes);
+      out.set_page(i, std::move(page));
+    }
+    std::uint64_t pos = 0;
+    for (std::size_t i = 0; i < out.count_; ++i) {
+      std::uint8_t* dst = out.pages()[i].writable();
+      const std::uint64_t start = i == 0 ? out.head_ : 0;
+      const std::uint64_t n = std::min(length - pos, kPageBytes - start);
+      std::fill(dst, dst + start, std::uint8_t{0});
+      fill(std::span<std::uint8_t>(dst + start, n), pos);
+      std::fill(dst + start + n, dst + kPageBytes, std::uint8_t{0});
+      pos += n;
+    }
+    return out;
+  }
 
   std::uint64_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -139,6 +174,9 @@ class Payload {
   /// The payload's bytes in one new vector.
   std::vector<std::uint8_t> to_vector() const;
   std::uint8_t operator[](std::uint64_t i) const;
+  /// Byte `i` for writing. Its page is first made private to this payload
+  /// (PageRef::writable), so no other holder of the page sees the change.
+  std::uint8_t& writable_byte(std::uint64_t i);
   /// CRC-32C over the payload's bytes, chained onto `crc` like crc32c().
   std::uint32_t crc32c(std::uint32_t crc = 0) const;
 
@@ -167,6 +205,50 @@ class Payload {
   std::uint32_t count_ = 0;
   std::array<PageRef, kInlinePages> inline_;
   std::vector<PageRef> spill_;  // every page, once there are too many inline
+};
+
+/// One CRC-32C per kChecksumBlockBytes chunk of `data`'s bytes (the last
+/// chunk may be short), as block_checksums() computes them over one buffer.
+void block_checksums(const Payload& data, std::span<std::uint32_t> out);
+/// True when `sums` equals block_checksums(data), read in place.
+bool block_checksums_match(const Payload& data,
+                           std::span<const std::uint32_t> sums);
+
+/// The per-block CRC-32Cs a message carries beside its payload. Up to 8
+/// (one 32 kB payload) live inline, so filling or copying them allocates
+/// nothing; more spill to the heap.
+class BlockCrcs {
+ public:
+  std::size_t size() const { return size_; }
+  const std::uint32_t* data() const {
+    return size_ > kInline ? spill_.data() : inline_.data();
+  }
+  const std::uint32_t* begin() const { return data(); }
+  const std::uint32_t* end() const { return data() + size_; }
+  std::uint32_t operator[](std::size_t i) const { return data()[i]; }
+  operator std::span<const std::uint32_t>() const {  // NOLINT(google-explicit-constructor)
+    return {data(), size_};
+  }
+
+  void clear() {
+    size_ = 0;
+    spill_.clear();
+  }
+  void push_back(std::uint32_t crc) {
+    if (size_ == kInline) spill_.assign(inline_.begin(), inline_.end());
+    if (size_ >= kInline)
+      spill_.push_back(crc);
+    else
+      inline_[size_] = crc;
+    ++size_;
+  }
+
+ private:
+  static constexpr std::size_t kInline = 8;
+
+  std::uint32_t size_ = 0;
+  std::array<std::uint32_t, kInline> inline_{};
+  std::vector<std::uint32_t> spill_;  // every CRC, once there are too many
 };
 
 }  // namespace dk

@@ -315,6 +315,7 @@ void Framework::write(unsigned job, std::uint64_t offset,
   IoCtx& ctx = acquire();
   ctx.job = job;
   ctx.offset = offset;
+  ctx.length = data.size();
   ctx.data = std::move(data);
   ctx.wcb = std::move(cb);
   submit(ctx);
@@ -326,9 +327,14 @@ void Framework::read(unsigned job, std::uint64_t offset, std::uint64_t length,
   ctx.is_read = true;
   ctx.job = job;
   ctx.offset = offset;
-  ctx.data.resize(length);  // the destination; fragments fill their slices
+  ctx.length = length;
   ctx.rcb = std::move(cb);
   submit(ctx);
+}
+
+void Framework::read(unsigned job, std::uint64_t offset, std::uint64_t length,
+                     VectorReadDoneFn cb) {
+  read(job, offset, length, rados::copy_to_vector(std::move(cb)));
 }
 
 DK_HOT Framework::IoCtx& Framework::acquire() {
@@ -349,7 +355,7 @@ DK_HOT void Framework::submit(IoCtx& ctx) {
     deliver(ctx, -static_cast<std::int32_t>(Errc::unsupported));
     return;
   }
-  const std::uint64_t bytes = ctx.data.size();
+  const std::uint64_t bytes = ctx.length;
   if (ctx.is_read) {
     ++stats_.reads;
     stats_.bytes_read += bytes;
@@ -408,9 +414,9 @@ DK_HOT void Framework::start_io(IoCtx& ctx) {
   // and the request is being handed to the host submission path.
   ctx.trace.mark(Stage::sq_dispatch, sim_.now());
   sim::FifoServer& worker = *workers_[ctx.job % workers_.size()];
-  const Nanos submit = host_submit_cost(!ctx.is_read, ctx.data.size());
+  const Nanos submit = host_submit_cost(!ctx.is_read, ctx.length);
   worker.submit(submit, [this, io = &ctx] { enter_block_layer(*io); });
-  const Nanos extra = host_occupancy_extra(ctx.data.size());
+  const Nanos extra = host_occupancy_extra(ctx.length);
   if (extra > 0) worker.submit(extra, nullptr);
 }
 
@@ -420,8 +426,15 @@ DK_HOT void Framework::enter_block_layer(IoCtx& ctx) {
   blk::Request req;
   req.op = ctx.is_read ? blk::ReqOp::read : blk::ReqOp::write;
   req.offset = ctx.offset;
-  req.len = static_cast<std::uint32_t>(ctx.data.size());
-  req.data = ctx.data;
+  req.len = static_cast<std::uint32_t>(ctx.length);
+  if (ctx.is_read) {
+    // One payload for each fragment the block layer may cut the read into.
+    const std::uint64_t max = mq_->config().max_io_bytes;
+    ctx.pages.resize((ctx.length + max - 1) / max);
+    req.pages = ctx.pages.data();
+  } else {
+    req.data = ctx.data;
+  }
   req.user_data = ctx.token;
   req.complete = [this, io = &ctx](std::int32_t res) {
     // The remote side (OSDs / cluster) has answered; only host-side
@@ -430,8 +443,7 @@ DK_HOT void Framework::enter_block_layer(IoCtx& ctx) {
     io->trace.mark(Stage::remote_complete, sim_.now());
     sim::FifoServer& worker =
         *completion_workers_[io->job % completion_workers_.size()];
-    const Nanos complete_cost =
-        host_complete_cost(!io->is_read, io->data.size());
+    const Nanos complete_cost = host_complete_cost(!io->is_read, io->length);
     worker.submit(complete_cost, [this, io, res] { finish_io(*io, res); });
   };
   const Status s = mq_->submit(ctx.job % workers_.size(), std::move(req));
@@ -443,11 +455,13 @@ void Framework::run_remote(const blk::Request& request, blk::CompleteFn done) {
   io.trace.mark(Stage::driver_dispatch, sim_.now());
   const Nanos f = fpga_stage_latency(!io.is_read, request.len);
 
-  // Serve exactly this fragment: its offset, its payload view, and its slice
-  // of the checksum cover. Fragments start on checksum-block boundaries
-  // (the split size is a multiple of kChecksumBlockBytes).
+  // Serve exactly this fragment: its offset, its payload (a write's view, a
+  // read's destination), and its slice of the checksum cover. Fragments
+  // start on checksum-block boundaries (the split size is a multiple of
+  // kChecksumBlockBytes).
   sim_.schedule_after(f, [this, io = &io, offset = request.offset,
-                          data = request.data,
+                          len = request.len, data = request.data,
+                          pages = request.pages,
                           done = std::move(done)]() mutable {
     IoCtx& ctx = *io;
     ctx.trace.mark(Stage::rados_issue, sim_.now());
@@ -455,7 +469,7 @@ void Framework::run_remote(const blk::Request& request, blk::CompleteFn done) {
     if (config_.integrity)
       cover = std::span(ctx.dma_checksums)
                   .subspan((offset - ctx.offset) / kChecksumBlockBytes,
-                           (data.size() + kChecksumBlockBytes - 1) /
+                           (len + kChecksumBlockBytes - 1) /
                                kChecksumBlockBytes);
     if (!ctx.is_read) {
       if (config_.integrity && !block_checksums_match(data, cover)) {
@@ -470,18 +484,19 @@ void Framework::run_remote(const blk::Request& request, blk::CompleteFn done) {
       return;
     }
     image_->aio_read(
-        offset, data, read_strategy(),
-        [this, io, cover, data, done = std::move(done)](Status s) {
-          if (!s.ok()) {
+        offset, len, read_strategy(),
+        [this, io, cover, pages, done = std::move(done)](Result<Payload> r) {
+          if (!r.ok()) {
             Status& first = io->read_error;
-            if (first.ok()) first = s;
-            done(-static_cast<std::int32_t>(s.code()));
+            if (first.ok()) first = r.status();
+            done(-static_cast<std::int32_t>(r.status().code()));
             return;
           }
-          // Cover the delivered bytes across the C2H DMA hop; finish_io()
-          // re-verifies on the host side.
-          if (config_.integrity) block_checksums(data, cover);
-          done(static_cast<std::int32_t>(data.size()));
+          // The fragment's pages, by reference. Cover them across the C2H
+          // DMA hop; finish_io() re-verifies on the host side.
+          *pages = std::move(*r);
+          if (config_.integrity) block_checksums(*pages, cover);
+          done(static_cast<std::int32_t>(pages->size()));
         });
   });
 }
@@ -500,8 +515,14 @@ DK_HOT void Framework::retire(IoCtx& io) {
 
 DK_HOT void Framework::finish_io(IoCtx& ctx, std::int32_t res) {
   retire(ctx);
+  if (ctx.is_read && res >= 0) {
+    // Join the fragments' pages in offset order.
+    for (std::size_t i = 1; i < ctx.pages.size(); ++i)
+      ctx.pages[0].append(ctx.pages[i]);
+    ctx.pages.resize(1);
+  }
   if (config_.integrity && ctx.is_read && res >= 0 &&
-      !block_checksums_match(ctx.data, ctx.dma_checksums)) {
+      !block_checksums_match(ctx.pages[0], ctx.dma_checksums)) {
     // The C2H DMA corrupted the payload after the cluster verified it:
     // surface Errc::corrupted rather than hand wrong bytes to the caller.
     note_corruption(ctx);
@@ -534,15 +555,19 @@ DK_HOT void Framework::deliver(IoCtx& io, std::int32_t res) {
   const bool is_read = io.is_read;
   const WriteDoneFn wcb = std::move(io.wcb);
   const ReadDoneFn rcb = std::move(io.rcb);
-  std::vector<std::uint8_t> data = std::move(io.data);
+  Payload data = is_read && res >= 0 ? std::move(io.pages[0]) : Payload();
   const Status error = std::move(io.read_error);
   const std::uint32_t slot = io.slot;
-  // The checksum cover keeps its capacity for the slot's next I/O.
+  // The checksum cover and the fragment list keep their capacity for the
+  // slot's next I/O.
   std::vector<std::uint32_t> sums = std::move(io.dma_checksums);
+  std::vector<Payload> pages = std::move(io.pages);
   io = IoCtx{};
   io.slot = slot;
   sums.clear();
   io.dma_checksums = std::move(sums);
+  pages.clear();
+  io.pages = std::move(pages);
   free_slots_.push_back(slot);
   if (!is_read) {
     wcb(res);

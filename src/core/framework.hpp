@@ -106,7 +106,11 @@ struct FrameworkStats {
 };
 
 using WriteDoneFn = sim::UniqueFn<void(std::int32_t)>;
-using ReadDoneFn = sim::UniqueFn<void(Result<std::vector<std::uint8_t>>)>;
+/// A read's bytes: the pages the cluster delivered, laid out for the image
+/// offset (common/page.hpp).
+using ReadDoneFn = rados::ReadCallback;
+/// The same bytes copied into one vector.
+using VectorReadDoneFn = rados::VectorReadCallback;
 
 class Framework {
  public:
@@ -157,9 +161,14 @@ class Framework {
   void write(unsigned job, std::uint64_t offset,
              std::vector<std::uint8_t> data, WriteDoneFn cb);
 
-  /// Asynchronous block read.
+  /// Asynchronous block read: `cb` gets the pages the cluster delivered
+  /// (a replicated read's are the store's own), which no layer of this
+  /// stack copies on the way.
   void read(unsigned job, std::uint64_t offset, std::uint64_t length,
             ReadDoneFn cb);
+  /// The same read, copied into a vector for `cb`.
+  void read(unsigned job, std::uint64_t offset, std::uint64_t length,
+            VectorReadDoneFn cb);
 
   /// Effective strategies (variant defaults or ablation overrides).
   rados::WriteStrategy write_strategy() const;
@@ -182,11 +191,17 @@ class Framework {
     bool is_read = false;
     unsigned job = 0;
     std::uint64_t offset = 0;
-    // The write's bytes, or the read's destination (allocated at submit).
-    // The block request views it; split fragments view slices of it.
+    std::uint64_t length = 0;
+    // The write's bytes. The block request views them; split fragments
+    // view slices of them.
     std::vector<std::uint8_t> data;
+    // The read's bytes as the cluster delivered them (the stores' pages, by
+    // reference): one payload per block-layer fragment, each a request's
+    // `pages`, joined in offset order when the read completes. Keeps its
+    // capacity for the slot's next I/O.
+    std::vector<Payload> pages;
     // Integrity mode: per-4 kB checksum cover for the payload's QDMA hop,
-    // one entry per block of `data`. Writes checksum at submit and each
+    // one entry per block of the I/O. Writes checksum at submit and each
     // fragment verifies its slice after H2C; each read fragment fills its
     // slice at RADOS delivery and the whole is verified after C2H.
     std::vector<std::uint32_t> dma_checksums;

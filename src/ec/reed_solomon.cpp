@@ -129,17 +129,57 @@ Result<std::vector<Chunk>> ReedSolomon::decode(
   return multiply(inv->row(0), k, std::span(survivors).first(k), chunk_size);
 }
 
-std::vector<std::uint8_t> ReedSolomon::assemble(
-    const std::vector<Chunk>& data, std::size_t original_size) const {
-  std::vector<std::uint8_t> out;
-  out.reserve(original_size);
-  for (const auto& c : data) {
-    const std::size_t take = std::min(c.size(), original_size - out.size());
-    out.insert(out.end(), c.begin(), c.begin() + static_cast<long>(take));
-    if (out.size() == original_size) break;
-  }
-  out.resize(original_size, 0);
-  return out;
+template <typename Copy>
+Payload ReedSolomon::assemble(std::uint64_t chunk_size, std::uint64_t offset,
+                              std::uint64_t length, Copy copy) const {
+  DK_CHECK(length <= chunk_size * profile_.k)
+      << "assembling " << length << " bytes from " << profile_.k
+      << " chunks of " << chunk_size;
+  return Payload::filled(
+      offset, length, [&](std::span<std::uint8_t> dst, std::uint64_t pos) {
+        // A destination page may straddle two chunks.
+        while (!dst.empty()) {
+          const std::uint64_t in_chunk = pos % chunk_size;
+          const std::uint64_t n =
+              std::min<std::uint64_t>(dst.size(), chunk_size - in_chunk);
+          copy(static_cast<unsigned>(pos / chunk_size), in_chunk,
+               dst.first(n));
+          dst = dst.subspan(n);
+          pos += n;
+        }
+      });
+}
+
+Payload ReedSolomon::assemble(std::span<const Payload> data,
+                              std::uint64_t offset,
+                              std::uint64_t length) const {
+  DK_CHECK(data.size() == profile_.k) << "need exactly k data chunks";
+  // The chunks are usually cold store pages: start loading all of them
+  // before copying any.
+  for (const Payload& chunk : data)
+    for (std::size_t i = 0; i < chunk.page_count(); ++i)
+      chunk.page(i).prefetch(kPageBytes);
+  return assemble(data[0].size(), offset, length,
+                  [&](unsigned i, std::uint64_t from,
+                      std::span<std::uint8_t> dst) {
+                    data[i].for_each_segment(
+                        from, dst.size(), [&](std::span<const std::uint8_t> s) {
+                          std::copy(s.begin(), s.end(), dst.begin());
+                          dst = dst.subspan(s.size());
+                        });
+                  });
+}
+
+Payload ReedSolomon::assemble(const std::vector<Chunk>& data,
+                              std::uint64_t offset,
+                              std::uint64_t length) const {
+  DK_CHECK(data.size() == profile_.k) << "need exactly k data chunks";
+  return assemble(data[0].size(), offset, length,
+                  [&](unsigned i, std::uint64_t from,
+                      std::span<std::uint8_t> dst) {
+                    std::copy_n(data[i].begin() + static_cast<long>(from),
+                                dst.size(), dst.begin());
+                  });
 }
 
 std::uint64_t ReedSolomon::encode_ops(std::size_t object_bytes) const {

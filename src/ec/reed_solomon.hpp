@@ -56,9 +56,15 @@ class ReedSolomon {
   Result<std::vector<Chunk>> decode(
       const std::vector<std::optional<Chunk>>& chunks) const;
 
-  /// Reassemble the original object (without padding) from data chunks.
-  std::vector<std::uint8_t> assemble(const std::vector<Chunk>& data,
-                                     std::size_t original_size) const;
+  /// The first `length` bytes of the object the k data chunks hold (chunk
+  /// i holds bytes [i * c, (i + 1) * c) of it), laid into fresh pages for
+  /// object offset `offset` (common/page.hpp). Each byte is copied once,
+  /// and the chunks' pages are prefetched before the copy.
+  Payload assemble(std::span<const Payload> data, std::uint64_t offset,
+                   std::uint64_t length) const;
+  /// The same for chunks in vectors (what decode() returns).
+  Payload assemble(const std::vector<Chunk>& data, std::uint64_t offset,
+                   std::uint64_t length) const;
 
   /// GF multiply-accumulate operation count for encoding `bytes` — the work
   /// metric the FPGA cycle model charges for the RS Encoder kernel.
@@ -69,6 +75,11 @@ class ReedSolomon {
   /// bytes [off, off + n) to `chunk`.
   template <typename Append>
   std::vector<Chunk> split(std::size_t size, Append append) const;
+  /// assemble() over k chunks of `chunk_size` bytes; `copy(i, from, dst)`
+  /// copies bytes [from, from + dst.size()) of chunk i into `dst`.
+  template <typename Copy>
+  Payload assemble(std::uint64_t chunk_size, std::uint64_t offset,
+                   std::uint64_t length, Copy copy) const;
 
   Profile profile_;
   gf::Matrix generator_;  // (k+m) x k systematic generator

@@ -86,7 +86,8 @@ void QdmaEngine::complete_descriptor(unsigned id, bool h2c_dir,
 }
 
 Status QdmaEngine::dma(unsigned id, std::uint64_t bytes, bool h2c_dir,
-                       DmaCallback done, std::span<std::uint8_t> payload) {
+                       DmaCallback done, std::span<std::uint8_t> payload,
+                       Payload* pages) {
   QueueSet* qs = queue_set(id);
   if (!qs) return Status::Error(Errc::not_found, "no such queue set");
   if (outstanding_descriptors_ >= kMaxOutstandingDescriptors) {
@@ -135,8 +136,8 @@ Status QdmaEngine::dma(unsigned id, std::uint64_t bytes, bool h2c_dir,
   }
   const unsigned op = idle_ops_.back();
   idle_ops_.pop_back();
-  ops_[op] = InFlight{id, bytes, h2c_dir, sim_.now(), seq, payload,
-                      std::move(done)};
+  ops_[op] = InFlight{id,      bytes, h2c_dir, sim_.now(), seq,
+                      payload, pages, std::move(done)};
 
   // Doorbell + descriptor fetch (RQ + DE), then PCIe serialization of the
   // descriptor + payload, then the H2C/C2H engine slot, then CE writeback.
@@ -168,7 +169,10 @@ Status QdmaEngine::dma(unsigned id, std::uint64_t bytes, bool h2c_dir,
           // A DMA the CE calls good may still have flipped payload bits in
           // the reorder buffer (DmaCorruptionWindow): silent corruption that
           // only end-to-end checksums can surface.
-          if (faults_) faults_->maybe_corrupt_dma(f.payload);
+          if (faults_ != nullptr && f.pages != nullptr)
+            faults_->maybe_corrupt_dma(*f.pages);
+          else if (faults_ != nullptr)
+            faults_->maybe_corrupt_dma(f.payload);
           if (metrics_.h2c_latency) {
             (f.h2c_dir ? metrics_.h2c_latency : metrics_.c2h_latency)
                 ->record(sim_.now() - f.start);
@@ -191,12 +195,12 @@ void QdmaEngine::finish(unsigned op, Status status) {
 
 Status QdmaEngine::h2c(unsigned id, std::uint64_t bytes, DmaCallback done,
                        std::span<std::uint8_t> payload) {
-  return dma(id, bytes, /*h2c_dir=*/true, std::move(done), payload);
+  return dma(id, bytes, /*h2c_dir=*/true, std::move(done), payload, nullptr);
 }
 
 Status QdmaEngine::c2h(unsigned id, std::uint64_t bytes, DmaCallback done,
-                       std::span<std::uint8_t> payload) {
-  return dma(id, bytes, /*h2c_dir=*/false, std::move(done), payload);
+                       Payload* pages) {
+  return dma(id, bytes, /*h2c_dir=*/false, std::move(done), {}, pages);
 }
 
 }  // namespace dk::fpga

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/metrics.hpp"
+#include "common/page.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/status.hpp"
 #include "common/units.hpp"
@@ -144,9 +145,13 @@ class QdmaEngine {
   Status h2c(unsigned id, std::uint64_t bytes, DmaCallback done,
              std::span<std::uint8_t> payload = {});
 
-  /// Card-to-host DMA.
+  /// Card-to-host DMA. `pages`, when non-null, is the payload the transfer
+  /// delivers to the host; an armed DmaCorruptionWindow flips its bits in a
+  /// private copy of each page it hits (PageRef::writable), so the stores
+  /// sharing the pages keep their bytes. It must stay valid until `done`
+  /// fires.
   Status c2h(unsigned id, std::uint64_t bytes, DmaCallback done,
-             std::span<std::uint8_t> payload = {});
+             Payload* pages = nullptr);
 
   /// Arm descriptor-fetch / completion error injection (nullptr detaches).
   /// Errored descriptors still complete their lifecycle (consumed + error
@@ -169,7 +174,8 @@ class QdmaEngine {
 
  private:
   Status dma(unsigned id, std::uint64_t bytes, bool h2c_dir,
-             DmaCallback done, std::span<std::uint8_t> payload);
+             DmaCallback done, std::span<std::uint8_t> payload,
+             Payload* pages);
   /// CE-side descriptor retirement shared by the success and error paths:
   /// consume the ring descriptor, post the completion entry, release the
   /// UltraRAM slot, and close the validator lifecycle.
@@ -185,7 +191,8 @@ class QdmaEngine {
     bool h2c_dir = false;
     Nanos start = 0;
     std::uint64_t seq = 0;
-    std::span<std::uint8_t> payload;
+    std::span<std::uint8_t> payload;  // H2C
+    Payload* pages = nullptr;         // C2H
     DmaCallback done;
   };
 

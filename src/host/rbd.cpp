@@ -9,7 +9,10 @@ namespace dk::host {
 
 RbdDevice::RbdDevice(rados::RadosClient& client, RbdImageSpec spec)
     : client_(client), spec_(spec) {
-  DK_CHECK(spec_.object_size > 0);
+  // Objects start on page boundaries, so an object offset and its image
+  // offset share a page layout and a read's extents join page by page.
+  DK_CHECK(spec_.object_size > 0 && spec_.object_size % kPageBytes == 0)
+      << "object size " << spec_.object_size << " is not whole pages";
 }
 
 void RbdDevice::attach_metrics(MetricsRegistry& registry,
@@ -94,60 +97,58 @@ void RbdDevice::aio_write(std::uint64_t offset,
   });
 }
 
-void RbdDevice::aio_read(std::uint64_t offset, std::span<std::uint8_t> dst,
+void RbdDevice::aio_read(std::uint64_t offset, std::uint64_t length,
                          rados::ReadStrategy strategy,
-                         sim::UniqueFn<void(Status)> done) {
-  const Result<unsigned> extents = admit(offset, dst.size(), false);
+                         rados::ReadCallback cb) {
+  const Result<unsigned> extents = admit(offset, length, false);
   if (!extents.ok()) {
-    done(extents.status());
+    cb(extents.status());
     return;
   }
+  if (*extents == 1) {
+    // Inside one object (every 4 kB I/O): the reply's pages go straight to
+    // the caller.
+    client_.read(spec_.pool, oid_of(offset), offset % spec_.object_size,
+                 length, strategy, std::move(cb));
+    return;
+  }
+  // Extents may complete in any order; each keeps its pages in its slot
+  // until the last one lands, and the slots then join in offset order.
   struct Gather {
     unsigned remaining;
     Status first_error;
-    sim::UniqueFn<void(Status)> done;
+    std::vector<Payload> parts;
+    rados::ReadCallback cb;
   };
-  std::shared_ptr<Gather> gather;
-  if (*extents > 1)
-    gather = std::make_shared<Gather>(
-        Gather{*extents, Status::Ok(), std::move(done)});
-  stripe(offset, dst.size(), [&](std::uint64_t oid, std::uint64_t obj_off,
-                                 std::uint64_t pos, std::uint64_t len) {
+  auto gather = std::make_shared<Gather>(
+      Gather{*extents, Status::Ok(), std::vector<Payload>(*extents),
+             std::move(cb)});
+  std::size_t index = 0;
+  stripe(offset, length, [&](std::uint64_t oid, std::uint64_t obj_off,
+                             std::uint64_t, std::uint64_t len) {
     client_.read(spec_.pool, oid, obj_off, len, strategy,
-                 [part = dst.subspan(pos, len), gather,
-                  done = gather ? nullptr : std::move(done)](
-                     Result<std::vector<std::uint8_t>> r) {
-                   if (r.ok()) {
-                     DK_CHECK(r->size() == part.size());
-                     std::copy_n(r->begin(), std::min(r->size(), part.size()),
-                                 part.begin());
-                   }
-                   if (!gather) {
-                     done(r.status());
+                 [gather, i = index++](Result<Payload> r) {
+                   if (r.ok())
+                     gather->parts[i] = std::move(*r);
+                   else if (gather->first_error.ok())
+                     gather->first_error = r.status();
+                   if (--gather->remaining != 0) return;
+                   if (!gather->first_error.ok()) {
+                     gather->cb(gather->first_error);
                      return;
                    }
-                   if (!r.ok() && gather->first_error.ok())
-                     gather->first_error = r.status();
-                   if (--gather->remaining == 0)
-                     gather->done(gather->first_error);
+                   Payload joined = std::move(gather->parts[0]);
+                   for (std::size_t p = 1; p < gather->parts.size(); ++p)
+                     joined.append(gather->parts[p]);
+                   gather->cb(std::move(joined));
                  });
   });
 }
 
 void RbdDevice::aio_read(std::uint64_t offset, std::uint64_t length,
                          rados::ReadStrategy strategy,
-                         rados::ReadCallback cb) {
-  // The vector moves into the completion; its storage, which `dst` views,
-  // stays where it is.
-  std::vector<std::uint8_t> buf(length);
-  const std::span<std::uint8_t> dst(buf);
-  aio_read(offset, dst, strategy,
-           [buf = std::move(buf), cb = std::move(cb)](Status s) mutable {
-             if (s.ok())
-               cb(std::move(buf));
-             else
-               cb(std::move(s));
-           });
+                         rados::VectorReadCallback cb) {
+  aio_read(offset, length, strategy, rados::copy_to_vector(std::move(cb)));
 }
 
 }  // namespace dk::host

@@ -46,14 +46,16 @@ class RbdDevice {
                  rados::WriteStrategy strategy,
                  sim::UniqueFn<void(std::int32_t)> cb);
 
-  /// Asynchronous block read of `dst.size()` bytes straight into `dst`,
-  /// which must outlive the completion. Range errors as for aio_write.
-  void aio_read(std::uint64_t offset, std::span<std::uint8_t> dst,
-                rados::ReadStrategy strategy, sim::UniqueFn<void(Status)> done);
-
-  /// Asynchronous block read into a buffer of its own.
+  /// Asynchronous block read of `length` bytes: `cb` gets the pages the
+  /// cluster replied with, laid out for the image offset (a replicated
+  /// read's are the store's own). An I/O that spans objects joins its
+  /// extents in offset order. Range errors as for aio_write.
   void aio_read(std::uint64_t offset, std::uint64_t length,
                 rados::ReadStrategy strategy, rados::ReadCallback cb);
+
+  /// The same read, copied into a vector for `cb`.
+  void aio_read(std::uint64_t offset, std::uint64_t length,
+                rados::ReadStrategy strategy, rados::VectorReadCallback cb);
 
   /// Publish image activity under "<prefix>." (writes/reads/object_ops/
   /// bytes_written/bytes_read counters).

@@ -90,7 +90,7 @@ DK_HOT void UifdDriver::dma(unsigned hwq, unsigned tag, unsigned attempt) {
   };
   const Status issued =
       req.op == blk::ReqOp::read
-          ? device_.qdma().c2h(qs, req.len, std::move(on_done), req.data)
+          ? device_.qdma().c2h(qs, req.len, std::move(on_done), req.pages)
           : device_.qdma().h2c(qs, req.len, std::move(on_done), req.data);
   if (!issued.ok())
     finish(hwq, tag, -static_cast<std::int32_t>(issued.code()));

@@ -5,8 +5,9 @@
 // C2H DMA for read payloads), then hands the storage-side execution to a
 // pluggable remote-I/O functor (the FPGA's CRUSH/EC accelerators + TCP/IP
 // offload + cluster, wired up by the framework in src/core). The DMA moves
-// the request's own payload view, so an armed DmaCorruptionWindow flips real
-// bytes in flight; a request without a view keeps the QDMA timing-only.
+// the request's own payload (a write's buffer view, the pages a read
+// fetched), so an armed DmaCorruptionWindow flips real bytes in flight; a
+// request without one keeps the QDMA timing-only.
 //
 // The driver keeps each request under its block-layer (hw queue, tag) until
 // it completes, so its DMA and remote completions carry only those indices

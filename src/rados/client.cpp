@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 
 #include "common/annotations.hpp"
 #include "common/check.hpp"
@@ -161,7 +162,7 @@ void RadosClient::start_write_attempt(std::shared_ptr<WriteAttempt> ctx) {
 }
 
 void RadosClient::start_read_attempt(std::shared_ptr<ReadAttempt> ctx) {
-  auto attempt_cb = [this, ctx](Result<std::vector<std::uint8_t>> r) {
+  auto attempt_cb = [this, ctx](Result<Payload> r) {
     const Status s = r.status();
     if (r.ok() || !status_retryable(s) || ctx->attempt >= kMaxRetries) {
       ctx->cb(std::move(r));
@@ -260,7 +261,7 @@ std::uint64_t RadosClient::write_replicated(
     auto body = make_op(OpType::client_write, op_id, object_key(pool, oid),
                         offset);
     body->data = std::move(data);
-    body->checksums = maybe_checksums(offset, body->data);
+    maybe_checksums(offset, body->data, body->checksums);
     body->replicas.assign(acting.begin() + 1, acting.end());
     send(acting[0], std::move(body));
     return op_id;
@@ -271,7 +272,8 @@ std::uint64_t RadosClient::write_replicated(
   pend.awaiting = static_cast<unsigned>(acting.size());
   pending_nodes_.emplace(pending_, op_id, std::move(pend));
   op_started();
-  const auto checksums = maybe_checksums(offset, data);
+  BlockCrcs checksums;
+  maybe_checksums(offset, data, checksums);
   for (const int osd : acting) {
     auto body = make_op(OpType::sub_write, op_id, object_key(pool, oid),
                         offset);
@@ -333,7 +335,7 @@ std::uint64_t RadosClient::write_ec(int pool, std::uint64_t oid,
     auto body = make_op(OpType::sub_write, op_id, object_key(pool, oid, s),
                         shard_off);
     body->data = Payload::copy_of(chunks[s], shard_off);
-    body->checksums = maybe_checksums(shard_off, body->data);
+    maybe_checksums(shard_off, body->data, body->checksums);
     send(acting[s], std::move(body));
   }
   return op_id;
@@ -354,6 +356,21 @@ void RadosClient::read(int pool, std::uint64_t oid, std::uint64_t offset,
   ctx->strategy = strategy;
   ctx->cb = std::move(cb);
   start_read_attempt(std::move(ctx));
+}
+
+ReadCallback copy_to_vector(VectorReadCallback cb) {
+  return [cb = std::move(cb)](Result<Payload> r) mutable {
+    if (r.ok())
+      cb(r->to_vector());
+    else
+      cb(r.status());
+  };
+}
+
+void RadosClient::read(int pool, std::uint64_t oid, std::uint64_t offset,
+                       std::uint64_t length, ReadStrategy strategy,
+                       VectorReadCallback cb) {
+  read(pool, oid, offset, length, strategy, copy_to_vector(std::move(cb)));
 }
 
 DK_HOT std::uint64_t RadosClient::dispatch_read(int pool, std::uint64_t oid,
@@ -502,7 +519,7 @@ std::uint64_t RadosClient::read_ec(int pool, std::uint64_t oid,
     send(acting[0], std::move(body));
     return op_id;
   }
-  it->second.chunks.resize(rs.profile().total());
+  it->second.shards.resize(rs.profile().total());
   read_shards(op_id, it->second, shards);
   return op_id;
 }
@@ -579,18 +596,16 @@ void RadosClient::on_reply(std::shared_ptr<OpBody> body) {
   cb(Status::Ok());
 }
 
-std::vector<std::uint32_t> RadosClient::maybe_checksums(
-    std::uint64_t offset, const Payload& data) const {
+void RadosClient::maybe_checksums(std::uint64_t offset, const Payload& data,
+                                  BlockCrcs& out) const {
   // Checksums describe whole store blocks, so they are only meaningful for
   // block-aligned writes; the OSD recomputes everything else from the
   // stored bytes. Such a payload holds block i in page i.
-  std::vector<std::uint32_t> out;
-  if (!integrity_ || offset % kChecksumBlockBytes != 0) return out;
-  out.reserve(data.page_count());
+  out.clear();
+  if (!integrity_ || offset % kChecksumBlockBytes != 0) return;
   data.for_each_segment([&](std::span<const std::uint8_t> block) {
     out.push_back(crc32c(block));
   });
-  return out;
 }
 
 bool RadosClient::verify_received(const OpBody& body) const {
@@ -618,8 +633,7 @@ void RadosClient::count_checksum_failure() {
   if (metrics_.checksum_failures) metrics_.checksum_failures->inc();
 }
 
-void RadosClient::complete_read(PendingIt it,
-                                Result<std::vector<std::uint8_t>> result) {
+void RadosClient::complete_read(PendingIt it, Result<Payload> result) {
   ++completed_;
   if (metrics_.ops_completed) {
     metrics_.ops_completed->inc();
@@ -641,7 +655,7 @@ void RadosClient::send_repair_write(int osd, const ObjectKey& key,
   // again by the next read or a deep scrub.
   auto body = make_op(OpType::sub_write, next_op_id_++, key, offset);
   body->data = std::move(data);
-  body->checksums = maybe_checksums(offset, body->data);
+  maybe_checksums(offset, body->data, body->checksums);
   ++read_repairs_;
   if (metrics_.read_repairs) metrics_.read_repairs->inc();
   send(osd, std::move(body));
@@ -651,9 +665,7 @@ void RadosClient::ec_gather_complete(PendingIt it, std::uint64_t op_id) {
   Pending& pend = it->second;
   const ec::ReedSolomon& rs = *pend.codec;
   const unsigned k = rs.profile().k;
-  const auto present = static_cast<unsigned>(
-      std::count_if(pend.chunks.begin(), pend.chunks.end(),
-                    [](const auto& c) { return c.has_value(); }));
+  const auto present = static_cast<unsigned>(std::popcount(pend.gathered));
   if (present < k) {
     // Corrupted shards left a hole: pull in untried survivors and keep
     // gathering. With nothing left to ask, the object is unrecoverable.
@@ -669,26 +681,33 @@ void RadosClient::ec_gather_complete(PendingIt it, std::uint64_t op_id) {
     return;
   }
 
-  std::vector<ec::Chunk> data_chunks;
-  if (std::all_of(pend.chunks.begin(), pend.chunks.begin() + k,
-                  [](const auto& c) { return c.has_value(); })) {
-    data_chunks.reserve(k);
-    for (unsigned s = 0; s < k; ++s)
-      data_chunks.push_back(std::move(*pend.chunks[s]));
-  } else {
-    // A data shard is missing: this read is served degraded, by parity
-    // reconstruction.
-    count_degraded_read();
-    auto decoded = rs.decode(pend.chunks);
-    if (!decoded.ok()) {
-      complete_read(it, decoded.status());
-      return;
-    }
-    data_chunks = std::move(*decoded);
+  const std::uint64_t data_shards = bit(k) - 1;
+  const bool all_data = (pend.gathered & data_shards) == data_shards;
+  if (all_data && pend.bad == 0) {
+    // The healthy path: the data shards' pages, laid out once.
+    complete_read(it, rs.assemble(std::span(pend.shards).first(k),
+                                  pend.offset, pend.length));
+    return;
   }
 
-  // Read-repair: rewrite every shard that failed verification from the
-  // decoded data (re-encoding for parity shards).
+  // A shard is missing or failed verification: decode around it in chunks,
+  // and rewrite every bad shard from the decoded data.
+  std::vector<std::optional<ec::Chunk>> chunks(pend.shards.size());
+  for (std::uint64_t got = pend.gathered; got != 0; got &= got - 1) {
+    const auto s = static_cast<std::size_t>(std::countr_zero(got));
+    chunks[s] = pend.shards[s].to_vector();
+  }
+  // A missing data shard means this read is served degraded, by parity
+  // reconstruction.
+  if (!all_data) count_degraded_read();
+  auto decoded = rs.decode(chunks);
+  if (!decoded.ok()) {
+    complete_read(it, decoded.status());
+    return;
+  }
+  const std::vector<ec::Chunk>& data_chunks = *decoded;
+
+  // Read-repair re-encodes for parity shards.
   std::optional<std::vector<ec::Chunk>> coding;
   const std::uint64_t shard_off = pend.offset / k;
   for (std::uint64_t bad = pend.bad; bad != 0; bad &= bad - 1) {
@@ -705,7 +724,7 @@ void RadosClient::ec_gather_complete(PendingIt it, std::uint64_t op_id) {
                       shard_off, Payload::copy_of(repaired, shard_off));
   }
 
-  complete_read(it, rs.assemble(data_chunks, pend.length));
+  complete_read(it, rs.assemble(data_chunks, pend.offset, pend.length));
 }
 
 void RadosClient::on_read_reply(PendingIt it, std::shared_ptr<OpBody> body) {
@@ -723,11 +742,13 @@ void RadosClient::on_read_reply(PendingIt it, std::shared_ptr<OpBody> body) {
   if (body->key.shard >= 0) {
     // One shard of a direct-shards gather.
     const auto s = static_cast<std::size_t>(body->key.shard);
-    DK_CHECK(s < pend.chunks.size());
-    if (bad)
+    DK_CHECK(s < pend.shards.size());
+    if (bad) {
       pend.bad |= bit(s);
-    else
-      pend.chunks[s] = body->data.to_vector();
+    } else {
+      pend.shards[s] = std::move(body->data);
+      pend.gathered |= bit(s);
+    }
     if (--pend.awaiting == 0) ec_gather_complete(it, op_id);
     return;
   }
@@ -739,7 +760,7 @@ void RadosClient::on_read_reply(PendingIt it, std::shared_ptr<OpBody> body) {
       send_repair_write(pend.acting[std::countr_zero(bad)],
                         object_key(pend.pool, pend.oid), pend.offset,
                         body->data);
-    complete_read(it, body->data.to_vector());
+    complete_read(it, std::move(body->data));
     return;
   }
 
@@ -749,7 +770,8 @@ void RadosClient::on_read_reply(PendingIt it, std::shared_ptr<OpBody> body) {
     // reconstruct locally.
     count_degraded_read();
     const unsigned k = pend.codec->profile().k;
-    pend.chunks.assign(pend.codec->profile().total(), std::nullopt);
+    pend.shards.assign(pend.codec->profile().total(), Payload());
+    pend.gathered = 0;
     pend.bad = 0;
     pend.tried = 0;
     pend.awaiting = 0;

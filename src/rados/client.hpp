@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -41,7 +40,16 @@ enum class WriteStrategy { primary_copy, client_fanout };
 enum class ReadStrategy { primary, direct_shards };
 
 using WriteCallback = sim::UniqueFn<void(Status)>;
-using ReadCallback = sim::UniqueFn<void(Result<std::vector<std::uint8_t>>)>;
+/// A read's bytes, laid out for the read's object offset (common/page.hpp):
+/// a replicated read delivers the serving store's own pages.
+using ReadCallback = sim::UniqueFn<void(Result<Payload>)>;
+/// The same bytes copied into one vector.
+using VectorReadCallback =
+    sim::UniqueFn<void(Result<std::vector<std::uint8_t>>)>;
+
+/// `cb` as a ReadCallback that copies the bytes into a vector for it: the
+/// one copy each layer's vector adapter makes.
+ReadCallback copy_to_vector(VectorReadCallback cb);
 
 class RadosClient {
  public:
@@ -58,9 +66,15 @@ class RadosClient {
              std::span<const std::uint8_t> data, WriteStrategy strategy,
              WriteCallback cb);
 
-  /// Asynchronously read `length` bytes at `offset`.
+  /// Asynchronously read `length` bytes at `offset`. `cb` gets the pages
+  /// the cluster replied with: a replicated read copies no byte, an EC
+  /// read lays its data shards out once.
   void read(int pool, std::uint64_t oid, std::uint64_t offset,
             std::uint64_t length, ReadStrategy strategy, ReadCallback cb);
+  /// The same read, copied into a vector for `cb`.
+  void read(int pool, std::uint64_t oid, std::uint64_t offset,
+            std::uint64_t length, ReadStrategy strategy,
+            VectorReadCallback cb);
 
   /// Arm per-op deadlines with exponential backoff + capped retries (the
   /// policy's constants are in client.cpp). Without it the client is
@@ -141,9 +155,11 @@ class RadosClient {
     std::uint64_t tried = 0;  // positions already asked
     std::uint64_t bad = 0;    // positions whose copy failed, to repair
     std::size_t current = 0;  // replicated: position now serving
-    // EC reads: the pool's codec and the shards gathered so far.
+    // EC reads: the pool's codec and the shards gathered so far (by shard
+    // index; bit s of `gathered` marks shard s as present and verified).
     const ec::ReedSolomon* codec = nullptr;
-    std::vector<std::optional<ec::Chunk>> chunks;
+    std::vector<Payload> shards;
+    std::uint64_t gathered = 0;
 
     void record_acting(std::span<const int> set);
     std::span<const int> acting_set() const {
@@ -189,12 +205,14 @@ class RadosClient {
   // `integrity` only decides whether a reply's bytes are checksum-verified.
   // It owns the replicated next-replica walk, the EC shard gather and
   // regather, and repair writes.
-  std::vector<std::uint32_t> maybe_checksums(std::uint64_t offset,
-                                             const Payload& data) const;
+  /// Fill `out` with `data`'s block checksums when integrity is armed and
+  /// `offset` is block-aligned; leave it empty otherwise.
+  void maybe_checksums(std::uint64_t offset, const Payload& data,
+                       BlockCrcs& out) const;
   bool verify_received(const OpBody& body) const;
   void note_corruption(Pending& pend);
   void count_checksum_failure();
-  void complete_read(PendingIt it, Result<std::vector<std::uint8_t>> result);
+  void complete_read(PendingIt it, Result<Payload> result);
   void on_read_reply(PendingIt it, std::shared_ptr<OpBody> body);
   void ec_gather_complete(PendingIt it, std::uint64_t op_id);
   void send_repair_write(int osd, const ObjectKey& key, std::uint64_t offset,

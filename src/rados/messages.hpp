@@ -60,8 +60,8 @@ struct OpBody {
   // Integrity mode: per-4kB-block CRC-32C of `data`. On writes the client
   // attaches them so the OSD can store what the client computed; on read
   // replies the OSD attaches the stored checksums so the client can verify
-  // on receive.
-  std::vector<std::uint32_t> checksums;
+  // on receive. Inline up to one 32 kB payload's worth.
+  BlockCrcs checksums;
   // Integrity mode: replies carry Errc::corrupted (with empty data) when
   // the serving OSD's checksum verification failed.
   Errc error = Errc::ok;

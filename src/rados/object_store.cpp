@@ -98,11 +98,19 @@ Payload ObjectStore::read(const ObjectKey& key, std::uint64_t offset,
   for (std::size_t i = 0; i < out.page_count(); ++i) {
     const std::uint64_t b = offset / kBlock + i;
     if (b >= blocks.size()) break;
-    // The reader copies these bytes next.
-    blocks[b].prefetch(kBlock);
     out.set_page(i, blocks[b]);
   }
   return out;
+}
+
+void ObjectStore::prefetch(const ObjectKey& key, std::uint64_t offset,
+                           std::uint64_t length) const {
+  auto it = objects_.find(key);
+  if (it == objects_.end()) return;
+  const std::vector<PageRef>& blocks = it->second.blocks;
+  const std::uint64_t end =
+      std::min<std::uint64_t>(blocks.size(), blocks_for(offset + length));
+  for (std::uint64_t b = offset / kBlock; b < end; ++b) blocks[b].prefetch();
 }
 
 bool ObjectStore::exists(const ObjectKey& key) const {
@@ -151,12 +159,12 @@ bool ObjectStore::verify(const ObjectKey& key, std::uint64_t offset,
   return true;
 }
 
-std::vector<std::uint32_t> ObjectStore::checksums_for(
-    const ObjectKey& key, std::uint64_t offset, std::uint64_t length) const {
-  std::vector<std::uint32_t> out;
-  if (!integrity_ || length == 0 || offset % kBlock != 0) return out;
+void ObjectStore::checksums_for(const ObjectKey& key, std::uint64_t offset,
+                                std::uint64_t length, BlockCrcs& out) const {
+  out.clear();
+  if (!integrity_ || length == 0 || offset % kBlock != 0) return;
   auto it = objects_.find(key);
-  if (it == objects_.end()) return out;
+  if (it == objects_.end()) return;
   const Object& obj = it->second;
   // Only leading blocks the reader sees exactly as stored: every full
   // block, and the partial tail block when the range ends at the object's
@@ -168,7 +176,6 @@ std::vector<std::uint32_t> ObjectStore::checksums_for(
   for (std::uint64_t b = offset / kBlock;
        b * kBlock < covered && b < obj.crcs.size(); ++b)
     out.push_back(obj.crcs[b]);
-  return out;
 }
 
 ObjectStore::RawBytes ObjectStore::raw_bytes(const ObjectKey& key) {

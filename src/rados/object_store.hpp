@@ -67,6 +67,12 @@ class ObjectStore {
   Payload read(const ObjectKey& key, std::uint64_t offset,
                std::uint64_t length) const;
 
+  /// Start loading the counts of the pages a read of [offset, offset +
+  /// length) will reference. The OSD calls it when a read arrives, so the
+  /// misses overlap the events ahead of the read's service.
+  void prefetch(const ObjectKey& key, std::uint64_t offset,
+                std::uint64_t length) const;
+
   bool exists(const ObjectKey& key) const;
   std::uint64_t object_size(const ObjectKey& key) const;
   void remove(const ObjectKey& key);
@@ -94,15 +100,14 @@ class ObjectStore {
   bool verify(const ObjectKey& key, std::uint64_t offset,
               std::uint64_t length) const;
 
-  /// Stored checksums for the blocks overlapping [offset, offset + length),
-  /// in block order, for shipping alongside read replies and recovery
-  /// pushes. A partial tail block is included only when the range ends at
-  /// the object's end. Empty when integrity is off, the object is absent,
-  /// or `offset` is not block-aligned (the receiver could not match blocks
-  /// up).
-  std::vector<std::uint32_t> checksums_for(const ObjectKey& key,
-                                           std::uint64_t offset,
-                                           std::uint64_t length) const;
+  /// Fill `out` with the stored checksums for the blocks overlapping
+  /// [offset, offset + length), in block order, for shipping alongside read
+  /// replies and recovery pushes. A partial tail block is included only
+  /// when the range ends at the object's end. Empty when integrity is off,
+  /// the object is absent, or `offset` is not block-aligned (the receiver
+  /// could not match blocks up).
+  void checksums_for(const ObjectKey& key, std::uint64_t offset,
+                     std::uint64_t length, BlockCrcs& out) const;
 
   /// Mutable view of an object's stored bytes — the media-corruption
   /// injection point. Indexing a byte first gives its block a page private

@@ -186,6 +186,9 @@ void Osd::do_write_ack(std::shared_ptr<OpBody> body) {
 }
 
 void Osd::do_read(std::shared_ptr<OpBody> body) {
+  // The read references its pages, whose counts are usually cold: start
+  // loading them now, while the simulator runs the events ahead of it.
+  store_.prefetch(body->key, body->offset, body->length);
   const Nanos svc = service_time(body->length, /*is_write=*/false, body->key,
                                  body->offset);
   workers_.submit(svc, [this, body = std::move(body)] {
@@ -196,8 +199,8 @@ void Osd::do_read(std::shared_ptr<OpBody> body) {
       reply->error = Errc::corrupted;
     } else {
       reply->data = store_.read(body->key, body->offset, body->length);
-      reply->checksums =
-          store_.checksums_for(body->key, body->offset, body->length);
+      store_.checksums_for(body->key, body->offset, body->length,
+                           reply->checksums);
     }
     reply->target_osd = body->reply_osd;
     send_(body->reply_osd, std::move(reply));
@@ -256,7 +259,9 @@ void Osd::do_ec_primary_write(std::shared_ptr<OpBody> body) {
 
 void Osd::do_ec_primary_read(std::shared_ptr<OpBody> body) {
   // Software-Ceph EC read path: the primary reads its own shard, gathers
-  // the other k-1 data shards, reassembles, and replies to the client.
+  // the other k-1 data shards, reassembles, and replies to the client. The
+  // shards stay the stores' pages until the one copy that lays them out
+  // as the object's bytes.
   DK_CHECK(body->codec != nullptr &&
            body->replicas.size() == body->codec->profile().total());
   const unsigned k = body->codec->profile().k;
@@ -285,15 +290,14 @@ void Osd::do_ec_primary_read(std::shared_ptr<OpBody> body) {
     pr.offset = body->offset;
     pr.length = body->length;
     pr.awaiting = k - 1;
-    pr.chunks.resize(rs.profile().total());
-    pr.chunks[0] = store_.read(own, shard_off, chunk_len).to_vector();
+    pr.shards.resize(k);
+    pr.shards[0] = store_.read(own, shard_off, chunk_len);
 
     auto reply = make_op(OpType::read_reply, body->op_id, body->key);
     pr.reply = reply;
 
     if (pr.awaiting == 0) {
-      reply->data = Payload::copy_of(
-          rs.assemble({*pr.chunks[0]}, body->length), body->offset);
+      reply->data = rs.assemble(pr.shards, body->offset, body->length);
       send_(-1, reply);
       return;
     }
@@ -323,16 +327,12 @@ void Osd::do_read_reply(std::shared_ptr<OpBody> body) {
     return;
   }
   const auto shard = static_cast<std::size_t>(body->key.shard);
-  DK_CHECK(shard < pr.chunks.size());
-  pr.chunks[shard] = body->data.to_vector();
+  DK_CHECK(shard < pr.shards.size());
+  pr.shards[shard] = std::move(body->data);
   if (--pr.awaiting != 0) return;
-  // All k data shards present: concatenate (no decode needed on the
+  // All k data shards present: lay them out (no decode needed on the
   // healthy path — the chunks are systematic data shards).
-  const unsigned k = pr.codec->profile().k;
-  std::vector<ec::Chunk> data;
-  for (unsigned s = 0; s < k; ++s) data.push_back(std::move(*pr.chunks[s]));
-  pr.reply->data =
-      Payload::copy_of(pr.codec->assemble(data, pr.length), pr.offset);
+  pr.reply->data = pr.codec->assemble(pr.shards, pr.offset, pr.length);
   send_(-1, std::move(pr.reply));
   read_nodes_.erase(pending_reads_, it);
 }

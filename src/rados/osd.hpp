@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -175,7 +174,7 @@ class Osd {
     const ec::ReedSolomon* codec = nullptr;
     std::uint64_t offset = 0;  // original (unsharded) read extent
     std::uint64_t length = 0;
-    std::vector<std::optional<ec::Chunk>> chunks;
+    std::vector<Payload> shards;  // the k data shards, by shard index
     std::shared_ptr<OpBody> reply;
   };
 

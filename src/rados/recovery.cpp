@@ -300,8 +300,9 @@ void RecoveryManager::arrive(const RunPtr& run, std::size_t i, bool arrived) {
   if (!move.reconstruct) {
     const ObjectStore& source = cluster_.osd(move.from_osd).store();
     const std::uint64_t size = source.object_size(move.key);
-    target.apply_durable(move.key, 0, source.read(move.key, 0, size),
-                         source.checksums_for(move.key, 0, size));
+    BlockCrcs crcs;
+    source.checksums_for(move.key, 0, size, crcs);
+    target.apply_durable(move.key, 0, source.read(move.key, 0, size), crcs);
     settle(run, i, !target.crashed());
     return;
   }

@@ -84,8 +84,9 @@ bool FaultInjector::should_fail_completion() {
   return false;
 }
 
-bool FaultInjector::maybe_corrupt_dma(std::span<std::uint8_t> payload) {
-  if (payload.empty()) return false;
+template <typename Bytes>
+bool FaultInjector::corrupt_dma(Bytes&& bytes) {
+  if (bytes.size() == 0) return false;
   const Nanos now = sim_.now();
   for (const auto& w : plan_.dma_corruption) {
     if (now < w.start || now >= w.end || w.corrupt_prob <= 0.0) continue;
@@ -93,12 +94,27 @@ bool FaultInjector::maybe_corrupt_dma(std::span<std::uint8_t> payload) {
     // a matching window is active: plans without corruption windows leave
     // every other domain's replay untouched.
     if (corrupt_rng_.chance(w.corrupt_prob)) {
-      corrupt_bytes(payload, w.bit_flips);
+      corrupt_bytes(bytes, w.bit_flips);
       injected(metrics_.dma_corruptions, stats_.dma_corruptions);
       return true;
     }
   }
   return false;
+}
+
+bool FaultInjector::maybe_corrupt_dma(std::span<std::uint8_t> payload) {
+  return corrupt_dma(payload);
+}
+
+bool FaultInjector::maybe_corrupt_dma(Payload& payload) {
+  struct Writable {
+    Payload& payload;
+    std::uint64_t size() const { return payload.size(); }
+    std::uint8_t& operator[](std::uint64_t i) {
+      return payload.writable_byte(i);
+    }
+  };
+  return corrupt_dma(Writable{payload});
 }
 
 void FaultInjector::count_media_corruption() {

@@ -23,6 +23,7 @@
 
 #include "common/check.hpp"
 #include "common/metrics.hpp"
+#include "common/page.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 
@@ -165,6 +166,10 @@ class FaultInjector {
   /// stream only while a window is active and the payload is non-empty.
   /// Returns true when the payload was corrupted.
   bool maybe_corrupt_dma(std::span<std::uint8_t> payload);
+  /// The same for a payload in pages: each flip lands in a private copy of
+  /// its page (Payload::writable_byte), with the same draws as a buffer of
+  /// payload.size() bytes.
+  bool maybe_corrupt_dma(Payload& payload);
 
   // --- OSD crash accounting (rados::Cluster drives the schedule) --------
   void count_osd_crash();
@@ -198,6 +203,9 @@ class FaultInjector {
 
  private:
   void injected(Counter* metric, std::uint64_t& stat);
+  /// maybe_corrupt_dma() over any indexable byte view.
+  template <typename Bytes>
+  bool corrupt_dma(Bytes&& bytes);
 
   Simulator& sim_;
   FaultPlan plan_;

@@ -27,7 +27,7 @@ struct TablePass {
   void read_next() {
     if (next >= nblocks) return;
     const std::uint64_t off = next++ * kScanBlock;
-    fw.read(0, off, kScanBlock, [this](Result<std::vector<std::uint8_t>> r) {
+    fw.read(0, off, kScanBlock, [this](Result<Payload> r) {
       if (r.ok()) {
         query_cpu->submit(kCpuPerBlock, [this] { read_next(); });
       } else {
@@ -58,7 +58,7 @@ struct OltpClients {
     for (unsigned r = 0; r < kReadsPerTxn; ++r) {
       const std::uint64_t page = rng.below(pages);
       fw.read(client, page * kTxnIoBytes, kTxnIoBytes,
-              [this, client, t0](Result<std::vector<std::uint8_t>>) {
+              [this, client, t0](Result<Payload>) {
                 if (--pending[client] != 0) return;
                 fw.simulator().schedule_after(
                     kThinkTime, [this, client, t0] { commit(client, t0); });

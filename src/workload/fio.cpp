@@ -213,13 +213,12 @@ struct FioLoop {
                });
     } else {
       fw.read(j, offset, spec.bs,
-              [this, j, offset,
-               issued_at](Result<std::vector<std::uint8_t>> r) {
+              [this, j, offset, issued_at](Result<Payload> r) {
                 if (r.ok()) {
                   account(issued_at, r->size());
                   if (spec.verify) {
                     fill_block_pattern(offset, spec.seed, expected);
-                    if (!std::ranges::equal(*r, expected))
+                    if (!(*r == std::span<const std::uint8_t>(expected)))
                       ++result.verify_errors;
                   }
                 }
@@ -292,9 +291,7 @@ Nanos probe_latency(core::Framework& framework, RwMode mode, std::uint64_t bs,
                       [&](std::int32_t) { completed_at = sim.now(); });
     } else {
       framework.read(0, offset, bs,
-                     [&](Result<std::vector<std::uint8_t>>) {
-                       completed_at = sim.now();
-                     });
+                     [&](Result<Payload>) { completed_at = sim.now(); });
     }
     // Drain fully (including deferred host bookkeeping) so back-to-back
     // probes do not queue behind each other, but time only the completion.

@@ -10,6 +10,7 @@
 #include "pair.hpp"
 #include "rados/bad_recovery.hpp"
 #include "sim/bad_event.hpp"
+#include "sim/d003_alias.hpp"
 #include "unset_knob.hpp"
 
 void tune(fixture::KnobConfig& knobs) { knobs.set_by_bench = 3; }

@@ -92,11 +92,10 @@ class ClosedLoop {
                   issue();
                 });
     } else {
-      fw_.read(0, offset, block_,
-               [this](Result<std::vector<std::uint8_t>> r) {
-                 ok_ += r.ok() && r->size() == block_;
-                 issue();
-               });
+      fw_.read(0, offset, block_, [this](Result<Payload> r) {
+        ok_ += r.ok() && r->size() == block_;
+        issue();
+      });
     }
   }
 
@@ -146,12 +145,12 @@ class AllocBudget : public ::testing::Test {
 };
 
 TEST_F(AllocBudget, FourKilobyteReadStaysAtItsCount) {
-  // 2.875 (21.8 before): the destination buffer, the vector the client
-  // hands the reply's pages over in (the OSD's read copied into it before
-  // the store kept pages), and amortized growth of the FIFO stations'
-  // queues; everything else is recycled.
+  // 0.875 (2.875 while the framework allocated a destination buffer and
+  // the client copied the reply's pages into a vector for it; 21.8
+  // before): the callback gets the store's pages, so what remains is
+  // amortized growth of the FIFO stations' queues.
   build(PoolMode::replicated, 4 * KiB, 4000);
-  EXPECT_LE(allocations_per_io(/*writes=*/false), 2.88);
+  EXPECT_LE(allocations_per_io(/*writes=*/false), 0.88);
 }
 
 TEST_F(AllocBudget, FourKilobyteWriteStaysAtItsCount) {
@@ -165,25 +164,27 @@ TEST_F(AllocBudget, FourKilobyteWriteStaysAtItsCount) {
 }
 
 TEST_F(AllocBudget, IntegrityArmedFourKilobyteReadStaysAtItsCount) {
-  // 3.875 (8.875 while the C2H cover and the host re-verify each built a
-  // checksum vector, 6.875 while each I/O allocated its checksum cover,
-  // 5.875 while the RADOS read kept its tried replicas in a vector, 4.875
-  // while it copied its acting set into one; the masks and the acting set
-  // are inline now).
+  // 0.875, the unarmed count (3.875 while the reply's checksums were a
+  // vector and the read allocated the unarmed read's two buffers; 8.875
+  // while the C2H cover and the host re-verify each built a checksum
+  // vector, 6.875 while each I/O allocated its checksum cover, 5.875 while
+  // the RADOS read kept its tried replicas in a vector, 4.875 while it
+  // copied its acting set into one; the masks, the acting set and the
+  // reply's checksums are inline now).
   build(PoolMode::replicated, 4 * KiB, 4000, /*integrity=*/true);
-  EXPECT_LE(allocations_per_io(/*writes=*/false), 3.88);
+  EXPECT_LE(allocations_per_io(/*writes=*/false), 0.88);
 }
 
 TEST_F(AllocBudget, IntegrityArmedFourKilobyteWriteStaysAtItsCount) {
-  // 4.288 (7.402 while RBD copied the payload into a RADOS vector, an
-  // extra replica's message took a wire copy and each replica's journal
-  // record a copy of its own; 9.402 while every replica took a copy of the
-  // payload and of its checksum vector, 11.402 while the H2C check built a
-  // checksum vector to compare, 10.402 while each write's cover was a
-  // fresh vector). The client's checksum vector and each replica's copy
-  // of it are 3 of them.
+  // 1.288 (4.288 while the client's checksums and each replica's copy of
+  // them were vectors; 7.402 while RBD copied the payload into a RADOS
+  // vector, an extra replica's message took a wire copy and each replica's
+  // journal record a copy of its own; 9.402 while every replica took a
+  // copy of the payload and of its checksum vector, 11.402 while the H2C
+  // check built a checksum vector to compare, 10.402 while each write's
+  // cover was a fresh vector). The checksums ride inline in the messages.
   build(PoolMode::replicated, 4 * KiB, 4000, /*integrity=*/true);
-  EXPECT_LE(allocations_per_io(/*writes=*/true), 4.29);
+  EXPECT_LE(allocations_per_io(/*writes=*/true), 1.29);
 }
 
 TEST_F(AllocBudget, EcClientWriteOf128KilobytesStaysAtItsCount) {

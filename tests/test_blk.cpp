@@ -2,6 +2,7 @@
 // scheduler bypass, and CPU-to-hardware-queue mapping.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <deque>
 #include <span>
 #include <vector>
@@ -100,6 +101,38 @@ TEST(MqBlockLayer, OversizedRequestIsSplitAndCompletesOnce) {
   EXPECT_EQ(results[0], 512 * 1024);
   EXPECT_EQ(mq.stats().splits, 3u);
   EXPECT_EQ(mq.stats().dispatched, 4u);
+}
+
+TEST(MqBlockLayer, SplitReadHandsEachFragmentItsOwnPayload) {
+  FakeDriver drv;
+  MqBlockLayer mq({.max_io_bytes = 4096}, drv);
+  std::array<Payload, 3> pages;
+  Request r = make_req(ReqOp::read, 0, 3 * 4096 - 100, nullptr);
+  r.pages = pages.data();
+  ASSERT_TRUE(mq.submit(0, std::move(r)).ok());
+  ASSERT_EQ(drv.held(), 3u);
+  for (std::size_t i = 0; i < 3; ++i)
+    EXPECT_EQ(drv.at(i).pages, &pages[i]) << "fragment " << i;
+}
+
+TEST(MqBlockLayer, ReadsThatNameTheirOwnPagesNeverMerge) {
+  // One tag: the first read holds it, the others wait in the elevator,
+  // each starting where the one before it ends.
+  std::array<Payload, 3> pages;
+  for (const bool own_pages : {false, true}) {
+    FakeDriver drv;
+    MqBlockLayer mq({.nr_hw_queues = 1, .queue_depth = 1,
+                     .bypass_scheduler = false},
+                    drv);
+    for (std::size_t i = 0; i < 3; ++i) {
+      Request r = make_req(ReqOp::read, 4096 * i, 4096, nullptr);
+      if (own_pages) r.pages = &pages[i];
+      ASSERT_TRUE(mq.submit(0, std::move(r)).ok());
+    }
+    // Timing-only reads (no view, no pages) merge as before.
+    EXPECT_EQ(mq.stats().merges, own_pages ? 0u : 1u) << own_pages;
+    EXPECT_EQ(mq.queued(0), own_pages ? 2u : 1u) << own_pages;
+  }
 }
 
 TEST(MqBlockLayer, SplitFragmentsCoverDistinctRanges) {

@@ -3,7 +3,11 @@
 // selection, ring accounting, DFX fallback, and structural latency ordering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "common/check.hpp"
+#include "common/page.hpp"
 #include "common/rng.hpp"
 #include "core/framework.hpp"
 
@@ -376,6 +380,215 @@ TEST(Framework, EcDegradedReadStillReturnsData) {
   sim.run();
   ASSERT_TRUE(r.ok()) << r.status().to_string();
   EXPECT_EQ(*r, data);
+}
+
+// ---------------------------------------------------------------------------
+// Reads hand over pages: the bytes a read delivers are the pages the
+// cluster replied with, joined across objects and block-layer fragments.
+
+/// `fw` written with `bytes` from offset 0 in 512 kB writes.
+void prefill(sim::Simulator& sim, Framework& fw,
+             const std::vector<std::uint8_t>& bytes) {
+  for (std::uint64_t off = 0; off < bytes.size(); off += 512 * KiB) {
+    const std::uint64_t n = std::min<std::uint64_t>(512 * KiB,
+                                                    bytes.size() - off);
+    std::int32_t res = 0;
+    fw.write(0, off, {bytes.begin() + static_cast<long>(off),
+                      bytes.begin() + static_cast<long>(off + n)},
+             [&](std::int32_t r) { res = r; });
+    sim.run();
+    ASSERT_EQ(res, static_cast<std::int32_t>(n)) << "prefill at " << off;
+  }
+}
+
+Result<Payload> read_pages(sim::Simulator& sim, Framework& fw,
+                           std::uint64_t offset, std::uint64_t length) {
+  Result<Payload> out = Status::Error(Errc::timed_out);
+  fw.read(0, offset, length, [&](Result<Payload> r) { out = std::move(r); });
+  sim.run();
+  return out;
+}
+
+TEST(ReadPages, AReplicatedReadHandsOverTheStoresOwnPage) {
+  sim::Simulator sim;
+  FrameworkConfig cfg;
+  cfg.variant = VariantKind::delibak;
+  cfg.image_size = 16 * MiB;
+  Framework fw(sim, cfg);
+  const std::uint64_t offset = 5 * MiB + 12 * KiB;
+  const auto data = pattern(4 * KiB, 3);
+  fw.write(0, offset, data, [](std::int32_t) {});
+  sim.run();
+
+  const int pool = fw.image().spec().pool;
+  const std::uint64_t oid = fw.image().oid_of(offset);
+  const int primary = fw.cluster().acting_set(pool, oid).front();
+  const Payload stored =
+      fw.cluster().osd(primary).store().read(
+          rados::ObjectKey{static_cast<std::uint32_t>(pool), oid},
+          offset % cfg.object_size, 4 * KiB);
+
+  const std::uint64_t live_before = live_pages();
+  std::uint64_t live_in_callback = 0;
+  Result<Payload> r = Status::Error(Errc::timed_out);
+  fw.read(0, offset, 4 * KiB, [&](Result<Payload> x) {
+    live_in_callback = live_pages();
+    r = std::move(x);
+  });
+  sim.run();
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  ASSERT_EQ(r->page_count(), 1u);
+  EXPECT_EQ(r->page(0), stored.page(0)) << "the store's page, by reference";
+  EXPECT_EQ(*r, std::span<const std::uint8_t>(data));
+  EXPECT_EQ(live_in_callback, live_before) << "the read took no page";
+  EXPECT_EQ(live_pages(), live_before);
+}
+
+class SpanningReads : public ::testing::TestWithParam<VariantKind> {};
+
+TEST_P(SpanningReads, ReturnTheWrittenBytesAcrossObjectsAndFragments) {
+  sim::Simulator sim;
+  FrameworkConfig cfg;
+  cfg.variant = GetParam();
+  cfg.image_size = 16 * MiB;
+  Framework fw(sim, cfg);
+  const auto image = pattern(9 * MiB, 17);  // non-periodic
+  prefill(sim, fw, image);
+
+  struct Extent {
+    std::uint64_t offset, length;
+  };
+  constexpr Extent kExtents[] = {
+      {4 * MiB - 8 * KiB, 16 * KiB},            // two objects, aligned
+      {4 * MiB - 5000, 12345},                  // two objects, unaligned
+      {1 * MiB, 1 * MiB + 4 * KiB},             // three fragments, aligned
+      {777, 600 * KiB + 13},                    // two fragments, unaligned
+      {4 * MiB - 300 * KiB + 123, 700 * KiB},   // both at once
+      {8 * MiB - 3 * MiB - 1, 3 * MiB + 5000},  // six fragments, two objects
+  };
+  for (const Extent& e : kExtents) {
+    SCOPED_TRACE(::testing::Message() << e.length << " B at " << e.offset);
+    const Result<Payload> r = read_pages(sim, fw, e.offset, e.length);
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    EXPECT_EQ(r->head(), e.offset % kPageBytes)
+        << "laid out for the image offset";
+    EXPECT_TRUE(*r == std::span(image).subspan(e.offset, e.length));
+  }
+  EXPECT_EQ(fw.mq().stats().merges, 0u);
+  EXPECT_EQ(fw.validator().verify_quiescent(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ReplicatedStacks, SpanningReads,
+    ::testing::Values(VariantKind::delibak, VariantKind::sw_ceph_d2),
+    [](const ::testing::TestParamInfo<VariantKind>& info) {
+      return info.param == VariantKind::delibak ? std::string("D3")
+                                                : std::string("D2_SW");
+    });
+
+TEST(ReadPages, EcReadsReturnTheWrittenExtentOnBothReadStrategies) {
+  // D3 reads the data shards directly and assembles them client-side;
+  // D2-SW asks the primary, which gathers and assembles. Each reads back
+  // exactly the extents it wrote.
+  for (const VariantKind variant :
+       {VariantKind::delibak, VariantKind::sw_ceph_d2}) {
+    SCOPED_TRACE(variant_name(variant));
+    sim::Simulator sim;
+    FrameworkConfig cfg;
+    cfg.variant = variant;
+    cfg.pool_mode = PoolMode::erasure;
+    cfg.image_size = 16 * MiB;
+    Framework fw(sim, cfg);
+    for (const std::uint64_t length : {4 * KiB, 128 * KiB, 1 * MiB}) {
+      const std::uint64_t offset = 2 * MiB + length;
+      const auto data = pattern(length, length);
+      std::int32_t wres = 0;
+      fw.write(0, offset, data, [&](std::int32_t res) { wres = res; });
+      sim.run();
+      ASSERT_EQ(wres, static_cast<std::int32_t>(length));
+      const Result<Payload> r = read_pages(sim, fw, offset, length);
+      ASSERT_TRUE(r.ok()) << r.status().to_string();
+      EXPECT_TRUE(*r == std::span<const std::uint8_t>(data)) << length;
+    }
+  }
+}
+
+TEST(ReadPages, AC2hCorruptedReadNeverReachesTheStore) {
+  sim::Simulator sim;
+  FrameworkConfig cfg;
+  cfg.variant = VariantKind::delibak;
+  cfg.image_size = 16 * MiB;
+  cfg.integrity = true;
+  // Only the read issued at 10 ms crosses the window.
+  cfg.fault_plan.dma_corruption.push_back(
+      sim::DmaCorruptionWindow{ms(10), ms(11), 1.0, 4});
+  Framework fw(sim, cfg);
+  const std::uint64_t offset = 64 * KiB;
+  const auto data = pattern(8 * KiB, 5);
+  std::int32_t wres = 0;
+  fw.write(0, offset, data, [&](std::int32_t r) { wres = r; });
+  sim.run();
+  ASSERT_EQ(wres, 8192);
+  ASSERT_LT(sim.now(), ms(10));
+
+  Result<Payload> bad = Status::Error(Errc::timed_out);
+  sim.schedule_at(ms(10), [&] {
+    fw.read(0, offset, data.size(),
+            [&](Result<Payload> r) { bad = std::move(r); });
+  });
+  sim.run();
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), Errc::corrupted);
+  EXPECT_EQ(fw.faults()->stats().dma_corruptions, 1u);
+
+  Result<Payload> good = Status::Error(Errc::timed_out);
+  ASSERT_LT(sim.now(), ms(30));
+  sim.schedule_at(ms(30), [&] {
+    fw.read(0, offset, data.size(),
+            [&](Result<Payload> r) { good = std::move(r); });
+  });
+  sim.run();
+  ASSERT_TRUE(good.ok()) << good.status().to_string();
+  EXPECT_TRUE(*good == std::span<const std::uint8_t>(data))
+      << "the flips landed in the stores' shared pages";
+  EXPECT_EQ(fw.faults()->stats().dma_corruptions, 1u);
+  EXPECT_EQ(fw.validator().verify_quiescent(), 0u);
+}
+
+TEST(ReadPages, AdjacentInFlightReadsOnTheElevatorNeverMerge) {
+  // D2-SW runs the MQ elevator, which merges a bio into a queued request
+  // it continues. Each read names its own pages, so none may merge. A slow
+  // fabric (9 ms each way) keeps every read in flight for tens of
+  // milliseconds, through timeouts and retries, so the hardware queue's 256
+  // tags run out and later reads wait in the elevator beside their
+  // neighbours.
+  sim::Simulator sim;
+  FrameworkConfig cfg;
+  cfg.variant = VariantKind::sw_ceph_d2;
+  cfg.image_size = 16 * MiB;
+  cfg.fault_plan.links.push_back(
+      sim::LinkFaultWindow{ms(100), ms(300), 0.0, ms(9), -1});
+  Framework fw(sim, cfg);
+  ASSERT_FALSE(fw.mq().config().bypass_scheduler);
+  const auto image = pattern(4 * MiB, 23);
+  prefill(sim, fw, image);
+  ASSERT_LT(sim.now(), ms(100));
+
+  constexpr std::uint64_t kReads = 600;
+  std::uint64_t good = 0;
+  sim.schedule_at(ms(100), [&] {
+    for (std::uint64_t i = 0; i < kReads; ++i) {
+      fw.read(0, i * 4 * KiB, 4 * KiB, [&, i](Result<Payload> r) {
+        good += r.ok() &&
+                *r == std::span(image).subspan(i * 4 * KiB, 4 * KiB);
+      });
+    }
+  });
+  sim.run();
+  EXPECT_EQ(good, kReads);
+  EXPECT_GT(fw.mq().stats().tag_waits, 0u) << "no read waited in the queue";
+  EXPECT_EQ(fw.mq().stats().merges, 0u);
+  EXPECT_EQ(fw.validator().verify_quiescent(), 0u);
 }
 
 }  // namespace

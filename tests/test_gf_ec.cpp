@@ -273,7 +273,7 @@ TEST_P(RsRoundTrip, EncodeDecodeAllErasurePatterns) {
       if (m >= 2) damaged[e2].reset();
       auto decoded = rs.decode(damaged);
       ASSERT_TRUE(decoded.ok()) << "erased " << e1 << "," << e2;
-      EXPECT_EQ(rs.assemble(*decoded, object.size()), object);
+      EXPECT_EQ(rs.assemble(*decoded, 0, object.size()), object);
     }
   }
 }
@@ -309,7 +309,7 @@ TEST(ReedSolomon, SplitPadsAndAssembleTruncates) {
   auto data = rs.split(object);
   ASSERT_EQ(data.size(), 4u);
   EXPECT_EQ(data[0].size(), 3u);  // ceil(10/4)
-  EXPECT_EQ(rs.assemble(data, object.size()), object);
+  EXPECT_EQ(rs.assemble(data, 0, object.size()), object);
 }
 
 TEST(ReedSolomon, EncodeRejectsWrongChunkCount) {

@@ -275,7 +275,7 @@ TEST(EcProperty, RandomProfilesRandomErasuresAlwaysDecode) {
 
     auto decoded = rs.decode(all);
     ASSERT_TRUE(decoded.ok()) << "k=" << k << " m=" << m;
-    EXPECT_EQ(rs.assemble(*decoded, object.size()), object)
+    EXPECT_EQ(rs.assemble(*decoded, 0, object.size()), object)
         << "k=" << k << " m=" << m;
   }
 }

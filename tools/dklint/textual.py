@@ -41,7 +41,15 @@ def analyze(files: list[SourceFile]) -> list[Finding]:
     # (foo.cpp <-> foo.hpp), which is where data members live. A global
     # registry would make `rings_` (an unordered_map in one subsystem)
     # taint every other subsystem's `rings_` vector.
-    declared = {src.path: _declared_unordered_names(src) for src in files}
+    # `using X = std::unordered_map<...>` makes X an unordered type in the
+    # file and its companion, like the std names themselves.
+    aliases = {src.path: _unordered_aliases(src) for src in files}
+    declared = {}
+    for src in files:
+        types = UNORDERED | aliases[src.path]
+        for companion in _companions(src.path):
+            types |= aliases.get(companion, set())
+        declared[src.path] = _declared_unordered_names(src, types)
     findings: list[Finding] = []
     for src in files:
         names = set(declared.get(src.path, set()))
@@ -155,19 +163,41 @@ def _check_randomness(src: SourceFile, toks: list[Token]) -> list[Finding]:
     return out
 
 
-def _declared_unordered_names(src: SourceFile) -> set[str]:
+def _unordered_aliases(src: SourceFile) -> set[str]:
+    """Type aliases of unordered containers, e.g.
+    ``using CountMap = std::unordered_map<K, V>;`` registers ``CountMap``."""
+    aliases: set[str] = set()
+    toks = src.tokens
+    for i, t in enumerate(toks):
+        if t.kind != "ident" or t.text != "using":
+            continue
+        if token_text(toks, i + 2) != "=":
+            continue
+        j = i + 3
+        if token_text(toks, j) == "std" and token_text(toks, j + 1) == "::":
+            j += 2
+        if token_text(toks, j) in UNORDERED:
+            aliases.add(toks[i + 1].text)
+    return aliases
+
+
+def _declared_unordered_names(src: SourceFile, types: set[str]) -> set[str]:
     """Names declared with an unordered container type, e.g.
-    ``std::unordered_map<K, V> rings_;`` registers ``rings_``."""
+    ``std::unordered_map<K, V> rings_;`` registers ``rings_``, and so does
+    ``CountMap rings_;`` when ``CountMap`` is in `types` as an alias."""
     names: set[str] = set()
     toks = src.tokens
     for i, t in enumerate(toks):
-        if t.kind != "ident" or t.text not in UNORDERED:
+        if t.kind != "ident" or t.text not in types:
             continue
-        if token_text(toks, i + 1) != "<":
+        if token_text(toks, i + 1) == "<":
+            j = _match_angles(toks, i + 1)
+            if j is None:
+                continue
+        elif t.text in UNORDERED:
             continue
-        j = _match_angles(toks, i + 1)
-        if j is None:
-            continue
+        else:
+            j = i  # an alias names the whole type
         nxt = toks[j + 1] if j + 1 < len(toks) else None
         if nxt is not None and nxt.kind == "ident":
             # `... > name` — a declaration unless `name(` opens a function.
