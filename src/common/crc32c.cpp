@@ -148,12 +148,24 @@ std::uint32_t crc32c_hw(std::span<const std::uint8_t> data,
 
 #endif
 
+std::uint32_t crc32c_uncounted(std::span<const std::uint8_t> data,
+                               std::uint32_t crc) {
+  static const bool hw = crc32c_hw_available();
+  return hw ? crc32c_hw(data, crc) : crc32c_table(data, crc);
+}
+
 }  // namespace detail
 
+namespace {
+thread_local std::uint64_t t_passes = 0;
+}  // namespace
+
 std::uint32_t crc32c(std::span<const std::uint8_t> data, std::uint32_t crc) {
-  static const bool hw = detail::crc32c_hw_available();
-  return hw ? detail::crc32c_hw(data, crc) : detail::crc32c_table(data, crc);
+  ++t_passes;
+  return detail::crc32c_uncounted(data, crc);
 }
+
+std::uint64_t crc32c_passes() { return t_passes; }
 
 namespace {
 

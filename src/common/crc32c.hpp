@@ -27,6 +27,10 @@ inline constexpr std::uint64_t kChecksumBlockBytes = 4096;
 std::uint32_t crc32c(std::span<const std::uint8_t> data,
                      std::uint32_t crc = 0);
 
+// crc32c() calls this thread has made: the checksum passes over payload
+// bytes, which tests pin per I/O.
+std::uint64_t crc32c_passes();
+
 // One CRC per kChecksumBlockBytes chunk of `data` (the last chunk may be
 // short), written to `out`, which holds one entry per chunk.
 void block_checksums(std::span<const std::uint8_t> data,

@@ -1,7 +1,7 @@
 #pragma once
 // The two kernels behind dk::crc32c(), for tests that check one against the
 // other. Other code calls dk::crc32c(), which picks a kernel once per
-// process.
+// process and counts the pass.
 
 #include <cstddef>
 #include <cstdint>
@@ -33,5 +33,11 @@ bool crc32c_hw_available();
 /// the tail. Call only when crc32c_hw_available().
 std::uint32_t crc32c_hw(std::span<const std::uint8_t> data,
                         std::uint32_t crc);
+
+/// dk::crc32c() without counting a pass in crc32c_passes(): for audits of a
+/// remembered CRC that only debug builds make, so the count is the same in
+/// every build type.
+std::uint32_t crc32c_uncounted(std::span<const std::uint8_t> data,
+                               std::uint32_t crc = 0);
 
 }  // namespace dk::detail

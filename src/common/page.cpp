@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/check.hpp"
+#include "common/crc32c_detail.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/asan_interface.h>
@@ -52,6 +53,11 @@ PagePool& pool() {
 
 /// The zero page: read-only, so a stray write through it faults.
 constexpr std::array<std::uint8_t, kPageBytes> kZeroPage{};
+/// CRC-32C of the zero page's bytes.
+constexpr std::uint32_t kZeroPageCrc = 0x98f94189u;
+
+// The count, the CRC and the bytes fit malloc's 4,112-byte chunk.
+static_assert(sizeof(Page) == 2 * sizeof(std::uint32_t) + kPageBytes);
 
 }  // namespace
 
@@ -68,6 +74,7 @@ PageRef PageRef::allocate() {
     unpoison(page);
   }
   page->refs = 1;
+  page->crc = Page::kCrcUnknown;  // the bytes are a previous payload's
   ++p.live;
   return PageRef(page);
 }
@@ -83,12 +90,25 @@ const std::uint8_t* PageRef::data() const {
   return page_ != nullptr ? page_->bytes.data() : kZeroPage.data();
 }
 
+std::uint32_t PageRef::crc() const {
+  if (page_ == nullptr) return kZeroPageCrc;
+  if (page_->crc == Page::kCrcUnknown) {
+    page_->crc = crc32c(page_->bytes);
+    return page_->crc;
+  }
+  // Debug builds audit every hit.
+  DK_DCHECK(detail::crc32c_uncounted(page_->bytes) == page_->crc)
+      << "page bytes changed without PageRef::writable()";
+  return page_->crc;
+}
+
 std::uint8_t* PageRef::writable() {
   if (page_ == nullptr || page_->refs > 1) {
     PageRef copy = allocate();
     std::memcpy(copy.page_->bytes.data(), data(), kPageBytes);
     *this = std::move(copy);
   }
+  page_->crc = Page::kCrcUnknown;  // the caller changes the bytes
   return page_->bytes.data();
 }
 
@@ -161,6 +181,7 @@ std::uint8_t& Payload::writable_byte(std::uint64_t i) {
 }
 
 std::uint32_t Payload::crc32c(std::uint32_t crc) const {
+  if (crc == 0 && head_ == 0 && size_ == kPageBytes) return page(0).crc();
   for_each_segment(
       [&](std::span<const std::uint8_t> seg) { crc = dk::crc32c(seg, crc); });
   return crc;
@@ -188,23 +209,19 @@ void Payload::append(const Payload& next) {
   size_ += next.size_;
 }
 
-namespace {
-
-/// CRC-32C of the payload's chunk `i` of kChecksumBlockBytes.
-std::uint32_t block_crc(const Payload& data, std::size_t i) {
+std::uint32_t Payload::block_crc(std::size_t i) const {
   const std::uint64_t from = i * kChecksumBlockBytes;
+  if (head_ == 0 && from + kPageBytes <= size_) return page(i).crc();
   std::uint32_t crc = 0;
-  data.for_each_segment(from, std::min(kChecksumBlockBytes, data.size() - from),
-                        [&](std::span<const std::uint8_t> seg) {
-                          crc = dk::crc32c(seg, crc);
-                        });
+  for_each_segment(from, std::min(kChecksumBlockBytes, size_ - from),
+                   [&](std::span<const std::uint8_t> seg) {
+                     crc = dk::crc32c(seg, crc);
+                   });
   return crc;
 }
 
-}  // namespace
-
 void block_checksums(const Payload& data, std::span<std::uint32_t> out) {
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = block_crc(data, i);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = data.block_crc(i);
 }
 
 bool block_checksums_match(const Payload& data,
@@ -213,7 +230,7 @@ bool block_checksums_match(const Payload& data,
       (data.size() + kChecksumBlockBytes - 1) / kChecksumBlockBytes)
     return false;
   for (std::size_t i = 0; i < sums.size(); ++i)
-    if (block_crc(data, i) != sums[i]) return false;
+    if (data.block_crc(i) != sums[i]) return false;
   return true;
 }
 

@@ -15,6 +15,15 @@
 // zero page, one read-only block of zeros that every hole shares and
 // nothing writes.
 //
+// A page remembers the CRC-32C of its bytes once something asks for it
+// (PageRef::crc), so the checks an I/O passes through (the client's block
+// checksums, the journal record, the store's verify, the reply check, the
+// C2H cover and the host re-verify) read one value instead of each making a
+// pass over the same 4 kB. The memo rests on one invariant: page bytes
+// change only through a pointer PageRef::writable() has just returned,
+// which forgets the CRC, and no such pointer is kept past the next read of
+// the page's CRC. Debug builds recompute the CRC on every hit and check it.
+//
 // Pages come from a per-thread recycling pool: a page whose last reference
 // goes is kept on a free list and handed out again, so a steady stream of
 // payloads allocates nothing once the pool has reached its peak. The pool
@@ -44,10 +53,18 @@ namespace dk {
 inline constexpr std::uint64_t kPageBytes = kChecksumBlockBytes;
 
 struct Page {
-  // The count shares a cache line with the first bytes, so a reader that
-  // takes a reference and then reads the page misses in one place.
+  // The count and the CRC share a cache line with the first bytes, so a
+  // reader that takes a reference and then reads the page or its CRC
+  // misses in one place.
   std::uint32_t refs = 0;
+  /// The CRC-32C of `bytes`, or kCrcUnknown. Bytes whose CRC is that value
+  /// are checksummed on every call instead. A flag of its own would grow
+  /// the page past malloc's 4,112-byte chunk, and one in the count's top
+  /// bit would put a mask on every reference drop.
+  std::uint32_t crc = 0;
   std::array<std::uint8_t, kPageBytes> bytes;
+
+  static constexpr std::uint32_t kCrcUnknown = 0;
 };
 
 /// Pages this thread's pool has handed out that are still referenced.
@@ -75,6 +92,9 @@ class PageRef {
   static PageRef allocate();
 
   const std::uint8_t* data() const;
+  /// CRC-32C of the page's kPageBytes bytes, computed on the first call
+  /// after the bytes last changed and remembered in the page.
+  std::uint32_t crc() const;
 
   /// Start loading the page's count and its first `bytes` bytes into
   /// cache, ahead of a reference change or a read that would miss on them.
@@ -87,7 +107,7 @@ class PageRef {
 
   /// The page's bytes for writing. A shared page, or the zero page, is
   /// first copied into a fresh page private to this reference, so no other
-  /// holder sees the change.
+  /// holder sees the change. The page forgets its CRC.
   std::uint8_t* writable();
 
   friend bool operator==(const PageRef&, const PageRef&) = default;
@@ -177,8 +197,12 @@ class Payload {
   /// Byte `i` for writing. Its page is first made private to this payload
   /// (PageRef::writable), so no other holder of the page sees the change.
   std::uint8_t& writable_byte(std::uint64_t i);
-  /// CRC-32C over the payload's bytes, chained onto `crc` like crc32c().
+  /// CRC-32C over the payload's bytes, chained onto `crc` like crc32c();
+  /// the page's own for one whole page and no chaining.
   std::uint32_t crc32c(std::uint32_t crc = 0) const;
+  /// CRC-32C of the payload's chunk `i` of kChecksumBlockBytes (the last
+  /// may be short): the page's own when the chunk is one whole page.
+  std::uint32_t block_crc(std::size_t i) const;
 
   /// Extend this payload by `next`, which continues its object range. A
   /// block the two share is merged into a private page.
@@ -208,7 +232,8 @@ class Payload {
 };
 
 /// One CRC-32C per kChecksumBlockBytes chunk of `data`'s bytes (the last
-/// chunk may be short), as block_checksums() computes them over one buffer.
+/// chunk may be short), as block_checksums() computes them over one buffer
+/// (Payload::block_crc, so a whole page reads its own).
 void block_checksums(const Payload& data, std::span<std::uint32_t> out);
 /// True when `sums` equals block_checksums(data), read in place.
 bool block_checksums_match(const Payload& data,

@@ -600,12 +600,12 @@ void RadosClient::maybe_checksums(std::uint64_t offset, const Payload& data,
                                   BlockCrcs& out) const {
   // Checksums describe whole store blocks, so they are only meaningful for
   // block-aligned writes; the OSD recomputes everything else from the
-  // stored bytes. Such a payload holds block i in page i.
+  // stored bytes. Such a payload holds block i in page i, and a whole page
+  // remembers its CRC for the journal record and the store.
   out.clear();
   if (!integrity_ || offset % kChecksumBlockBytes != 0) return;
-  data.for_each_segment([&](std::span<const std::uint8_t> block) {
-    out.push_back(crc32c(block));
-  });
+  for (std::size_t i = 0; i < data.page_count(); ++i)
+    out.push_back(data.block_crc(i));
 }
 
 bool RadosClient::verify_received(const OpBody& body) const {
@@ -615,9 +615,7 @@ bool RadosClient::verify_received(const OpBody& body) const {
   const auto& data = body.data;
   for (std::size_t i = 0; i < body.checksums.size(); ++i) {
     if ((i + 1) * kChecksumBlockBytes > data.size()) break;
-    if (crc32c({data.page(i).data(), kChecksumBlockBytes}) !=
-        body.checksums[i])
-      return false;
+    if (data.page(i).crc() != body.checksums[i]) return false;
   }
   return true;
 }

@@ -14,6 +14,11 @@ static_assert(kBlock == kPageBytes, "a block slot holds one page");
 constexpr std::uint64_t blocks_for(std::uint64_t bytes) {
   return (bytes + kBlock - 1) / kBlock;
 }
+/// CRC-32C of a block's first `len` stored bytes: a whole block's page
+/// remembers its own; a tail block's prefix is computed.
+std::uint32_t block_crc(const PageRef& block, std::uint64_t len) {
+  return len == kBlock ? block.crc() : crc32c({block.data(), len});
+}
 }  // namespace
 
 bool ObjectStore::block_verifies(const Object& obj, std::uint64_t b,
@@ -21,8 +26,8 @@ bool ObjectStore::block_verifies(const Object& obj, std::uint64_t b,
   // Stored bytes with no recorded checksum are treated as corrupt: absence
   // of metadata for present data is itself suspect.
   if (b >= obj.crcs.size()) return false;
-  const std::uint64_t len = std::min(kBlock, size - b * kBlock);
-  return crc32c({obj.blocks[b].data(), len}) == obj.crcs[b];
+  return block_crc(obj.blocks[b], std::min(kBlock, size - b * kBlock)) ==
+         obj.crcs[b];
 }
 
 void ObjectStore::write(const ObjectKey& key, std::uint64_t offset,
@@ -84,7 +89,7 @@ void ObjectStore::write(const ObjectKey& key, std::uint64_t offset,
     const bool fully_covered = start >= offset && start + len <= end;
     std::uint32_t& crc = obj.crcs[b];
     crc = fully_covered && j < checksums.size() ? checksums[j]
-                                                : crc32c({block.data(), len});
+                                                : block_crc(block, len);
     if (stale) crc = ~crc;
   }
 }

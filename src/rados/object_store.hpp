@@ -18,7 +18,10 @@
 // block checksums: every kChecksumBlockBytes block of a stored object
 // carries a CRC-32C, refreshed on write and checked by verify(). Mutation
 // through raw_bytes() leaves them stale — that is the point: stale
-// checksums are how silent media corruption becomes detectable.
+// checksums are how silent media corruption becomes detectable. The CRC of
+// a whole block's stored bytes is its page's own (PageRef::crc), so a
+// verify of a page nothing changed makes no pass over it; a tail block's
+// shorter prefix is computed.
 //
 // The store itself applies every write atomically. Crash consistency lives
 // one layer up, in the Blockstore WAL each OSD keeps in front of this store
@@ -91,7 +94,7 @@ class ObjectStore {
   void set_integrity(bool on) { integrity_ = on; }
   bool integrity() const { return integrity_; }
 
-  /// Recompute CRC-32C over the stored bytes of every block overlapping
+  /// Take the CRC-32C of the stored bytes of every block overlapping
   /// [offset, offset + length) and compare against the checksum metadata.
   /// Blocks with no recorded checksum (written before integrity was armed)
   /// FAIL verification when any byte in range is stored — absence of a
@@ -112,7 +115,8 @@ class ObjectStore {
   /// Mutable view of an object's stored bytes — the media-corruption
   /// injection point. Indexing a byte first gives its block a page private
   /// to this store (copy-on-write), so the change reaches no other holder
-  /// of the page; it deliberately bypasses checksum maintenance.
+  /// of the page, and the page forgets its CRC (PageRef::writable); it
+  /// deliberately bypasses the store's checksum metadata.
   class RawBytes {
    public:
     std::uint64_t size() const;

@@ -165,6 +165,7 @@ class UniqueFn<R(Args...)> {
   /// A completion that may re-enter the slot holding it is moved out first.
   R operator()(Args... args) const {
     DK_DCHECK(invoke_ != nullptr);
+    // dklint: allow(DK-C009) — the capture buffer, not a page's bytes
     return invoke_(const_cast<std::byte*>(buf_), std::forward<Args>(args)...);
   }
 

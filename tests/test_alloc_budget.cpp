@@ -4,9 +4,11 @@
 // heap allocations per I/O, counted after a warm-up (so the recycled slots,
 // pools and free lists have reached their peak) and with write payloads
 // built outside the counted region. The journal's live heap is bounded the
-// same way: bytes an applied record still holds. This binary replaces the
-// global operator new with a thread-local counter and live-byte tally, so it
-// is a test program of its own.
+// same way: bytes an applied record still holds. The same loops pin the
+// CRC-32C passes an armed 4 kB I/O makes (dk::crc32c_passes()), on D3 x2
+// and on perfbench's durable stack. This binary replaces the global
+// operator new with a thread-local counter and live-byte tally, so it is a
+// test program of its own.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -15,6 +17,7 @@
 #include <new>
 #include <vector>
 
+#include "common/crc32c.hpp"
 #include "core/framework.hpp"
 #include "rados/blockstore.hpp"
 
@@ -69,14 +72,18 @@ class ClosedLoop {
   /// Runs the loop to completion; returns the heap allocations it made.
   std::uint64_t run() {
     t_allocations = 0;
+    const std::uint64_t passes = crc32c_passes();
     t_counting = true;
     for (unsigned d = 0; d < kIodepth; ++d) issue();
     fw_.simulator().run();
     t_counting = false;
+    crc_passes_ = crc32c_passes() - passes;
     return t_allocations;
   }
 
   std::size_t ok() const { return ok_; }
+  /// CRC-32C passes the last run() made.
+  std::uint64_t crc_passes() const { return crc_passes_; }
 
  private:
   void issue() {
@@ -106,23 +113,38 @@ class ClosedLoop {
   std::vector<std::vector<std::uint8_t>> payloads_;
   std::size_t next_ = 0;
   std::size_t ok_ = 0;
+  std::uint64_t crc_passes_ = 0;
 };
+
+/// D3 (DeLiBA-K), x2 replicated or EC 4+2 with client fan-out encode.
+FrameworkConfig d3(PoolMode pool, bool integrity = false) {
+  FrameworkConfig cfg;
+  cfg.variant = VariantKind::delibak;
+  cfg.pool_mode = pool;
+  cfg.replica_size = 2;
+  cfg.ec_profile = {4, 2, ec::GeneratorKind::vandermonde};
+  cfg.integrity = integrity;
+  return cfg;
+}
+
+/// perfbench's durable stack: D2-SW x2 with `integrity` and `blockstore`.
+FrameworkConfig durable() {
+  FrameworkConfig cfg;
+  cfg.variant = VariantKind::sw_ceph_d2;
+  cfg.pool_mode = PoolMode::replicated;
+  cfg.replica_size = 2;
+  cfg.integrity = true;
+  cfg.blockstore.enabled = true;
+  return cfg;
+}
 
 class AllocBudget : public ::testing::Test {
  protected:
-  /// A D3 stack, x2 replicated or EC 4+2 (client fan-out encode), whose
-  /// loops issue `ops` I/Os of `block` bytes, with `integrity` armed or
-  /// not. Warm-up: a write and a read loop grow every object to its final
-  /// size and bring every slot, pool and free list to its peak.
-  void build(PoolMode pool, std::uint64_t block, std::size_t ops,
-             bool integrity = false) {
-    FrameworkConfig cfg;
-    cfg.variant = VariantKind::delibak;
-    cfg.pool_mode = pool;
-    cfg.replica_size = 2;
-    cfg.ec_profile = {4, 2, ec::GeneratorKind::vandermonde};
+  /// A stack of `cfg` whose loops issue `ops` I/Os of `block` bytes.
+  /// Warm-up: a write and a read loop grow every object to its final size
+  /// and bring every slot, pool and free list to its peak.
+  void build(FrameworkConfig cfg, std::uint64_t block, std::size_t ops) {
     cfg.image_size = kImageBytes;
-    cfg.integrity = integrity;
     fw_ = std::make_unique<Framework>(sim_, cfg);
     block_ = block;
     ops_ = ops;
@@ -130,12 +152,19 @@ class AllocBudget : public ::testing::Test {
     ClosedLoop(*fw_, block_, ops_, false).run();
   }
 
-  double allocations_per_io(bool writes) {
+  /// Heap allocations and CRC-32C passes per I/O of one more loop.
+  struct PerIo {
+    double allocations = 0;
+    double crc_passes = 0;
+  };
+  PerIo per_io(bool writes) {
     ClosedLoop loop(*fw_, block_, ops_, writes);
     const std::uint64_t allocs = loop.run();
     EXPECT_EQ(loop.ok(), ops_);
     EXPECT_EQ(fw_->validator().verify_quiescent(), 0u);
-    return static_cast<double>(allocs) / static_cast<double>(ops_);
+    const auto ops = static_cast<double>(ops_);
+    return {static_cast<double>(allocs) / ops,
+            static_cast<double>(loop.crc_passes()) / ops};
   }
 
   sim::Simulator sim_;
@@ -149,8 +178,8 @@ TEST_F(AllocBudget, FourKilobyteReadStaysAtItsCount) {
   // the client copied the reply's pages into a vector for it; 21.8
   // before): the callback gets the store's pages, so what remains is
   // amortized growth of the FIFO stations' queues.
-  build(PoolMode::replicated, 4 * KiB, 4000);
-  EXPECT_LE(allocations_per_io(/*writes=*/false), 0.88);
+  build(d3(PoolMode::replicated), 4 * KiB, 4000);
+  EXPECT_LE(per_io(/*writes=*/false).allocations, 0.88);
 }
 
 TEST_F(AllocBudget, FourKilobyteWriteStaysAtItsCount) {
@@ -159,8 +188,8 @@ TEST_F(AllocBudget, FourKilobyteWriteStaysAtItsCount) {
   // did; 25 before the path became allocation-free): the payload is laid
   // into recycled pages that every message and store shares, so what
   // remains is amortized growth of the FIFO stations' queues.
-  build(PoolMode::replicated, 4 * KiB, 4000);
-  EXPECT_LE(allocations_per_io(/*writes=*/true), 1.01);
+  build(d3(PoolMode::replicated), 4 * KiB, 4000);
+  EXPECT_LE(per_io(/*writes=*/true).allocations, 1.01);
 }
 
 TEST_F(AllocBudget, IntegrityArmedFourKilobyteReadStaysAtItsCount) {
@@ -171,8 +200,8 @@ TEST_F(AllocBudget, IntegrityArmedFourKilobyteReadStaysAtItsCount) {
   // the RADOS read kept its tried replicas in a vector, 4.875 while it
   // copied its acting set into one; the masks, the acting set and the
   // reply's checksums are inline now).
-  build(PoolMode::replicated, 4 * KiB, 4000, /*integrity=*/true);
-  EXPECT_LE(allocations_per_io(/*writes=*/false), 0.88);
+  build(d3(PoolMode::replicated, /*integrity=*/true), 4 * KiB, 4000);
+  EXPECT_LE(per_io(/*writes=*/false).allocations, 0.88);
 }
 
 TEST_F(AllocBudget, IntegrityArmedFourKilobyteWriteStaysAtItsCount) {
@@ -183,8 +212,8 @@ TEST_F(AllocBudget, IntegrityArmedFourKilobyteWriteStaysAtItsCount) {
   // copy of the payload and of its checksum vector, 11.402 while the H2C
   // check built a checksum vector to compare, 10.402 while each write's
   // cover was a fresh vector). The checksums ride inline in the messages.
-  build(PoolMode::replicated, 4 * KiB, 4000, /*integrity=*/true);
-  EXPECT_LE(allocations_per_io(/*writes=*/true), 1.29);
+  build(d3(PoolMode::replicated, /*integrity=*/true), 4 * KiB, 4000);
+  EXPECT_LE(per_io(/*writes=*/true).allocations, 1.29);
 }
 
 TEST_F(AllocBudget, EcClientWriteOf128KilobytesStaysAtItsCount) {
@@ -193,8 +222,37 @@ TEST_F(AllocBudget, EcClientWriteOf128KilobytesStaysAtItsCount) {
   // reallocation to append the parity): the four data and two parity
   // chunks and the two vectors that hold them are 8 of them. Each shard
   // is laid into recycled pages, and the region kernel allocates nothing.
-  build(PoolMode::erasure, 128 * KiB, 256);
-  EXPECT_LE(allocations_per_io(/*writes=*/true), 9.51);
+  build(d3(PoolMode::erasure), 128 * KiB, 256);
+  EXPECT_LE(per_io(/*writes=*/true).allocations, 9.51);
+}
+
+// CRC-32C passes of an armed 4 kB I/O. A page remembers its CRC, so every
+// check of a whole page after the first reads it: a read makes none (4
+// before: the store's verify, the client's reply check, the C2H cover and
+// the host re-verify each made one), and a write makes 3 (5 before, with
+// one more for each replica's journal record). The three left are the H2C
+// cover and the H2C check over the caller's buffer, and the page's first
+// CRC, which the client ships with the write.
+class CrcPasses : public AllocBudget {};
+
+TEST_F(CrcPasses, AnIntegrityArmedFourKilobyteReadMakesNone) {
+  build(d3(PoolMode::replicated, /*integrity=*/true), 4 * KiB, 4000);
+  EXPECT_EQ(per_io(/*writes=*/false).crc_passes, 0.0);
+}
+
+TEST_F(CrcPasses, AnIntegrityArmedFourKilobyteWriteMakesThree) {
+  build(d3(PoolMode::replicated, /*integrity=*/true), 4 * KiB, 4000);
+  EXPECT_EQ(per_io(/*writes=*/true).crc_passes, 3.0);
+}
+
+TEST_F(CrcPasses, ADurableFourKilobyteReadMakesNone) {
+  build(durable(), 4 * KiB, 4000);
+  EXPECT_EQ(per_io(/*writes=*/false).crc_passes, 0.0);
+}
+
+TEST_F(CrcPasses, ADurableFourKilobyteWriteMakesThree) {
+  build(durable(), 4 * KiB, 4000);
+  EXPECT_EQ(per_io(/*writes=*/true).crc_passes, 3.0);
 }
 
 TEST(JournalLiveHeap, AnAppliedRecordKeepsOnlyItsHeader) {

@@ -10,7 +10,9 @@
 // toggles and raw byte flips, and every result must match. The sharing
 // tests pin what the pages are for: one stored copy per replicated write,
 // copy-on-write wherever one holder's bytes change, and recovery copies
-// that carry the source's pages and CRCs.
+// that carry the source's pages and CRCs. The page CRC tests drive every
+// way a page's bytes change and require that the page then forgets the CRC
+// it remembered.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -531,6 +533,122 @@ TEST(PageSharing, ARecoveryCopyLandsTheSourcesPagesAndCrcs) {
   EXPECT_TRUE(target.verify(key, 0, kBlock));
   EXPECT_FALSE(target.verify(key, kBlock, kBlock))
       << "the rotted block landed under a fresh CRC";
+}
+
+// --- remembered page CRCs -----------------------------------------------------
+
+/// CRC-32C of a payload's bytes, computed afresh.
+std::uint32_t fresh_crc(const Payload& payload) {
+  return crc32c(payload.to_vector());
+}
+
+TEST(PageCrc, TheZeroPageHoldsTheCrcOfItsZeros) {
+  const std::vector<std::uint8_t> zeros(kPageBytes);
+  EXPECT_EQ(PageRef().crc(), crc32c(zeros));
+  EXPECT_EQ(Payload::zeros(0, kPageBytes).crc32c(), crc32c(zeros));
+}
+
+TEST(PageCrc, APageComputesItsCrcOncePerContent) {
+  const auto data = pattern(kBlock, 1);
+  const Payload payload = Payload::copy_of(data, 0);
+  const std::uint64_t before = crc32c_passes();
+  const std::uint32_t crc = payload.page(0).crc();
+  EXPECT_EQ(payload.page(0).crc(), crc);
+  EXPECT_EQ(payload.crc32c(), crc);  // a journal record's
+  EXPECT_EQ(payload.block_crc(0), crc);
+  EXPECT_EQ(crc32c_passes() - before, 1u);
+  EXPECT_EQ(crc, crc32c(data));
+}
+
+TEST(PageCrc, AMediaFlipForgetsTheCrcOfASharedOrAPrivatePage) {
+  // raw_bytes copies a block two stores share before flipping it, and
+  // flips a block one store holds alone in place; either way the flipped
+  // page must not answer with the CRC of its old bytes.
+  const ObjectKey key{1, 1, -1};
+  const auto data = pattern(kBlock, 2);
+  for (const bool shared : {true, false}) {
+    SCOPED_TRACE(shared ? "shared page" : "private page");
+    ObjectStore a;
+    ObjectStore b;
+    a.set_integrity(true);
+    b.set_integrity(true);
+    {
+      const Payload payload = Payload::copy_of(data, 0);
+      a.write(key, 0, payload);
+      if (shared) b.write(key, 0, payload);
+    }
+    ASSERT_TRUE(a.verify(key, 0, kBlock));  // the page now knows its CRC
+    a.raw_bytes(key)[100] ^= 0x10;
+    EXPECT_FALSE(a.verify(key, 0, kBlock))
+        << "the flip hid behind the page's remembered CRC";
+    const Payload now = a.read(key, 0, kBlock);
+    EXPECT_EQ(now.page(0).crc(), fresh_crc(now));
+    if (shared) {
+      EXPECT_TRUE(b.verify(key, 0, kBlock));
+      EXPECT_EQ(b.read(key, 0, kBlock), data);
+    }
+  }
+}
+
+TEST(PageCrc, AC2hFlipForgetsTheCrc) {
+  // The C2H corruption window flips a delivered payload's bytes through
+  // writable_byte: in a copy when the stores share the page, in place when
+  // the read holds it alone (an assembled EC read). The host re-verify
+  // must see the flip either way.
+  const auto data = pattern(kBlock, 3);
+  Payload shared = Payload::copy_of(data, 0);
+  const Payload store = shared;
+  std::array<std::uint32_t, 1> cover{};
+  block_checksums(shared, cover);
+  shared.writable_byte(7) ^= 0x01;
+  EXPECT_FALSE(block_checksums_match(shared, cover));
+  EXPECT_EQ(shared.page(0).crc(), fresh_crc(shared));
+  EXPECT_TRUE(block_checksums_match(store, cover));
+
+  Payload alone = Payload::copy_of(data, 0);
+  block_checksums(alone, cover);
+  alone.writable_byte(7) ^= 0x01;
+  EXPECT_FALSE(block_checksums_match(alone, cover));
+  EXPECT_EQ(alone.page(0).crc(), fresh_crc(alone));
+}
+
+TEST(PageCrc, AnAppendThatMergesABlockForgetsItsCrc) {
+  const auto data = pattern(kBlock, 4);
+  Payload head = Payload::copy_of(std::span(data).first(100), 0);
+  const std::uint32_t partial = head.page(0).crc();
+  head.append(Payload::copy_of(std::span(data).subspan(100), 100));
+  EXPECT_NE(head.page(0).crc(), partial);
+  EXPECT_EQ(head.page(0).crc(), crc32c(data));
+  EXPECT_EQ(head.crc32c(), crc32c(data));
+}
+
+TEST(PageCrc, APartialWriteMergedIntoAStoredBlockForgetsItsCrc) {
+  // The store holds the block's page alone, so the merge writes in place;
+  // the CRC the store then records must be that of the merged bytes.
+  ObjectStore store;
+  store.set_integrity(true);
+  const ObjectKey key{1, 1, -1};
+  store.write(key, 0, pattern(kBlock, 5));
+  ASSERT_TRUE(store.verify(key, 0, kBlock));
+  store.write(key, 10, pattern(20, 6));
+  BlockCrcs sums;
+  store.checksums_for(key, 0, kBlock, sums);
+  ASSERT_EQ(sums.size(), 1u);
+  EXPECT_EQ(sums[0], fresh_crc(store.read(key, 0, kBlock)));
+  EXPECT_TRUE(store.verify(key, 0, kBlock));
+}
+
+TEST(PageCrc, ARecycledPageForgetsItsCrc) {
+  const std::uint8_t* first = nullptr;
+  {
+    const Payload gone = Payload::copy_of(pattern(kBlock, 7), 0);
+    (void)gone.page(0).crc();
+    first = gone.page(0).data();
+  }
+  const auto data = pattern(kBlock, 8);
+  const Payload next = Payload::copy_of(data, 0);
+  ASSERT_EQ(next.page(0).data(), first) << "the pool handed out another page";
+  EXPECT_EQ(next.page(0).crc(), crc32c(data));
 }
 
 }  // namespace

@@ -33,6 +33,7 @@ C005 = "DK-C005"  # attach_* point with a non-canonical first parameter
 C006 = "DK-C006"  # std::function in src/
 C007 = "DK-C007"  # header nothing but its own .cpp includes
 C008 = "DK-C008"  # config field nothing assigns by name
+C009 = "DK-C009"  # const_cast in src/
 S001 = "DK-S001"  # suppression comment without a reason
 
 CHECKS: dict[str, str] = {
@@ -66,6 +67,8 @@ CHECKS: dict[str, str] = {
     "perfbench/ includes but its own .cpp; wire it in or delete it",
     C008: "field of a src/ *Config/*Params/*Spec struct that nothing in "
     "src/, bench/, examples/, perfbench/ or tests/ assigns by name",
+    C009: "const_cast in src/; page bytes change only through "
+    "PageRef::writable(), which forgets the page's remembered CRC",
     S001: "dklint suppression without a reason, or naming an unknown or "
     "retired check; every allow() needs a —-separated justification",
 }

@@ -1,7 +1,8 @@
 """Project conventions: the C family.
 
 Layout and API rules clang-tidy cannot express, over the same tokens as the
-other checks and only in src/. DK-C001–C006 read one file at a time;
+other checks and only in src/. DK-C001–C006 and DK-C009 read one file at a
+time;
 DK-C007 and DK-C008 read the whole tree under --root, since whether a header
 is reached or a field is set depends on every file that could include or
 assign it.
@@ -42,6 +43,7 @@ def analyze(tree: SourceTree, files: list[SourceFile],
         out.extend(_check_assert(src))
         out.extend(_check_attach(src))
         out.extend(_check_std_function(src))
+        out.extend(_check_const_cast(src))
         header = src.path.endswith(HEADERS)
         if header:
             out.extend(_check_pragma_once(src))
@@ -143,6 +145,14 @@ def _check_std_function(src: SourceFile) -> list[Finding]:
             if t.text == "std" and token_text(toks, i + 1) == "::"
             and token_text(toks, i + 2) == "function"
             and token_text(toks, i + 3) == "<"]
+
+
+def _check_const_cast(src: SourceFile) -> list[Finding]:
+    return [Finding(src.path, t.line, catalog.C009,
+                    "const_cast in src/: a write through a const view of a "
+                    "page leaves its remembered CRC stale; take the bytes "
+                    "from PageRef::writable()")
+            for t in src.tokens if t.text == "const_cast"]
 
 
 # ---------------------------------------------------------------------------
